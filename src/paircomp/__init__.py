@@ -19,7 +19,7 @@ from .estimators import (BootstrapConfig, DiffKind, FiellerCoefficients,
                          InstanceSample, PairedDifference, SEMethod,
                          bootstrap_sdm, bootstrap_se, optimal_ratio_percent,
                          optimal_ratio_simple, phi_percent, phi_simple,
-                         se_percent, se_percent_with_covariance, se_simple)
+                         se_percent, se_simple)
 from .experiment import ExperimentPlan, run_experiment
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         hodges_lehmann, paired_t_test, qq_normal, sign_test,
@@ -38,7 +38,7 @@ __all__ = [
     "t_cdf", "t_quantile", "noncentral_t_cdf", "noncentral_t_quantile",
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
     "FiellerCoefficients", "BootstrapConfig", "phi_simple", "phi_percent",
-    "se_simple", "se_percent", "se_percent_with_covariance",
+    "se_simple", "se_percent",
     "optimal_ratio_simple", "optimal_ratio_percent", "bootstrap_se",
     "bootstrap_sdm", "SamplingConfig", "SamplingOutcome", "calc_nreps",
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "RunResult", "Runner",

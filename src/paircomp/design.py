@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .distributions import noncentral_t_cdf, t_quantile
 
 __all__ = [
@@ -129,13 +131,14 @@ class SampleSizeResult:
     ncp_at_n: float
 
 
-def _power(n: int, d: float, alpha: float, alternative: Alternative) -> float:
+def _power(n: int, d, alpha: float, alternative: Alternative):
+    # d may be a float or an array of effect sizes; the result matches it
     df = n - 1
     ncp = abs(d) * math.sqrt(n)
     if alternative is Alternative.TWO_SIDED:
-        lo = t_quantile(0.5 * alpha, df)
+        # t_quantile is exactly antisymmetric: the lower bound is -hi
         hi = t_quantile(1.0 - 0.5 * alpha, df)
-        return 1.0 - (noncentral_t_cdf(hi, df, ncp) - noncentral_t_cdf(lo, df, ncp))
+        return 1.0 - (noncentral_t_cdf(hi, df, ncp) - noncentral_t_cdf(-hi, df, ncp))
     return 1.0 - noncentral_t_cdf(t_quantile(1.0 - alpha, df), df, ncp)
 
 
@@ -199,7 +202,9 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
 
     Returns ``n_points`` (d, power) pairs with d evenly spaced over
     ``d_range`` inclusive; power is strictly increasing along the list.
-    The curve is computed on the t-test basis regardless of family.
+    The whole curve is one array evaluation of the noncentral t CDF, and
+    each point equals :func:`calc_power` at that d exactly.  The curve is
+    computed on the t-test basis regardless of family.
     """
     n = int(n_instances)
     if n < 2:
@@ -214,8 +219,8 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
         raise ValueError(f"at least 2 curve points are required, got {n_points!r}")
     alternative = Alternative(alternative)
     step = (d_hi - d_lo) / (n_points - 1)
-    return [(d, _power(n, d, alpha, alternative))
-            for d in (d_lo + i * step for i in range(n_points))]
+    ds = d_lo + np.arange(n_points) * step
+    return list(zip(ds.tolist(), _power(n, ds, alpha, alternative).tolist()))
 
 
 def curve_highlights(curve: list[tuple[float, float]],

@@ -33,9 +33,8 @@ from .seeding import make_generator
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
     "FiellerCoefficients", "BootstrapConfig", "phi_simple", "phi_percent",
-    "se_simple", "se_percent", "se_percent_with_covariance",
-    "optimal_ratio_simple", "optimal_ratio_percent", "bootstrap_se",
-    "bootstrap_sdm",
+    "se_simple", "se_percent", "optimal_ratio_simple", "optimal_ratio_percent",
+    "bootstrap_se", "bootstrap_sdm",
 ]
 
 
@@ -190,35 +189,6 @@ def se_percent(s1, s2) -> tuple[float, FiellerCoefficients]:
     phi = gap / s1.mean
     se = abs(phi) * math.sqrt(c1 / s1.n + c2 / s2.n)
     return se, FiellerCoefficients(c1, c2)
-
-
-def se_percent_with_covariance(x1, x2) -> float:
-    """Reference percent-difference SE keeping the covariance term.
-
-    Only defined for balanced samples: the covariance pairs the i-th
-    observations of the two algorithms elementwise, which presumes a
-    pairing that independent sampling does not provide.  Kept for
-    validation against the no-covariance form, not used by the sampler.
-    """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if x1.shape != x2.shape or x1.ndim != 1:
-        raise ValueError("the covariance form requires balanced 1-D samples")
-    n = x1.size
-    if n < 2:
-        raise ValueError("at least 2 observations per sample are required")
-    m1 = float(x1.mean())
-    if m1 <= 0.0:
-        raise AssumptionViolationError("baseline mean must be strictly positive")
-    gap = float(x2.mean()) - m1
-    if gap == 0.0:
-        raise DegenerateRatioError("undefined for a zero mean gap")
-    v1 = float(x1.var(ddof=1))
-    v2 = float(x2.var(ddof=1))
-    cov = float(np.cov(x1, x2 - x1, ddof=1)[0, 1])
-    phi = gap / m1
-    inner = (v1 / n) / m1 ** 2 + (v1 / n + v2 / n) / gap ** 2 + (2.0 / n) * cov / (gap * m1)
-    return abs(phi) * math.sqrt(max(inner, 0.0))
 
 
 def optimal_ratio_simple(s1, s2) -> float:

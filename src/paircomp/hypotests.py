@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
+from scipy.stats import binom, rankdata
 
 from .design import Alternative, TestFamily
 from .distributions import t_cdf, t_quantile
@@ -123,12 +122,21 @@ def _signrank_counts(n: int) -> np.ndarray:
 def hodges_lehmann(values) -> float:
     """Pseudo-median: median of all pairwise Walsh averages (i <= j)."""
     arr = _as_array(values, 1, "hodges_lehmann")
-    return float(np.median(_walsh_averages(arr)))
+    return _walsh_stats(arr, ())[0]
 
 
-def _walsh_averages(arr: np.ndarray) -> np.ndarray:
+def _walsh_stats(arr: np.ndarray, ranks) -> tuple[float, tuple[float, ...]]:
+    """Median of the Walsh averages and the averages at 0-based ``ranks``.
+
+    The averages are built once and one partition serves every order
+    statistic; the median is formed as ``np.median`` forms it.
+    """
     i, j = np.triu_indices(arr.size)
-    return (arr[i] + arr[j]) / 2.0
+    walsh = (arr[i] + arr[j]) / 2.0
+    m = walsh.size
+    wanted = [(m - 1) // 2, m // 2, *ranks]
+    picked = np.partition(walsh, sorted(set(wanted)))[wanted]
+    return float((picked[0] + picked[1]) / 2.0), tuple(float(v) for v in picked[2:])
 
 
 def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
@@ -194,19 +202,19 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
             z = (w - mu_w + 0.5) / sd_w
             p = float(special.ndtr(z))
 
-    estimate = hodges_lehmann(arr)
-    ci = _walsh_interval(arr, n, alpha, exact)
+    ci_ranks = _walsh_interval_ranks(arr.size, n, alpha, exact)
+    estimate, ci = _walsh_stats(arr, ci_ranks)
     return TestReport(test_family=TestFamily.WILCOXON, statistic=w, df=None,
                       p_value=p, estimate=estimate, ci=ci, alpha=alpha,
                       alternative=alternative, n_instances_used=arr.size,
                       warnings=warnings)
 
 
-def _walsh_interval(arr: np.ndarray, n: int, alpha: float,
-                    exact: bool) -> tuple[float, float]:
-    # order-statistic interval over Walsh averages; conservative coverage
-    walsh = np.sort(_walsh_averages(arr))
-    m = walsh.size
+def _walsh_interval_ranks(size: int, n: int, alpha: float,
+                          exact: bool) -> tuple[int, int]:
+    # order-statistic interval over the Walsh averages of ``size`` values,
+    # from the null distribution of n nonzero differences; conservative
+    m = size * (size + 1) // 2
     if exact:
         counts = _signrank_counts(n)
         cdf = np.cumsum(counts) / float(1 << n)
@@ -218,9 +226,7 @@ def _walsh_interval(arr: np.ndarray, n: int, alpha: float,
         z = float(-special.ndtri(alpha / 2.0))
         c = int(math.floor(mu_w - z * sd_w))
     c = max(-1, min(c, (m - 1) // 2))
-    lo_idx = max(0, c)
-    hi_idx = min(m - 1, m - 1 - c)
-    return float(walsh[lo_idx]), float(walsh[hi_idx])
+    return max(0, c), min(m - 1, m - 1 - c)
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +238,9 @@ def sign_test(phis, mu0: float, alpha: float,
     """Binomial test on the count of differences above the null value.
 
     Values exactly equal to mu0 are dropped (and reported); the p-value is
-    the exact binomial tail (doubled and capped for the two-sided case).
-    The estimate is the sample median with a conservative order-statistic
-    interval.
+    the Binomial(n, 1/2) tail (doubled and capped for the two-sided case),
+    taken in floating point so any n works.  The estimate is the sample
+    median with a conservative order-statistic interval.
     """
     arr = _as_array(phis, 1, "sign_test")
     alternative = Alternative(alternative)
@@ -250,13 +256,12 @@ def sign_test(phis, mu0: float, alpha: float,
                                   "sign statistic is undefined")
     n = d.size
     k = int((d > 0.0).sum())
-    total = 1 << n
-    lower = sum(comb(n, i) for i in range(0, k + 1))
-    upper = sum(comb(n, i) for i in range(k, n + 1))
+    lower = float(binom.cdf(k, n, 0.5))
     if alternative is Alternative.TWO_SIDED:
-        p = min(1.0, 2.0 * min(lower, upper) / total)
+        upper = float(binom.sf(k - 1, n, 0.5))
+        p = min(1.0, 2.0 * min(lower, upper))
     else:
-        p = lower / total
+        p = lower
 
     estimate = float(np.median(arr))
     ci = _sign_interval(arr, alpha)
@@ -269,16 +274,9 @@ def sign_test(phis, mu0: float, alpha: float,
 def _sign_interval(arr: np.ndarray, alpha: float) -> tuple[float, float]:
     srt = np.sort(arr)
     n = srt.size
-    total = 1 << n
     # largest l with P(X < l) <= alpha/2 under Binomial(n, 1/2)
-    acc = 0
-    l = 0
-    for i in range(n):
-        acc += comb(n, i)
-        if acc / total <= alpha / 2.0:
-            l = i + 1
-        else:
-            break
+    l = int(np.searchsorted(binom.cdf(np.arange(n), n, 0.5), alpha / 2.0,
+                            side="right"))
     if l == 0:
         return float(srt[0]), float(srt[-1])
     return float(srt[l - 1]), float(srt[n - l])

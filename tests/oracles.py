@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
+
+from paircomp.errors import AssumptionViolationError, DegenerateRatioError
 
 
 def t_density(x: float, df: float) -> float:
@@ -85,10 +88,56 @@ def binomial_tail_sums(n: int, k: int) -> tuple[int, int, int]:
 
 
 def sign_test_enumeration(k: int, n: int, alternative: str) -> float:
+    """Sign-test p from the exact tail counts, rounded to float once.
+
+    The ratio stays a Fraction of big integers until the end, so any n
+    works, also beyond 1023 where 2^n no longer fits a float.
+    """
     lower, upper, total = binomial_tail_sums(n, k)
     if alternative == "two_sided":
-        return min(1.0, 2.0 * min(lower, upper) / total)
-    return lower / total
+        return float(min(Fraction(1), Fraction(2 * min(lower, upper), total)))
+    return float(Fraction(lower, total))
+
+
+def sign_interval_rank(n: int, alpha: float) -> int:
+    """Largest l with P(X < l) <= alpha/2 for X ~ Binomial(n, 1/2), exactly."""
+    bound = Fraction(alpha) / 2 * 2 ** n
+    acc = l = 0
+    for i in range(n):
+        acc += math.comb(n, i)
+        if acc > bound:
+            break
+        l = i + 1
+    return l
+
+
+def se_percent_with_covariance(x1, x2) -> float:
+    """Reference percent-difference SE keeping the covariance term.
+
+    Only defined for balanced samples: the covariance pairs the i-th
+    observations of the two algorithms elementwise, which presumes a
+    pairing that independent sampling does not provide.  Used to validate
+    the no-covariance form the sampler uses.
+    """
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if x1.shape != x2.shape or x1.ndim != 1:
+        raise ValueError("the covariance form requires balanced 1-D samples")
+    n = x1.size
+    if n < 2:
+        raise ValueError("at least 2 observations per sample are required")
+    m1 = float(x1.mean())
+    if m1 <= 0.0:
+        raise AssumptionViolationError("baseline mean must be strictly positive")
+    gap = float(x2.mean()) - m1
+    if gap == 0.0:
+        raise DegenerateRatioError("undefined for a zero mean gap")
+    v1 = float(x1.var(ddof=1))
+    v2 = float(x2.var(ddof=1))
+    cov = float(np.cov(x1, x2 - x1, ddof=1)[0, 1])
+    phi = gap / m1
+    inner = (v1 / n) / m1 ** 2 + (v1 / n + v2 / n) / gap ** 2 + (2.0 / n) * cov / (gap * m1)
+    return abs(phi) * math.sqrt(max(inner, 0.0))
 
 
 def grid_min_total_runs(a: float, bcoef: float, se_max: float,

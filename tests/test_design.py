@@ -142,6 +142,14 @@ class TestPowerCurve:
         assert hits[0.8] == pytest.approx(0.32, abs=0.005)
         assert hits[0.95] == pytest.approx(0.40, abs=0.005)
 
+    @pytest.mark.parametrize("n,alpha,alternative", [
+        (20, 0.05, Alternative.ONE_SIDED), (100, 0.05, Alternative.TWO_SIDED),
+        (1000, 0.01, Alternative.ONE_SIDED), (1000, 0.05, Alternative.TWO_SIDED)])
+    def test_equals_calc_power_pointwise(self, n, alpha, alternative):
+        des = design(alpha=alpha, alternative=alternative)
+        curve = power_curve(n, alpha, alternative, (0.05, 1.5), 60)
+        assert all(pw == calc_power(n, d, des) for d, pw in curve)
+
     def test_shape_and_monotonicity(self):
         curve = power_curve(40, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), 50)
         assert len(curve) == 50

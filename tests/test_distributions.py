@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 
 from paircomp.distributions import (noncentral_t_cdf, noncentral_t_quantile,
                                     t_cdf, t_quantile, _nct_cdf_quadrature)
@@ -121,6 +122,31 @@ class TestNoncentralCDF:
         with pytest.raises(ValueError):
             noncentral_t_cdf(0.0, 5, math.nan)
 
+    def test_finite_on_scipy_nan_band(self):
+        df = np.geomspace(1.0, 1e5, 16)[:, None, None]
+        ncp = np.linspace(-80.0, 80.0, 41)[None, :, None]
+        x = np.linspace(-10.0, 10.0, 41)[None, None, :]
+        # the grid reaches the region where scipy's nctdtr gives NaN
+        assert np.isnan(special.nctdtr(df, ncp, x)).sum() > 1000
+        vals = noncentral_t_cdf(x, df, ncp)
+        assert vals.shape == (16, 41, 41)
+        assert np.isfinite(vals).all()
+        assert ((vals >= 0.0) & (vals <= 1.0)).all()
+
+    # mpmath 1.3.0 at 40 digits, integrating Phi(x sqrt(u) - ncp) against
+    # the Gamma(df/2, df/2) density of u; the three x < 0 values at small
+    # df were confirmed by a second integral over the normal variate
+    @pytest.mark.parametrize("x,df,ncp,expected", [
+        (-2.0, 99, 30.0, 5.6255e-221),
+        (2.0, 50, 40.0, 8.3971e-302),
+        (-9.0, 2, 8.0, 2.2292e-19),
+        (-8.61, 4, 6.7082, 3.2026e-17),
+        (8.0, 1, -8.0, 1.0),
+        (-5.0, 1e5, 4.0, 1.1345e-19),
+    ])
+    def test_far_tail_mpmath_values(self, x, df, ncp, expected):
+        assert noncentral_t_cdf(x, df, ncp) == pytest.approx(expected, abs=1e-16)
+
 
 class TestNoncentralQuantile:
     def test_central_reduction(self):
@@ -145,3 +171,26 @@ class TestNoncentralQuantile:
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             noncentral_t_quantile(1.0, 5, 1.0)
+
+    def test_round_trip_below_one_degree_of_freedom(self):
+        q = noncentral_t_quantile(1e-6, 0.7, 1.0)
+        assert noncentral_t_cdf(q, 0.7, 1.0) == pytest.approx(1e-6, rel=1e-6)
+
+
+class TestBroadcasting:
+    def test_arrays_match_scalars_and_scalars_give_floats(self):
+        xs = np.array([-3.0, -0.4, 0.0, 1.1, 6.0])
+        ps = np.array([0.01, 0.3, 0.5, 0.8, 0.999])
+        cases = [
+            (t_cdf, (xs, 7.5)),
+            (t_quantile, (ps, 7.5)),
+            (noncentral_t_cdf, (xs, 7.5, np.array([0.0, 1.2, -2.0, 45.0, -0.5]))),
+            (noncentral_t_quantile, (ps, 7.5, np.array([0.0, 1.2, -2.0, 4.5, -0.5]))),
+        ]
+        for fn, (first, df, *rest) in cases:
+            vals = fn(first, df, *rest)
+            assert isinstance(vals, np.ndarray) and vals.shape == first.shape
+            for i, v in enumerate(first):
+                one = fn(float(v), df, *(float(r[i]) for r in rest))
+                assert type(one) is float
+                assert one == vals[i]

@@ -204,6 +204,21 @@ class TestSignTest:
         assert rep.p_value == oracles.sign_test_enumeration(1, 8, "less")
         assert rep.p_value < 0.05
 
+    @pytest.mark.parametrize("alternative", [TWO, ONE])
+    def test_large_n_matches_big_int_oracle(self, alternative):
+        # beyond 1023 values 2^n no longer fits a float
+        n = 1100
+        values = np.random.default_rng(17).normal(-0.05, 1.0, n)
+        rep = sign_test(values, mu0=0.0, alpha=0.05, alternative=alternative)
+        k = int((values > 0).sum())
+        alt = "two_sided" if alternative is TWO else "less"
+        assert rep.statistic == float(k)
+        assert rep.p_value == pytest.approx(oracles.sign_test_enumeration(k, n, alt),
+                                            rel=1e-12)
+        l = oracles.sign_interval_rank(n, 0.05)
+        srt = np.sort(values)
+        assert rep.ci == (srt[l - 1], srt[n - l])
+
 
 class TestQQNormal:
     def test_quantile_spaced_sample_on_identity(self):
