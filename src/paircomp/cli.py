@@ -6,7 +6,8 @@ fixed-size experiment, single value or curve with highlights), ``reps``
 ``resume`` (continue an interrupted run from its checkpoint journal).
 
 Exit codes: 0 completed, 2 usage or configuration error, 3 runner
-failure, 4 statistical-assumption violation.  The statistical outcome of
+failure, 4 statistical-assumption violation or data on which a test is
+undefined (e.g. all differences identical).  The statistical outcome of
 a test never affects the exit code.
 
 Environment: ``PAIRCOMP_WORKERS`` overrides the default worker count and
@@ -25,7 +26,7 @@ from pathlib import Path
 from .config import ALT_NAMES, TEST_NAMES, ExperimentConfig, load_config
 from .design import (ComparisonDesign, calc_instances, calc_power,
                      curve_highlights, power_curve)
-from .errors import (AssumptionViolationError, ConfigError,
+from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
                      ExperimentAbortedError, PaircompError, RunnerError)
 from .experiment import run_experiment
 from .reporting import (fmt, render_size_result, render_summary,
@@ -39,6 +40,24 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNNER = 3
 EXIT_ASSUMPTION = 4
+
+# first match wins; an aborted experiment exits by its cause
+_EXIT_CODES = (
+    (AssumptionViolationError, EXIT_ASSUMPTION),
+    (DegenerateDataError, EXIT_ASSUMPTION),
+    (RunnerError, EXIT_RUNNER),
+    (ConfigError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+    (PaircompError, EXIT_RUNNER),
+)
+_HANDLED = tuple(cls for cls, _ in _EXIT_CODES)
+
+
+def _exit_code(exc: Exception) -> int:
+    if isinstance(exc, ExperimentAbortedError):
+        exc = exc.cause
+    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),
+                EXIT_RUNNER)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -83,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra)
         p.add_argument("--config", type=Path, required=True)
         p.add_argument("--output-dir", type=Path, help="override the config's output_dir")
-        p.add_argument("--workers", type=int, help="worker pool size")
+        p.add_argument("--workers", type=int,
+                       help="instances sampled concurrently, in threads; this "
+                            "speeds up subprocess runners only, since "
+                            "in-process runners hold the GIL")
         p.add_argument("--seed", type=int, help="override the master seed")
     return parser
 
@@ -243,26 +265,9 @@ def main(argv=None) -> int:
         if args.command == "resume":
             return _cmd_run(args, resume=True)
         parser.error(f"unknown command {args.command!r}")
-    except ExperimentAbortedError as exc:
+    except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
-        cause = exc.cause
-        if isinstance(cause, AssumptionViolationError):
-            return EXIT_ASSUMPTION
-        if isinstance(cause, RunnerError):
-            return EXIT_RUNNER
-        return EXIT_USAGE if isinstance(cause, (ConfigError, ValueError)) else EXIT_RUNNER
-    except AssumptionViolationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSUMPTION
-    except RunnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNNER
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except PaircompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNNER
+        return _exit_code(exc)
 
 
 def entrypoint() -> None:

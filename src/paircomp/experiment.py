@@ -139,20 +139,35 @@ class _Journal:
             self.path.write_text(json.dumps(header) + "\n")
 
     def _load(self) -> None:
-        lines = [ln for ln in self.path.read_text().splitlines() if ln.strip()]
-        if not lines:
+        data = self.path.read_bytes()
+        # a row counts once its newline is written: an unterminated last
+        # line is an append cut short, and its instance runs again
+        complete = data.rfind(b"\n") + 1
+        rows = []
+        for number, line in enumerate(data[:complete].decode().split("\n"), 1):
+            if not line.strip():
+                continue
+            try:
+                rows.append(json.loads(line))
+            except json.JSONDecodeError:
+                raise ConfigError(f"checkpoint journal {self.path}: line {number} "
+                                  f"is not a valid record") from None
+        if not rows:
             raise ConfigError(f"checkpoint journal {self.path} is empty")
-        header = json.loads(lines[0])
+        header = rows[0]
         if header.get("kind") != "header":
             raise ConfigError(f"checkpoint journal {self.path} has no header line")
         if header.get("fingerprint") != self.fingerprint:
             raise ConfigError(
                 f"checkpoint journal {self.path} belongs to a different "
                 f"experiment configuration; refusing to resume")
-        for ln in lines[1:]:
-            row = json.loads(ln)
+        for row in rows[1:]:
             if row.get("kind") == "instance":
                 self.completed[row["instance_id"]] = _row_to_diff(row)
+        if complete < len(data):
+            # later appends must start on a fresh line
+            with self.path.open("r+b") as fh:
+                fh.truncate(complete)
 
     def append(self, diff: PairedDifference) -> None:
         with self.path.open("a") as fh:

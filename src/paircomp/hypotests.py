@@ -310,7 +310,7 @@ def build_diagnostics(phis, resamples: int, seed: int) -> DiagnosticsBundle:
     arr = _as_array(phis, 2, "build_diagnostics")
     boot = bootstrap_sdm(arr, BootstrapConfig(resamples=resamples, rng_seed=seed))
     try:
-        qq = qq_normal(arr)
+        qq = qq_normal(arr) if arr.size >= 3 else []
     except DegenerateDataError:
         qq = []
     try:

@@ -159,3 +159,9 @@ def grid_min_total_runs(a: float, bcoef: float, se_max: float,
     flat = int(np.argmin(total))
     i, j = divmod(flat, n2.size)
     return int(n1[i]), int(n2[j]), int(n1[i] + n2[j])
+
+
+def seed_sequence_seed(root: int, *path: int) -> int:
+    """The seed ``derive_seed`` must give: numpy's SeedSequence, built whole."""
+    ss = np.random.SeedSequence(entropy=root, spawn_key=path)
+    return int(ss.generate_state(1, np.uint64)[0])

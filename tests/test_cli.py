@@ -282,6 +282,53 @@ output_dir: out
         assert code == 3
         assert "launch" in err
 
+    def test_degenerate_data_exit_code(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace(
+            "delta: 0.3, sigma_phi: 1.0, noise_sd: 0.5",
+            "delta: 0.5, sigma_phi: 0, noise_sd: 0"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert "identical" in err
+
+    def test_two_instance_run_writes_empty_qq(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 2"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0, err
+        assert (tmp_path / "out" / "qq.csv").read_text() == \
+            "theoretical_quantile,sample_quantile\n"
+
+    def test_resume_drops_torn_final_journal_line(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        out = tmp_path / "out"
+        journal = (out / "checkpoint.jsonl").read_bytes()
+        expected = {name: (out / name).read_bytes()
+                    for name in ("results.csv", "report.json")}
+        last_row = journal.rindex(b"\n", 0, len(journal) - 1) + 1
+        for cut in (last_row + 1, (last_row + len(journal)) // 2,
+                    len(journal) - 2, len(journal) - 1):
+            (out / "checkpoint.jsonl").write_bytes(journal[:cut])
+            for name in expected:
+                (out / name).unlink()
+            code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+            assert code == 0, (cut, err)
+            for name, data in expected.items():
+                assert (out / name).read_bytes() == data, (cut, name)
+            resumed = (out / "checkpoint.jsonl").read_bytes()
+            assert sorted(resumed.splitlines(keepends=True)) == \
+                sorted(journal.splitlines(keepends=True)), cut
+
+    def test_resume_refuses_corrupt_interior_journal_line(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:20] + b"\n"
+        journal.write_bytes(b"".join(lines))
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert "checkpoint.jsonl" in err and "line 3" in err
+
     def test_missing_output_dir_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("output_dir: out\n", ""))
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))

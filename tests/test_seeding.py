@@ -1,6 +1,20 @@
-import numpy as np
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+import pytest
+
+import oracles
 from paircomp.seeding import derive_seed, make_generator, run_seed
+
+EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
+
+
+def random_value(rng, max_words):
+    if rng.random() < 0.2:
+        return rng.choice(EDGE_VALUES)
+    return rng.getrandbits(32 * rng.randint(1, max_words))
 
 
 class TestSeedDerivation:
@@ -37,3 +51,64 @@ class TestSeedDerivation:
         first_ten = [derive_seed(5, 1, k) for k in range(10)]
         first_twenty = [derive_seed(5, 1, k) for k in range(20)]
         assert first_twenty[:10] == first_ten
+
+
+class TestSeedSequenceEquivalence:
+    def test_matches_seed_sequence_on_random_paths(self):
+        rng = random.Random(20240811)
+        for _ in range(10_000):
+            root = random_value(rng, 6)
+            prefix = tuple(random_value(rng, 3) for _ in range(rng.randint(0, 3)))
+            # two last elements per prefix, so the second reuses a cached prefix
+            for path in (prefix, prefix + (random_value(rng, 3),),
+                         prefix + (random_value(rng, 3),)):
+                assert derive_seed(root, *path) == oracles.seed_sequence_seed(root, *path), \
+                    (root, path)
+
+    def test_edge_values_in_every_position(self):
+        for root in EDGE_VALUES:
+            for a in EDGE_VALUES:
+                for b in EDGE_VALUES:
+                    assert derive_seed(root, a, b) == oracles.seed_sequence_seed(root, a, b)
+
+    @pytest.mark.parametrize("root, path", [(-1, ()), (-1, (0, 1)), (5, (-1,)),
+                                            (5, (0, -1)), (5, (-1, 0))])
+    def test_negative_values_rejected_like_numpy(self, root, path):
+        with pytest.raises(ValueError):
+            oracles.seed_sequence_seed(root, *path)
+        with pytest.raises(ValueError):
+            derive_seed(root, *path)
+
+    @pytest.mark.parametrize("root, path", [(1.0, (0,)), (5, (1.5,)), (5, (1.0, 2)),
+                                            (5, (np.float64(2.0),))])
+    def test_float_values_rejected_like_numpy(self, root, path):
+        derive_seed(int(root), *map(int, path))  # a cached integer twin hides nothing
+        with pytest.raises(TypeError):
+            oracles.seed_sequence_seed(root, *path)
+        with pytest.raises(TypeError):
+            derive_seed(root, *path)
+
+    def test_numpy_integers_accepted(self):
+        assert derive_seed(np.uint64(2 ** 64 - 1), np.int64(1), np.uint32(7)) == \
+            oracles.seed_sequence_seed(2 ** 64 - 1, 1, 7)
+
+    def test_concurrent_callers_agree(self):
+        # more threads than cores and more prefixes than the cache holds, so
+        # lookups, inserts and evictions interleave
+        jobs = [(root, algo, run) for root in range(300) for algo in range(2)
+                for run in range(4)]
+        expected = [oracles.seed_sequence_seed(*job) for job in jobs]
+
+        def derive_all(share):
+            return [derive_seed(*job) for job in share]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(derive_all, jobs[k::8]) for k in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(8):
+            assert got[k] == expected[k::8]
