@@ -13,7 +13,11 @@ Two difference kinds are supported for a pair of observation samples
 The total-run-minimizing allocation keeps n1/n2 at s1/s2 (simple) or
 sqrt(c1/c2) (percent).  A seeded bootstrap provides a nonparametric
 alternative for the standard errors and, separately, a resampled
-sampling-distribution-of-the-mean for normality diagnostics.
+sampling-distribution-of-the-mean for normality diagnostics.  The
+bootstrap SE memoises its first side: the resampled baseline means depend
+only on the seed, the resample count and the baseline observations, so an
+allocation step that adds a run to the second algorithm reuses them.
+Results are bit-identical to drawing them afresh.
 
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
@@ -24,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -222,6 +227,15 @@ def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
     return x[idx].mean(axis=1)
 
 
+@lru_cache(maxsize=64)
+def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, dict]:
+    """Resampled means of the first side and the generator state after them."""
+    rng = make_generator(seed)
+    m1 = _resample_means(rng, np.frombuffer(x1_bytes), resamples)
+    m1.flags.writeable = False
+    return m1, rng.bit_generator.state
+
+
 def bootstrap_se(s1, s2, diff_kind: DiffKind, cfg: BootstrapConfig) -> float:
     """Bootstrap standard error of the paired difference.
 
@@ -231,18 +245,25 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, cfg: BootstrapConfig) -> float:
     values.  Deterministic for a fixed ``cfg.rng_seed``.  Under the
     percent kind, resamples with a nonpositive baseline mean are rejected
     and redrawn; more than 100*R rejections abort.
+
+    The first side's resampled means, and the generator state after them,
+    are memoised on ``(cfg.rng_seed, cfg.resamples, x1)`` with the exact
+    observation bytes in the key.  A call whose first side repeats draws
+    only the second side; the result is the same to the last bit.
     """
     _require_runs(s1, 2, "bootstrap_se")
     _require_runs(s2, 2, "bootstrap_se")
     diff_kind = DiffKind(diff_kind)
     x1 = np.asarray(s1.observations, dtype=float)
     x2 = np.asarray(s2.observations, dtype=float)
-    rng = make_generator(cfg.rng_seed)
     R = cfg.resamples
+    m1, state = _first_side(cfg.rng_seed, R, x1.tobytes())
+    rng = make_generator(cfg.rng_seed)
+    rng.bit_generator.state = state
 
-    m1 = _resample_means(rng, x1, R)
     m2 = _resample_means(rng, x2, R)
     if diff_kind is DiffKind.PERCENT:
+        m1 = m1.copy()  # the rejection loop redraws entries in place
         rejected = 0
         bad = m1 <= 0.0
         while bad.any():

@@ -111,15 +111,20 @@ def _diff_to_row(diff: PairedDifference) -> dict:
 
 
 def _row_to_diff(row: dict) -> PairedDifference:
+    n1, n2, exhausted = row["n1"], row["n2"], row["budget_exhausted"]
+    # coercing these would hide corruption: bool("false") is True, int(3.9) is 3
+    if not (isinstance(row["instance_id"], str) and type(n1) is int
+            and type(n2) is int and type(exhausted) is bool):
+        raise ValueError("a journal row field has the wrong type")
     return PairedDifference(
         instance_id=row["instance_id"],
         phi_hat=float(row["phi"]),
         se_hat=float(row["se"]),
-        n1=int(row["n1"]),
-        n2=int(row["n2"]),
+        n1=n1,
+        n2=n2,
         diff_kind=DiffKind(row["diff_kind"]),
         se_method=SEMethod(row["se_method"]),
-        budget_exhausted=bool(row["budget_exhausted"]),
+        budget_exhausted=exhausted,
     )
 
 
@@ -148,26 +153,36 @@ class _Journal:
             if not line.strip():
                 continue
             try:
-                rows.append(json.loads(line))
+                row = json.loads(line)
             except json.JSONDecodeError:
-                raise ConfigError(f"checkpoint journal {self.path}: line {number} "
-                                  f"is not a valid record") from None
+                row = None
+            if not isinstance(row, dict):
+                raise self._invalid(number)
+            rows.append((number, row))
         if not rows:
             raise ConfigError(f"checkpoint journal {self.path} is empty")
-        header = rows[0]
+        header = rows[0][1]
         if header.get("kind") != "header":
             raise ConfigError(f"checkpoint journal {self.path} has no header line")
         if header.get("fingerprint") != self.fingerprint:
             raise ConfigError(
                 f"checkpoint journal {self.path} belongs to a different "
                 f"experiment configuration; refusing to resume")
-        for row in rows[1:]:
+        for number, row in rows[1:]:
             if row.get("kind") == "instance":
-                self.completed[row["instance_id"]] = _row_to_diff(row)
+                try:
+                    diff = _row_to_diff(row)
+                except (KeyError, TypeError, ValueError):
+                    raise self._invalid(number) from None
+                self.completed[diff.instance_id] = diff
         if complete < len(data):
             # later appends must start on a fresh line
             with self.path.open("r+b") as fh:
                 fh.truncate(complete)
+
+    def _invalid(self, number: int) -> ConfigError:
+        return ConfigError(f"checkpoint journal {self.path}: line {number} "
+                           f"is not a valid record")
 
     def append(self, diff: PairedDifference) -> None:
         with self.path.open("a") as fh:

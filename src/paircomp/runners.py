@@ -6,8 +6,10 @@ Four runner kinds are provided:
   executable followed by its argument template with ``{instance}`` and
   ``{seed}`` substituted; the last nonempty line of standard output must
   parse as a decimal performance value, the exit status must be 0, and a
-  per-spec timeout applies.  A timed-out or failed run is an error, never
-  an observation.
+  per-spec timeout applies.  Each run starts in a session of its own, and
+  a timeout kills its whole process group, so a solver launched through a
+  shell wrapper leaves nothing behind.  A timed-out or failed run is an
+  error, never an observation.
 * ``synthetic_normal`` / ``synthetic_lognormal`` draw deterministically
   from the declared distribution given the run seed.  Instances may carry
   per-alias parameter overrides in their payload, which is how synthetic
@@ -25,7 +27,9 @@ entirely in the experiment design's alternative hypothesis.
 from __future__ import annotations
 
 import math
+import os
 import shlex
+import signal
 import subprocess
 import time
 from dataclasses import dataclass, field
@@ -212,31 +216,40 @@ def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int) -> fl
         for a in args
     ]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=spec.timeout)
-    except subprocess.TimeoutExpired as exc:
-        raise RunnerError(f"run timed out after {spec.timeout:g}s",
-                          alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(exc.stdout, exc.stderr)) from exc
+        # a session of its own, so a timeout can kill everything it started
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                text=True, start_new_session=True)
     except OSError as exc:
         raise RunnerError(f"could not launch {cmd[0]!r}: {exc}",
                           alias=spec.alias, instance_id=instance.id,
                           seed=seed) from exc
+    with proc:
+        try:
+            stdout, stderr = proc.communicate(timeout=spec.timeout)
+        except subprocess.TimeoutExpired as exc:
+            os.killpg(proc.pid, signal.SIGKILL)
+            stdout, stderr = proc.communicate()
+            raise RunnerError(f"run timed out after {spec.timeout:g}s",
+                              alias=spec.alias, instance_id=instance.id, seed=seed,
+                              output_excerpt=_excerpt(stdout, stderr)) from exc
+        except BaseException:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
     if proc.returncode != 0:
         raise RunnerError(f"run exited with status {proc.returncode}",
                           alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(proc.stdout, proc.stderr))
-    lines = [ln.strip() for ln in proc.stdout.splitlines() if ln.strip()]
+                          output_excerpt=_excerpt(stdout, stderr))
+    lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
     if not lines:
         raise RunnerError("run produced no output to parse",
                           alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(proc.stdout, proc.stderr))
+                          output_excerpt=_excerpt(stdout, stderr))
     try:
         return float(lines[-1])
     except ValueError:
         raise RunnerError(f"last output line {lines[-1]!r} is not a decimal value",
                           alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(proc.stdout, proc.stderr)) from None
+                          output_excerpt=_excerpt(stdout, stderr)) from None
 
 
 def _excerpt(stdout, stderr) -> str:

@@ -165,3 +165,31 @@ def seed_sequence_seed(root: int, *path: int) -> int:
     """The seed ``derive_seed`` must give: numpy's SeedSequence, built whole."""
     ss = np.random.SeedSequence(entropy=root, spawn_key=path)
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def bootstrap_se_unmemoised(s1, s2, diff_kind: str, resamples: int, rng_seed: int) -> float:
+    """The bootstrap SE as drawn without a memo: both sides from a fresh stream."""
+    def resample_means(rng, x, count):
+        return x[rng.integers(0, x.size, size=(count, x.size))].mean(axis=1)
+
+    x1 = np.asarray(s1.observations, dtype=float)
+    x2 = np.asarray(s2.observations, dtype=float)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(rng_seed))))
+    R = resamples
+    m1 = resample_means(rng, x1, R)
+    m2 = resample_means(rng, x2, R)
+    if diff_kind == "percent":
+        rejected = 0
+        bad = m1 <= 0.0
+        while bad.any():
+            rejected += int(bad.sum())
+            if rejected > 100 * R:
+                raise AssumptionViolationError("bootstrap baseline rejections over the limit")
+            k = int(bad.sum())
+            m1[bad] = resample_means(rng, x1, k)
+            m2[bad] = resample_means(rng, x2, k)
+            bad = m1 <= 0.0
+        phis = (m2 - m1) / m1
+    else:
+        phis = m2 - m1
+    return float(np.std(phis, ddof=1))

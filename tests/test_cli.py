@@ -1,4 +1,10 @@
+import json
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paircomp.cli import main
 
@@ -329,6 +335,27 @@ output_dir: out
         assert code == 2
         assert "checkpoint.jsonl" in err and "line 3" in err
 
+    @pytest.mark.parametrize("line, edit", [
+        (3, lambda row: {k: v for k, v in row.items() if k != "phi"}),
+        (3, lambda row: [1, 2]),
+        (1, lambda row: [1, 2]),
+        (3, lambda row: {**row, "phi": "abc"}),
+        (3, lambda row: {**row, "diff_kind": "ratio"}),
+        (3, lambda row: {**row, "budget_exhausted": "false"}),
+        (3, lambda row: {**row, "n1": 3.9}),
+    ], ids=["missing-field", "row-not-object", "header-not-object",
+            "bad-number", "bad-enum", "flag-not-bool", "count-not-int"])
+    def test_resume_refuses_malformed_journal_record(self, capsys, tmp_path, line, edit):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        lines = journal.read_text().splitlines()
+        lines[line - 1] = json.dumps(edit(json.loads(lines[line - 1])))
+        journal.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert f"checkpoint.jsonl: line {line} is not a valid record" in err
+
     def test_missing_output_dir_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("output_dir: out\n", ""))
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
@@ -383,3 +410,45 @@ algorithms:
 """)
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished 5-instance run: its config, journal and result files."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg = write_config(root, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    out = root / "out"
+    results = {name: (out / name).read_bytes() for name in ("results.csv", "report.json")}
+    return cfg, (out / "checkpoint.jsonl").read_bytes(), results
+
+
+def resume_after_cut(finished_run, cut):
+    """Resume from the finished journal cut to ``cut`` bytes, in a fresh directory."""
+    cfg, journal, expected = finished_run
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "checkpoint.jsonl").write_bytes(journal[:cut])
+        code = main(["resume", "--config", str(cfg), "--output-dir", str(out)])
+        got = {name: (out / name).read_bytes() for name in expected if (out / name).exists()}
+    header_end = journal.index(b"\n") + 1
+    if cut < header_end:
+        assert code == 2, cut
+    else:
+        assert code == 0, cut
+        assert got == expected, cut
+
+
+class TestJournalTruncation:
+    """Resuming from a journal cut at any byte reproduces the uncut results."""
+
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_cut_at_any_byte(self, finished_run, data):
+        journal = finished_run[1]
+        resume_after_cut(finished_run, data.draw(st.integers(0, len(journal))))
+
+    def test_cut_around_the_header_newline(self, finished_run):
+        header_end = finished_run[1].index(b"\n") + 1
+        for cut in (0, header_end - 1, header_end, header_end + 1):
+            resume_after_cut(finished_run, cut)

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from paircomp.errors import AssumptionViolationError, DegenerateRatioError
 from paircomp.estimators import (BootstrapConfig, DiffKind, InstanceSample,
+                                 _first_side,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
@@ -292,6 +295,84 @@ class TestBootstrap:
     def test_too_few_resamples_rejected(self):
         with pytest.raises(ValueError):
             BootstrapConfig(resamples=50)
+
+
+def grow_one_side(seed, steps, base1=None):
+    """Sample pairs as the allocation loop makes them: each step adds one run
+    to one side.  ``base1`` fixes the first side's initial observations."""
+    rng = np.random.default_rng(seed)
+    x1 = list(base1) if base1 is not None else list(rng.lognormal(0.0, 0.5, 3))
+    x2 = list(rng.lognormal(0.2, 0.5, 3))
+    for _ in range(steps):
+        side = x1 if rng.random() < 0.5 else x2
+        side.append(float(rng.lognormal(0.1, 0.5)))
+        yield InstanceSample.from_values(x1), InstanceSample.from_values(x2)
+
+
+def unmemoised(s1, s2, kind, cfg):
+    return oracles.bootstrap_se_unmemoised(s1, s2, DiffKind(kind).value,
+                                           cfg.resamples, cfg.rng_seed)
+
+
+class TestBootstrapMemo:
+    """The memoised first side must not change a single returned bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grow_one_side_matches_unmemoised(self, seed):
+        cfg = BootstrapConfig(resamples=200, rng_seed=1000 + seed)
+        hits = _first_side.cache_info().hits
+        repeats, previous = 0, None
+        for s1, s2 in grow_one_side(seed, 40):
+            repeats += s1.observations == previous
+            previous = list(s1.observations)
+            for kind in (DiffKind.SIMPLE, DiffKind.PERCENT):
+                assert bootstrap_se(s1, s2, kind, cfg) == unmemoised(s1, s2, kind, cfg)
+        # every repeated first side, and the second kind of every step, hit
+        assert _first_side.cache_info().hits - hits >= repeats + 40
+
+    def test_percent_rejection_loop_matches_unmemoised(self):
+        base = [-1.0, -1.0, 3.5, 0.1, 0.2]
+        cfg = BootstrapConfig(resamples=300, rng_seed=9)
+        m1, _ = _first_side(cfg.rng_seed, cfg.resamples,
+                            np.asarray(base, dtype=float).tobytes())
+        assert (m1 <= 0.0).any()  # so the rejection loop runs
+        assert not m1.flags.writeable
+        for s1, s2 in grow_one_side(4, 30, base1=base):
+            expected = unmemoised(s1, s2, "percent", cfg)
+            assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == expected
+            # a second call hits the memo, which the loop must have left intact
+            assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == expected
+        assert (m1 <= 0.0).any()
+
+    def test_interleaved_seeds_and_threads(self):
+        pairs = list(grow_one_side(5, 30))
+        cfgs = [BootstrapConfig(resamples=150, rng_seed=s) for s in (71, 72)]
+        jobs = [(s1, s2, kind, cfg) for s1, s2 in pairs for cfg in cfgs
+                for kind in (DiffKind.SIMPLE, DiffKind.PERCENT)]
+        expected = [unmemoised(*job) for job in jobs]
+        assert [bootstrap_se(*job) for job in jobs] == expected
+        _first_side.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda job: bootstrap_se(*job), jobs * 4))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected * 4
+
+    def test_more_first_sides_than_the_memo_holds(self):
+        cfg = BootstrapConfig(resamples=100, rng_seed=5)
+        size = _first_side.cache_info().maxsize
+        rng = np.random.default_rng(6)
+        s2 = InstanceSample.from_values(rng.lognormal(0.0, 0.5, 8))
+        firsts = [InstanceSample.from_values(rng.lognormal(0.0, 0.5, 6))
+                  for _ in range(3 * size)]
+        for _ in range(2):
+            for s1 in firsts:
+                assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == \
+                    unmemoised(s1, s2, "percent", cfg)
+        assert _first_side.cache_info().currsize <= size
 
 
 class TestBootstrapSDM:

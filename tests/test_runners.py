@@ -1,6 +1,7 @@
 import math
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,27 @@ class TestSubprocessRunner:
                           timeout=0.2)
         with pytest.raises(RunnerError, match="timed out"):
             run_once(s, InstanceRef(id="i"), 1)
+
+    def test_timeout_keeps_output_excerpt(self):
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": "/bin/sh",
+                                  "args": ["-c", "echo partial; echo warn >&2; sleep 30"]},
+                          timeout=0.5)
+        with pytest.raises(RunnerError, match="timed out") as info:
+            run_once(s, InstanceRef(id="i"), 1)
+        assert "partial" in info.value.output_excerpt
+        assert "warn" in info.value.output_excerpt
+
+    def test_timeout_kills_the_whole_process_group(self, tmp_path):
+        marker = tmp_path / "MARKER"
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": "/bin/sh",
+                                  "args": ["-c", f"(sleep 2; touch {marker}) & wait"]},
+                          timeout=0.5)
+        with pytest.raises(RunnerError, match="timed out"):
+            run_once(s, InstanceRef(id="i"), 1)
+        time.sleep(3.0)
+        assert not marker.exists()
 
     def test_missing_executable_raises(self):
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,

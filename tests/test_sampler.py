@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import BootstrapConfig, DiffKind, SEMethod
@@ -84,6 +86,37 @@ class TestStoppingBehavior:
         totals = [n1 + n2 for n1, n2, _ in out.se_trace]
         assert totals[0] == 10
         assert all(b - a == 1 for a, b in zip(totals, totals[1:]))
+
+
+class TestSEBudgetContract:
+    """Whatever the data and knobs: the budget is met, or spent exactly."""
+
+    @given(kind=st.sampled_from(list(DiffKind)),
+           method=st.sampled_from(list(SEMethod)),
+           mu1=st.floats(20.0, 50.0), mu2=st.floats(20.0, 50.0),
+           sd1=st.floats(0.5, 5.0), sd2=st.floats(0.5, 5.0),
+           se_scale=st.floats(0.002, 0.1), n0=st.integers(2, 10),
+           extra=st.integers(0, 60), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_contract(self, kind, method, mu1, mu2, sd1, sd2, se_scale, n0,
+                      extra, seed):
+        r1, r2 = normal_runners(mu1, sd1, mu2, sd2)
+        # percent differences are relative, simple ones are in data units
+        se_max = se_scale if kind is DiffKind.PERCENT else 20.0 * se_scale
+        cfg = SamplingConfig(se_max=se_max, n0=n0, n_max=2 * n0 + extra,
+                             diff_kind=kind, se_method=method,
+                             bootstrap=BootstrapConfig(resamples=100))
+        out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
+        n1, n2 = out.samples[0].n, out.samples[1].n
+        assert (out.diff.n1, out.diff.n2) == (n1, n2)
+        if out.diff.budget_exhausted:
+            assert n1 + n2 == cfg.n_max and out.diff.se_hat > se_max
+        else:
+            assert out.diff.se_hat <= se_max
+        assert n1 + n2 <= cfg.n_max
+        assert n1 >= n0 and n2 >= n0
+        assert len(out.seed_ledger) == n1 + n2 == len(set(out.seed_ledger))
+        assert out.se_trace[-1] == (n1, n2, out.diff.se_hat)
 
 
 class TestAllocation:
