@@ -28,13 +28,12 @@ from .design import (ComparisonDesign, calc_instances, calc_power,
                      curve_highlights, power_curve)
 from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
                      ExperimentAbortedError, PaircompError, RunnerError)
-from .experiment import run_experiment
+from .experiment import run_experiment, select_instances
 from .reporting import (fmt, render_size_result, render_summary,
                         write_power_curve, write_qq_points, write_report_json,
                         write_results_table, write_values)
-from .runners import make_runner
+from .runners import Runner
 from .sampler import calc_nreps
-from .seeding import INSTANCE_STREAM, derive_seed
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -193,21 +192,26 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
     if seed is not None:
         plan = replace(plan, master_seed=seed)
     out = getattr(args, "output_dir", None) or cfg.output_dir
-    return ExperimentConfig(plan=plan, output_dir=out, source=cfg.source)
+    return ExperimentConfig(plan=plan, output_dir=out)
 
 
 def _cmd_reps(args) -> int:
-    cfg = load_config(args.config)
-    plan = cfg.plan
-    index = next((i for i, inst in enumerate(plan.instance_pool)
-                  if inst.id == args.instance), None)
-    if index is None:
+    plan = load_config(args.config).plan
+    instance = next((inst for inst in plan.instance_pool
+                     if inst.id == args.instance), None)
+    if instance is None:
         raise ConfigError(f"instance {args.instance!r} is not in the pool "
                           f"({len(plan.instance_pool)} instance(s))")
-    instance = plan.instance_pool[index]
-    seed = args.seed if args.seed is not None else derive_seed(
-        plan.master_seed, INSTANCE_STREAM, index)
-    runner1, runner2 = (make_runner(s) for s in plan.algorithms)
+    seed = args.seed
+    if seed is None:
+        # the seed `run` gave the instance, so that its runs replay exactly
+        selected = select_instances(plan, calc_instances(plan.design).n_instances)
+        seed = next((s for inst, s in selected if inst.id == args.instance), None)
+        if seed is None:
+            raise ConfigError(f"instance {args.instance!r} is not among the "
+                              f"{len(selected)} instance(s) that run selects, "
+                              f"so it has no derived seed; pass --seed")
+    runner1, runner2 = (Runner(s) for s in plan.algorithms)
     outcome = calc_nreps(runner1, runner2, instance, plan.sampling, seed)
     d = outcome.diff
     print(f"instance: {d.instance_id}")

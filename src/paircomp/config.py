@@ -74,7 +74,6 @@ class ExperimentConfig:
     """A validated configuration, ready to be turned into a plan."""
     plan: ExperimentPlan
     output_dir: Path | None
-    source: Path | None
 
 
 def _require_mapping(node, where: str) -> dict:
@@ -102,7 +101,7 @@ def _get_number(node: dict, key: str, where: str, required: bool = True,
     return v
 
 
-def _parse_design(node, where: str = "design") -> tuple[ComparisonDesign, float | None]:
+def _parse_design(node, where: str = "design") -> ComparisonDesign:
     node = _require_mapping(node, where)
     _reject_unknown(node, {"alpha", "power", "d", "delta", "sigma_bound",
                            "alternative", "test", "mu0"}, where)
@@ -139,7 +138,7 @@ def _parse_design(node, where: str = "design") -> tuple[ComparisonDesign, float 
                               f"'delta' with 'sigma_bound')")
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return design, sigma_bound
+    return design
 
 
 def _parse_sampling(node, where: str = "sampling") -> SamplingConfig:
@@ -284,7 +283,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         if key not in doc:
             raise ConfigError(f"missing required section {key!r} in config {path}")
 
-    design, _ = _parse_design(doc["design"])
+    design = _parse_design(doc["design"])
     sampling = _parse_sampling(doc["sampling"])
     master_seed = int(_get_number(doc, "master_seed", "config"))
 
@@ -324,4 +323,4 @@ def load_config(path: str | Path) -> ExperimentConfig:
         output_dir = Path(str(out))
         if not output_dir.is_absolute():
             output_dir = path.parent / output_dir
-    return ExperimentConfig(plan=plan, output_dir=output_dir, source=path)
+    return ExperimentConfig(plan=plan, output_dir=output_dir)

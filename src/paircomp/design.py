@@ -20,9 +20,9 @@ import numpy as np
 from .distributions import noncentral_t_cdf, t_quantile
 
 __all__ = [
-    "Alternative", "TestFamily", "ComparisonDesign", "EffectSizeDecomposition",
-    "SampleSizeResult", "calc_power", "calc_instances", "power_curve",
-    "curve_highlights", "standardized_effect", "validate_design",
+    "Alternative", "TestFamily", "ComparisonDesign", "SampleSizeResult",
+    "calc_power", "calc_instances", "power_curve", "curve_highlights",
+    "validate_design",
 ]
 
 
@@ -93,34 +93,6 @@ class ComparisonDesign:
         if delta == 0.0:
             raise ValueError("delta must be nonzero")
         return cls(mres_d=abs(float(delta)) / float(sigma_bound), **kwargs)
-
-
-@dataclass(frozen=True)
-class EffectSizeDecomposition:
-    """Split of the total variance into across- and within-instance parts.
-
-    sigma_total^2 = sigma_phi^2 (spread of the true per-instance
-    differences) + sigma_eps^2 (estimation noise of each difference).
-    """
-
-    delta: float
-    sigma_phi: float
-    sigma_eps: float
-
-    def __post_init__(self):
-        if self.sigma_phi < 0.0 or self.sigma_eps < 0.0:
-            raise ValueError("standard deviations must be nonnegative")
-
-    @property
-    def sigma_total(self) -> float:
-        return math.hypot(self.sigma_phi, self.sigma_eps)
-
-
-def standardized_effect(decomp: EffectSizeDecomposition) -> float:
-    """Signed standardized effect delta / sigma_total."""
-    if decomp.sigma_total == 0.0:
-        raise ValueError("sigma_total must be positive to standardize an effect")
-    return decomp.delta / decomp.sigma_total
 
 
 @dataclass(frozen=True)
@@ -196,15 +168,14 @@ def calc_instances(design: ComparisonDesign) -> SampleSizeResult:
 
 
 def power_curve(n_instances: int, alpha: float, alternative: Alternative,
-                d_range: tuple[float, float], n_points: int,
-                test_family: TestFamily = TestFamily.T_TEST) -> list[tuple[float, float]]:
+                d_range: tuple[float, float], n_points: int) -> list[tuple[float, float]]:
     """Power as a function of effect size for a fixed number of instances.
 
     Returns ``n_points`` (d, power) pairs with d evenly spaced over
     ``d_range`` inclusive; power is strictly increasing along the list.
     The whole curve is one array evaluation of the noncentral t CDF, and
     each point equals :func:`calc_power` at that d exactly.  The curve is
-    computed on the t-test basis regardless of family.
+    computed on the t-test basis.
     """
     n = int(n_instances)
     if n < 2:

@@ -1,6 +1,6 @@
-"""Central and noncentral Student-t CDFs and quantiles.
+"""Central Student-t CDF and quantile, and the noncentral-t CDF.
 
-These four functions are the numeric substrate for every power and
+These three functions are the numeric substrate for every power and
 sample-size computation in the package.  Each broadcasts over array
 arguments and returns a float for scalar input.  Degrees of freedom are
 accepted as any positive real, so the large-df normal limit is directly
@@ -8,9 +8,8 @@ testable.
 
 The central pair is ``scipy.special.stdtr`` / ``stdtrit``; the quantile
 is computed for p > 1/2 and negated below, so it is exactly antisymmetric
-around p = 1/2.  The noncentral pair is ``nctdtr`` / ``nctdtrit``.  At
-ncp = 0 both reduce exactly to the central functions: ``nctdtr`` then
-equals ``stdtr`` bit for bit, and the quantile is :func:`t_quantile`.
+around p = 1/2.  The noncentral CDF is ``nctdtr``; at ncp = 0 it equals
+``stdtr`` bit for bit.
 
 ``nctdtr`` returns NaN in parts of the far lower tail even at ordinary
 designs (for example df = 99, ncp = 30, x = -2, which two-sided power
@@ -39,7 +38,7 @@ import math
 import numpy as np
 from scipy import integrate, special
 
-__all__ = ["t_cdf", "t_quantile", "noncentral_t_cdf", "noncentral_t_quantile"]
+__all__ = ["t_cdf", "t_quantile", "noncentral_t_cdf"]
 
 
 # Arguments go through np.float64, which turns array-likes into float
@@ -124,13 +123,3 @@ def _nct_cdf_quadrature(t: float, df: float, delta: float) -> float:
     c, _ = integrate.quad(integrand, 1.0, math.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
     side = a + c
     return min(1.0, max(0.0, 1.0 - side if sign < 0.0 else side))
-
-
-def noncentral_t_quantile(p, df, ncp):
-    """Inverse of :func:`noncentral_t_cdf` in its first argument."""
-    p, df, ncp = np.float64(p), np.float64(df), np.float64(ncp)
-    _require((p > 0.0) & (p < 1.0) & _df_ok(df) & np.isfinite(ncp),
-             "p must lie strictly in (0, 1), df be a positive finite real and "
-             "ncp be finite", p=p, df=df, ncp=ncp)
-    q = np.where(ncp == 0.0, t_quantile(p, df), special.nctdtrit(df, ncp, p))
-    return _scalar_or_array(q)

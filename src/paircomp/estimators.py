@@ -11,13 +11,14 @@ Two difference kinds are supported for a pair of observation samples
   gap = mean(x2) - mean(x1)
 
 The total-run-minimizing allocation keeps n1/n2 at s1/s2 (simple) or
-sqrt(c1/c2) (percent).  A seeded bootstrap provides a nonparametric
-alternative for the standard errors and, separately, a resampled
-sampling-distribution-of-the-mean for normality diagnostics.  The
-bootstrap SE memoises its first side: the resampled baseline means depend
-only on the seed, the resample count and the baseline observations, so an
-allocation step that adds a run to the second algorithm reuses them.
-Results are bit-identical to drawing them afresh.
+sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A seeded bootstrap
+provides a nonparametric alternative for the standard errors and,
+separately, a resampled sampling-distribution-of-the-mean for normality
+diagnostics.  The bootstrap SE memoises its first side: the resampled
+baseline means depend only on the seed, the resample count and the
+baseline observations, so an allocation step that adds a run to the
+second algorithm reuses them.  Results are bit-identical to drawing them
+afresh.
 
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
@@ -37,7 +38,7 @@ from .seeding import make_generator
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
-    "FiellerCoefficients", "BootstrapConfig", "phi_simple", "phi_percent",
+    "BootstrapConfig", "phi_simple", "phi_percent",
     "se_simple", "se_percent", "optimal_ratio_simple", "optimal_ratio_percent",
     "bootstrap_se", "bootstrap_sdm",
 ]
@@ -68,13 +69,6 @@ class InstanceSample:
     mean: float = 0.0
     _m2: float = 0.0
 
-    @classmethod
-    def from_values(cls, values) -> "InstanceSample":
-        s = cls()
-        for v in values:
-            s.add(v)
-        return s
-
     def add(self, x: float) -> None:
         x = float(x)
         if not math.isfinite(x):
@@ -94,13 +88,6 @@ class InstanceSample:
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
-
-
-@dataclass(frozen=True)
-class FiellerCoefficients:
-    """Per-algorithm coefficients of the percent-difference standard error."""
-    c1: float
-    c2: float
 
 
 @dataclass(frozen=True)
@@ -167,13 +154,11 @@ def se_simple(s1, s2) -> float:
     return math.sqrt(s1.variance / s1.n + s2.variance / s2.n)
 
 
-def se_percent(s1, s2) -> tuple[float, FiellerCoefficients]:
+def se_percent(s1, s2) -> float:
     """Standard error of the percent difference (no-covariance ratio form).
 
-    Returns the estimate together with its coefficients (c1, c2), which
-    also determine the optimal allocation ratio sqrt(c1/c2).  A zero mean
-    gap makes the ratio form singular; callers should fall back to the
-    bootstrap estimate in that case.
+    A zero mean gap makes the ratio form singular; callers should fall
+    back to the bootstrap estimate in that case.
     """
     _require_runs(s1, 2, "se_percent")
     _require_runs(s2, 2, "se_percent")
@@ -185,15 +170,14 @@ def se_percent(s1, s2) -> tuple[float, FiellerCoefficients]:
     v1, v2 = s1.variance, s2.variance
     if gap == 0.0:
         if v1 == 0.0 and v2 == 0.0:
-            return 0.0, FiellerCoefficients(0.0, 0.0)
+            return 0.0
         raise DegenerateRatioError(
             "percent-difference standard error is undefined when the mean gap "
             "is exactly zero; use the bootstrap estimate")
     c1 = v1 * (gap ** -2 + s1.mean ** -2)
     c2 = v2 * gap ** -2
     phi = gap / s1.mean
-    se = abs(phi) * math.sqrt(c1 / s1.n + c2 / s2.n)
-    return se, FiellerCoefficients(c1, c2)
+    return abs(phi) * math.sqrt(c1 / s1.n + c2 / s2.n)
 
 
 def optimal_ratio_simple(s1, s2) -> float:

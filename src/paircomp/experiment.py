@@ -35,12 +35,12 @@ from .errors import ConfigError, ExperimentAbortedError
 from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
-from .runners import AlgorithmSpec, InstanceRef, make_runner
+from .runners import AlgorithmSpec, InstanceRef, Runner
 from .sampler import SamplingConfig, SamplingOutcome, calc_nreps
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, make_generator)
 
-__all__ = ["ExperimentPlan", "run_experiment"]
+__all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
 _JOURNAL_VERSION = 1
 
@@ -86,14 +86,25 @@ def _plan_fingerprint(plan: ExperimentPlan) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _select_instances(plan: ExperimentPlan, n_required: int) -> list[InstanceRef]:
+def select_instances(plan: ExperimentPlan,
+                     n_required: int) -> list[tuple[InstanceRef, int]]:
+    """The instances an experiment samples, in order, each with its seed.
+
+    That is the whole pool, or ``n_required`` instances (at most the
+    pool) drawn without replacement under the master seed.  The k-th
+    selected instance gets the k-th seed of the instance stream: its seed
+    follows the selection order, not its position in the pool.
+    """
     pool = plan.instance_pool
     if plan.use_all_instances:
-        return list(pool)
-    count = min(n_required, len(pool))
-    rng = make_generator(derive_seed(plan.master_seed, SELECTION_STREAM))
-    idx = rng.choice(len(pool), size=count, replace=False)
-    return [pool[int(i)] for i in idx]
+        selected = list(pool)
+    else:
+        count = min(n_required, len(pool))
+        rng = make_generator(derive_seed(plan.master_seed, SELECTION_STREAM))
+        idx = rng.choice(len(pool), size=count, replace=False)
+        selected = [pool[int(i)] for i in idx]
+    return [(inst, derive_seed(plan.master_seed, INSTANCE_STREAM, k))
+            for k, inst in enumerate(selected)]
 
 
 def _diff_to_row(diff: PairedDifference) -> dict:
@@ -225,21 +236,19 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                 f"pool only has {pool_size}; no power is computable for a "
                 f"single instance")
 
-    selected = _select_instances(plan, size_result.n_instances)
-    seeds = [derive_seed(plan.master_seed, INSTANCE_STREAM, k)
-             for k in range(len(selected))]
+    selected = select_instances(plan, size_result.n_instances)
 
     journal = None
     if checkpoint_path is not None:
         journal = _Journal(Path(checkpoint_path), _plan_fingerprint(plan), resume)
 
-    runner1, runner2 = (make_runner(s) for s in plan.algorithms)
+    runner1, runner2 = (Runner(s) for s in plan.algorithms)
     workers = plan.workers
     if not (runner1.concurrent_safe and runner2.concurrent_safe):
         workers = 1
 
     completed: dict[str, PairedDifference] = dict(journal.completed) if journal else {}
-    pending = [(inst, seed) for inst, seed in zip(selected, seeds)
+    pending = [(inst, seed) for inst, seed in selected
                if inst.id not in completed]
 
     outcomes: dict[str, SamplingOutcome] = {}
@@ -283,7 +292,7 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
         raise RuntimeError("internal error: a run seed was reused within the "
                            "experiment")
 
-    diffs = [completed[inst.id] for inst in selected]
+    diffs = [completed[inst.id] for inst, _ in selected]
     phis = [d.phi_hat for d in diffs]
     report = _run_test(plan.design.test_family, phis, plan.design)
     report.per_instance = diffs

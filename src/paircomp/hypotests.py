@@ -30,7 +30,7 @@ from .estimators import BootstrapConfig, PairedDifference, bootstrap_sdm
 
 __all__ = [
     "TestReport", "DiagnosticsBundle", "paired_t_test", "wilcoxon_signed_rank",
-    "sign_test", "qq_normal", "build_diagnostics", "hodges_lehmann",
+    "sign_test", "qq_normal", "build_diagnostics",
 ]
 
 
@@ -117,12 +117,6 @@ def _signrank_counts(n: int) -> np.ndarray:
         nxt[r:] += counts[:-r]
         counts = nxt
     return counts
-
-
-def hodges_lehmann(values) -> float:
-    """Pseudo-median: median of all pairwise Walsh averages (i <= j)."""
-    arr = _as_array(values, 1, "hodges_lehmann")
-    return _walsh_stats(arr, ())[0]
 
 
 def _walsh_stats(arr: np.ndarray, ranks) -> tuple[float, tuple[float, ...]]:

@@ -1,6 +1,8 @@
 """Algorithm and instance abstractions: one run -> one performance value.
 
-Four runner kinds are provided:
+``Runner(spec).run(instance, seed)`` is the one entry point: it performs
+a single run and returns its value as a finite float.  Four algorithm
+kinds are provided:
 
 * ``subprocess`` wraps an external solver.  The command line is the
   executable followed by its argument template with ``{instance}`` and
@@ -31,7 +33,6 @@ import os
 import shlex
 import signal
 import subprocess
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,8 +42,8 @@ from .errors import ConfigError, RunnerError
 from .seeding import make_generator
 
 __all__ = [
-    "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "RunResult", "Runner",
-    "run_once", "make_runner", "build_synthetic_pool", "build_tsp_instance",
+    "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "Runner",
+    "build_synthetic_pool", "build_tsp_instance",
 ]
 
 _EXCERPT_CHARS = 400
@@ -84,33 +85,6 @@ class InstanceRef:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    value: float
-    wall_time: float
-    seed_used: int
-
-
-def run_once(spec: AlgorithmSpec, instance: InstanceRef, seed: int) -> RunResult:
-    """Run the algorithm once on the instance and return its performance value."""
-    start = time.perf_counter()
-    if spec.kind is AlgorithmKind.SUBPROCESS:
-        value = _run_subprocess(spec, instance, seed)
-    elif spec.kind is AlgorithmKind.SYNTHETIC_NORMAL:
-        value = _run_synthetic(spec, instance, seed, lognormal=False)
-    elif spec.kind is AlgorithmKind.SYNTHETIC_LOGNORMAL:
-        value = _run_synthetic(spec, instance, seed, lognormal=True)
-    elif spec.kind is AlgorithmKind.DEMO_SANN_TSP:
-        value = _run_sann_tsp(spec, instance, seed)
-    else:  # pragma: no cover
-        raise ConfigError(f"unknown algorithm kind {spec.kind!r}")
-    if not math.isfinite(value):
-        raise RunnerError(f"run produced a non-finite value {value!r}",
-                          alias=spec.alias, instance_id=instance.id, seed=seed)
-    return RunResult(value=float(value), wall_time=time.perf_counter() - start,
-                     seed_used=int(seed))
-
-
-@dataclass(frozen=True)
 class Runner:
     """Callable binding of a spec, as consumed by the adaptive sampler."""
     spec: AlgorithmSpec
@@ -123,12 +97,23 @@ class Runner:
     def concurrent_safe(self) -> bool:
         return self.spec.concurrent_safe
 
-    def run(self, instance: InstanceRef, seed: int) -> RunResult:
-        return run_once(self.spec, instance, seed)
-
-
-def make_runner(spec: AlgorithmSpec) -> Runner:
-    return Runner(spec)
+    def run(self, instance: InstanceRef, seed: int) -> float:
+        """Run the algorithm once on the instance and return its performance value."""
+        spec = self.spec
+        if spec.kind is AlgorithmKind.SUBPROCESS:
+            value = _run_subprocess(spec, instance, seed)
+        elif spec.kind is AlgorithmKind.SYNTHETIC_NORMAL:
+            value = _run_synthetic(spec, instance, seed, lognormal=False)
+        elif spec.kind is AlgorithmKind.SYNTHETIC_LOGNORMAL:
+            value = _run_synthetic(spec, instance, seed, lognormal=True)
+        elif spec.kind is AlgorithmKind.DEMO_SANN_TSP:
+            value = _run_sann_tsp(spec, instance, seed)
+        else:  # pragma: no cover
+            raise ConfigError(f"unknown algorithm kind {spec.kind!r}")
+        if not math.isfinite(value):
+            raise RunnerError(f"run produced a non-finite value {value!r}",
+                              alias=spec.alias, instance_id=instance.id, seed=seed)
+        return float(value)
 
 
 # ---------------------------------------------------------------------------

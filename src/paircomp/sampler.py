@@ -22,7 +22,7 @@ from .estimators import (BootstrapConfig, DiffKind, InstanceSample,
                          PairedDifference, SEMethod, bootstrap_se, phi_percent,
                          phi_simple, optimal_ratio_percent,
                          optimal_ratio_simple, se_percent, se_simple)
-from .seeding import BOOTSTRAP_STREAM, derive_seed, run_seed
+from .seeding import BOOTSTRAP_STREAM, derive_seed
 
 __all__ = ["SamplingConfig", "SamplingOutcome", "calc_nreps"]
 
@@ -90,9 +90,9 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
 
     def do_run(algo_index: int) -> None:
         sample = samples[algo_index]
-        rs = run_seed(seed, algo_index, sample.n)
+        rs = derive_seed(seed, algo_index, sample.n)
         try:
-            result = runners[algo_index].run(instance, rs)
+            value = runners[algo_index].run(instance, rs)
         except RunnerError as exc:
             raise RunnerError(
                 exc.message,
@@ -101,7 +101,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
                 seed=rs,
                 output_excerpt=exc.output_excerpt,
             ) from exc
-        sample.add(result.value)
+        sample.add(value)
         ledger.append(rs)
 
     def current_se() -> float:
@@ -117,8 +117,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
         if cfg.diff_kind is DiffKind.SIMPLE:
             return se_simple(s1, s2)
         try:
-            se, _ = se_percent(s1, s2)
-            return se
+            return se_percent(s1, s2)
         except DegenerateRatioError:
             se_method = SEMethod.BOOTSTRAP
             events.append(

@@ -126,8 +126,3 @@ def derive_seed(root: int, *path: int) -> int:
 def make_generator(seed: int) -> np.random.Generator:
     """Philox generator for a 64-bit seed (counter-based, splittable)."""
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
-
-
-def run_seed(instance_seed: int, algo_index: int, run_index: int) -> int:
-    """Seed for one algorithm run, unique per (instance, algorithm, run)."""
-    return derive_seed(instance_seed, algo_index, run_index)

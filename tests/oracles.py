@@ -3,19 +3,24 @@
 Each oracle computes an expected value by a route different from the
 implementation it checks: quadrature instead of closed forms, exhaustive
 enumeration instead of recursions, grid search instead of analytic
-optima.
+optima.  The last section holds quantities that only tests need (the
+noncentral-t quantile, the Hodges-Lehmann estimate, the effect-size
+decomposition and the percent-SE coefficients), plus a sample builder.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
+from paircomp.distributions import t_quantile
 from paircomp.errors import AssumptionViolationError, DegenerateRatioError
+from paircomp.estimators import InstanceSample
 
 
 def t_density(x: float, df: float) -> float:
@@ -193,3 +198,75 @@ def bootstrap_se_unmemoised(s1, s2, diff_kind: str, resamples: int, rng_seed: in
     else:
         phis = m2 - m1
     return float(np.std(phis, ddof=1))
+
+
+# ---------------------------------------------------------------------------
+# quantities only the tests use
+
+
+def instance_sample(values) -> InstanceSample:
+    """An InstanceSample holding ``values``, added one at a time."""
+    sample = InstanceSample()
+    for v in values:
+        sample.add(v)
+    return sample
+
+
+def fieller_coefficients(s1, s2) -> tuple[float, float]:
+    """(c1, c2) of the no-covariance percent SE |phi| sqrt(c1/n1 + c2/n2).
+
+    c1 = s1^2 (gap^-2 + mean1^-2) and c2 = s2^2 gap^-2, gap = mean2 -
+    mean1; the optimal allocation ratio is sqrt(c1/c2).
+    """
+    gap = s2.mean - s1.mean
+    return s1.variance * (gap ** -2 + s1.mean ** -2), s2.variance * gap ** -2
+
+
+def noncentral_t_quantile(p, df, ncp):
+    """Inverse of ``noncentral_t_cdf`` in x: scipy's ``nctdtrit``.
+
+    At ncp = 0 it is ``t_quantile`` exactly.  Broadcasts over arrays and
+    returns a float for scalar input.
+    """
+    p, df, ncp = np.float64(p), np.float64(df), np.float64(ncp)
+    ok = (p > 0.0) & (p < 1.0) & (df > 0.0) & (df < math.inf) & np.isfinite(ncp)
+    if not ok.all():
+        raise ValueError(f"need 0 < p < 1, a positive finite df and a finite "
+                         f"ncp, got p={p!r}, df={df!r}, ncp={ncp!r}")
+    q = np.where(ncp == 0.0, t_quantile(p, df), special.nctdtrit(df, ncp, p))
+    return float(q) if q.ndim == 0 else q
+
+
+def hodges_lehmann(values) -> float:
+    """Pseudo-median by brute force: the median of all Walsh averages (i <= j)."""
+    x = [float(v) for v in values]
+    walsh = [(x[i] + x[j]) / 2.0 for i in range(len(x)) for j in range(i, len(x))]
+    return float(np.median(walsh))
+
+
+@dataclass(frozen=True)
+class EffectSizeDecomposition:
+    """Split of the total variance into across- and within-instance parts.
+
+    sigma_total^2 = sigma_phi^2 (spread of the true per-instance
+    differences) + sigma_eps^2 (estimation noise of each difference).
+    """
+
+    delta: float
+    sigma_phi: float
+    sigma_eps: float
+
+    def __post_init__(self):
+        if self.sigma_phi < 0.0 or self.sigma_eps < 0.0:
+            raise ValueError("standard deviations must be nonnegative")
+
+    @property
+    def sigma_total(self) -> float:
+        return math.hypot(self.sigma_phi, self.sigma_eps)
+
+
+def standardized_effect(decomp: EffectSizeDecomposition) -> float:
+    """Signed standardized effect delta / sigma_total."""
+    if decomp.sigma_total == 0.0:
+        raise ValueError("sigma_total must be positive to standardize an effect")
+    return decomp.delta / decomp.sigma_total

@@ -14,13 +14,12 @@ from paircomp.cli import main as cli_main
 from paircomp.design import (Alternative, ComparisonDesign, calc_instances,
                              calc_power, curve_highlights, power_curve)
 from paircomp.distributions import t_cdf, t_quantile
-from paircomp.estimators import (BootstrapConfig, DiffKind, InstanceSample,
-                                 bootstrap_se, optimal_ratio_percent,
-                                 optimal_ratio_simple, phi_percent, se_percent,
-                                 se_simple)
+from paircomp.estimators import (BootstrapConfig, DiffKind, bootstrap_se,
+                                 optimal_ratio_percent, optimal_ratio_simple,
+                                 phi_percent, se_percent, se_simple)
 from paircomp.experiment import ExperimentPlan, run_experiment
 from paircomp.hypotests import sign_test, wilcoxon_signed_rank
-from paircomp.runners import build_synthetic_pool, make_runner
+from paircomp.runners import Runner, build_synthetic_pool
 from paircomp.sampler import SamplingConfig, calc_nreps
 
 import oracles
@@ -116,9 +115,9 @@ def test_criterion_4_kkt_optimality(capsys):
             s1 = SimpleNamespace(mean=mean1, sd=sd1, variance=sd1**2, n=2)
             s2 = SimpleNamespace(mean=mean1 * (1 + gain), sd=sd2,
                                  variance=sd2**2, n=2)
-            _, coef = se_percent(s1, s2)
+            c1, c2 = oracles.fieller_coefficients(s1, s2)
             phi = phi_percent(s1, s2)
-            a, b = phi**2 * coef.c1, phi**2 * coef.c2
+            a, b = phi**2 * c1, phi**2 * c2
             se_max = (math.sqrt(a) + math.sqrt(b)) / math.sqrt(total_target)
             ratio = optimal_ratio_percent(s1, s2)
         g1, g2, gtot = oracles.grid_min_total_runs(a, b, se_max)
@@ -143,7 +142,7 @@ def test_criterion_5_sampler_se_contract(capsys):
                         params={"mu": 0.0, "sigma": 2.0})
     spec2 = type(spec2)(alias=spec2.alias, kind=spec2.kind,
                         params={"mu": 0.0, "sigma": 1.0})
-    r1, r2 = make_runner(spec1), make_runner(spec2)
+    r1, r2 = Runner(spec1), Runner(spec2)
     instance = pool[0]
     cfg = SamplingConfig(se_max=0.2, n0=10, n_max=600)
     ratios = []
@@ -206,13 +205,13 @@ def test_criterion_7_bootstrap_parametric_agreement(capsys):
     rel_simple, rel_percent = [], []
     for seed in range(50):
         rng = np.random.default_rng(10_000 + seed)
-        s1 = InstanceSample.from_values(rng.normal(10.0, 2.0, 100))
-        s2 = InstanceSample.from_values(rng.normal(12.0, 3.0, 100))
+        s1 = oracles.instance_sample(rng.normal(10.0, 2.0, 100))
+        s2 = oracles.instance_sample(rng.normal(12.0, 3.0, 100))
         cfg = BootstrapConfig(resamples=9999, rng_seed=seed)
         par_simple = se_simple(s1, s2)
         rel_simple.append(abs(bootstrap_se(s1, s2, DiffKind.SIMPLE, cfg)
                               - par_simple) / par_simple)
-        par_percent, _ = se_percent(s1, s2)
+        par_percent = se_percent(s1, s2)
         rel_percent.append(abs(bootstrap_se(s1, s2, DiffKind.PERCENT, cfg)
                                - par_percent) / par_percent)
     mean_simple = float(np.mean(rel_simple))

@@ -1,3 +1,4 @@
+import csv
 import json
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircomp.cli import main
+from paircomp.reporting import fmt
 
 
 def run_cli(capsys, *argv):
@@ -27,6 +29,20 @@ sampling: {se_max: 1.0, n0: 4, n_max: 40, diff: simple}
 instances:
   synthetic_pool: {count: 50, delta: 0.3, sigma_phi: 1.0, noise_sd: 0.5}
 master_seed: 99
+output_dir: out
+"""
+
+# four pool instances, all selected, in an order other than the pool's
+REPLAY_CONFIG = """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 0.4, n0: 4, n_max: 40}
+algorithms:
+  - {alias: one, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0}}
+  - {alias: two, kind: synthetic_normal, params: {mu: 0.5, sigma: 1.5}}
+instances:
+  inline: [{id: a}, {id: b}, {id: c}, {id: d}]
+use_all_instances: false
+master_seed: 11
 output_dir: out
 """
 
@@ -150,6 +166,38 @@ master_seed: 4
                                "--instance", "missing")
         assert code == 2
         assert "missing" in err
+
+    def test_replays_the_runs_of_run(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, REPLAY_CONFIG)
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert sorted(row["instance"] for row in rows) == ["a", "b", "c", "d"]
+        for row in rows:
+            code, out, _ = run_cli(capsys, "reps", "--config", str(cfg),
+                                   "--instance", row["instance"])
+            assert code == 0
+            lines = out.splitlines()
+            assert f"n1: {row['n1']}" in lines, row
+            assert f"n2: {row['n2']}" in lines, row
+            assert f"phi: {fmt(float(row['phi']))}" in lines, row
+
+    def test_unselected_instance_needs_a_seed(self, capsys, tmp_path):
+        # d = 2 needs 5 of the 6 pool instances
+        cfg = write_config(tmp_path, REPLAY_CONFIG.replace("d: 0.5", "d: 2.0")
+                           .replace("{id: d}]", "{id: d}, {id: e}, {id: f}]"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            used = {row["instance"] for row in csv.DictReader(fh)}
+        [unused] = {"a", "b", "c", "d", "e", "f"} - used
+        code, _, err = run_cli(capsys, "reps", "--config", str(cfg),
+                               "--instance", unused)
+        assert code == 2
+        assert unused in err and "--seed" in err
+        code, out, _ = run_cli(capsys, "reps", "--config", str(cfg),
+                               "--instance", unused, "--seed", "5")
+        assert code == 0
+        assert f"instance: {unused}" in out
 
     def test_annealing_demo_meets_budget_or_flags(self, capsys, tmp_path):
         cfg = write_config(tmp_path, """\

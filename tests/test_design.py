@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircomp.design import (ARE_DIVISOR, Alternative, ComparisonDesign,
-                             EffectSizeDecomposition, TestFamily,
-                             calc_instances, calc_power, curve_highlights,
-                             power_curve, standardized_effect, validate_design)
+                             TestFamily, calc_instances, calc_power,
+                             curve_highlights, power_curve, validate_design)
 from paircomp.distributions import t_quantile
 from paircomp.sampler import SamplingConfig
+
+from oracles import EffectSizeDecomposition, standardized_effect
 
 
 def design(alpha=0.05, power=0.85, d=0.5, alternative=Alternative.TWO_SIDED,

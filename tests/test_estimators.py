@@ -26,13 +26,13 @@ def stats_stub(mean, sd, n):
 
 def normal_sample(mean, sd, n, seed):
     rng = np.random.default_rng(seed)
-    return InstanceSample.from_values(rng.normal(mean, sd, n))
+    return oracles.instance_sample(rng.normal(mean, sd, n))
 
 
 class TestInstanceSample:
     def test_running_stats_match_recomputation(self):
         values = [3.0, 1.5, -2.0, 7.25, 0.125, 4.5]
-        s = InstanceSample.from_values(values)
+        s = oracles.instance_sample(values)
         assert s.n == len(values)
         assert s.mean == pytest.approx(np.mean(values), abs=1e-12)
         assert s.sd == pytest.approx(np.std(values, ddof=1), abs=1e-12)
@@ -40,14 +40,14 @@ class TestInstanceSample:
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=100))
     def test_welford_matches_numpy(self, values):
-        s = InstanceSample.from_values(values)
+        s = oracles.instance_sample(values)
         scale = max(1.0, float(np.max(np.abs(values))))
         assert s.mean == pytest.approx(float(np.mean(values)), abs=1e-9 * scale)
         assert s.sd == pytest.approx(float(np.std(values, ddof=1)),
                                      abs=1e-9 * scale, rel=1e-9)
 
     def test_sd_undefined_below_two(self):
-        s = InstanceSample.from_values([1.0])
+        s = oracles.instance_sample([1.0])
         with pytest.raises(ValueError):
             _ = s.sd
 
@@ -65,13 +65,13 @@ class TestPointEstimates:
         assert phi_simple(stats_stub(10, 1, 3), stats_stub(7, 1, 3)) == -3.0
 
     def test_simple_from_observations(self):
-        s1 = InstanceSample.from_values([1, 2, 3])
-        s2 = InstanceSample.from_values([4, 6])
+        s1 = oracles.instance_sample([1, 2, 3])
+        s2 = oracles.instance_sample([4, 6])
         assert phi_simple(s1, s2) == pytest.approx(3.0)
 
     def test_simple_empty_rejected(self):
         with pytest.raises(ValueError):
-            phi_simple(InstanceSample(), InstanceSample.from_values([1.0]))
+            phi_simple(InstanceSample(), oracles.instance_sample([1.0]))
 
     def test_percent_identity(self):
         assert phi_percent(stats_stub(4, 1, 3), stats_stub(4, 1, 3)) == 0.0
@@ -106,14 +106,17 @@ class TestStandardErrors:
         assert se_simple(stats_stub(0, 2, 10), stats_stub(0, 1, 11)) < base
 
     def test_percent_worked_example(self):
-        se, coef = se_percent(stats_stub(10, 1, 25), stats_stub(12, 1, 25))
-        assert coef.c1 == pytest.approx(0.26)
-        assert coef.c2 == pytest.approx(0.25)
+        s1, s2 = stats_stub(10, 1, 25), stats_stub(12, 1, 25)
+        se = se_percent(s1, s2)
+        c1, c2 = oracles.fieller_coefficients(s1, s2)
+        assert c1 == pytest.approx(0.26)
+        assert c2 == pytest.approx(0.25)
+        assert se == pytest.approx(0.2 * math.sqrt(c1 / 25 + c2 / 25), abs=1e-12)
         assert se == pytest.approx(0.2 * math.sqrt(0.26 / 25 + 0.25 / 25), abs=1e-12)
         assert se == pytest.approx(0.02857, abs=1e-5)
 
     def test_percent_zero_spread(self):
-        se, coef = se_percent(stats_stub(10, 0, 5), stats_stub(12, 0, 5))
+        se = se_percent(stats_stub(10, 0, 5), stats_stub(12, 0, 5))
         assert se == 0.0
 
     def test_percent_zero_gap_degenerate(self):
@@ -121,8 +124,8 @@ class TestStandardErrors:
             se_percent(stats_stub(10, 1, 5), stats_stub(10, 1, 5))
 
     def test_percent_zero_gap_zero_spread_is_zero(self):
-        se, coef = se_percent(stats_stub(10, 0, 5), stats_stub(10, 0, 5))
-        assert se == 0.0 and coef.c1 == 0.0 and coef.c2 == 0.0
+        se = se_percent(stats_stub(10, 0, 5), stats_stub(10, 0, 5))
+        assert type(se) is float and se == 0.0
 
     def test_percent_nonpositive_baseline_rejected(self):
         with pytest.raises(AssumptionViolationError):
@@ -131,7 +134,7 @@ class TestStandardErrors:
     def test_percent_close_to_bootstrap(self):
         s1 = normal_sample(10, 1, 25, seed=11)
         s2 = normal_sample(12, 1, 25, seed=12)
-        parametric, _ = se_percent(s1, s2)
+        parametric = se_percent(s1, s2)
         boot = bootstrap_se(s1, s2, DiffKind.PERCENT,
                             BootstrapConfig(resamples=9999, rng_seed=5))
         assert abs(boot - parametric) / parametric < 0.15
@@ -141,9 +144,9 @@ class TestStandardErrors:
         rng = np.random.default_rng(3)
         x1 = rng.normal(50, 2, 200)
         x2 = rng.normal(60, 3, 200)
-        s1 = InstanceSample.from_values(x1)
-        s2 = InstanceSample.from_values(x2)
-        no_cov, _ = se_percent(s1, s2)
+        s1 = oracles.instance_sample(x1)
+        s2 = oracles.instance_sample(x2)
+        no_cov = se_percent(s1, s2)
         with_cov = oracles.se_percent_with_covariance(x1, x2)
         assert with_cov == pytest.approx(no_cov, rel=0.25)
 
@@ -196,9 +199,9 @@ class TestOptimalRatios:
         s2 = stats_stub(m1 * (1 + gain), sd2, 10)
         if s2.mean == s1.mean:
             return
-        _, coef = se_percent(s1, s2)
+        c1, c2 = oracles.fieller_coefficients(s1, s2)
         assert optimal_ratio_percent(s1, s2) == pytest.approx(
-            math.sqrt(coef.c1 / coef.c2), rel=1e-12)
+            math.sqrt(c1 / c2), rel=1e-12)
 
 
 class TestAllocationOptimality:
@@ -229,9 +232,9 @@ class TestAllocationOptimality:
         s1 = stats_stub(10, 3, 2)
         s2 = stats_stub(15, 2, 2)
         se_target, _ = 0.08, None
-        _, coef = se_percent(s1, s2)
+        c1, c2 = oracles.fieller_coefficients(s1, s2)
         phi = phi_percent(s1, s2)
-        a, b = phi**2 * coef.c1, phi**2 * coef.c2
+        a, b = phi**2 * c1, phi**2 * c2
         g1, g2, gtot = oracles.grid_min_total_runs(a, b, se_target)
         w1, w2 = self.walk(a, b, optimal_ratio_percent(s1, s2), se_target)
         assert w1 + w2 <= gtot + 2
@@ -250,7 +253,7 @@ class TestAllocationOptimality:
 
 class TestBootstrap:
     def test_constant_samples_zero_se(self):
-        s = InstanceSample.from_values([4.0] * 10)
+        s = oracles.instance_sample([4.0] * 10)
         cfg = BootstrapConfig(resamples=200, rng_seed=1)
         assert bootstrap_se(s, s, DiffKind.SIMPLE, cfg) == 0.0
         assert bootstrap_se(s, s, DiffKind.PERCENT, cfg) == 0.0
@@ -279,16 +282,16 @@ class TestBootstrap:
 
     def test_percent_rejects_nonpositive_resampled_baselines(self):
         # mean barely positive: many resamples land nonpositive and are redrawn
-        s1 = InstanceSample.from_values([-1.0, -1.0, 3.5, 0.1, 0.2])
-        s2 = InstanceSample.from_values([1.0, 1.1, 0.9, 1.2, 1.0])
+        s1 = oracles.instance_sample([-1.0, -1.0, 3.5, 0.1, 0.2])
+        s2 = oracles.instance_sample([1.0, 1.1, 0.9, 1.2, 1.0])
         assert s1.mean > 0
         se = bootstrap_se(s1, s2, DiffKind.PERCENT,
                           BootstrapConfig(resamples=300, rng_seed=9))
         assert math.isfinite(se) and se > 0
 
     def test_percent_hopeless_baseline_fails(self):
-        s1 = InstanceSample.from_values([-1.0] * 6)
-        s2 = InstanceSample.from_values([1.0, 1.1, 0.9, 1.2, 1.0, 1.1])
+        s1 = oracles.instance_sample([-1.0] * 6)
+        s2 = oracles.instance_sample([1.0, 1.1, 0.9, 1.2, 1.0, 1.1])
         with pytest.raises(AssumptionViolationError):
             bootstrap_se(s1, s2, DiffKind.PERCENT, BootstrapConfig(200, rng_seed=4))
 
@@ -306,7 +309,7 @@ def grow_one_side(seed, steps, base1=None):
     for _ in range(steps):
         side = x1 if rng.random() < 0.5 else x2
         side.append(float(rng.lognormal(0.1, 0.5)))
-        yield InstanceSample.from_values(x1), InstanceSample.from_values(x2)
+        yield oracles.instance_sample(x1), oracles.instance_sample(x2)
 
 
 def unmemoised(s1, s2, kind, cfg):
@@ -365,8 +368,8 @@ class TestBootstrapMemo:
         cfg = BootstrapConfig(resamples=100, rng_seed=5)
         size = _first_side.cache_info().maxsize
         rng = np.random.default_rng(6)
-        s2 = InstanceSample.from_values(rng.lognormal(0.0, 0.5, 8))
-        firsts = [InstanceSample.from_values(rng.lognormal(0.0, 0.5, 6))
+        s2 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 8))
+        firsts = [oracles.instance_sample(rng.lognormal(0.0, 0.5, 6))
                   for _ in range(3 * size)]
         for _ in range(2):
             for s1 in firsts:

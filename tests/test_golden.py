@@ -1,0 +1,73 @@
+"""Golden digests of two small `run`s: the reference that refactoring keeps.
+
+The digests pin `results.csv` and `checkpoint.jsonl` byte for byte.  Any
+change to instance selection, seed derivation, run allocation, the
+estimators or the journal format moves them; a change that only moves
+code around must not.  Both runs use one worker, so the journal's row
+order is fixed.
+"""
+
+import hashlib
+
+import pytest
+
+from paircomp.cli import main
+
+SIMPLE_PARAMETRIC = """\
+design: {alpha: 0.05, power: 0.8, d: 0.5, test: t_test}
+sampling: {se_max: 0.3, n0: 4, n_max: 30, diff: simple, se_method: parametric}
+instances:
+  synthetic_pool: {count: 12, delta: 0.3, sigma_phi: 1.0, noise_sd: 0.5}
+master_seed: 2024
+use_all_instances: false
+workers: 1
+output_dir: out
+"""
+
+PERCENT_BOOTSTRAP = """\
+design: {alpha: 0.05, power: 0.8, d: 0.5, test: wilcoxon}
+sampling:
+  se_max: 0.1
+  n0: 5
+  n_max: 40
+  diff: percent
+  se_method: bootstrap
+  bootstrap: {resamples: 200}
+algorithms:
+  - {alias: algo1, kind: synthetic_lognormal, params: {mu: 0.0, sigma: 0.3}}
+  - {alias: algo2, kind: synthetic_lognormal, params: {mu: 0.0, sigma: 0.3}}
+instances:
+  inline:
+    - {id: ln-a, payload: {algo1: {mu: 0.2, sigma: 0.25}, algo2: {mu: 0.3, sigma: 0.4}}}
+    - {id: ln-b, payload: {algo1: {mu: 0.8, sigma: 0.45}, algo2: {mu: 0.7, sigma: 0.2}}}
+    - {id: ln-c, payload: {algo1: {mu: 0.5, sigma: 0.3}, algo2: {mu: 0.6, sigma: 0.3}}}
+    - {id: ln-d, payload: {algo1: {mu: 0.1, sigma: 0.35}, algo2: {mu: 0.15, sigma: 0.5}}}
+    - {id: ln-e, payload: {algo1: {mu: 0.9, sigma: 0.2}, algo2: {mu: 1.1, sigma: 0.25}}}
+master_seed: 77
+use_all_instances: true
+workers: 1
+output_dir: out
+"""
+
+GOLDEN = {
+    "simple-parametric": (SIMPLE_PARAMETRIC, {
+        "results.csv": "ee302dc34de40083d19330611ec201cf96bd561a585b5add9b796266636292c6",
+        "checkpoint.jsonl": "8967191b69ea9e19ca4c3fd50bb9dcd1f9124c25bfe20f53af7f921609f7cdbe",
+    }),
+    "percent-bootstrap": (PERCENT_BOOTSTRAP, {
+        "results.csv": "ce181e4091479c57e798c0cb6aa35697291f70f2318d0f7334c40c7f0c8834a2",
+        "checkpoint.jsonl": "9307d1e571e6f7190658a304aeeddde5c313467e602c3df955b3f2d52c3fc808",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_outputs_match_golden_digests(tmp_path, capsys, name):
+    text, digests = GOLDEN[name]
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(text)
+    assert main(["run", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    got = {file: hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest()
+           for file in digests}
+    assert got == digests

@@ -6,9 +6,8 @@ import pytest
 from paircomp.design import Alternative
 from paircomp.distributions import t_quantile
 from paircomp.errors import DegenerateDataError
-from paircomp.hypotests import (build_diagnostics, hodges_lehmann,
-                                paired_t_test, qq_normal, sign_test,
-                                wilcoxon_signed_rank)
+from paircomp.hypotests import (build_diagnostics, paired_t_test, qq_normal,
+                                sign_test, wilcoxon_signed_rank)
 
 import oracles
 
@@ -146,10 +145,10 @@ class TestWilcoxon:
     def test_estimate_is_pseudo_median(self):
         values = [1.0, 2.0, 3.0, 10.0]
         rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
-        assert rep.estimate == hodges_lehmann(values)
+        assert rep.estimate == oracles.hodges_lehmann(values)
 
     def test_hodges_lehmann_symmetric_sample(self):
-        assert hodges_lehmann([-2.0, -1.0, 0.0, 1.0, 2.0]) == 0.0
+        assert oracles.hodges_lehmann([-2.0, -1.0, 0.0, 1.0, 2.0]) == 0.0
 
     def test_ci_brackets_estimate(self):
         rng = np.random.default_rng(5)

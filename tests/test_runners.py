@@ -8,8 +8,7 @@ import pytest
 
 from paircomp.errors import ConfigError, RunnerError
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
-                              build_synthetic_pool, build_tsp_instance,
-                              make_runner, run_once)
+                              Runner, build_synthetic_pool, build_tsp_instance)
 
 
 def spec(kind, alias="algo", **params):
@@ -20,48 +19,46 @@ class TestSyntheticRunners:
     def test_degenerate_spread_returns_mean_exactly(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=5.0, sigma=0.0)
         for seed in (0, 1, 999):
-            assert run_once(s, InstanceRef(id="i"), seed).value == 5.0
+            assert Runner(s).run(InstanceRef(id="i"), seed) == 5.0
 
     def test_same_seed_same_value(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        assert run_once(s, inst, 42).value == run_once(s, inst, 42).value
+        assert Runner(s).run(inst, 42) == Runner(s).run(inst, 42)
 
     def test_different_seeds_differ(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        assert run_once(s, inst, 1).value != run_once(s, inst, 2).value
+        assert Runner(s).run(inst, 1) != Runner(s).run(inst, 2)
 
     def test_law_of_large_numbers(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        values = np.array([run_once(s, inst, seed).value for seed in range(10**5)])
+        values = np.array([Runner(s).run(inst, seed) for seed in range(10**5)])
         assert abs(values.mean()) < 0.02
         assert abs(values.std(ddof=1) - 1.0) < 0.02
 
     def test_instance_payload_overrides_parameters(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, alias="a2", mu=0.0, sigma=0.0)
         inst = InstanceRef(id="i", payload={"a2": {"mu": 3.25}})
-        assert run_once(s, inst, 7).value == 3.25
+        assert Runner(s).run(inst, 7) == 3.25
 
     def test_lognormal_is_positive_and_deterministic(self):
         s = spec(AlgorithmKind.SYNTHETIC_LOGNORMAL, mu=1.0, sigma=0.5)
         inst = InstanceRef(id="i")
-        vals = [run_once(s, inst, k).value for k in range(50)]
+        vals = [Runner(s).run(inst, k) for k in range(50)]
         assert all(v > 0 for v in vals)
-        assert run_once(s, inst, 3).value == vals[3]
+        assert Runner(s).run(inst, 3) == vals[3]
 
     def test_negative_sigma_rejected(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=-1.0)
         with pytest.raises(ConfigError):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
 
-    def test_run_result_fields(self):
+    def test_run_returns_finite_float(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=1.0)
-        res = run_once(s, InstanceRef(id="i"), 11)
-        assert math.isfinite(res.value)
-        assert res.wall_time >= 0.0
-        assert res.seed_used == 11
+        value = Runner(s).run(InstanceRef(id="i"), 11)
+        assert type(value) is float and math.isfinite(value)
 
 
 class TestSyntheticPool:
@@ -69,8 +66,8 @@ class TestSyntheticPool:
         pool, (s1, s2) = build_synthetic_pool(4, delta=0.0, sigma_phi=0.0,
                                               noise_sd=0.0, seed=1, base_mean=7.0)
         for inst in pool:
-            v1 = {run_once(s1, inst, k).value for k in range(3)}
-            v2 = {run_once(s2, inst, k).value for k in range(3)}
+            v1 = {Runner(s1).run(inst, k) for k in range(3)}
+            v2 = {Runner(s2).run(inst, k) for k in range(3)}
             assert v1 == v2 == {7.0}
 
     def test_ids_distinct_and_sized(self):
@@ -82,12 +79,11 @@ class TestSyntheticPool:
     def test_latent_differences_center_on_delta(self):
         pool, (s1, s2) = build_synthetic_pool(10**4, delta=0.5, sigma_phi=1.0,
                                               noise_sd=0.01, seed=3)
-        r1, r2 = make_runner(s1), make_runner(s2)
+        r1, r2 = Runner(s1), Runner(s2)
         phis = []
         for k, inst in enumerate(pool):
-            a = np.mean([r1.run(inst, 2 * k).value, r1.run(inst, 2 * k + 1).value])
-            b = np.mean([r2.run(inst, 10**7 + 2 * k).value,
-                         r2.run(inst, 10**7 + 2 * k + 1).value])
+            a = np.mean([r1.run(inst, 2 * k), r1.run(inst, 2 * k + 1)])
+            b = np.mean([r2.run(inst, 10**7 + 2 * k), r2.run(inst, 10**7 + 2 * k + 1)])
             phis.append(b - a)
         assert abs(np.mean(phis) - 0.5) < 0.02
 
@@ -125,8 +121,7 @@ class TestSubprocessRunner:
     def test_round_trip_is_bit_exact(self, echo_stub):
         s = self.sub_spec(echo_stub)
         inst = InstanceRef(id="case7", payload={"path": "case7.txt"})
-        res = run_once(s, inst, 816)
-        assert res.value == 816 * 0.125 + 3.0
+        assert Runner(s).run(inst, 816) == 816 * 0.125 + 3.0
 
     def test_instance_placeholder_uses_payload_path(self, echo_stub, tmp_path):
         probe = tmp_path / "probe.py"
@@ -134,8 +129,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable,
                                   "args": [str(probe), "{instance}"]})
-        res = run_once(s, InstanceRef(id="x", payload={"path": "abcdef"}), 1)
-        assert res.value == 6.0
+        assert Runner(s).run(InstanceRef(id="x", payload={"path": "abcdef"}), 1) == 6.0
 
     def test_nonzero_exit_raises(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -143,7 +137,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(bad)]})
         with pytest.raises(RunnerError, match="status 3") as err:
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
         assert "partial" in (err.value.output_excerpt or "")
 
     def test_unparsable_output_raises(self, tmp_path):
@@ -152,7 +146,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(bad)]})
         with pytest.raises(RunnerError, match="not a decimal"):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
 
     def test_empty_output_raises(self, tmp_path):
         quiet = tmp_path / "quiet.py"
@@ -160,7 +154,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(quiet)]})
         with pytest.raises(RunnerError, match="no output"):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
 
     def test_timeout_raises(self, tmp_path):
         slow = tmp_path / "slow.py"
@@ -169,7 +163,7 @@ class TestSubprocessRunner:
                           params={"executable": sys.executable, "args": [str(slow)]},
                           timeout=0.2)
         with pytest.raises(RunnerError, match="timed out"):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
 
     def test_timeout_keeps_output_excerpt(self):
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
@@ -177,7 +171,7 @@ class TestSubprocessRunner:
                                   "args": ["-c", "echo partial; echo warn >&2; sleep 30"]},
                           timeout=0.5)
         with pytest.raises(RunnerError, match="timed out") as info:
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
         assert "partial" in info.value.output_excerpt
         assert "warn" in info.value.output_excerpt
 
@@ -188,7 +182,7 @@ class TestSubprocessRunner:
                                   "args": ["-c", f"(sleep 2; touch {marker}) & wait"]},
                           timeout=0.5)
         with pytest.raises(RunnerError, match="timed out"):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
         time.sleep(3.0)
         assert not marker.exists()
 
@@ -196,26 +190,26 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": "/nonexistent/solver"})
         with pytest.raises(RunnerError, match="launch"):
-            run_once(s, InstanceRef(id="i"), 1)
+            Runner(s).run(InstanceRef(id="i"), 1)
 
 
 class TestAnnealingDemoRunner:
     def test_deterministic_given_seed(self):
         inst = build_tsp_instance("t", n_cities=15, layout_seed=1)
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=2000.0, budget=800)
-        assert run_once(s, inst, 5).value == run_once(s, inst, 5).value
+        assert Runner(s).run(inst, 5) == Runner(s).run(inst, 5)
 
     def test_positive_tour_length(self):
         inst = build_tsp_instance("t", n_cities=12, layout_seed=2)
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=500)
-        assert run_once(s, inst, 1).value > 0
+        assert Runner(s).run(inst, 1) > 0
 
     def test_longer_budget_does_not_hurt(self):
         inst = build_tsp_instance("t", n_cities=18, layout_seed=3)
         short = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=50)
         long = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=5000)
-        short_best = np.median([run_once(short, inst, k).value for k in range(9)])
-        long_best = np.median([run_once(long, inst, k).value for k in range(9)])
+        short_best = np.median([Runner(short).run(inst, k) for k in range(9)])
+        long_best = np.median([Runner(long).run(inst, k) for k in range(9)])
         assert long_best <= short_best
 
     def test_inline_matrix_payload(self):
@@ -223,17 +217,17 @@ class TestAnnealingDemoRunner:
         inst = InstanceRef(id="sq", payload={"distance_matrix": d})
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=10.0, budget=400)
         # optimal tour of this line graph costs 1+1+1+3
-        assert run_once(s, inst, 0).value >= 6.0
+        assert Runner(s).run(inst, 0) >= 6.0
 
     def test_generated_payload_form(self):
         inst = InstanceRef(id="gen", payload={"cities": 10, "layout_seed": 4})
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=100.0, budget=300)
-        assert run_once(s, inst, 0).value > 0
+        assert Runner(s).run(inst, 0) > 0
 
     def test_bad_payload_rejected(self):
         s = spec(AlgorithmKind.DEMO_SANN_TSP)
         with pytest.raises(ConfigError):
-            run_once(s, InstanceRef(id="nothing"), 0)
+            Runner(s).run(InstanceRef(id="nothing"), 0)
 
 
 class TestSpecValidation:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import BootstrapConfig, DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
-                              RunResult, build_tsp_instance, make_runner)
+                              Runner, build_tsp_instance)
 from paircomp.sampler import SamplingConfig, calc_nreps
 
 
@@ -18,7 +18,7 @@ def normal_spec(alias, mu, sigma):
 
 
 def normal_runners(mu1, sd1, mu2, sd2):
-    return make_runner(normal_spec("a1", mu1, sd1)), make_runner(normal_spec("a2", mu2, sd2))
+    return Runner(normal_spec("a1", mu1, sd1)), Runner(normal_spec("a2", mu2, sd2))
 
 
 INSTANCE = InstanceRef(id="inst-0")
@@ -37,7 +37,7 @@ class ScriptedRunner:
     def run(self, instance, seed):
         v = self.values[self.calls % len(self.values)]
         self.calls += 1
-        return RunResult(value=v, wall_time=0.0, seed_used=seed)
+        return float(v)
 
 
 class FailingRunner:
@@ -234,10 +234,10 @@ class TestAnnealingDemo:
     def test_two_temperatures_meet_percent_budget(self):
         # scenario shape: one distance matrix, two annealing temperatures
         instance = build_tsp_instance("tsp21", n_cities=21, layout_seed=4)
-        r1 = make_runner(AlgorithmSpec(alias="cool", kind=AlgorithmKind.DEMO_SANN_TSP,
-                                       params={"temp": 2000.0, "budget": 1500}))
-        r2 = make_runner(AlgorithmSpec(alias="hot", kind=AlgorithmKind.DEMO_SANN_TSP,
-                                       params={"temp": 4000.0, "budget": 1500}))
+        r1 = Runner(AlgorithmSpec(alias="cool", kind=AlgorithmKind.DEMO_SANN_TSP,
+                                  params={"temp": 2000.0, "budget": 1500}))
+        r2 = Runner(AlgorithmSpec(alias="hot", kind=AlgorithmKind.DEMO_SANN_TSP,
+                                  params={"temp": 4000.0, "budget": 1500}))
         cfg = SamplingConfig(se_max=0.01, n0=20, n_max=200,
                              diff_kind=DiffKind.PERCENT)
         out = calc_nreps(r1, r2, instance, cfg, seed=1234)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from paircomp.seeding import derive_seed, make_generator, run_seed
+from paircomp.seeding import derive_seed, make_generator
 
 EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -25,8 +25,9 @@ class TestSeedDerivation:
         assert derive_seed(1234, 0) == 4985326416798289662
         assert derive_seed(1234, 1, 0) == 16274685030245454228
         assert derive_seed(1234, 1, 7) == 10804711530192008396
-        assert run_seed(99, 0, 0) == 493536389902028131
-        assert run_seed(99, 1, 3) == 3599309446377083542
+        # a run's seed: derive_seed(instance_seed, algo_index, run_index)
+        assert derive_seed(99, 0, 0) == 493536389902028131
+        assert derive_seed(99, 1, 3) == 3599309446377083542
 
     def test_paths_are_disjoint(self):
         seeds = {derive_seed(7, stream, k)
