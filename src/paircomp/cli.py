@@ -10,8 +10,9 @@ failure, 4 statistical-assumption violation or data on which a test is
 undefined (e.g. all differences identical).  The statistical outcome of
 a test never affects the exit code.
 
-Environment: ``PAIRCOMP_WORKERS`` overrides the default worker count and
-``PAIRCOMP_SEED`` the master seed; explicit flags beat both.
+Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
+``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
+both.
 """
 
 from __future__ import annotations
@@ -23,12 +24,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ALT_NAMES, TEST_NAMES, ExperimentConfig, load_config
+from .config import ALT_NAMES, TEST_NAMES, load_config, parse_design
 from .design import (ComparisonDesign, calc_instances, calc_power,
                      curve_highlights, power_curve)
 from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
                      ExperimentAbortedError, PaircompError, RunnerError)
-from .experiment import run_experiment, select_instances
+from .experiment import ExperimentPlan, run_experiment, select_instances
 from .reporting import (fmt, render_size_result, render_summary,
                         write_power_curve, write_qq_points, write_report_json,
                         write_results_table, write_values)
@@ -73,8 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, help="raw effect size (needs --sigma-bound)")
     p.add_argument("--sigma-bound", type=float,
                    help="upper bound for the total SD of the paired differences")
-    p.add_argument("--alternative", choices=sorted(ALT_NAMES), default="two-sided")
-    p.add_argument("--test", choices=sorted(TEST_NAMES), default="t")
+    p.add_argument("--alternative", choices=sorted(ALT_NAMES))
+    p.add_argument("--test", choices=sorted(TEST_NAMES))
     p.add_argument("--out", type=Path, help="write a JSON record here")
 
     p = sub.add_parser("power", help="power of a fixed-size experiment")
@@ -110,20 +111,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_design(args) -> int:
-    kwargs = dict(alpha=args.alpha, power_target=args.power,
-                  alternative=ALT_NAMES[args.alternative],
-                  test_family=TEST_NAMES[args.test])
-    if args.d is not None and args.delta is not None:
-        raise ConfigError("give either --d or --delta, not both")
-    if args.d is not None:
-        design = ComparisonDesign(mres_d=args.d, **kwargs)
-    elif args.delta is not None:
-        if args.sigma_bound is None:
-            raise ConfigError("--delta requires --sigma-bound")
-        design = ComparisonDesign.from_delta(args.delta, args.sigma_bound, **kwargs)
-    else:
-        raise ConfigError("an effect size is required: --d, or --delta with "
-                          "--sigma-bound")
+    design = parse_design({key: getattr(args, key) for key in (
+        "alpha", "power", "d", "delta", "sigma_bound", "alternative", "test")
+        if getattr(args, key) is not None})
     result = calc_instances(design)
     print(render_size_result(result))
     if args.out:
@@ -179,24 +169,33 @@ def _cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    plan = cfg.plan
-    workers = getattr(args, "workers", None)
-    if workers is None and os.environ.get("PAIRCOMP_WORKERS"):
-        workers = int(os.environ["PAIRCOMP_WORKERS"])
-    seed = getattr(args, "seed", None)
-    if seed is None and os.environ.get("PAIRCOMP_SEED"):
-        seed = int(os.environ["PAIRCOMP_SEED"])
+def _env_int(name: str) -> int | None:
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _load_plan(config: Path, seed: int | None = None,
+               workers: int | None = None) -> tuple[ExperimentPlan, Path | None]:
+    """A config's plan and output directory; the master seed and the worker
+    count come from the flags, else from the environment, else the config."""
+    plan, out_dir = load_config(config)
+    seed = _env_int("PAIRCOMP_SEED") if seed is None else seed
+    workers = _env_int("PAIRCOMP_WORKERS") if workers is None else workers
     if workers is not None:
         plan = replace(plan, workers=workers)
     if seed is not None:
         plan = replace(plan, master_seed=seed)
-    out = getattr(args, "output_dir", None) or cfg.output_dir
-    return ExperimentConfig(plan=plan, output_dir=out)
+    return plan, out_dir
 
 
 def _cmd_reps(args) -> int:
-    plan = load_config(args.config).plan
+    # --seed here is the instance seed, so only the environment sets the master seed
+    plan, _ = _load_plan(args.config)
     instance = next((inst for inst in plan.instance_pool
                      if inst.id == args.instance), None)
     if instance is None:
@@ -227,9 +226,8 @@ def _cmd_reps(args) -> int:
 
 
 def _cmd_run(args, resume: bool) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    plan = cfg.plan
-    out_dir = cfg.output_dir
+    plan, out_dir = _load_plan(args.config, args.seed, args.workers)
+    out_dir = args.output_dir or out_dir
     if out_dir is None:
         raise ConfigError("an output directory is required: set 'output_dir' in "
                           "the config or pass --output-dir")

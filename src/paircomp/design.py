@@ -213,7 +213,9 @@ def validate_design(design: ComparisonDesign, sampling,
     """
     warnings: list[str] = []
     if sigma_phi_estimate is not None and sigma_phi_estimate > 0:
-        if sampling.se_max ** 2 > 0.1 * sigma_phi_estimate ** 2:
+        # products, not powers: a float power overflows with an exception
+        if sampling.se_max * sampling.se_max > \
+                0.1 * sigma_phi_estimate * sigma_phi_estimate:
             warnings.append(
                 f"standard-error budget se*={sampling.se_max:g} is large relative to "
                 f"the across-instances spread estimate {sigma_phi_estimate:g}: "

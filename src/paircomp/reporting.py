@@ -61,15 +61,11 @@ def write_values(path: str | Path, values, column: str) -> None:
 
 
 def write_report_json(path: str | Path, report: TestReport) -> None:
-    doc = asdict(report)
-    doc["test_family"] = report.test_family.value
-    doc["alternative"] = report.alternative.value
-    for row in doc["per_instance"]:
-        row["diff_kind"] = row["diff_kind"].value
-        row["se_method"] = row["se_method"].value
+    # the enums are str enums, so they serialise as their values
+    doc = json.dumps(asdict(report), indent=2, sort_keys=True)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(doc + "\n")
 
 
 def render_size_result(res: SampleSizeResult) -> str:

@@ -67,10 +67,12 @@ class AlgorithmSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AlgorithmKind(self.kind))
+        object.__setattr__(self, "timeout", float(self.timeout))
         if not self.alias:
             raise ValueError("algorithm alias must be nonempty")
-        if self.timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {self.timeout!r}")
+        if not (self.timeout > 0 and math.isfinite(self.timeout)):
+            raise ValueError(f"timeout must be a positive finite number of "
+                             f"seconds, got {self.timeout!r}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +147,10 @@ def _run_synthetic(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
     return math.exp(draw) if lognormal else draw
 
 
-def build_synthetic_pool(n_instances: int, delta: float, sigma_phi: float,
-                         noise_sd: float, seed: int, base_mean: float = 0.0,
+def build_synthetic_pool(n_instances: int, delta: float = 0.0,
+                         sigma_phi: float = 0.0, noise_sd: float = 1.0, *,
+                         seed: int, base_mean: float = 0.0,
                          aliases: tuple[str, str] = ("algo1", "algo2"),
-                         id_prefix: str = "synth",
                          ) -> tuple[list[InstanceRef], tuple[AlgorithmSpec, AlgorithmSpec]]:
     """Instance pool with latent per-instance differences, plus paired runners.
 
@@ -171,7 +173,7 @@ def build_synthetic_pool(n_instances: int, delta: float, sigma_phi: float,
     width = max(5, len(str(n_instances)))
     pool = [
         InstanceRef(
-            id=f"{id_prefix}-{j:0{width}d}",
+            id=f"synth-{j:0{width}d}",
             payload={a1: {"mu": base_mean}, a2: {"mu": base_mean + float(phis[j])}},
         )
         for j in range(n_instances)

@@ -182,6 +182,19 @@ master_seed: 4
             assert f"n2: {row['n2']}" in lines, row
             assert f"phi: {fmt(float(row['phi']))}" in lines, row
 
+    def test_replays_run_under_the_seed_env(self, capsys, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path, REPLAY_CONFIG)
+        monkeypatch.setenv("PAIRCOMP_SEED", "5")
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            row = next(row for row in csv.DictReader(fh) if row["instance"] == "a")
+        assert (row["n1"], row["n2"]) == ("7", "19")
+        code, out, _ = run_cli(capsys, "reps", "--config", str(cfg), "--instance", "a")
+        assert code == 0
+        lines = out.splitlines()
+        assert "n1: 7" in lines and "n2: 19" in lines
+        assert f"phi: {fmt(float(row['phi']))}" in lines
+
     def test_unselected_instance_needs_a_seed(self, capsys, tmp_path):
         # d = 2 needs 5 of the 6 pool instances
         cfg = write_config(tmp_path, REPLAY_CONFIG.replace("d: 0.5", "d: 2.0")
@@ -272,6 +285,15 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
                (tmp_path / "b" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("name", ["PAIRCOMP_WORKERS", "PAIRCOMP_SEED"])
+    def test_bad_env_value_names_the_variable(self, capsys, tmp_path, monkeypatch,
+                                              name):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
+        monkeypatch.setenv(name, "two")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert f"{name} must be an integer, got 'two'" in err
 
     def test_resume_completes_without_rerunning(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)

@@ -218,6 +218,12 @@ class TestValidateDesign:
         warnings = validate_design(design(), cfg)
         assert len(warnings) == 1 and "n0" in warnings[0]
 
+    def test_huge_values_do_not_overflow(self):
+        cfg = SamplingConfig(se_max=1e200, n0=15, n_max=100)
+        assert len(validate_design(design(), cfg, sigma_phi_estimate=1.0)) == 1
+        cfg = SamplingConfig(se_max=0.05, n0=15, n_max=100)
+        assert validate_design(design(), cfg, sigma_phi_estimate=1e308) == []
+
     def test_unconventional_error_rates_do_not_warn(self):
         cfg = SamplingConfig(se_max=0.01, n0=10, n_max=100)
         assert validate_design(design(alpha=0.17, power=0.6), cfg,
