@@ -60,7 +60,7 @@ def main() -> None:
     sampling = SamplingConfig(se_max=0.45, n0=args.n0, n_max=4 * args.n0,
                               bootstrap=BootstrapConfig(resamples=100))
     n_star = calc_instances(design).n_instances
-    predicted = calc_power(n_star, args.d, design)
+    predicted = calc_power(n_star, args.d, args.alpha, design.alternative)
 
     print(f"designed instance count N* = {n_star}")
     print(f"predicted power at d = {args.d}: {predicted:.4f}")

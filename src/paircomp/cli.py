@@ -25,8 +25,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ALT_NAMES, TEST_NAMES, load_config, parse_design
-from .design import (ComparisonDesign, calc_instances, calc_power,
-                     curve_highlights, power_curve)
+from .design import calc_instances, calc_power, curve_highlights, power_curve
 from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
                      ExperimentAbortedError, PaircompError, RunnerError)
 from .experiment import ExperimentPlan, run_experiment, select_instances
@@ -78,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", choices=sorted(TEST_NAMES))
     p.add_argument("--out", type=Path, help="write a JSON record here")
 
-    p = sub.add_parser("power", help="power of a fixed-size experiment")
+    p = sub.add_parser("power", help="power of a fixed-size experiment (paired-t basis)")
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.add_argument("--d", type=float, help="single effect size")
     p.add_argument("--d-range", help="curve range as LO:HI")
@@ -86,9 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--highlights", help="comma-separated power levels to invert")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--alternative", choices=sorted(ALT_NAMES), default="two-sided")
-    p.add_argument("--test", choices=sorted(TEST_NAMES), default="t",
-                   help="test family (power is always computed on the "
-                        "paired-t basis)")
     p.add_argument("--curve-out", type=Path, help="write curve records here")
     p.add_argument("--out", type=Path, help="write a JSON record here")
 
@@ -132,9 +128,7 @@ def _cmd_power(args) -> int:
     if (args.d is None) == (args.d_range is None):
         raise ConfigError("give exactly one of --d or --d-range")
     if args.d is not None:
-        design = ComparisonDesign(alpha=args.alpha, power_target=0.5,
-                                  mres_d=args.d, alternative=alternative)
-        power = calc_power(args.n, args.d, design)
+        power = calc_power(args.n, args.d, args.alpha, alternative)
         print(f"power: {power:.7g}")
         if args.out:
             args.out.parent.mkdir(parents=True, exist_ok=True)
@@ -231,7 +225,6 @@ def _cmd_run(args, resume: bool) -> int:
     if out_dir is None:
         raise ConfigError("an output directory is required: set 'output_dir' in "
                           "the config or pass --output-dir")
-    out_dir.mkdir(parents=True, exist_ok=True)
     checkpoint = out_dir / "checkpoint.jsonl"
     if resume and not checkpoint.exists():
         raise ConfigError(f"nothing to resume: {checkpoint} does not exist")
@@ -253,8 +246,7 @@ def _cmd_run(args, resume: bool) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "design":
             return _cmd_design(args)
@@ -262,11 +254,7 @@ def main(argv=None) -> int:
             return _cmd_power(args)
         if args.command == "reps":
             return _cmd_reps(args)
-        if args.command == "run":
-            return _cmd_run(args, resume=False)
-        if args.command == "resume":
-            return _cmd_run(args, resume=True)
-        parser.error(f"unknown command {args.command!r}")
+        return _cmd_run(args, resume=args.command == "resume")
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -17,7 +17,7 @@ runs.  A full document looks like::
       n_max: 200
       diff: simple           # simple | percent
       se_method: parametric  # parametric | bootstrap
-      bootstrap: {resamples: 999}
+      bootstrap: {resamples: 999}  # its seeds derive from each instance's seed
       force_balance: false
       batch: 1
     algorithms:              # omitted when instances.synthetic_pool is used
@@ -92,7 +92,7 @@ SAMPLING = {
     "bootstrap": ("bootstrap", dict),
     "force_balance": ("force_balance", bool), "batch": ("batch", int),
 }
-BOOTSTRAP = {"resamples": ("resamples", int), "rng_seed": ("rng_seed", int)}
+BOOTSTRAP = {"resamples": ("resamples", int)}
 ALGORITHM = {
     "alias": ("alias", str), "kind": ("kind", _values(AlgorithmKind)),
     "params": ("params", dict), "timeout": ("timeout", float),
@@ -265,7 +265,7 @@ def load_config(path: str | Path) -> tuple[ExperimentPlan, Path | None]:
         kwargs["algorithms"] = pool_specs
     else:
         if algorithms is None or len(algorithms) != 2:
-            raise ConfigError("config must list exactly two algorithms")
+            raise ConfigError("config.algorithms must list exactly two algorithms")
         kwargs["algorithms"] = tuple(_parse_algorithm(a, f"algorithms[{i}]")
                                      for i, a in enumerate(algorithms))
     plan = _call(ExperimentPlan, kwargs, "config")

@@ -114,19 +114,27 @@ def _power(n: int, d, alpha: float, alternative: Alternative):
     return 1.0 - noncentral_t_cdf(t_quantile(1.0 - alpha, df), df, ncp)
 
 
-def calc_power(n_instances: int, d: float, design: ComparisonDesign) -> float:
-    """Probability of rejecting the null at effect size ``d`` with N instances.
-
-    Strictly increasing in both ``n_instances`` and ``d``; at d = 0 it
-    equals the significance level exactly.
-    """
+def _check_n_alpha(n_instances: int, alpha: float) -> int:
     n = int(n_instances)
     if n < 2:
         raise ValueError(f"at least 2 instances are required, got {n_instances!r}")
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    return n
+
+
+def calc_power(n_instances: int, d: float, alpha: float,
+               alternative: Alternative) -> float:
+    """Probability of rejecting the null at effect size ``d`` with N instances.
+
+    Strictly increasing in both ``n_instances`` and ``d``; at d = 0 it
+    equals the significance level ``alpha``.
+    """
+    n = _check_n_alpha(n_instances, alpha)
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise ValueError(f"effect size d must be a nonnegative finite real, got {d!r}")
-    return _power(n, d, design.alpha, design.alternative)
+    return _power(n, d, alpha, Alternative(alternative))
 
 
 def calc_instances(design: ComparisonDesign) -> SampleSizeResult:
@@ -177,11 +185,7 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
     each point equals :func:`calc_power` at that d exactly.  The curve is
     computed on the t-test basis.
     """
-    n = int(n_instances)
-    if n < 2:
-        raise ValueError(f"at least 2 instances are required, got {n_instances!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    n = _check_n_alpha(n_instances, alpha)
     d_lo, d_hi = float(d_range[0]), float(d_range[1])
     if not (0.0 < d_lo < d_hi):
         raise ValueError(f"need 0 < d_lo < d_hi, got {d_range!r}")

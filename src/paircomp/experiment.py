@@ -217,24 +217,25 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     With a ``checkpoint_path``, each completed instance is journaled and
     ``resume=True`` skips instances already journaled under an identical
     configuration.  A failing instance aborts the experiment; the journal
-    keeps everything completed so far.
+    keeps everything completed so far, including the instances that were
+    still running when the failure came.  A pool of one instance is
+    refused before any run: no paired test applies to one difference.
     """
+    pool_size = len(plan.instance_pool)
+    if pool_size < 2:
+        raise ValueError(f"an experiment needs at least 2 instances, the pool "
+                         f"has {pool_size}; 'reps' samples a single instance")
     warnings = validate_design(plan.design, plan.sampling, plan.sigma_phi_bound)
     size_result = calc_instances(plan.design)
-    pool_size = len(plan.instance_pool)
     if size_result.n_instances > pool_size:
-        if pool_size >= 2:
-            achievable = calc_power(pool_size, plan.design.mres_d, plan.design)
-            warnings.append(
-                f"the design asks for {size_result.n_instances} instances but the "
-                f"pool only has {pool_size}; power at the pool size is "
-                f"{achievable:.6g} (target {plan.design.power_target:g}) -- "
-                f"consider relaxing the design or adding instances")
-        else:
-            warnings.append(
-                f"the design asks for {size_result.n_instances} instances but the "
-                f"pool only has {pool_size}; no power is computable for a "
-                f"single instance")
+        design = plan.design
+        achievable = calc_power(pool_size, design.mres_d, design.alpha,
+                                design.alternative)
+        warnings.append(
+            f"the design asks for {size_result.n_instances} instances but the "
+            f"pool only has {pool_size}; power at the pool size is "
+            f"{achievable:.6g} (target {design.power_target:g}) -- "
+            f"consider relaxing the design or adding instances")
 
     selected = select_instances(plan, size_result.n_instances)
 
@@ -256,14 +257,16 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     def sample_one(inst: InstanceRef, seed: int) -> SamplingOutcome:
         return calc_nreps(runner1, runner2, inst, plan.sampling, seed)
 
+    def record(inst: InstanceRef, outcome: SamplingOutcome) -> None:
+        outcomes[inst.id] = outcome
+        completed[inst.id] = outcome.diff
+        if journal:
+            journal.append(outcome.diff)
+
     try:
         if workers == 1 or len(pending) <= 1:
             for inst, seed in pending:
-                outcome = sample_one(inst, seed)
-                outcomes[inst.id] = outcome
-                completed[inst.id] = outcome.diff
-                if journal:
-                    journal.append(outcome.diff)
+                record(inst, sample_one(inst, seed))
         else:
             # journal rows land as instances complete, so an interrupt
             # loses at most the in-flight instances
@@ -272,15 +275,15 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                            for inst, seed in pending}
                 try:
                     for fut in as_completed(futures):
-                        outcome = fut.result()
-                        inst = futures[fut]
-                        outcomes[inst.id] = outcome
-                        completed[inst.id] = outcome.diff
-                        if journal:
-                            journal.append(outcome.diff)
+                        record(futures[fut], fut.result())
                 except BaseException:
-                    for fut in futures:
-                        fut.cancel()
+                    # drop the queued instances, wait for the running ones
+                    # and keep every result they return
+                    pool.shutdown(cancel_futures=True)
+                    for fut, inst in futures.items():
+                        if (inst.id not in completed and not fut.cancelled()
+                                and fut.exception() is None):
+                            record(inst, fut.result())
                     raise
     except Exception as exc:
         raise ExperimentAbortedError(

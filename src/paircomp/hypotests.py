@@ -74,6 +74,22 @@ def _as_array(phis, min_len: int, who: str) -> np.ndarray:
     return arr
 
 
+def _nonzero_differences(arr: np.ndarray, mu0: float,
+                         statistic: str) -> tuple[np.ndarray, list[str]]:
+    """The differences from ``mu0`` without exact zeros, and a warning if any went."""
+    d = arr - mu0
+    n_zero = int((d == 0.0).sum())
+    warnings: list[str] = []
+    if n_zero:
+        warnings.append(f"dropped {n_zero} difference(s) exactly equal to the "
+                        f"null value {mu0:g}")
+        d = d[d != 0.0]
+    if d.size == 0:
+        raise DegenerateDataError(f"all differences equal the null value; the "
+                                  f"{statistic} statistic is undefined")
+    return d, warnings
+
+
 def paired_t_test(phis, mu0: float, alpha: float,
                   alternative: Alternative) -> TestReport:
     """t statistic (mean - mu0) / (sd / sqrt(N)) with N-1 degrees of freedom."""
@@ -147,23 +163,14 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
     """
     arr = _as_array(phis, 2, "wilcoxon_signed_rank")
     alternative = Alternative(alternative)
-    warnings: list[str] = []
-    d = arr - mu0
-    n_zero = int((d == 0.0).sum())
-    if n_zero:
-        warnings.append(f"dropped {n_zero} difference(s) exactly equal to the "
-                        f"null value {mu0:g}")
-        d = d[d != 0.0]
-    if d.size == 0:
-        raise DegenerateDataError("all differences equal the null value; the "
-                                  "signed-rank statistic is undefined")
+    d, warnings = _nonzero_differences(arr, mu0, "signed-rank")
     n = d.size
     ranks = rankdata(np.abs(d))
     w = float(ranks[d > 0].sum())
     _, tie_counts = np.unique(np.abs(d), return_counts=True)
     has_ties = bool((tie_counts > 1).any())
     if exact is None:
-        exact = n <= 25 and not has_ties and n_zero == 0
+        exact = n <= 25 and not has_ties and n == arr.size
     if exact and has_ties:
         raise ValueError("an exact signed-rank p-value is not available with "
                          "tied absolute differences")
@@ -172,21 +179,22 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
                          "beyond 62 values; use the normal approximation")
 
     mu_w = n * (n + 1) / 4.0
+    cum = None
     if exact:
-        counts = _signrank_counts(n)
+        # cum[w] = number of sign patterns with rank sum at most w
+        cum = np.cumsum(_signrank_counts(n))
         total = 1 << n
         wi = int(round(w))
-        lower = int(counts[:wi + 1].sum())
-        upper = int(counts[wi:].sum())
+        lower = int(cum[wi])
+        upper = total - (int(cum[wi - 1]) if wi else 0)
         if alternative is Alternative.TWO_SIDED:
             tail = upper if w > mu_w else lower
             p = min(1.0, 2.0 * tail / total)
         else:
             p = lower / total
     else:
+        # at least n(n+1)^2/16 > 0, reached when all |d| tie
         var_w = n * (n + 1) * (2 * n + 1) / 24.0 - float((tie_counts ** 3 - tie_counts).sum()) / 48.0
-        if var_w <= 0.0:
-            raise DegenerateDataError("signed-rank variance collapsed to zero")
         sd_w = math.sqrt(var_w)
         if alternative is Alternative.TWO_SIDED:
             cc = 0.5 * math.copysign(1.0, w - mu_w) if w != mu_w else 0.0
@@ -196,7 +204,7 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
             z = (w - mu_w + 0.5) / sd_w
             p = float(special.ndtr(z))
 
-    ci_ranks = _walsh_interval_ranks(arr.size, n, alpha, exact)
+    ci_ranks = _walsh_interval_ranks(arr.size, n, alpha, cum)
     estimate, ci = _walsh_stats(arr, ci_ranks)
     return TestReport(test_family=TestFamily.WILCOXON, statistic=w, df=None,
                       p_value=p, estimate=estimate, ci=ci, alpha=alpha,
@@ -205,13 +213,13 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
 
 
 def _walsh_interval_ranks(size: int, n: int, alpha: float,
-                          exact: bool) -> tuple[int, int]:
+                          cum: np.ndarray | None) -> tuple[int, int]:
     # order-statistic interval over the Walsh averages of ``size`` values,
-    # from the null distribution of n nonzero differences; conservative
+    # from the null distribution of n nonzero differences (exact when its
+    # cumulative counts ``cum`` are given); conservative
     m = size * (size + 1) // 2
-    if exact:
-        counts = _signrank_counts(n)
-        cdf = np.cumsum(counts) / float(1 << n)
+    if cum is not None:
+        cdf = cum / float(1 << n)
         # largest statistic value c with P(W+ <= c) <= alpha/2, or -1
         c = int(np.searchsorted(cdf, alpha / 2.0, side="right") - 1)
     else:
@@ -238,16 +246,7 @@ def sign_test(phis, mu0: float, alpha: float,
     """
     arr = _as_array(phis, 1, "sign_test")
     alternative = Alternative(alternative)
-    warnings: list[str] = []
-    d = arr - mu0
-    n_zero = int((d == 0.0).sum())
-    if n_zero:
-        warnings.append(f"dropped {n_zero} difference(s) exactly equal to the "
-                        f"null value {mu0:g}")
-        d = d[d != 0.0]
-    if d.size == 0:
-        raise DegenerateDataError("all differences equal the null value; the "
-                                  "sign statistic is undefined")
+    d, warnings = _nonzero_differences(arr, mu0, "sign")
     n = d.size
     k = int((d > 0.0).sum())
     lower = float(binom.cdf(k, n, 0.5))

@@ -77,15 +77,12 @@ def render_size_result(res: SampleSizeResult) -> str:
     ])
 
 
-def render_summary(report: TestReport, size_result: SampleSizeResult | None,
-                   pool_size: int | None) -> str:
+def render_summary(report: TestReport, size_result: SampleSizeResult,
+                   pool_size: int) -> str:
     """Deterministic human summary of an experiment's outcome."""
-    lines: list[str] = []
-    if size_result is not None:
-        lines.append(f"required instances (N*): {size_result.n_instances}")
-    if pool_size is not None:
-        lines.append(f"instance pool size: {pool_size}")
-    lines += [
+    lines = [
+        f"required instances (N*): {size_result.n_instances}",
+        f"instance pool size: {pool_size}",
         f"instances used: {report.n_instances_used}",
         f"test family: {report.test_family.value}",
         f"alternative: {report.alternative.value}",

@@ -108,10 +108,8 @@ class Runner:
             value = _run_synthetic(spec, instance, seed, lognormal=False)
         elif spec.kind is AlgorithmKind.SYNTHETIC_LOGNORMAL:
             value = _run_synthetic(spec, instance, seed, lognormal=True)
-        elif spec.kind is AlgorithmKind.DEMO_SANN_TSP:
+        else:  # AlgorithmKind.DEMO_SANN_TSP
             value = _run_sann_tsp(spec, instance, seed)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown algorithm kind {spec.kind!r}")
         if not math.isfinite(value):
             raise RunnerError(f"run produced a non-finite value {value!r}",
                               alias=spec.alias, instance_id=instance.id, seed=seed)

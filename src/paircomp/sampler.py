@@ -129,10 +129,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
         s1, s2 = samples
         if cfg.diff_kind is DiffKind.SIMPLE:
             return optimal_ratio_simple(s1, s2)
-        try:
-            return optimal_ratio_percent(s1, s2)
-        except DegenerateRatioError:
-            return optimal_ratio_simple(s1, s2)
+        return optimal_ratio_percent(s1, s2)
 
     for _ in range(cfg.n0):
         do_run(0)

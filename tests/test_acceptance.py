@@ -170,7 +170,7 @@ def test_criterion_6_monte_carlo_calibration(capsys):
     delta = d_star * sigma_total
     design = ComparisonDesign(alpha=alpha, power_target=0.80, mres_d=d_star)
     n_star = calc_instances(design).n_instances
-    target_power = calc_power(n_star, d_star, design)
+    target_power = calc_power(n_star, d_star, alpha, design.alternative)
     sampling = SamplingConfig(se_max=0.45, n0=n0, n_max=4 * n0,
                               bootstrap=BootstrapConfig(resamples=100, rng_seed=0))
 

@@ -1,6 +1,8 @@
 import csv
 import json
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -141,6 +143,56 @@ class TestPowerCommand:
                              "--d-range", "0.1:0.3", "--alpha", "0.05")
         assert code == 2
 
+    def test_zero_effect_gives_alpha(self, capsys):
+        code, out, err = run_cli(capsys, "power", "--n", "100", "--d", "0",
+                                 "--alpha", "0.05")
+        assert code == 0, err
+        assert out.splitlines() == ["power: 0.05"]
+
+    def test_single_power_machine_record(self, capsys, tmp_path):
+        out_file = tmp_path / "sub" / "power.json"
+        code, _, _ = run_cli(capsys, "power", "--n", "100", "--d", "0.25",
+                             "--alpha", "0.01", "--alternative", "one-sided",
+                             "--out", str(out_file))
+        assert code == 0
+        doc = json.loads(out_file.read_text())
+        assert doc["n"] == 100 and doc["d"] == 0.25
+        assert doc["power"] == pytest.approx(0.5554571, abs=1e-7)
+
+    def test_range_without_colon_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "power", "--n", "100", "--d-range", "0.1",
+                               "--alpha", "0.05")
+        assert code == 2
+        assert "--d-range must look like LO:HI, got '0.1'" in err
+
+    def test_non_numeric_highlights_is_usage_error(self, capsys):
+        code, _, err = run_cli(capsys, "power", "--n", "100",
+                               "--d-range", "0.1:0.5", "--highlights", "a,b",
+                               "--alpha", "0.05")
+        assert code == 2
+        assert "--highlights must be comma-separated numbers, got 'a,b'" in err
+
+    def test_curve_goes_to_stdout_without_curve_out(self, capsys):
+        code, out, _ = run_cli(capsys, "power", "--n", "40",
+                               "--d-range", "0.1:0.5", "--points", "5",
+                               "--alpha", "0.05")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "curve points: 5"
+        ds, powers = zip(*(map(float, line.split(",")) for line in lines[1:]))
+        assert ds == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
+        assert list(powers) == sorted(powers)
+
+    def test_unreached_level_is_reported(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "power", "--n", "20",
+                               "--d-range", "0.05:0.2", "--points", "10",
+                               "--highlights", "0.1,0.99", "--alpha", "0.05",
+                               "--curve-out", str(tmp_path / "curve.csv"))
+        assert code == 0
+        assert "power 0.99 not reached on this range" in out.splitlines()
+        assert any(line.startswith("power 0.1 reached at d = ")
+                   for line in out.splitlines())
+
 
 class TestRepsCommand:
     def test_generous_budget_stops_at_n0(self, capsys, tmp_path):
@@ -211,6 +263,39 @@ master_seed: 4
                                "--instance", unused, "--seed", "5")
         assert code == 0
         assert f"instance: {unused}" in out
+
+    def test_prints_the_bootstrap_fallback_note(self, capsys, tmp_path):
+        # the first solver alternates 4 and 6, the second prints 5: after
+        # n0 = 2 runs each the mean gap is exactly zero, so the percent SE
+        # falls back to the bootstrap
+        solver = tmp_path / "alternating.py"
+        solver.write_text(textwrap.dedent("""\
+            import sys
+            from pathlib import Path
+            counter = Path(sys.argv[1])
+            k = int(counter.read_text()) if counter.exists() else 0
+            counter.write_text(str(k + 1))
+            print(4.0 + 2.0 * (k % 2))
+            """))
+        python = json.dumps(sys.executable)
+        args = json.dumps([str(solver), str(tmp_path / "count")])
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5}}
+sampling: {{se_max: 10.0, n0: 2, n_max: 8, diff: percent}}
+algorithms:
+  - {{alias: alt, kind: subprocess, params: {{executable: {python}, args: {args}}}}}
+  - {{alias: five, kind: synthetic_normal, params: {{mu: 5.0, sigma: 0.0}}}}
+instances:
+  inline: [{{id: only}}]
+master_seed: 3
+""")
+        code, out, err = run_cli(capsys, "reps", "--config", str(cfg),
+                                 "--instance", "only")
+        assert code == 0, err
+        lines = out.splitlines()
+        assert "phi: 0" in lines and "se method: bootstrap" in lines
+        assert ("note: parametric percent SE degenerate at n1=2, n2=2; "
+                "switched to bootstrap SE") in lines
 
     def test_annealing_demo_meets_budget_or_flags(self, capsys, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -413,8 +498,10 @@ output_dir: out
         (3, lambda row: {**row, "diff_kind": "ratio"}),
         (3, lambda row: {**row, "budget_exhausted": "false"}),
         (3, lambda row: {**row, "n1": 3.9}),
+        (3, lambda row: {**row, "se": -1.0}),
     ], ids=["missing-field", "row-not-object", "header-not-object",
-            "bad-number", "bad-enum", "flag-not-bool", "count-not-int"])
+            "bad-number", "bad-enum", "flag-not-bool", "count-not-int",
+            "negative-se"])
     def test_resume_refuses_malformed_journal_record(self, capsys, tmp_path, line, edit):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
         assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
@@ -425,6 +512,66 @@ output_dir: out
         code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
         assert code == 2
         assert f"checkpoint.jsonl: line {line} is not a valid record" in err
+
+    def test_one_instance_run_is_refused_before_any_run(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, REPLAY_CONFIG.replace(
+            "[{id: a}, {id: b}, {id: c}, {id: d}]", "[{id: a}]"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert "at least 2 instances" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sign_test_run(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("test: t_test",
+                                                              "test: sign"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0, err
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        with (out / "results.csv").open() as fh:
+            phis = [float(row["phi"]) for row in csv.DictReader(fh)]
+        assert report["test_family"] == "sign"
+        assert report["n_instances_used"] == len(phis) == 50  # the whole pool
+        assert report["statistic"] == sum(phi > 0 for phi in phis)
+        assert "test family: sign" in (out / "summary.txt").read_text()
+
+    def test_one_sided_summary_states_the_upper_bound(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("two_sided",
+                                                              "one_sided"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 0, err
+        out = tmp_path / "out"
+        bound = json.loads((out / "report.json").read_text())["one_sided_bound"]
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert f"one-sided upper bound (0.95): {fmt(bound)}" in summary
+
+    def test_non_finite_solver_value_exit_code(self, capsys, tmp_path):
+        solver = tmp_path / "nan_solver.py"
+        solver.write_text("print('nan')\n")
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5}}
+sampling: {{se_max: 0.5, n0: 3, n_max: 10}}
+algorithms:
+  - {{alias: nan, kind: subprocess,
+      params: {{executable: {json.dumps(sys.executable)}, args: [{json.dumps(str(solver))}]}}}}
+  - {{alias: fine, kind: synthetic_normal, params: {{mu: 0.0, sigma: 1.0}}}}
+instances:
+  inline: [{{id: x1}}, {{id: x2}}]
+master_seed: 7
+output_dir: out
+""")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 3
+        assert "non-finite value" in err and "algorithm=nan" in err
+
+    def test_resume_refuses_journal_without_header(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        journal.write_text("".join(journal.read_text().splitlines(keepends=True)[1:]))
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert "has no header line" in err
 
     def test_missing_output_dir_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("output_dir: out\n", ""))

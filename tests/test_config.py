@@ -66,7 +66,7 @@ def _cases():
 
 def _write(tmp_path, doc):
     path = tmp_path / "config.yaml"
-    path.write_text(yaml.safe_dump(doc))
+    path.write_text(doc if isinstance(doc, str) else yaml.safe_dump(doc))
     return path
 
 
@@ -87,6 +87,53 @@ def test_wrong_type_exits_two_naming_the_key(capsys, tmp_path, section, key, val
     err = capsys.readouterr().err
     assert code == 2
     assert f"{where}.{key} must be" in err
+    assert not (tmp_path / "out").exists()
+
+
+REFUSED = {
+    "not-yaml": ("design: [\n", "is not valid YAML"),
+    "not-a-mapping": ("- design\n", "config must be a mapping, got list"),
+    "no-master-seed": ({k: v for k, v in INLINE.items() if k != "master_seed"},
+                       "missing required key 'master_seed' in config"),
+    "zero-workers": (dict(INLINE, workers=0), "config: workers must be at least 1"),
+    "infinite-mu0": (_with(INLINE, ("design",), "mu0", float("inf")),
+                     "design: mu0 must be finite"),
+    "zero-timeout": (_with(INLINE, ("algorithms", 1), "timeout", 0),
+                     "algorithms[1]: timeout must be a positive finite number"),
+    "instance-not-a-mapping": (dict(INLINE, instances={"inline": ["a"]}),
+                               "instances.inline[0] must be a mapping"),
+    "empty-manifest": (dict(INLINE, instances={"manifest": "pool.yaml"}),
+                       "the 'instances' list is empty"),
+    "negative-spread": (_with(POOL, ("instances", "synthetic_pool"), "sigma_phi", -1.0),
+                        "instances.synthetic_pool: spread parameters must be nonnegative"),
+    "same-aliases": (_with(POOL, ("instances", "synthetic_pool"), "aliases", ["x", "x"]),
+                     "instances.synthetic_pool: aliases must be distinct"),
+    "no-instance-form": (dict(INLINE, instances={}),
+                         "instances: give exactly one of"),
+    "two-instance-forms": (_with(INLINE, ("instances",), "manifest", "pool.yaml"),
+                           "instances: give exactly one of"),
+    "empty-inline": (dict(INLINE, instances={"inline": []}),
+                     "instances.inline is empty"),
+    "one-alias": (_with(POOL, ("instances", "synthetic_pool"), "aliases", ["x"]),
+                  "instances.synthetic_pool.aliases must be two"),
+    "alias-not-a-string": (_with(POOL, ("instances", "synthetic_pool"),
+                                 "aliases", ["x", 2]),
+                           "instances.synthetic_pool.aliases must be two"),
+    "one-algorithm": (dict(INLINE, algorithms=INLINE["algorithms"][:1]),
+                      "config.algorithms must list exactly two"),
+    # bootstrap seeds derive from each instance's seed, so a fixed one is refused
+    "bootstrap-rng-seed": (_with(INLINE, ("sampling", "bootstrap"), "rng_seed", 5),
+                           "unknown key(s) ['rng_seed'] in sampling.bootstrap"),
+}
+
+
+@pytest.mark.parametrize("doc, message", REFUSED.values(), ids=list(REFUSED))
+def test_refused_before_a_run(capsys, tmp_path, doc, message):
+    (tmp_path / "pool.yaml").write_text("instances: []\n")
+    cfg = _write(tmp_path, doc)
+    code = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -119,6 +166,7 @@ def test_output_dir_is_relative_to_the_config(tmp_path):
     ({"delta": 0.1}, "'delta' requires 'sigma_bound'"),
     ({}, "an effect size is required"),
     ({"d": 0.0}, "mres_d must be a positive finite real"),
+    ({"delta": 0.0, "sigma_bound": 1.0}, "delta must be nonzero"),
 ])
 def test_effect_size_rule(capsys, tmp_path, design, message):
     doc = dict(INLINE, design={"alpha": 0.05, "power": 0.8, **design})

@@ -22,33 +22,39 @@ def design(alpha=0.05, power=0.85, d=0.5, alternative=Alternative.TWO_SIDED,
 
 class TestCalcPower:
     def test_reference_one_sided_value(self):
-        d = design(alpha=0.01, alternative=Alternative.ONE_SIDED)
-        assert calc_power(100, 0.25, d) == pytest.approx(0.5554571, abs=1e-6)
+        assert calc_power(100, 0.25, 0.01, Alternative.ONE_SIDED) == \
+            pytest.approx(0.5554571, abs=1e-6)
 
     def test_null_effect_gives_alpha(self):
-        d = design(alpha=0.01, alternative=Alternative.ONE_SIDED)
-        assert calc_power(100, 0.0, d) == pytest.approx(0.01, abs=1e-6)
-        d2 = design(alpha=0.05)
-        assert calc_power(50, 0.0, d2) == pytest.approx(0.05, abs=1e-6)
+        assert calc_power(100, 0.0, 0.01, Alternative.ONE_SIDED) == \
+            pytest.approx(0.01, abs=1e-6)
+        assert calc_power(50, 0.0, 0.05, Alternative.TWO_SIDED) == \
+            pytest.approx(0.05, abs=1e-6)
 
     def test_thirty_four_instances_reach_eighty_percent(self):
-        assert calc_power(34, 0.5, design(alpha=0.05)) >= 0.80
+        assert calc_power(34, 0.5, 0.05, Alternative.TWO_SIDED) >= 0.80
 
     def test_too_few_instances_rejected(self):
         with pytest.raises(ValueError):
-            calc_power(1, 0.5, design())
+            calc_power(1, 0.5, 0.05, Alternative.TWO_SIDED)
 
     def test_negative_effect_rejected(self):
         with pytest.raises(ValueError):
-            calc_power(10, -0.5, design())
+            calc_power(10, -0.5, 0.05, Alternative.TWO_SIDED)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            calc_power(10, 0.5, alpha, Alternative.TWO_SIDED)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 400), d=st.floats(0.05, 1.5))
     def test_increasing_in_n_and_d(self, n, d):
         # strict growth until the power saturates in double precision
-        des = design()
-        base = calc_power(n, d, des)
-        for other in (calc_power(n + 1, d, des), calc_power(n, d + 0.05, des)):
+        two = Alternative.TWO_SIDED
+        base = calc_power(n, d, 0.05, two)
+        for other in (calc_power(n + 1, d, 0.05, two),
+                      calc_power(n, d + 0.05, 0.05, two)):
             if base < 1.0 - 1e-12:
                 assert other > base
             else:
@@ -67,7 +73,8 @@ class TestCalcPower:
             t0 = x.mean(axis=1) / (x.std(axis=1, ddof=1) / math.sqrt(n))
             return float((np.abs(t0) >= crit).mean())
 
-        assert abs(rejection_rate(0.5) - calc_power(n, 0.5, des)) < 0.03
+        assert abs(rejection_rate(0.5) -
+                   calc_power(n, 0.5, des.alpha, des.alternative)) < 0.03
         assert abs(rejection_rate(0.0) - des.alpha) < 0.015
 
 
@@ -93,9 +100,9 @@ class TestCalcInstances:
     def test_minimality(self, alpha, power, d):
         des = design(alpha=alpha, power=power, d=d)
         n = calc_instances(des).n_instances
-        assert calc_power(n, d, des) >= power
+        assert calc_power(n, d, alpha, des.alternative) >= power
         if n > 2:
-            assert calc_power(n - 1, d, des) < power
+            assert calc_power(n - 1, d, alpha, des.alternative) < power
 
     @pytest.mark.parametrize("alpha", [0.01, 0.05])
     @pytest.mark.parametrize("power", [0.8, 0.85])
@@ -147,9 +154,8 @@ class TestPowerCurve:
         (20, 0.05, Alternative.ONE_SIDED), (100, 0.05, Alternative.TWO_SIDED),
         (1000, 0.01, Alternative.ONE_SIDED), (1000, 0.05, Alternative.TWO_SIDED)])
     def test_equals_calc_power_pointwise(self, n, alpha, alternative):
-        des = design(alpha=alpha, alternative=alternative)
         curve = power_curve(n, alpha, alternative, (0.05, 1.5), 60)
-        assert all(pw == calc_power(n, d, des) for d, pw in curve)
+        assert all(pw == calc_power(n, d, alpha, alternative) for d, pw in curve)
 
     def test_shape_and_monotonicity(self):
         curve = power_curve(40, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), 50)

@@ -178,6 +178,10 @@ class TestOptimalRatios:
     def test_simple_both_zero_is_one(self):
         assert optimal_ratio_simple(stats_stub(0, 0, 5), stats_stub(0, 0, 5)) == 1.0
 
+    def test_percent_zero_second_spread_sentinels(self):
+        assert optimal_ratio_percent(stats_stub(10, 1, 5), stats_stub(12, 0, 5)) == math.inf
+        assert optimal_ratio_percent(stats_stub(10, 0, 5), stats_stub(12, 0, 5)) == 1.0
+
     def test_percent_no_gap_reduces_to_spread_ratio(self):
         assert optimal_ratio_percent(stats_stub(10, 1, 5), stats_stub(10, 1, 5)) == pytest.approx(1.0)
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -55,7 +56,7 @@ class TestInstanceSelection:
         assert report.n_instances_used == 20
         joined = "\n".join(report.warnings)
         assert "20" in joined and "38" in joined
-        achievable = calc_power(20, 0.5, plan.design)
+        achievable = calc_power(20, 0.5, plan.design.alpha, plan.design.alternative)
         assert f"{achievable:.6g}" in joined
 
     def test_use_all_instances(self):
@@ -229,6 +230,32 @@ class TestCheckpointing:
         report, _ = run_experiment(plan, checkpoint_path=chk, resume=True)
         assert report.n_instances_used == 10
         assert len(calls) == 10 - journaled  # only the missing ones re-ran
+
+    def test_threaded_abort_journals_what_the_pool_finishes(self, tmp_path, monkeypatch):
+        # instance 1 fails while instances 0, 2 and 3 are still running:
+        # each instance that returns must be journaled, so resume skips it
+        plan = make_plan(pool_size=10, use_all=True, workers=4)
+        target = plan.instance_pool[1].id
+        chk = tmp_path / "chk.jsonl"
+        real = experiment_module.calc_nreps
+        returned = []
+
+        def slow_or_failing(r1, r2, inst, cfg, seed):
+            if inst.id == target:
+                time.sleep(0.05)
+                raise RunnerError("injected failure", instance_id=inst.id)
+            time.sleep(0.3)
+            outcome = real(r1, r2, inst, cfg, seed)
+            returned.append(inst.id)
+            return outcome
+
+        monkeypatch.setattr(experiment_module, "calc_nreps", slow_or_failing)
+        with pytest.raises(ExperimentAbortedError) as err:
+            run_experiment(plan, checkpoint_path=chk)
+        rows = [json.loads(ln) for ln in chk.read_text().splitlines()[1:]]
+        assert returned
+        assert sorted(row["instance_id"] for row in rows) == sorted(returned)
+        assert err.value.completed == len(returned)
 
     def test_resume_rejects_other_configuration(self, tmp_path):
         chk = tmp_path / "chk.jsonl"

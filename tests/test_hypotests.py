@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from paircomp.design import Alternative
 from paircomp.distributions import t_quantile
@@ -125,6 +126,30 @@ class TestWilcoxon:
         exact = wilcoxon_signed_rank(values, 0.0, 0.05, TWO, exact=True)
         approx = wilcoxon_signed_rank(values, 0.0, 0.05, TWO, exact=False)
         assert abs(exact.p_value - approx.p_value) < 0.02
+
+    @pytest.mark.parametrize("alternative, scipy_alternative",
+                             [(TWO, "two-sided"), (ONE, "less")])
+    def test_normal_approximation_matches_scipy(self, alternative, scipy_alternative):
+        # tied samples (values rounded to 0.1, zeros included) beyond the
+        # exact range take the tie- and continuity-corrected approximation
+        rng = np.random.default_rng(2718)
+        for _ in range(150):
+            n = int(rng.integers(26, 401))
+            values = np.round(rng.normal(0.05, 1.0, n), 1)
+            rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05,
+                                       alternative=alternative)
+            ref = stats.wilcoxon(values, alternative=scipy_alternative,
+                                 method="approx", correction=True)
+            assert rep.p_value == pytest.approx(ref.pvalue, rel=1e-12), n
+
+    @pytest.mark.parametrize("values, exact, message", [
+        ([1.0, 2.0, math.nan], None, "requires finite values"),
+        ([1.0, -1.0, 2.0, 3.0], True, "not available with tied"),
+        (list(np.arange(1.0, 64.0)), True, "overflow 64-bit integers"),
+    ], ids=["not-finite", "exact-with-ties", "exact-beyond-62"])
+    def test_unusable_input_rejected(self, values, exact, message):
+        with pytest.raises(ValueError, match=message):
+            wilcoxon_signed_rank(values, 0.0, 0.05, TWO, exact=exact)
 
     def test_ties_use_average_ranks_and_approximation(self):
         values = [1.0, -1.0, 2.0, 2.0, 3.0, -2.0, 4.0, 5.0]

@@ -1,4 +1,5 @@
 import math
+import shlex
 import sys
 import textwrap
 import time
@@ -131,6 +132,17 @@ class TestSubprocessRunner:
                                   "args": [str(probe), "{instance}"]})
         assert Runner(s).run(InstanceRef(id="x", payload={"path": "abcdef"}), 1) == 6.0
 
+    def test_args_string_is_split_like_a_shell(self, echo_stub, tmp_path):
+        probe = tmp_path / "probe.py"
+        probe.write_text("import sys; print(len(sys.argv[1]))")
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": sys.executable,
+                                  "args": f"{shlex.quote(str(probe))} 'a b {{seed}}'"})
+        assert Runner(s).run(InstanceRef(id="x"), 123) == 7.0  # 'a b 123'
+        s = self.sub_spec(echo_stub, params={
+            "args": f"{shlex.quote(str(echo_stub))} {{instance}} {{seed}}"})
+        assert Runner(s).run(InstanceRef(id="case7"), 816) == 816 * 0.125 + 3.0
+
     def test_nonzero_exit_raises(self, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text("import sys; print('partial'); sys.exit(3)")
@@ -186,6 +198,11 @@ class TestSubprocessRunner:
         time.sleep(3.0)
         assert not marker.exists()
 
+    def test_no_executable_parameter_is_config_error(self):
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS, params={})
+        with pytest.raises(ConfigError, match="needs an 'executable' parameter"):
+            Runner(s).run(InstanceRef(id="i"), 1)
+
     def test_missing_executable_raises(self):
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": "/nonexistent/solver"})
@@ -228,6 +245,17 @@ class TestAnnealingDemoRunner:
         s = spec(AlgorithmKind.DEMO_SANN_TSP)
         with pytest.raises(ConfigError):
             Runner(s).run(InstanceRef(id="nothing"), 0)
+
+    @pytest.mark.parametrize("payload, params, message", [
+        ({"distance_matrix": [[0, 1], [1, 0]]}, {}, "invalid distance matrix"),
+        ({"cities": 3}, {}, "at least 4 cities"),
+        ({"cities": 5}, {"temp": 0.0}, "temp > 0 and budget >= 1"),
+        ({"cities": 5}, {"budget": 0}, "temp > 0 and budget >= 1"),
+    ], ids=["two-by-two-matrix", "three-cities", "zero-temp", "zero-budget"])
+    def test_invalid_instance_or_params_rejected(self, payload, params, message):
+        s = spec(AlgorithmKind.DEMO_SANN_TSP, **params)
+        with pytest.raises((ConfigError, ValueError), match=message):
+            Runner(s).run(InstanceRef(id="bad", payload=payload), 0)
 
 
 class TestSpecValidation:
