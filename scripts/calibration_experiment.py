@@ -14,9 +14,9 @@ import argparse
 import math
 import time
 
-from paircomp import (BootstrapConfig, ComparisonDesign, ExperimentPlan,
-                      SamplingConfig, build_synthetic_pool, calc_instances,
-                      calc_power, run_experiment)
+from paircomp import (ComparisonDesign, ExperimentPlan, SamplingConfig,
+                      build_synthetic_pool, calc_instances, calc_power,
+                      run_experiment)
 
 
 def rejection_rate(n_star, design, sampling, *, delta, sigma_phi, noise_sd,
@@ -58,7 +58,7 @@ def main() -> None:
     design = ComparisonDesign(alpha=args.alpha, power_target=args.power,
                               mres_d=args.d)
     sampling = SamplingConfig(se_max=0.45, n0=args.n0, n_max=4 * args.n0,
-                              bootstrap=BootstrapConfig(resamples=100))
+                              resamples=100)
     n_star = calc_instances(design).n_instances
     predicted = calc_power(n_star, args.d, args.alpha, design.alternative)
 

@@ -13,10 +13,9 @@ Example:
 import argparse
 from pathlib import Path
 
-from paircomp import (AlgorithmKind, AlgorithmSpec, BootstrapConfig,
-                      ComparisonDesign, DiffKind, ExperimentPlan,
-                      SamplingConfig, build_tsp_instance, calc_instances,
-                      run_experiment)
+from paircomp import (AlgorithmKind, AlgorithmSpec, ComparisonDesign,
+                      DiffKind, ExperimentPlan, SamplingConfig,
+                      build_tsp_instance, calc_instances, run_experiment)
 from paircomp.reporting import (render_summary, write_qq_points,
                                 write_results_table)
 
@@ -47,8 +46,7 @@ def main() -> None:
     design = ComparisonDesign(alpha=0.05, power_target=args.power,
                               mres_d=args.d)
     sampling = SamplingConfig(se_max=args.se_max, n0=10, n_max=80,
-                              diff_kind=DiffKind.PERCENT,
-                              bootstrap=BootstrapConfig(resamples=999))
+                              diff_kind=DiffKind.PERCENT)
     plan = ExperimentPlan(design=design, sampling=sampling,
                           instance_pool=pool, algorithms=algorithms,
                           master_seed=args.seed)

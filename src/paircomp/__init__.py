@@ -13,11 +13,10 @@ from .distributions import noncentral_t_cdf, t_cdf, t_quantile
 from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
                      DegenerateRatioError, ExperimentAbortedError, PaircompError,
                      RunnerError)
-from .estimators import (BootstrapConfig, DiffKind, InstanceSample,
-                         PairedDifference, SEMethod, bootstrap_sdm,
-                         bootstrap_se, optimal_ratio_percent,
-                         optimal_ratio_simple, phi_percent, phi_simple,
-                         se_percent, se_simple)
+from .estimators import (DiffKind, InstanceSample, PairedDifference,
+                         SEMethod, bootstrap_sdm, bootstrap_se,
+                         optimal_ratio_percent, optimal_ratio_simple,
+                         phi_percent, phi_simple, se_percent, se_simple)
 from .experiment import ExperimentPlan, run_experiment
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, qq_normal, sign_test,
@@ -34,7 +33,7 @@ __all__ = [
     "validate_design",
     "t_cdf", "t_quantile", "noncentral_t_cdf",
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
-    "BootstrapConfig", "phi_simple", "phi_percent",
+    "phi_simple", "phi_percent",
     "se_simple", "se_percent",
     "optimal_ratio_simple", "optimal_ratio_percent", "bootstrap_se",
     "bootstrap_sdm", "SamplingConfig", "SamplingOutcome", "calc_nreps",

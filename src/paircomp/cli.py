@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ALT_NAMES, TEST_NAMES, load_config, parse_design
@@ -81,12 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True, help="number of instances")
     p.add_argument("--d", type=float, help="single effect size")
     p.add_argument("--d-range", help="curve range as LO:HI")
-    p.add_argument("--points", type=int, default=300, help="curve points")
-    p.add_argument("--highlights", help="comma-separated power levels to invert")
+    p.add_argument("--points", type=int,
+                   help="curve points, with --d-range (default 300)")
+    p.add_argument("--highlights", help="comma-separated power levels to "
+                                        "invert, with --d-range")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--alternative", choices=sorted(ALT_NAMES), default="two-sided")
-    p.add_argument("--curve-out", type=Path, help="write curve records here")
-    p.add_argument("--out", type=Path, help="write a JSON record here")
+    p.add_argument("--curve-out", type=Path,
+                   help="write curve records here, with --d-range")
+    p.add_argument("--out", type=Path, help="write a JSON record here, with --d")
 
     p = sub.add_parser("reps", help="adaptively sample both algorithms on one instance")
     p.add_argument("--config", type=Path, required=True)
@@ -127,7 +129,13 @@ def _cmd_power(args) -> int:
     alternative = ALT_NAMES[args.alternative]
     if (args.d is None) == (args.d_range is None):
         raise ConfigError("give exactly one of --d or --d-range")
-    if args.d is not None:
+    single = args.d is not None
+    stray = [name for name in (("points", "highlights", "curve_out") if single
+                               else ("out",)) if getattr(args, name) is not None]
+    if stray:
+        raise ConfigError(f"--{stray[0].replace('_', '-')} goes with "
+                          f"{'--d-range' if single else '--d'} only")
+    if single:
         power = calc_power(args.n, args.d, args.alpha, alternative)
         print(f"power: {power:.7g}")
         if args.out:
@@ -141,7 +149,8 @@ def _cmd_power(args) -> int:
         d_range = (float(lo_s), float(hi_s))
     except ValueError:
         raise ConfigError(f"--d-range must look like LO:HI, got {args.d_range!r}") from None
-    curve = power_curve(args.n, args.alpha, alternative, d_range, args.points)
+    points = 300 if args.points is None else args.points
+    curve = power_curve(args.n, args.alpha, alternative, d_range, points)
     print(f"curve points: {len(curve)}")
     if args.curve_out:
         write_power_curve(args.curve_out, curve)
@@ -177,14 +186,12 @@ def _load_plan(config: Path, seed: int | None = None,
                workers: int | None = None) -> tuple[ExperimentPlan, Path | None]:
     """A config's plan and output directory; the master seed and the worker
     count come from the flags, else from the environment, else the config."""
-    plan, out_dir = load_config(config)
-    seed = _env_int("PAIRCOMP_SEED") if seed is None else seed
-    workers = _env_int("PAIRCOMP_WORKERS") if workers is None else workers
-    if workers is not None:
-        plan = replace(plan, workers=workers)
-    if seed is not None:
-        plan = replace(plan, master_seed=seed)
-    return plan, out_dir
+    overrides = {
+        "master_seed": _env_int("PAIRCOMP_SEED") if seed is None else seed,
+        "workers": _env_int("PAIRCOMP_WORKERS") if workers is None else workers,
+    }
+    return load_config(config, {key: value for key, value in overrides.items()
+                                 if value is not None})
 
 
 def _cmd_reps(args) -> int:

@@ -19,7 +19,6 @@ runs.  A full document looks like::
       se_method: parametric  # parametric | bootstrap
       bootstrap: {resamples: 999}  # its seeds derive from each instance's seed
       force_balance: false
-      batch: 1
     algorithms:              # omitted when instances.synthetic_pool is used
       - alias: algo1
         kind: synthetic_normal
@@ -55,7 +54,7 @@ import yaml
 
 from .design import Alternative, ComparisonDesign, TestFamily
 from .errors import ConfigError
-from .estimators import BootstrapConfig, DiffKind, SEMethod
+from .estimators import DiffKind, SEMethod
 from .experiment import ExperimentPlan
 from .runners import AlgorithmKind, AlgorithmSpec, InstanceRef, build_synthetic_pool
 from .sampler import SamplingConfig
@@ -90,7 +89,7 @@ SAMPLING = {
     "diff": ("diff_kind", _values(DiffKind)),
     "se_method": ("se_method", _values(SEMethod)),
     "bootstrap": ("bootstrap", dict),
-    "force_balance": ("force_balance", bool), "batch": ("batch", int),
+    "force_balance": ("force_balance", bool),
 }
 BOOTSTRAP = {"resamples": ("resamples", int)}
 ALGORITHM = {
@@ -182,9 +181,7 @@ def parse_design(node) -> ComparisonDesign:
 def _parse_sampling(node) -> SamplingConfig:
     kwargs = _read(node, SAMPLING, "sampling", required=("se_max",))
     if "bootstrap" in kwargs:
-        where = "sampling.bootstrap"
-        kwargs["bootstrap"] = _call(
-            BootstrapConfig, _read(kwargs["bootstrap"], BOOTSTRAP, where), where)
+        kwargs.update(_read(kwargs.pop("bootstrap"), BOOTSTRAP, "sampling.bootstrap"))
     return _call(SamplingConfig, kwargs, "sampling")
 
 
@@ -243,14 +240,21 @@ def _parse_instances(node, master_seed: int, base_dir: Path):
     return _call(build_synthetic_pool, kwargs, where)
 
 
-def load_config(path: str | Path) -> tuple[ExperimentPlan, Path | None]:
+def load_config(path: str | Path,
+                overrides: dict | None = None) -> tuple[ExperimentPlan, Path | None]:
     """Parse and validate an experiment configuration file.
 
-    Returns the plan and the output directory, resolved against the
-    file's directory, or None when the file names none.
+    ``overrides`` maps top-level keys to values that replace the file's
+    before anything is read, and are checked as the file's would be; so
+    an overridden ``master_seed`` also seeds a synthetic pool.  Returns
+    the plan and the output directory, resolved against the file's
+    directory, or None when the file names none.
     """
     path = Path(path)
-    kwargs = _read(_load_yaml(path, "config file"), TOP, "config",
+    doc = _load_yaml(path, "config file")
+    if overrides and isinstance(doc, dict):
+        doc = {**doc, **overrides}
+    kwargs = _read(doc, TOP, "config",
                    required=("design", "sampling", "instances", "master_seed"))
     output_dir = kwargs.pop("output_dir", None)
     algorithms = kwargs.pop("algorithms", None)

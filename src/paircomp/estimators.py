@@ -11,14 +11,14 @@ Two difference kinds are supported for a pair of observation samples
   gap = mean(x2) - mean(x1)
 
 The total-run-minimizing allocation keeps n1/n2 at s1/s2 (simple) or
-sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A seeded bootstrap
-provides a nonparametric alternative for the standard errors and,
-separately, a resampled sampling-distribution-of-the-mean for normality
-diagnostics.  The bootstrap SE memoises its first side: the resampled
-baseline means depend only on the seed, the resample count and the
-baseline observations, so an allocation step that adds a run to the
-second algorithm reuses them.  Results are bit-identical to drawing them
-afresh.
+sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A bootstrap of
+``resamples`` draws under an integer ``seed`` provides a nonparametric
+alternative for the standard errors and, separately, a resampled
+sampling-distribution-of-the-mean for normality diagnostics.  The
+bootstrap SE memoises its first side: the resampled baseline means
+depend only on ``seed``, ``resamples`` and the baseline observations, so
+an allocation step that adds a run to the second algorithm reuses them.
+Results are bit-identical to drawing them afresh.
 
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
@@ -38,7 +38,7 @@ from .seeding import make_generator
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
-    "BootstrapConfig", "phi_simple", "phi_percent",
+    "phi_simple", "phi_percent",
     "se_simple", "se_percent", "optimal_ratio_simple", "optimal_ratio_percent",
     "bootstrap_se", "bootstrap_sdm",
 ]
@@ -88,17 +88,6 @@ class InstanceSample:
     @property
     def sd(self) -> float:
         return math.sqrt(self.variance)
-
-
-@dataclass(frozen=True)
-class BootstrapConfig:
-    resamples: int = 999
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.resamples < 100:
-            raise ValueError(f"at least 100 bootstrap resamples are required, "
-                             f"got {self.resamples!r}")
 
 
 @dataclass
@@ -220,19 +209,19 @@ def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray,
     return m1, rng.bit_generator.state
 
 
-def bootstrap_se(s1, s2, diff_kind: DiffKind, cfg: BootstrapConfig) -> float:
+def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> float:
     """Bootstrap standard error of the paired difference.
 
-    Draws ``cfg.resamples`` with-replacement resamples of each side (sizes
+    Draws ``resamples`` with-replacement resamples of each side (sizes
     n1, n2), computes the difference of the requested kind on each pair of
     resampled means, and returns the sample standard deviation of those
-    values.  Deterministic for a fixed ``cfg.rng_seed``.  Under the
-    percent kind, resamples with a nonpositive baseline mean are rejected
-    and redrawn; more than 100*R rejections abort.
+    values.  Deterministic for a fixed ``seed``.  Under the percent kind,
+    resamples with a nonpositive baseline mean are rejected and redrawn;
+    more than 100*R rejections abort.
 
     The first side's resampled means, and the generator state after them,
-    are memoised on ``(cfg.rng_seed, cfg.resamples, x1)`` with the exact
-    observation bytes in the key.  A call whose first side repeats draws
+    are memoised on ``(seed, resamples, x1)`` with the exact observation
+    bytes in the key.  A call whose first side repeats draws
     only the second side; the result is the same to the last bit.
     """
     _require_runs(s1, 2, "bootstrap_se")
@@ -240,9 +229,9 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, cfg: BootstrapConfig) -> float:
     diff_kind = DiffKind(diff_kind)
     x1 = np.asarray(s1.observations, dtype=float)
     x2 = np.asarray(s2.observations, dtype=float)
-    R = cfg.resamples
-    m1, state = _first_side(cfg.rng_seed, R, x1.tobytes())
-    rng = make_generator(cfg.rng_seed)
+    R = resamples
+    m1, state = _first_side(seed, R, x1.tobytes())
+    rng = make_generator(seed)
     rng.bit_generator.state = state
 
     m2 = _resample_means(rng, x2, R)
@@ -267,8 +256,8 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, cfg: BootstrapConfig) -> float:
     return float(np.std(phis, ddof=1))
 
 
-def bootstrap_sdm(sample, cfg: BootstrapConfig) -> np.ndarray:
-    """Resampled sampling distribution of the mean (length R).
+def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:
+    """Resampled sampling distribution of the mean (``resamples`` values).
 
     Feeds normality diagnostics: if the returned means look normal on a
     Q-Q plot, mean-based inference is on safe ground even when the data
@@ -277,5 +266,4 @@ def bootstrap_sdm(sample, cfg: BootstrapConfig) -> np.ndarray:
     values = np.asarray(getattr(sample, "observations", sample), dtype=float)
     if values.size < 2:
         raise ValueError(f"at least 2 observations are required, got {values.size}")
-    rng = make_generator(cfg.rng_seed)
-    return _resample_means(rng, values, cfg.resamples)
+    return _resample_means(make_generator(seed), values, resamples)

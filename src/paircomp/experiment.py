@@ -42,7 +42,7 @@ from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
 
 __all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
-_JOURNAL_VERSION = 1
+_JOURNAL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -72,13 +72,22 @@ class ExperimentPlan:
 
 
 def _plan_fingerprint(plan: ExperimentPlan) -> str:
+    # In: every input that decides which instances run, with which seeds,
+    # and what each journaled row holds.  The design sizes the selection
+    # and names the test; the sampling settings decide each row; an
+    # algorithm's alias, kind and params decide its runs; an instance's id
+    # and payload do too, in pool order, since selection draws positions;
+    # the master seed and use_all_instances fix selection and seeds.
+    # Out, since no row depends on them: timeout, concurrent_safe, the
+    # worker count, sigma_phi_bound (it only adds a warning) and the
+    # output directory.  So a resume may raise the timeout that stopped
+    # a run.
     payload = {
-        "design": {k: (v.value if hasattr(v, "value") else v)
-                   for k, v in asdict(plan.design).items()},
-        "sampling": {k: (v.value if hasattr(v, "value") else v)
-                     for k, v in asdict(plan.sampling).items()},
-        "algorithms": [asdict(a) for a in plan.algorithms],
-        "pool_ids": [i.id for i in plan.instance_pool],
+        "design": asdict(plan.design),
+        "sampling": asdict(plan.sampling),
+        "algorithms": [{"alias": a.alias, "kind": a.kind, "params": a.params}
+                       for a in plan.algorithms],
+        "pool": [{"id": i.id, "payload": i.payload} for i in plan.instance_pool],
         "master_seed": plan.master_seed,
         "use_all_instances": plan.use_all_instances,
     }
@@ -175,6 +184,11 @@ class _Journal:
         header = rows[0][1]
         if header.get("kind") != "header":
             raise ConfigError(f"checkpoint journal {self.path} has no header line")
+        if header.get("version") != _JOURNAL_VERSION:
+            raise ConfigError(
+                f"checkpoint journal {self.path} has version "
+                f"{header.get('version')!r}, and this paircomp resumes only "
+                f"version {_JOURNAL_VERSION}; start it again with 'run'")
         if header.get("fingerprint") != self.fingerprint:
             raise ConfigError(
                 f"checkpoint journal {self.path} belongs to a different "
@@ -301,6 +315,6 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     report.per_instance = diffs
     report.warnings = warnings + report.warnings
     diagnostics = build_diagnostics(
-        phis, resamples=plan.sampling.bootstrap.resamples,
+        phis, resamples=plan.sampling.resamples,
         seed=derive_seed(plan.master_seed, DIAGNOSTICS_STREAM))
     return report, diagnostics

@@ -26,7 +26,7 @@ from scipy.stats import binom, rankdata
 from .design import Alternative, TestFamily
 from .distributions import t_cdf, t_quantile
 from .errors import DegenerateDataError
-from .estimators import BootstrapConfig, PairedDifference, bootstrap_sdm
+from .estimators import PairedDifference, bootstrap_sdm
 
 __all__ = [
     "TestReport", "DiagnosticsBundle", "paired_t_test", "wilcoxon_signed_rank",
@@ -150,16 +150,14 @@ def _walsh_stats(arr: np.ndarray, ranks) -> tuple[float, tuple[float, ...]]:
 
 
 def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
-                         alternative: Alternative,
-                         exact: bool | None = None) -> TestReport:
+                         alternative: Alternative) -> TestReport:
     """Signed-rank test with average ranks for ties.
 
     The statistic is the positive-rank sum.  The p-value is exact (from
     the full null distribution of the rank sum) for samples of at most 25
     without ties or zeros; otherwise a normal approximation with
-    continuity and tie corrections is used.  ``exact`` forces one path.
-    The location estimate is the pseudo-median with an order-statistic
-    interval over the Walsh averages.
+    continuity and tie corrections is used.  The location estimate is the
+    pseudo-median with an order-statistic interval over the Walsh averages.
     """
     arr = _as_array(phis, 2, "wilcoxon_signed_rank")
     alternative = Alternative(alternative)
@@ -168,15 +166,7 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
     ranks = rankdata(np.abs(d))
     w = float(ranks[d > 0].sum())
     _, tie_counts = np.unique(np.abs(d), return_counts=True)
-    has_ties = bool((tie_counts > 1).any())
-    if exact is None:
-        exact = n <= 25 and not has_ties and n == arr.size
-    if exact and has_ties:
-        raise ValueError("an exact signed-rank p-value is not available with "
-                         "tied absolute differences")
-    if exact and n > 62:
-        raise ValueError("exact signed-rank counts overflow 64-bit integers "
-                         "beyond 62 values; use the normal approximation")
+    exact = n <= 25 and n == arr.size and bool((tie_counts == 1).all())
 
     mu_w = n * (n + 1) / 4.0
     cum = None
@@ -279,21 +269,18 @@ def _sign_interval(arr: np.ndarray, alpha: float) -> tuple[float, float]:
 # normality diagnostics
 
 
-def qq_normal(sample, standardize: bool = True) -> list[tuple[float, float]]:
+def qq_normal(sample) -> list[tuple[float, float]]:
     """Normal Q-Q points: (standard-normal quantile, ordered sample value).
 
-    With ``standardize`` the sample is centered and scaled by its own mean
-    and spread so deviations from the identity line are directly
-    interpretable; pass ``standardize=False`` to plot raw values.
+    The sample is first centered and scaled by its own mean and spread,
+    so deviations from the identity line are directly interpretable.
     """
     arr = _as_array(sample, 3, "qq_normal")
     n = arr.size
-    srt = np.sort(arr)
-    if standardize:
-        sd = float(arr.std(ddof=1))
-        if sd == 0.0:
-            raise DegenerateDataError("cannot standardize a zero-spread sample")
-        srt = (srt - float(arr.mean())) / sd
+    sd = float(arr.std(ddof=1))
+    if sd == 0.0:
+        raise DegenerateDataError("cannot standardize a zero-spread sample")
+    srt = (np.sort(arr) - float(arr.mean())) / sd
     theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
     return list(zip(theo.tolist(), srt.tolist()))
 
@@ -301,7 +288,7 @@ def qq_normal(sample, standardize: bool = True) -> list[tuple[float, float]]:
 def build_diagnostics(phis, resamples: int, seed: int) -> DiagnosticsBundle:
     """Q-Q points for the differences plus a bootstrap of their mean."""
     arr = _as_array(phis, 2, "build_diagnostics")
-    boot = bootstrap_sdm(arr, BootstrapConfig(resamples=resamples, rng_seed=seed))
+    boot = bootstrap_sdm(arr, resamples, seed)
     try:
         qq = qq_normal(arr) if arr.size >= 3 else []
     except DegenerateDataError:

@@ -67,7 +67,6 @@ class AlgorithmSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", AlgorithmKind(self.kind))
-        object.__setattr__(self, "timeout", float(self.timeout))
         if not self.alias:
             raise ValueError("algorithm alias must be nonempty")
         if not (self.timeout > 0 and math.isfinite(self.timeout)):

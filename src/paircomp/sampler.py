@@ -15,13 +15,13 @@ re-running an instance never changes earlier draws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import (AssumptionViolationError, DegenerateRatioError, RunnerError)
-from .estimators import (BootstrapConfig, DiffKind, InstanceSample,
-                         PairedDifference, SEMethod, bootstrap_se, phi_percent,
-                         phi_simple, optimal_ratio_percent,
-                         optimal_ratio_simple, se_percent, se_simple)
+from .estimators import (DiffKind, InstanceSample, PairedDifference, SEMethod,
+                         bootstrap_se, phi_percent, phi_simple,
+                         optimal_ratio_percent, optimal_ratio_simple,
+                         se_percent, se_simple)
 from .seeding import BOOTSTRAP_STREAM, derive_seed
 
 __all__ = ["SamplingConfig", "SamplingOutcome", "calc_nreps"]
@@ -31,12 +31,11 @@ __all__ = ["SamplingConfig", "SamplingOutcome", "calc_nreps"]
 class SamplingConfig:
     """Budget and method knobs for sampling one instance.
 
-    ``n_max`` caps the *total* number of runs n1+n2.  ``batch`` adds that
-    many runs to the chosen algorithm per iteration (clipped at the
-    budget); the default of 1 matches the per-run allocation rule and is
-    the right choice unless runs are extremely cheap.  ``force_balance``
-    alternates the two algorithms regardless of the ratio, for
-    experimenters who want equal sample sizes.
+    ``n_max`` caps the *total* number of runs n1+n2.  ``resamples`` is
+    the bootstrap's draw count, for the bootstrap SE and for the
+    diagnostics; the bootstrap's seeds derive from each instance's seed.
+    ``force_balance`` alternates the two algorithms regardless of the
+    ratio, for experimenters who want equal sample sizes.
     """
 
     se_max: float
@@ -44,9 +43,8 @@ class SamplingConfig:
     n_max: int = 200
     diff_kind: DiffKind = DiffKind.SIMPLE
     se_method: SEMethod = SEMethod.PARAMETRIC
-    bootstrap: BootstrapConfig = field(default_factory=BootstrapConfig)
+    resamples: int = 999
     force_balance: bool = False
-    batch: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "diff_kind", DiffKind(self.diff_kind))
@@ -57,8 +55,9 @@ class SamplingConfig:
             raise ValueError(f"n0 must be at least 2, got {self.n0!r}")
         if self.n_max < 2 * self.n0:
             raise ValueError(f"n_max={self.n_max!r} must be at least 2*n0={2 * self.n0}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be at least 1, got {self.batch!r}")
+        if self.resamples < 100:
+            raise ValueError(f"at least 100 bootstrap resamples are required, "
+                             f"got {self.resamples!r}")
 
 
 @dataclass
@@ -86,7 +85,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
     ledger: list[int] = []
     events: list[str] = []
     se_method = cfg.se_method
-    boot_cfg = replace(cfg.bootstrap, rng_seed=derive_seed(seed, BOOTSTRAP_STREAM))
+    boot_seed = derive_seed(seed, BOOTSTRAP_STREAM)
 
     def do_run(algo_index: int) -> None:
         sample = samples[algo_index]
@@ -113,7 +112,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
                 f"{s1.mean:g} is not strictly positive, percent differences do "
                 f"not apply; use simple differences")
         if se_method is SEMethod.BOOTSTRAP:
-            return bootstrap_se(s1, s2, cfg.diff_kind, boot_cfg)
+            return bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
         if cfg.diff_kind is DiffKind.SIMPLE:
             return se_simple(s1, s2)
         try:
@@ -123,7 +122,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
             events.append(
                 f"parametric percent SE degenerate at n1={s1.n}, n2={s2.n}; "
                 f"switched to bootstrap SE")
-            return bootstrap_se(s1, s2, cfg.diff_kind, boot_cfg)
+            return bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
 
     def allocation_ratio() -> float:
         s1, s2 = samples
@@ -148,9 +147,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
         else:
             # tie goes to the second algorithm
             chosen = 0 if samples[0].n / samples[1].n < allocation_ratio() else 1
-        chunk = min(cfg.batch, cfg.n_max - (samples[0].n + samples[1].n))
-        for _ in range(chunk):
-            do_run(chosen)
+        do_run(chosen)
         se = current_se()
         trace.append((samples[0].n, samples[1].n, se))
 

@@ -14,7 +14,7 @@ from paircomp.cli import main as cli_main
 from paircomp.design import (Alternative, ComparisonDesign, calc_instances,
                              calc_power, curve_highlights, power_curve)
 from paircomp.distributions import t_cdf, t_quantile
-from paircomp.estimators import (BootstrapConfig, DiffKind, bootstrap_se,
+from paircomp.estimators import (DiffKind, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, se_percent, se_simple)
 from paircomp.experiment import ExperimentPlan, run_experiment
@@ -171,8 +171,7 @@ def test_criterion_6_monte_carlo_calibration(capsys):
     design = ComparisonDesign(alpha=alpha, power_target=0.80, mres_d=d_star)
     n_star = calc_instances(design).n_instances
     target_power = calc_power(n_star, d_star, alpha, design.alternative)
-    sampling = SamplingConfig(se_max=0.45, n0=n0, n_max=4 * n0,
-                              bootstrap=BootstrapConfig(resamples=100, rng_seed=0))
+    sampling = SamplingConfig(se_max=0.45, n0=n0, n_max=4 * n0, resamples=100)
 
     def rejection_rate(true_delta, seed_base):
         rejections = 0
@@ -207,12 +206,11 @@ def test_criterion_7_bootstrap_parametric_agreement(capsys):
         rng = np.random.default_rng(10_000 + seed)
         s1 = oracles.instance_sample(rng.normal(10.0, 2.0, 100))
         s2 = oracles.instance_sample(rng.normal(12.0, 3.0, 100))
-        cfg = BootstrapConfig(resamples=9999, rng_seed=seed)
         par_simple = se_simple(s1, s2)
-        rel_simple.append(abs(bootstrap_se(s1, s2, DiffKind.SIMPLE, cfg)
+        rel_simple.append(abs(bootstrap_se(s1, s2, DiffKind.SIMPLE, 9999, seed)
                               - par_simple) / par_simple)
         par_percent = se_percent(s1, s2)
-        rel_percent.append(abs(bootstrap_se(s1, s2, DiffKind.PERCENT, cfg)
+        rel_percent.append(abs(bootstrap_se(s1, s2, DiffKind.PERCENT, 9999, seed)
                                - par_percent) / par_percent)
     mean_simple = float(np.mean(rel_simple))
     mean_percent = float(np.mean(rel_percent))

@@ -49,6 +49,26 @@ output_dir: out
 """
 
 
+# every setting that no journaled row depends on, set explicitly
+RESUMABLE_CONFIG = """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 0.4, n0: 4, n_max: 40}
+algorithms:
+  - {alias: one, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0},
+     timeout: 60, concurrent_safe: true}
+  - {alias: two, kind: synthetic_normal, params: {mu: 0.5, sigma: 1.5},
+     timeout: 60, concurrent_safe: true}
+instances:
+  inline: [{id: a, payload: {two: {mu: 0.5}}}, {id: b}, {id: c}, {id: d},
+           {id: e}, {id: f}]
+use_all_instances: true
+master_seed: 11
+workers: 1
+sigma_phi_bound: 1.0
+output_dir: out
+"""
+
+
 class TestDesignCommand:
     def test_t_test_reference(self, capsys):
         code, out, _ = run_cli(capsys, "design", "--power", "0.85", "--d", "0.5",
@@ -182,6 +202,32 @@ class TestPowerCommand:
         ds, powers = zip(*(map(float, line.split(",")) for line in lines[1:]))
         assert ds == pytest.approx([0.1, 0.2, 0.3, 0.4, 0.5])
         assert list(powers) == sorted(powers)
+
+    def test_curve_has_300_points_by_default(self, capsys):
+        code, out, _ = run_cli(capsys, "power", "--n", "40",
+                               "--d-range", "0.1:0.5", "--alpha", "0.05")
+        assert code == 0
+        assert out.splitlines()[0] == "curve points: 300"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d-range", "0.1:0.5", "--points", "3", "--out", "rec.json"],
+         "--out goes with --d only"),
+        (["--d", "0.3", "--highlights", "0.5", "--curve-out", "c.csv"],
+         "--highlights goes with --d-range only"),
+        (["--d", "0.3", "--points", "3"], "--points goes with --d-range only"),
+        (["--d", "0.3", "--curve-out", "c.csv"],
+         "--curve-out goes with --d-range only"),
+    ], ids=["out-with-range", "highlights-with-d", "points-with-d",
+            "curve-out-with-d"])
+    def test_flag_of_the_other_mode_is_refused(self, capsys, tmp_path,
+                                               monkeypatch, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "power", "--n", "100", "--alpha", "0.05",
+                                 *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreached_level_is_reported(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "power", "--n", "20",
@@ -357,6 +403,26 @@ class TestRunCommand:
         monkeypatch.setenv("PAIRCOMP_SEED", "777")
         run_cli(capsys, "run", "--config", str(cfg),
                 "--output-dir", str(tmp_path / "b"))
+        assert (tmp_path / "a" / "results.csv").read_bytes() == \
+               (tmp_path / "b" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_seed_override_seeds_the_synthetic_pool(self, capsys, tmp_path,
+                                                    monkeypatch, how):
+        # the pool has no seed key, so its latent differences derive from
+        # the master seed
+        pool = SYNTH_RUN_CONFIG.replace("count: 50", "count: 40")
+        reference = write_config(tmp_path, pool.replace("master_seed: 99",
+                                                        "master_seed: 5"), "five.yaml")
+        cfg = write_config(tmp_path, pool)
+        assert run_cli(capsys, "run", "--config", str(reference),
+                       "--output-dir", str(tmp_path / "a"))[0] == 0
+        argv = ["run", "--config", str(cfg), "--output-dir", str(tmp_path / "b")]
+        if how == "flag":
+            argv += ["--seed", "5"]
+        else:
+            monkeypatch.setenv("PAIRCOMP_SEED", "5")
+        assert run_cli(capsys, *argv)[0] == 0
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
                (tmp_path / "b" / "results.csv").read_bytes()
 
@@ -572,6 +638,65 @@ output_dir: out
         code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
         assert code == 2
         assert "has no header line" in err
+
+    @pytest.mark.parametrize("before, after", [
+        ("timeout: 60", "timeout: 600"),
+        ("concurrent_safe: true", "concurrent_safe: false"),
+        ("workers: 1", "workers: 2"),
+        ("sigma_phi_bound: 1.0", "sigma_phi_bound: 0.1"),
+    ], ids=["timeout", "concurrent-safe", "workers", "sigma-phi-bound"])
+    def test_resume_after_a_change_no_row_depends_on(self, capsys, tmp_path,
+                                                     before, after):
+        # e.g. a run stopped by a timeout resumes with a larger one
+        edited = write_config(tmp_path, RESUMABLE_CONFIG.replace(before, after),
+                              "edited.yaml")
+        assert run_cli(capsys, "run", "--config", str(edited),
+                       "--output-dir", str(tmp_path / "whole"))[0] == 0
+        cfg = write_config(tmp_path, RESUMABLE_CONFIG)
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        out = tmp_path / "out"
+        journal = (out / "checkpoint.jsonl").read_text().splitlines(keepends=True)
+        (out / "checkpoint.jsonl").write_text("".join(journal[:4]))
+        code, _, err = run_cli(capsys, "resume", "--config", str(edited))
+        assert code == 0, err
+        for name in ("results.csv", "report.json", "summary.txt", "qq.csv",
+                     "boot_sdm.csv", "boot_sdm_qq.csv"):
+            assert (out / name).read_bytes() == \
+                   (tmp_path / "whole" / name).read_bytes(), name
+        # rows land in completion order at two workers
+        assert sorted((out / "checkpoint.jsonl").read_text().splitlines()) == \
+               sorted((tmp_path / "whole" / "checkpoint.jsonl").read_text().splitlines())
+
+    @pytest.mark.parametrize("config, before, after", [
+        (SYNTH_RUN_CONFIG.replace("count: 50", "count: 12"),
+         "delta: 0.3", "delta: 5.0"),
+        (RESUMABLE_CONFIG, "{id: a, payload: {two: {mu: 0.5}}}",
+         "{id: a, payload: {two: {mu: 3.0}}}"),
+    ], ids=["pool-delta", "inline-payload"])
+    def test_resume_refuses_a_changed_input(self, capsys, tmp_path, config,
+                                            before, after):
+        cfg = write_config(tmp_path, config)
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        journal.write_text("".join(journal.read_text().splitlines(keepends=True)[:4]))
+        assert before in config
+        write_config(tmp_path, config.replace(before, after))
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert "belongs to a different experiment configuration" in err
+
+    def test_resume_refuses_an_older_journal_version(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, RESUMABLE_CONFIG)
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        lines = journal.read_text().splitlines(keepends=True)
+        header = json.loads(lines[0])
+        assert header["version"] == 2
+        journal.write_text(json.dumps({**header, "version": 1}) + "\n"
+                           + "".join(lines[1:]))
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert "has version 1" in err and "only version 2" in err
 
     def test_missing_output_dir_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("output_dir: out\n", ""))

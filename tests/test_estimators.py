@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircomp.errors import AssumptionViolationError, DegenerateRatioError
-from paircomp.estimators import (BootstrapConfig, DiffKind, InstanceSample,
+from paircomp.estimators import (DiffKind, InstanceSample,
                                  _first_side,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
                                  se_simple)
+from paircomp.sampler import SamplingConfig
 
 import oracles
 
@@ -136,7 +137,7 @@ class TestStandardErrors:
         s2 = normal_sample(12, 1, 25, seed=12)
         parametric = se_percent(s1, s2)
         boot = bootstrap_se(s1, s2, DiffKind.PERCENT,
-                            BootstrapConfig(resamples=9999, rng_seed=5))
+                            9999, 5)
         assert abs(boot - parametric) / parametric < 0.15
 
     def test_covariance_form_agrees_when_independent(self):
@@ -258,30 +259,28 @@ class TestAllocationOptimality:
 class TestBootstrap:
     def test_constant_samples_zero_se(self):
         s = oracles.instance_sample([4.0] * 10)
-        cfg = BootstrapConfig(resamples=200, rng_seed=1)
-        assert bootstrap_se(s, s, DiffKind.SIMPLE, cfg) == 0.0
-        assert bootstrap_se(s, s, DiffKind.PERCENT, cfg) == 0.0
+        assert bootstrap_se(s, s, DiffKind.SIMPLE, 200, 1) == 0.0
+        assert bootstrap_se(s, s, DiffKind.PERCENT, 200, 1) == 0.0
 
     def test_deterministic_given_seed(self):
         s1 = normal_sample(0, 1, 30, seed=1)
         s2 = normal_sample(1, 2, 30, seed=2)
-        cfg = BootstrapConfig(resamples=500, rng_seed=42)
-        a = bootstrap_se(s1, s2, DiffKind.SIMPLE, cfg)
-        b = bootstrap_se(s1, s2, DiffKind.SIMPLE, cfg)
+        a = bootstrap_se(s1, s2, DiffKind.SIMPLE, 500, 42)
+        b = bootstrap_se(s1, s2, DiffKind.SIMPLE, 500, 42)
         assert a == b
 
     def test_seed_changes_result(self):
         s1 = normal_sample(0, 1, 30, seed=1)
         s2 = normal_sample(1, 2, 30, seed=2)
-        a = bootstrap_se(s1, s2, DiffKind.SIMPLE, BootstrapConfig(500, rng_seed=1))
-        b = bootstrap_se(s1, s2, DiffKind.SIMPLE, BootstrapConfig(500, rng_seed=2))
+        a = bootstrap_se(s1, s2, DiffKind.SIMPLE, 500, 1)
+        b = bootstrap_se(s1, s2, DiffKind.SIMPLE, 500, 2)
         assert a != b
 
     def test_agrees_with_parametric_formula(self):
         s1 = normal_sample(0, 1, 50, seed=21)
         s2 = normal_sample(1, 2, 50, seed=22)
         boot = bootstrap_se(s1, s2, DiffKind.SIMPLE,
-                            BootstrapConfig(resamples=9999, rng_seed=3))
+                            9999, 3)
         assert abs(boot - se_simple(s1, s2)) / se_simple(s1, s2) < 0.10
 
     def test_percent_rejects_nonpositive_resampled_baselines(self):
@@ -290,18 +289,18 @@ class TestBootstrap:
         s2 = oracles.instance_sample([1.0, 1.1, 0.9, 1.2, 1.0])
         assert s1.mean > 0
         se = bootstrap_se(s1, s2, DiffKind.PERCENT,
-                          BootstrapConfig(resamples=300, rng_seed=9))
+                          300, 9)
         assert math.isfinite(se) and se > 0
 
     def test_percent_hopeless_baseline_fails(self):
         s1 = oracles.instance_sample([-1.0] * 6)
         s2 = oracles.instance_sample([1.0, 1.1, 0.9, 1.2, 1.0, 1.1])
         with pytest.raises(AssumptionViolationError):
-            bootstrap_se(s1, s2, DiffKind.PERCENT, BootstrapConfig(200, rng_seed=4))
+            bootstrap_se(s1, s2, DiffKind.PERCENT, 200, 4)
 
     def test_too_few_resamples_rejected(self):
-        with pytest.raises(ValueError):
-            BootstrapConfig(resamples=50)
+        with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
+            SamplingConfig(se_max=1.0, resamples=50)
 
 
 def grow_one_side(seed, steps, base1=None):
@@ -316,9 +315,9 @@ def grow_one_side(seed, steps, base1=None):
         yield oracles.instance_sample(x1), oracles.instance_sample(x2)
 
 
-def unmemoised(s1, s2, kind, cfg):
+def unmemoised(s1, s2, kind, resamples, seed):
     return oracles.bootstrap_se_unmemoised(s1, s2, DiffKind(kind).value,
-                                           cfg.resamples, cfg.rng_seed)
+                                           resamples, seed)
 
 
 class TestBootstrapMemo:
@@ -326,35 +325,34 @@ class TestBootstrapMemo:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_grow_one_side_matches_unmemoised(self, seed):
-        cfg = BootstrapConfig(resamples=200, rng_seed=1000 + seed)
+        boot = 200, 1000 + seed
         hits = _first_side.cache_info().hits
         repeats, previous = 0, None
         for s1, s2 in grow_one_side(seed, 40):
             repeats += s1.observations == previous
             previous = list(s1.observations)
             for kind in (DiffKind.SIMPLE, DiffKind.PERCENT):
-                assert bootstrap_se(s1, s2, kind, cfg) == unmemoised(s1, s2, kind, cfg)
+                assert bootstrap_se(s1, s2, kind, *boot) == unmemoised(s1, s2, kind, *boot)
         # every repeated first side, and the second kind of every step, hit
         assert _first_side.cache_info().hits - hits >= repeats + 40
 
     def test_percent_rejection_loop_matches_unmemoised(self):
         base = [-1.0, -1.0, 3.5, 0.1, 0.2]
-        cfg = BootstrapConfig(resamples=300, rng_seed=9)
-        m1, _ = _first_side(cfg.rng_seed, cfg.resamples,
+        resamples, seed = 300, 9
+        m1, _ = _first_side(seed, resamples,
                             np.asarray(base, dtype=float).tobytes())
         assert (m1 <= 0.0).any()  # so the rejection loop runs
         assert not m1.flags.writeable
         for s1, s2 in grow_one_side(4, 30, base1=base):
-            expected = unmemoised(s1, s2, "percent", cfg)
-            assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == expected
+            expected = unmemoised(s1, s2, "percent", resamples, seed)
+            assert bootstrap_se(s1, s2, DiffKind.PERCENT, resamples, seed) == expected
             # a second call hits the memo, which the loop must have left intact
-            assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == expected
+            assert bootstrap_se(s1, s2, DiffKind.PERCENT, resamples, seed) == expected
         assert (m1 <= 0.0).any()
 
     def test_interleaved_seeds_and_threads(self):
         pairs = list(grow_one_side(5, 30))
-        cfgs = [BootstrapConfig(resamples=150, rng_seed=s) for s in (71, 72)]
-        jobs = [(s1, s2, kind, cfg) for s1, s2 in pairs for cfg in cfgs
+        jobs = [(s1, s2, kind, 150, seed) for s1, s2 in pairs for seed in (71, 72)
                 for kind in (DiffKind.SIMPLE, DiffKind.PERCENT)]
         expected = [unmemoised(*job) for job in jobs]
         assert [bootstrap_se(*job) for job in jobs] == expected
@@ -369,7 +367,6 @@ class TestBootstrapMemo:
         assert got == expected * 4
 
     def test_more_first_sides_than_the_memo_holds(self):
-        cfg = BootstrapConfig(resamples=100, rng_seed=5)
         size = _first_side.cache_info().maxsize
         rng = np.random.default_rng(6)
         s2 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 8))
@@ -377,33 +374,33 @@ class TestBootstrapMemo:
                   for _ in range(3 * size)]
         for _ in range(2):
             for s1 in firsts:
-                assert bootstrap_se(s1, s2, DiffKind.PERCENT, cfg) == \
-                    unmemoised(s1, s2, "percent", cfg)
+                assert bootstrap_se(s1, s2, DiffKind.PERCENT, 100, 5) == \
+                    unmemoised(s1, s2, "percent", 100, 5)
         assert _first_side.cache_info().currsize <= size
 
 
 class TestBootstrapSDM:
     def test_constant_vector(self):
-        out = bootstrap_sdm([2.5] * 8, BootstrapConfig(resamples=250, rng_seed=1))
+        out = bootstrap_sdm([2.5] * 8, 250, 1)
         assert len(out) == 250
         assert np.all(out == 2.5)
 
     def test_output_length(self):
-        out = bootstrap_sdm([1.0, 2.0, 5.0], BootstrapConfig(resamples=777, rng_seed=1))
+        out = bootstrap_sdm([1.0, 2.0, 5.0], 777, 1)
         assert len(out) == 777
 
     def test_spread_matches_standard_error_formula(self):
         sample = list(range(1, 21))
-        out = bootstrap_sdm(sample, BootstrapConfig(resamples=9999, rng_seed=123))
+        out = bootstrap_sdm(sample, 9999, 123)
         expected = np.std(sample, ddof=1) / math.sqrt(20)
         assert abs(np.std(out, ddof=1) - expected) / expected < 0.15
 
     def test_mean_close_to_sample_mean(self):
         sample = list(range(1, 21))
-        out = bootstrap_sdm(sample, BootstrapConfig(resamples=9999, rng_seed=5))
+        out = bootstrap_sdm(sample, 9999, 5)
         tol = 4 * np.std(sample, ddof=1) / math.sqrt(20 * 9999)
         assert abs(np.mean(out) - np.mean(sample)) < tol
 
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValueError):
-            bootstrap_sdm([1.0], BootstrapConfig(resamples=200, rng_seed=1))
+            bootstrap_sdm([1.0], 200, 1)

@@ -52,11 +52,11 @@ output_dir: out
 GOLDEN = {
     "simple-parametric": (SIMPLE_PARAMETRIC, {
         "results.csv": "ee302dc34de40083d19330611ec201cf96bd561a585b5add9b796266636292c6",
-        "checkpoint.jsonl": "8967191b69ea9e19ca4c3fd50bb9dcd1f9124c25bfe20f53af7f921609f7cdbe",
+        "checkpoint.jsonl": "4c8d82d3ae2393ee09717bfcf6dbdd19b4b7167ef274b666b8f287ae83600c7e",
     }),
     "percent-bootstrap": (PERCENT_BOOTSTRAP, {
         "results.csv": "ce181e4091479c57e798c0cb6aa35697291f70f2318d0f7334c40c7f0c8834a2",
-        "checkpoint.jsonl": "9307d1e571e6f7190658a304aeeddde5c313467e602c3df955b3f2d52c3fc808",
+        "checkpoint.jsonl": "3812da73f7bca427eeea8b3686bf87297c34ea985c731b4c7adb2e588a5be510",
     }),
 }
 

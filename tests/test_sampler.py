@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paircomp.errors import AssumptionViolationError, RunnerError
-from paircomp.estimators import BootstrapConfig, DiffKind, SEMethod
+from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
                               Runner, build_tsp_instance)
 from paircomp.sampler import SamplingConfig, calc_nreps
@@ -105,7 +105,7 @@ class TestSEBudgetContract:
         se_max = se_scale if kind is DiffKind.PERCENT else 20.0 * se_scale
         cfg = SamplingConfig(se_max=se_max, n0=n0, n_max=2 * n0 + extra,
                              diff_kind=kind, se_method=method,
-                             bootstrap=BootstrapConfig(resamples=100))
+                             resamples=100)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
         n1, n2 = out.samples[0].n, out.samples[1].n
         assert (out.diff.n1, out.diff.n2) == (n1, n2)
@@ -139,13 +139,6 @@ class TestAllocation:
         for seed in range(5):
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
             assert abs(out.samples[0].n - out.samples[1].n) <= 1
-
-    def test_batch_factor_respects_budget(self):
-        r1, r2 = normal_runners(10, 1, 12, 1)
-        cfg = SamplingConfig(se_max=0.0011, n0=5, n_max=37, batch=5)
-        out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
-        assert out.samples[0].n + out.samples[1].n == 37
-        assert out.diff.budget_exhausted
 
 
 class TestDeterminism:
@@ -193,7 +186,7 @@ class TestPercentKind:
         r2 = ScriptedRunner([3.0, 1.0, 2.0, 2.0])
         cfg = SamplingConfig(se_max=0.4, n0=4, n_max=60,
                              diff_kind=DiffKind.PERCENT,
-                             bootstrap=BootstrapConfig(resamples=200, rng_seed=0))
+                             resamples=200)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
         assert out.diff.se_method is SEMethod.BOOTSTRAP
         assert any("bootstrap" in e for e in out.events)
@@ -203,7 +196,7 @@ class TestPercentKind:
         cfg = SamplingConfig(se_max=0.02, n0=10, n_max=400,
                              diff_kind=DiffKind.PERCENT,
                              se_method=SEMethod.BOOTSTRAP,
-                             bootstrap=BootstrapConfig(resamples=300, rng_seed=0))
+                             resamples=300)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=2)
         assert out.diff.se_method is SEMethod.BOOTSTRAP
         assert out.diff.se_hat <= 0.02 or out.diff.budget_exhausted
@@ -221,7 +214,7 @@ class TestFailuresAndValidation:
 
     @pytest.mark.parametrize("kwargs", [
         dict(se_max=0.0), dict(se_max=-1.0), dict(n0=1),
-        dict(n0=20, n_max=30), dict(batch=0),
+        dict(n0=20, n_max=30), dict(resamples=99),
     ])
     def test_invalid_config_rejected(self, kwargs):
         base = dict(se_max=0.1, n0=5, n_max=100)
