@@ -211,6 +211,8 @@ def _cmd_reps(args) -> int:
             raise ConfigError(f"instance {args.instance!r} is not among the "
                               f"{len(selected)} instance(s) that run selects, "
                               f"so it has no derived seed; pass --seed")
+    elif seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {seed}")
     runner1, runner2 = (Runner(s) for s in plan.algorithms)
     outcome = calc_nreps(runner1, runner2, instance, plan.sampling, seed)
     d = outcome.diff

@@ -40,7 +40,9 @@ Each section is read through one table of ``key -> (constructor keyword,
 kind)``.  A kind is an exact type (a number takes an int or a float; an
 integer takes neither ``true`` nor ``3.9``; a boolean only ``true`` or
 ``false``) or a table of accepted names.  An absent key is not passed
-on, so the class it configures applies its own default.
+on, so the class it configures applies its own default.  An algorithm's
+``params`` and the instance payloads are checked by the classes they
+configure, against the tables in :mod:`paircomp.runners`.
 
 A manifest file is a YAML document with a single ``instances`` list of
 ``{id, payload}`` entries.
@@ -236,6 +238,9 @@ def _parse_instances(node, master_seed: int, base_dir: Path):
         if len(aliases) != 2 or not all(isinstance(a, str) for a in aliases):
             raise ConfigError(f"{where}.aliases must be two distinct names")
     if "seed" not in kwargs:
+        if master_seed < 0:  # the plan's rule, needed before the plan exists
+            raise ConfigError(f"config: master_seed must be non-negative, "
+                              f"got {master_seed!r}")
         kwargs["seed"] = derive_seed(master_seed, POOL_STREAM)
     return _call(build_synthetic_pool, kwargs, where)
 

@@ -195,6 +195,15 @@ def optimal_ratio_percent(s1, s2) -> float:
     return (sd1 / sd2) * math.sqrt(1.0 + phi * phi)
 
 
+MIN_RESAMPLES = 100
+
+
+def _check_resamples(resamples: int) -> None:
+    if resamples < MIN_RESAMPLES:
+        raise ValueError(f"at least {MIN_RESAMPLES} bootstrap resamples are "
+                         f"required, got {resamples!r}")
+
+
 def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
     idx = rng.integers(0, x.size, size=(count, x.size))
     return x[idx].mean(axis=1)
@@ -224,6 +233,7 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     bytes in the key.  A call whose first side repeats draws
     only the second side; the result is the same to the last bit.
     """
+    _check_resamples(resamples)
     _require_runs(s1, 2, "bootstrap_se")
     _require_runs(s2, 2, "bootstrap_se")
     diff_kind = DiffKind(diff_kind)
@@ -263,6 +273,7 @@ def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:
     Q-Q plot, mean-based inference is on safe ground even when the data
     itself is not normal.
     """
+    _check_resamples(resamples)
     values = np.asarray(getattr(sample, "observations", sample), dtype=float)
     if values.size < 2:
         raise ValueError(f"at least 2 observations are required, got {values.size}")

@@ -35,7 +35,7 @@ from .errors import ConfigError, ExperimentAbortedError
 from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
-from .runners import AlgorithmSpec, InstanceRef, Runner
+from .runners import AlgorithmSpec, InstanceRef, Runner, read_run_inputs
 from .sampler import SamplingConfig, SamplingOutcome, calc_nreps
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, make_generator)
@@ -69,6 +69,16 @@ class ExperimentPlan:
             raise ValueError("the two algorithm aliases must be distinct")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
+        # every run input is checked here, so a bad one stops nothing midway
+        for inst in self.instance_pool:
+            for spec in self.algorithms:
+                try:
+                    read_run_inputs(spec, inst)
+                except ValueError as exc:
+                    raise ValueError(f"instance {inst.id!r}, algorithm "
+                                     f"{spec.alias!r}: {exc}") from None
 
 
 def _plan_fingerprint(plan: ExperimentPlan) -> str:

@@ -22,6 +22,12 @@ kinds are provided:
   Moves are 2-opt segment reversals under a logarithmic cooling schedule;
   the temperature parameter sets the initial acceptance scale.
 
+``PARAMS`` holds one table per kind: the params it reads, what each
+must be, and its default.  A spec is checked against it when built, and
+``read_run_inputs`` reads and checks the payload keys its kind reads;
+an experiment plan calls it for every pool instance when built, and
+every run calls it again.  So the run functions take checked values.
+
 Raw values are recorded as-is: whether smaller or larger is better lives
 entirely in the experiment design's alternative hypothesis.
 """
@@ -33,17 +39,18 @@ import os
 import shlex
 import signal
 import subprocess
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, RunnerError
+from .errors import RunnerError
 from .seeding import make_generator
 
 __all__ = [
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "Runner",
-    "build_synthetic_pool", "build_tsp_instance",
+    "build_synthetic_pool", "build_tsp_instance", "read_run_inputs",
 ]
 
 _EXCERPT_CHARS = 400
@@ -56,9 +63,74 @@ class AlgorithmKind(str, Enum):
     DEMO_SANN_TSP = "demo_sann_tsp"
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, never a bool; an int must fit in a float."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_args(value) -> bool:
+    if not isinstance(value, str):
+        return isinstance(value, list)
+    try:
+        shlex.split(value)
+    except ValueError:  # an unclosed quote
+        return False
+    return True
+
+
+_REQUIRED = object()
+_SYNTHETIC = {
+    "mu": ("a finite number", _is_number, 0.0),
+    "sigma": ("a finite number >= 0", lambda v: _is_number(v) and v >= 0, 1.0),
+}
+# each kind's params: name -> (what a value must be, its test, its default)
+PARAMS = {
+    AlgorithmKind.SUBPROCESS: {
+        "executable": ("a nonempty string",
+                       lambda v: isinstance(v, str) and v != "", _REQUIRED),
+        "args": ("a list, or a string split like a shell's", _is_args, []),
+    },
+    AlgorithmKind.SYNTHETIC_NORMAL: _SYNTHETIC,
+    AlgorithmKind.SYNTHETIC_LOGNORMAL: _SYNTHETIC,
+    AlgorithmKind.DEMO_SANN_TSP: {
+        "temp": ("a finite number > 0", lambda v: _is_number(v) and v > 0, 2000.0),
+        "budget": ("an integer >= 1", lambda v: _is_int(v) and v >= 1, 10000),
+    },
+}
+
+
+# each kind's defaults, for the params a spec leaves out
+_DEFAULTS = {kind: {key: default for key, (_, _, default) in table.items()
+                    if default is not _REQUIRED}
+             for kind, table in PARAMS.items()}
+
+
+def _check(kind: AlgorithmKind, params: dict, where: str) -> None:
+    """Refuse a key of ``params`` that ``kind``'s table lacks, or a value
+    that fails its test; ``where`` names ``params`` in the message."""
+    table = PARAMS[kind]
+    for key, value in params.items():
+        if key not in table:
+            raise ValueError(f"{where}.{key} is not a {kind.value} parameter; "
+                             f"allowed: {sorted(table)}")
+        rule, ok, _ = table[key]
+        if not ok(value):
+            raise ValueError(f"{where}.{key} must be {rule}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A fully parameterized algorithm, identified by a unique alias."""
+    """A fully parameterized algorithm, identified by a unique alias.
+
+    ``params`` is checked against its kind's table in ``PARAMS``: an
+    unknown key, a value of the wrong type or out of range, or a missing
+    required key raises ``ValueError`` naming ``params.<key>``.
+    """
     alias: str
     kind: AlgorithmKind
     params: dict = field(default_factory=dict)
@@ -72,6 +144,10 @@ class AlgorithmSpec:
         if not (self.timeout > 0 and math.isfinite(self.timeout)):
             raise ValueError(f"timeout must be a positive finite number of "
                              f"seconds, got {self.timeout!r}")
+        _check(self.kind, self.params, "params")
+        for key, (_, _, default) in PARAMS[self.kind].items():
+            if default is _REQUIRED and key not in self.params:
+                raise ValueError(f"params.{key} is required by kind {self.kind.value}")
 
 
 @dataclass(frozen=True)
@@ -91,57 +167,56 @@ class Runner:
     spec: AlgorithmSpec
 
     @property
-    def alias(self) -> str:
-        return self.spec.alias
-
-    @property
     def concurrent_safe(self) -> bool:
         return self.spec.concurrent_safe
 
     def run(self, instance: InstanceRef, seed: int) -> float:
         """Run the algorithm once on the instance and return its performance value."""
         spec = self.spec
-        if spec.kind is AlgorithmKind.SUBPROCESS:
-            value = _run_subprocess(spec, instance, seed)
-        elif spec.kind is AlgorithmKind.SYNTHETIC_NORMAL:
-            value = _run_synthetic(spec, instance, seed, lognormal=False)
-        elif spec.kind is AlgorithmKind.SYNTHETIC_LOGNORMAL:
-            value = _run_synthetic(spec, instance, seed, lognormal=True)
-        else:  # AlgorithmKind.DEMO_SANN_TSP
-            value = _run_sann_tsp(spec, instance, seed)
+        read, run = _KINDS[spec.kind]
+        value = run(spec, instance, seed, *read(spec, instance))
         if not math.isfinite(value):
             raise RunnerError(f"run produced a non-finite value {value!r}",
                               alias=spec.alias, instance_id=instance.id, seed=seed)
         return float(value)
 
 
+def read_run_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
+    """What a run of ``spec`` on ``instance`` reads, checked.
+
+    Each kind has one reader: it merges the spec's params, with their
+    defaults, and the payload keys that kind reads, and raises
+    ``ValueError`` naming the payload key at fault.  An experiment plan
+    calls it for every algorithm and pool instance, so a bad payload is
+    refused before the first run.
+    """
+    return _KINDS[spec.kind][0](spec, instance)
+
+
 # ---------------------------------------------------------------------------
 # synthetic runners
 
 
-def _synthetic_params(spec: AlgorithmSpec, instance: InstanceRef) -> dict:
-    # instance payload may override distribution parameters per alias
-    params = {"mu": 0.0, "sigma": 1.0}
-    params.update(spec.params)
-    override = instance.payload.get(spec.alias)
-    if override:
-        params.update(override)
-    return params
+def _synthetic_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
+    """``mu`` and ``sigma``: the spec's params, overridden by ``payload[alias]``."""
+    override = instance.payload.get(spec.alias, {})
+    if not isinstance(override, dict):
+        raise ValueError(f"payload.{spec.alias} must be a mapping, got {override!r}")
+    _check(spec.kind, override, f"payload.{spec.alias}")
+    params = {**_DEFAULTS[spec.kind], **spec.params, **override}
+    return params["mu"], params["sigma"]
 
 
-def _run_synthetic(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
-                   lognormal: bool) -> float:
-    params = _synthetic_params(spec, instance)
-    mu = float(params["mu"])
-    sigma = float(params["sigma"])
-    if sigma < 0.0:
-        raise ConfigError(f"sigma must be nonnegative, got {sigma!r} "
-                          f"(algorithm {spec.alias!r})")
+def _run_normal(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+                mu: float, sigma: float) -> float:
     if sigma == 0.0:
-        draw = mu
-    else:
-        draw = mu + sigma * make_generator(seed).standard_normal()
-    return math.exp(draw) if lognormal else draw
+        return mu
+    return mu + sigma * make_generator(seed).standard_normal()
+
+
+def _run_lognormal(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+                   mu: float, sigma: float) -> float:
+    return math.exp(_run_normal(spec, instance, seed, mu, sigma))
 
 
 def build_synthetic_pool(n_instances: int, delta: float = 0.0,
@@ -160,6 +235,8 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
     """
     if n_instances < 1:
         raise ValueError(f"need at least one instance, got {n_instances!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed!r}")
     if sigma_phi < 0.0 or noise_sd < 0.0:
         raise ValueError("spread parameters must be nonnegative")
     a1, a2 = aliases
@@ -186,16 +263,22 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
 # subprocess runner
 
 
-def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int) -> float:
-    executable = spec.params.get("executable")
-    if not executable:
-        raise ConfigError(f"subprocess algorithm {spec.alias!r} needs an "
-                          f"'executable' parameter")
-    args = spec.params.get("args", [])
+def _subprocess_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
+    """The executable, its argument template, and what replaces
+    ``{instance}`` in it: ``payload.path``, else the instance id."""
+    params = {**_DEFAULTS[spec.kind], **spec.params}
+    path = instance.payload.get("path", instance.id)
+    if not isinstance(path, str):
+        raise ValueError(f"payload.path must be a string, got {path!r}")
+    args = params["args"]
     if isinstance(args, str):
         args = shlex.split(args)
-    instance_arg = str(instance.payload.get("path", instance.id))
-    cmd = [str(executable)] + [
+    return params["executable"], args, path
+
+
+def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+                    executable: str, args: list, instance_arg: str) -> float:
+    cmd = [executable] + [
         str(a).replace("{instance}", instance_arg).replace("{seed}", str(seed))
         for a in args
     ]
@@ -257,20 +340,32 @@ def build_tsp_instance(instance_id: str, n_cities: int = 21,
     return InstanceRef(id=instance_id, payload={"distance_matrix": dist.tolist()})
 
 
-def _tsp_matrix(instance: InstanceRef) -> np.ndarray:
+def _tsp_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
+    """``temp``, ``budget`` and the distance matrix: ``payload.distance_matrix``,
+    or one generated from ``payload.cities`` and ``payload.layout_seed``."""
+    params = {**_DEFAULTS[spec.kind], **spec.params}
     payload = instance.payload
     if "distance_matrix" in payload:
-        dist = np.asarray(payload["distance_matrix"], dtype=float)
+        try:
+            dist = np.asarray(payload["distance_matrix"], dtype=float)
+        except (TypeError, ValueError):
+            dist = None
+        if (dist is None or dist.ndim != 2 or dist.shape[0] != dist.shape[1]
+                or dist.shape[0] < 4):
+            raise ValueError("payload.distance_matrix must be a square matrix "
+                             "of numbers, at least 4 by 4")
+        d = dist.tolist()
     elif "cities" in payload:
-        generated = build_tsp_instance(instance.id, int(payload["cities"]),
-                                       int(payload.get("layout_seed", 0)))
-        dist = np.asarray(generated.payload["distance_matrix"], dtype=float)
+        cities, layout_seed = payload["cities"], payload.get("layout_seed", 0)
+        if not (_is_int(cities) and cities >= 4):
+            raise ValueError(f"payload.cities must be an integer >= 4, got {cities!r}")
+        if not (_is_int(layout_seed) and layout_seed >= 0):
+            raise ValueError(f"payload.layout_seed must be an integer >= 0, "
+                             f"got {layout_seed!r}")
+        d = build_tsp_instance(instance.id, cities, layout_seed).payload["distance_matrix"]
     else:
-        raise ConfigError(f"TSP instance {instance.id!r} needs a 'distance_matrix' "
-                          f"or a 'cities' count in its payload")
-    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or dist.shape[0] < 4:
-        raise ConfigError(f"TSP instance {instance.id!r} has an invalid distance matrix")
-    return dist
+        raise ValueError("the payload needs a 'distance_matrix' or a 'cities' count")
+    return params["temp"], params["budget"], d
 
 
 def _tour_length(tour: list[int], d) -> float:
@@ -280,12 +375,8 @@ def _tour_length(tour: list[int], d) -> float:
     return total + d[tour[-1]][tour[0]]
 
 
-def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int) -> float:
-    temp = float(spec.params.get("temp", 2000.0))
-    budget = int(spec.params.get("budget", 10000))
-    if temp <= 0 or budget < 1:
-        raise ConfigError(f"TSP demo {spec.alias!r} needs temp > 0 and budget >= 1")
-    d = _tsp_matrix(instance).tolist()
+def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+                  temp: float, budget: int, d: list) -> float:
     n = len(d)
     rng = make_generator(seed)
 
@@ -311,3 +402,13 @@ def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int) -> floa
             if cur < best:
                 best = cur
     return best
+
+
+# each kind's reader and run function; a run takes the spec, the instance,
+# the seed and what the reader returned
+_KINDS = {
+    AlgorithmKind.SUBPROCESS: (_subprocess_inputs, _run_subprocess),
+    AlgorithmKind.SYNTHETIC_NORMAL: (_synthetic_inputs, _run_normal),
+    AlgorithmKind.SYNTHETIC_LOGNORMAL: (_synthetic_inputs, _run_lognormal),
+    AlgorithmKind.DEMO_SANN_TSP: (_tsp_inputs, _run_sann_tsp),
+}

@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import (AssumptionViolationError, DegenerateRatioError, RunnerError)
-from .estimators import (DiffKind, InstanceSample, PairedDifference, SEMethod,
-                         bootstrap_se, phi_percent, phi_simple,
+from .errors import AssumptionViolationError, DegenerateRatioError
+from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
+                         PairedDifference, SEMethod, bootstrap_se,
+                         phi_percent, phi_simple,
                          optimal_ratio_percent, optimal_ratio_simple,
                          se_percent, se_simple)
 from .seeding import BOOTSTRAP_STREAM, derive_seed
@@ -55,9 +56,9 @@ class SamplingConfig:
             raise ValueError(f"n0 must be at least 2, got {self.n0!r}")
         if self.n_max < 2 * self.n0:
             raise ValueError(f"n_max={self.n_max!r} must be at least 2*n0={2 * self.n0}")
-        if self.resamples < 100:
-            raise ValueError(f"at least 100 bootstrap resamples are required, "
-                             f"got {self.resamples!r}")
+        if self.resamples < MIN_RESAMPLES:
+            raise ValueError(f"at least {MIN_RESAMPLES} bootstrap resamples are "
+                             f"required, got {self.resamples!r}")
 
 
 @dataclass
@@ -65,7 +66,6 @@ class SamplingOutcome:
     """Result of adaptively sampling two algorithms on one instance."""
     samples: tuple[InstanceSample, InstanceSample]
     diff: PairedDifference
-    iterations: int
     se_trace: list[tuple[int, int, float]]
     events: list[str] = field(default_factory=list)
     seed_ledger: list[int] = field(default_factory=list)
@@ -90,17 +90,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
     def do_run(algo_index: int) -> None:
         sample = samples[algo_index]
         rs = derive_seed(seed, algo_index, sample.n)
-        try:
-            value = runners[algo_index].run(instance, rs)
-        except RunnerError as exc:
-            raise RunnerError(
-                exc.message,
-                alias=getattr(runners[algo_index], "alias", None) or exc.alias,
-                instance_id=getattr(instance, "id", None),
-                seed=rs,
-                output_excerpt=exc.output_excerpt,
-            ) from exc
-        sample.add(value)
+        sample.add(runners[algo_index].run(instance, rs))
         ledger.append(rs)
 
     def current_se() -> float:
@@ -108,7 +98,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
         s1, s2 = samples
         if cfg.diff_kind is DiffKind.PERCENT and s1.mean <= 0.0:
             raise AssumptionViolationError(
-                f"instance {getattr(instance, 'id', '?')}: baseline mean "
+                f"instance {instance.id}: baseline mean "
                 f"{s1.mean:g} is not strictly positive, percent differences do "
                 f"not apply; use simple differences")
         if se_method is SEMethod.BOOTSTRAP:
@@ -139,9 +129,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
     se = current_se()
     trace.append((samples[0].n, samples[1].n, se))
 
-    iterations = 0
     while se > cfg.se_max and samples[0].n + samples[1].n < cfg.n_max:
-        iterations += 1
         if cfg.force_balance:
             chosen = 0 if samples[0].n <= samples[1].n else 1
         else:
@@ -154,7 +142,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
     s1, s2 = samples
     phi = phi_simple(s1, s2) if cfg.diff_kind is DiffKind.SIMPLE else phi_percent(s1, s2)
     diff = PairedDifference(
-        instance_id=str(getattr(instance, "id", "")),
+        instance_id=instance.id,
         phi_hat=phi,
         se_hat=se,
         n1=s1.n,
@@ -163,5 +151,5 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> Sa
         se_method=se_method,
         budget_exhausted=se > cfg.se_max,
     )
-    return SamplingOutcome(samples=samples, diff=diff, iterations=iterations,
-                           se_trace=trace, events=events, seed_ledger=ledger)
+    return SamplingOutcome(samples=samples, diff=diff, se_trace=trace,
+                           events=events, seed_ledger=ledger)

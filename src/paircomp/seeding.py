@@ -107,12 +107,10 @@ def derive_seed(root: int, *path: int) -> int:
     """Derive a 64-bit child seed from ``root`` along a counter path."""
     root = operator.index(root)
     path = tuple(map(operator.index, path))
-    if not path:
-        return int(np.random.SeedSequence(entropy=root).generate_state(1, np.uint64)[0])
-    *head, last = _words(path[-1])
-    pool, hash_const = _absorb(*_prefix_state(root, path[:-1]), head)
+    words = _words(path[-1]) if path else []
+    pool, hash_const = _absorb(*_prefix_state(root, path[:-1]), words[:-1])
     # generate_state(1, np.uint64) hashes pool words 0 and 1 into the seed
-    pool, _ = _absorb(pool, hash_const, (last,), width=2)
+    pool, _ = _absorb(pool, hash_const, words[-1:], width=2)
     seed = 0
     hash_const = _INIT_B
     for i in range(2):

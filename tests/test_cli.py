@@ -753,6 +753,29 @@ algorithms:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
 
+    # the pool has no seed of its own, so a negative master seed would
+    # reach its seed derivation before the plan is built
+    @pytest.mark.parametrize("command, how, message", [
+        ("run", "flag", "config: master_seed must be non-negative, got -1"),
+        ("run", "env", "config: master_seed must be non-negative, got -1"),
+        ("reps", "flag", "--seed must be non-negative, got -1"),
+        ("reps", "env", "config: master_seed must be non-negative, got -1"),
+    ], ids=["run-flag", "run-env", "reps-flag", "reps-env"])
+    def test_negative_seed_is_refused_naming_it(self, capsys, tmp_path,
+                                                monkeypatch, command, how, message):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
+        argv = [command, "--config", str(cfg)]
+        if command == "reps":
+            argv += ["--instance", "synth-00000"]
+        if how == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("PAIRCOMP_SEED", "-1")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
 
 @pytest.fixture(scope="module")
 def finished_run(tmp_path_factory):

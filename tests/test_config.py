@@ -90,6 +90,12 @@ def test_wrong_type_exits_two_naming_the_key(capsys, tmp_path, section, key, val
     assert not (tmp_path / "out").exists()
 
 
+def _algorithm(kind, **params):
+    """``INLINE`` with its second algorithm of ``kind`` with ``params``."""
+    return _with(INLINE, ("algorithms",), 1,
+                 {"alias": "two", "kind": kind, "params": params})
+
+
 REFUSED = {
     "not-yaml": ("design: [\n", "is not valid YAML"),
     "not-a-mapping": ("- design\n", "config must be a mapping, got list"),
@@ -124,6 +130,52 @@ REFUSED = {
     # bootstrap seeds derive from each instance's seed, so a fixed one is refused
     "bootstrap-rng-seed": (_with(INLINE, ("sampling", "bootstrap"), "rng_seed", 5),
                            "unknown key(s) ['rng_seed'] in sampling.bootstrap"),
+    "negative-master-seed": (dict(INLINE, master_seed=-4),
+                             "config: master_seed must be non-negative, got -4"),
+    "negative-pool-seed": (_with(POOL, ("instances", "synthetic_pool"), "seed", -1),
+                           "instances.synthetic_pool: seed must be non-negative, got -1"),
+    # a params key or an instance payload the algorithm reads is checked
+    # before the output directory exists
+    "params-typo": (_algorithm("synthetic_normal", sgima=5),
+                    "algorithms[1]: params.sgima is not a synthetic_normal "
+                    "parameter; allowed: ['mu', 'sigma']"),
+    "params-of-another-kind": (_algorithm("synthetic_normal", temp=5),
+                               "algorithms[1]: params.temp is not a synthetic_normal"),
+    "mu-list": (_algorithm("synthetic_normal", mu=[1]),
+                "algorithms[1]: params.mu must be a finite number, got [1]"),
+    "mu-string": (_algorithm("synthetic_normal", mu="x"),
+                  "algorithms[1]: params.mu must be a finite number, got 'x'"),
+    "mu-bool": (_algorithm("synthetic_normal", mu=True),
+                "algorithms[1]: params.mu must be a finite number, got True"),
+    "negative-sigma": (_algorithm("synthetic_normal", sigma=-1),
+                       "algorithms[1]: params.sigma must be a finite number >= 0"),
+    "infinite-sigma": (_algorithm("synthetic_normal", sigma=float("inf")),
+                       "algorithms[1]: params.sigma must be a finite number >= 0"),
+    "tsp-zero-temp": (_algorithm("demo_sann_tsp", temp=0),
+                      "algorithms[1]: params.temp must be a finite number > 0"),
+    "tsp-zero-budget": (_algorithm("demo_sann_tsp", budget=0),
+                        "algorithms[1]: params.budget must be an integer >= 1"),
+    "tsp-fractional-budget": (_algorithm("demo_sann_tsp", budget=2.5),
+                              "algorithms[1]: params.budget must be an integer >= 1"),
+    "subprocess-no-executable": (_algorithm("subprocess"),
+                                 "algorithms[1]: params.executable is required"),
+    "subprocess-args-number": (_algorithm("subprocess", executable="solver", args=5),
+                               "algorithms[1]: params.args must be a list"),
+    "override-mu-string": (dict(INLINE, instances={"inline": [
+        {"id": "a", "payload": {"two": {"mu": "x"}}}]}),
+        "config: instance 'a', algorithm 'two': payload.two.mu must be a finite number"),
+    "override-typo": (dict(INLINE, instances={"inline": [
+        {"id": "a", "payload": {"two": {"sgima": 1}}}]}),
+        "config: instance 'a', algorithm 'two': payload.two.sgima is not a "
+        "synthetic_normal parameter"),
+    "tsp-three-cities": (dict(_algorithm("demo_sann_tsp"), instances={"inline": [
+        {"id": "a", "payload": {"cities": 3}}]}),
+        "config: instance 'a', algorithm 'two': payload.cities must be an "
+        "integer >= 4, got 3"),
+    "tsp-two-by-two": (dict(_algorithm("demo_sann_tsp"), instances={"inline": [
+        {"id": "a", "payload": {"distance_matrix": [[0, 1], [1, 0]]}}]}),
+        "config: instance 'a', algorithm 'two': payload.distance_matrix must be "
+        "a square matrix"),
 }
 
 

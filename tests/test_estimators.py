@@ -298,9 +298,16 @@ class TestBootstrap:
         with pytest.raises(AssumptionViolationError):
             bootstrap_se(s1, s2, DiffKind.PERCENT, 200, 4)
 
-    def test_too_few_resamples_rejected(self):
+    @pytest.mark.parametrize("call", [
+        lambda: SamplingConfig(se_max=1.0, resamples=50),
+        lambda: bootstrap_se(oracles.instance_sample([1.0, 2.0, 4.0]),
+                             oracles.instance_sample([2.0, 3.0, 5.0]),
+                             DiffKind.SIMPLE, 1, 5),
+        lambda: bootstrap_sdm([1.0, 2.0, 3.0], 0, 5),
+    ], ids=["sampling-config", "bootstrap_se", "bootstrap_sdm"])
+    def test_too_few_resamples_rejected(self, call):
         with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
-            SamplingConfig(se_max=1.0, resamples=50)
+            call()
 
 
 def grow_one_side(seed, steps, base1=None):

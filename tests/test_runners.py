@@ -7,13 +7,26 @@ import time
 import numpy as np
 import pytest
 
-from paircomp.errors import ConfigError, RunnerError
-from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
-                              Runner, build_synthetic_pool, build_tsp_instance)
+from paircomp.design import ComparisonDesign
+from paircomp.errors import RunnerError
+from paircomp.experiment import ExperimentPlan
+from paircomp.runners import (PARAMS, _REQUIRED, AlgorithmKind, AlgorithmSpec,
+                              InstanceRef, Runner, build_synthetic_pool,
+                              build_tsp_instance)
+from paircomp.sampler import SamplingConfig
 
 
 def spec(kind, alias="algo", **params):
     return AlgorithmSpec(alias=alias, kind=kind, params=params)
+
+
+def plan_with(algorithm, instance):
+    """A plan that runs ``algorithm`` against a synthetic one on ``instance``."""
+    other = AlgorithmSpec(alias="other", kind=AlgorithmKind.SYNTHETIC_NORMAL)
+    return ExperimentPlan(
+        design=ComparisonDesign(alpha=0.05, power_target=0.8, mres_d=0.5),
+        sampling=SamplingConfig(se_max=1.0), instance_pool=(instance,),
+        algorithms=(algorithm, other), master_seed=1)
 
 
 class TestSyntheticRunners:
@@ -52,9 +65,9 @@ class TestSyntheticRunners:
         assert Runner(s).run(inst, 3) == vals[3]
 
     def test_negative_sigma_rejected(self):
-        s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=-1.0)
-        with pytest.raises(ConfigError):
-            Runner(s).run(InstanceRef(id="i"), 1)
+        with pytest.raises(ValueError, match=r"params\.sigma must be a finite "
+                                             r"number >= 0, got -1\.0"):
+            spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=-1.0)
 
     def test_run_returns_finite_float(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=1.0)
@@ -199,9 +212,8 @@ class TestSubprocessRunner:
         assert not marker.exists()
 
     def test_no_executable_parameter_is_config_error(self):
-        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS, params={})
-        with pytest.raises(ConfigError, match="needs an 'executable' parameter"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+        with pytest.raises(ValueError, match=r"params\.executable is required"):
+            AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS, params={})
 
     def test_missing_executable_raises(self):
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
@@ -241,21 +253,28 @@ class TestAnnealingDemoRunner:
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=100.0, budget=300)
         assert Runner(s).run(inst, 0) > 0
 
+    def test_builder_refuses_fewer_than_four_cities(self):
+        with pytest.raises(ValueError, match="at least 4 cities, got 3"):
+            build_tsp_instance("t", n_cities=3)
+
     def test_bad_payload_rejected(self):
         s = spec(AlgorithmKind.DEMO_SANN_TSP)
-        with pytest.raises(ConfigError):
-            Runner(s).run(InstanceRef(id="nothing"), 0)
+        with pytest.raises(ValueError, match="instance 'nothing', algorithm "
+                                             "'algo': the payload needs"):
+            plan_with(s, InstanceRef(id="nothing"))
 
     @pytest.mark.parametrize("payload, params, message", [
-        ({"distance_matrix": [[0, 1], [1, 0]]}, {}, "invalid distance matrix"),
-        ({"cities": 3}, {}, "at least 4 cities"),
-        ({"cities": 5}, {"temp": 0.0}, "temp > 0 and budget >= 1"),
-        ({"cities": 5}, {"budget": 0}, "temp > 0 and budget >= 1"),
+        ({"distance_matrix": [[0, 1], [1, 0]]}, {},
+         "payload.distance_matrix must be a square matrix"),
+        ({"cities": 3}, {}, "payload.cities must be an integer >= 4, got 3"),
+        ({"cities": 5}, {"temp": 0.0}, "params.temp must be a finite number > 0"),
+        ({"cities": 5}, {"budget": 0}, "params.budget must be an integer >= 1"),
     ], ids=["two-by-two-matrix", "three-cities", "zero-temp", "zero-budget"])
     def test_invalid_instance_or_params_rejected(self, payload, params, message):
-        s = spec(AlgorithmKind.DEMO_SANN_TSP, **params)
-        with pytest.raises((ConfigError, ValueError), match=message):
-            Runner(s).run(InstanceRef(id="bad", payload=payload), 0)
+        # params are refused with the spec, the payload with the plan
+        with pytest.raises(ValueError, match=message):
+            plan_with(spec(AlgorithmKind.DEMO_SANN_TSP, **params),
+                      InstanceRef(id="bad", payload=payload))
 
 
 class TestSpecValidation:
@@ -270,3 +289,90 @@ class TestSpecValidation:
     def test_empty_instance_id_rejected(self):
         with pytest.raises(ValueError):
             InstanceRef(id="")
+
+
+class TestParamTables:
+    """Each kind's params table decides what a spec accepts and what it runs."""
+
+    @pytest.mark.parametrize("kind, key", [
+        pytest.param(kind, key, id=f"{kind.value}.{key}")
+        for kind, table in PARAMS.items() for key in table])
+    def test_every_param_refuses_a_bool_and_accepts_its_default(self, kind, key):
+        _, ok, default = PARAMS[kind][key]
+        assert not ok(True)
+        assert default is _REQUIRED or ok(default)
+
+    @pytest.mark.parametrize("kind, params", [
+        (AlgorithmKind.SYNTHETIC_NORMAL, {}),
+        (AlgorithmKind.SYNTHETIC_LOGNORMAL, {}),
+        (AlgorithmKind.DEMO_SANN_TSP, {"budget": 300}),
+        (AlgorithmKind.DEMO_SANN_TSP, {"temp": 10.0}),
+    ], ids=["normal", "lognormal", "tsp-temp", "tsp-budget"])
+    def test_an_absent_param_runs_at_its_default(self, kind, params):
+        explicit = {key: default for key, (_, _, default) in PARAMS[kind].items()}
+        explicit.update(params)
+        inst = build_tsp_instance("t", n_cities=6, layout_seed=1)
+        assert Runner(spec(kind, **params)).run(inst, 3) == \
+            Runner(spec(kind, **explicit)).run(inst, 3)
+
+    @pytest.mark.parametrize("kind, params, message", [
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": 1, "sgima": 5},
+         r"params\.sgima is not a synthetic_normal parameter; "
+         r"allowed: \['mu', 'sigma'\]"),
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"temp": 5},
+         r"params\.temp is not a synthetic_normal parameter"),
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": [1]}, r"params\.mu must be a finite number"),
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": "x"}, r"params\.mu must be"),
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": True}, r"params\.mu must be"),
+        (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": 10 ** 400}, r"params\.mu must be"),
+        (AlgorithmKind.SYNTHETIC_LOGNORMAL, {"sigma": math.inf}, r"params\.sigma must be"),
+        (AlgorithmKind.SYNTHETIC_LOGNORMAL, {"sigma": math.nan}, r"params\.sigma must be"),
+        (AlgorithmKind.DEMO_SANN_TSP, {"budget": 2.5}, r"params\.budget must be an integer"),
+        (AlgorithmKind.DEMO_SANN_TSP, {"budget": True}, r"params\.budget must be"),
+        (AlgorithmKind.DEMO_SANN_TSP, {"temp": -1}, r"params\.temp must be"),
+        (AlgorithmKind.SUBPROCESS, {"executable": ""}, r"params\.executable must be"),
+        (AlgorithmKind.SUBPROCESS, {"executable": 5}, r"params\.executable must be"),
+        (AlgorithmKind.SUBPROCESS, {"executable": "x", "args": 5}, r"params\.args must be"),
+        (AlgorithmKind.SUBPROCESS, {"executable": "x", "args": "'open"},
+         r"params\.args must be"),
+    ], ids=["typo", "other-kind", "mu-list", "mu-string", "mu-bool", "mu-huge-int",
+            "sigma-inf", "sigma-nan", "budget-float", "budget-bool", "temp-negative",
+            "executable-empty", "executable-number", "args-number", "args-open-quote"])
+    def test_bad_params_refused_with_the_spec(self, kind, params, message):
+        with pytest.raises(ValueError, match=message):
+            spec(kind, **params)
+
+    @pytest.mark.parametrize("algorithm, payload, message", [
+        (spec(AlgorithmKind.SYNTHETIC_NORMAL), {"algo": 5},
+         r"payload\.algo must be a mapping, got 5"),
+        (spec(AlgorithmKind.SYNTHETIC_NORMAL), {"algo": {"mu": "x"}},
+         r"payload\.algo\.mu must be a finite number, got 'x'"),
+        (spec(AlgorithmKind.SYNTHETIC_NORMAL), {"algo": {"sgima": 1}},
+         r"payload\.algo\.sgima is not a synthetic_normal parameter"),
+        (spec(AlgorithmKind.DEMO_SANN_TSP), {"cities": 4.0}, r"payload\.cities must be"),
+        (spec(AlgorithmKind.DEMO_SANN_TSP), {"cities": 5, "layout_seed": -1},
+         r"payload\.layout_seed must be an integer >= 0"),
+        (spec(AlgorithmKind.DEMO_SANN_TSP), {"distance_matrix": [[0, 1, 2, 3]] * 3},
+         r"payload\.distance_matrix must be a square matrix"),
+        (spec(AlgorithmKind.DEMO_SANN_TSP), {"distance_matrix": [[0, 1], [1]]},
+         r"payload\.distance_matrix must be a square matrix"),
+        (spec(AlgorithmKind.SUBPROCESS, executable="x"), {"path": 5},
+         r"payload\.path must be a string, got 5"),
+    ], ids=["override-not-a-mapping", "override-mu-string", "override-typo",
+            "cities-float", "negative-layout-seed", "matrix-not-square",
+            "matrix-ragged", "path-number"])
+    def test_bad_payload_refused_with_the_plan(self, algorithm, payload, message):
+        inst = InstanceRef(id="i7", payload=payload)
+        with pytest.raises(ValueError, match="instance 'i7', algorithm 'algo': "
+                                             + message):
+            plan_with(algorithm, inst)
+        # a run reads its payload through the same check
+        with pytest.raises(ValueError, match=message):
+            Runner(algorithm).run(inst, 1)
+
+    def test_payload_keys_no_algorithm_reads_are_free(self):
+        # a subprocess reads only 'path', a synthetic algorithm only its alias
+        inst = InstanceRef(id="i", payload={"path": "p", "cities": 3, "algo": 5,
+                                            "other": {"mu": 2.0}, "notes": [1]})
+        plan = plan_with(spec(AlgorithmKind.SUBPROCESS, executable="x"), inst)
+        assert plan.instance_pool == (inst,)

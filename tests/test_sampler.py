@@ -10,6 +10,7 @@ from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
                               Runner, build_tsp_instance)
 from paircomp.sampler import SamplingConfig, calc_nreps
+from paircomp.seeding import derive_seed
 
 
 def normal_spec(alias, mu, sigma):
@@ -27,7 +28,6 @@ INSTANCE = InstanceRef(id="inst-0")
 class ScriptedRunner:
     """Replays a fixed sequence of values, cycling; ignores seeds."""
 
-    alias = "scripted"
     concurrent_safe = True
 
     def __init__(self, values):
@@ -40,21 +40,13 @@ class ScriptedRunner:
         return float(v)
 
 
-class FailingRunner:
-    alias = "broken"
-    concurrent_safe = True
-
-    def run(self, instance, seed):
-        raise RunnerError("solver crashed", alias=self.alias, output_excerpt="boom")
-
-
 class TestStoppingBehavior:
     def test_generous_budget_stops_at_n0(self):
         r1, r2 = normal_runners(10, 1, 12, 1)
         cfg = SamplingConfig(se_max=5.0, n0=15, n_max=100)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
         assert (out.samples[0].n, out.samples[1].n) == (15, 15)
-        assert out.iterations == 0
+        assert len(out.se_trace) == 1
         assert not out.diff.budget_exhausted
         assert out.diff.se_hat == pytest.approx(math.sqrt(2 / 15), rel=0.5)
 
@@ -75,7 +67,7 @@ class TestStoppingBehavior:
             n1, n2, se = out.se_trace[-1]
             assert se == out.diff.se_hat
             assert (n1, n2) == (out.samples[0].n, out.samples[1].n)
-            if out.iterations > 0:
+            if len(out.se_trace) > 1:
                 # extra runs shrank the uncertainty below the starting level
                 assert out.se_trace[-1][2] < out.se_trace[0][2]
 
@@ -204,13 +196,16 @@ class TestPercentKind:
 
 class TestFailuresAndValidation:
     def test_runner_failure_carries_context(self):
-        r1 = FailingRunner()
+        r1 = Runner(AlgorithmSpec(alias="broken", kind=AlgorithmKind.SUBPROCESS,
+                                  params={"executable": "/nonexistent/solver"}))
         _, r2 = normal_runners(0, 1, 0, 1)
         cfg = SamplingConfig(se_max=0.1, n0=5, n_max=50)
-        with pytest.raises(RunnerError) as err:
+        with pytest.raises(RunnerError, match="could not launch") as err:
             calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
+        assert err.value.alias == "broken"
         assert err.value.instance_id == "inst-0"
-        assert err.value.seed is not None
+        # the first run of the first algorithm failed
+        assert err.value.seed == derive_seed(1, 0, 0)
 
     @pytest.mark.parametrize("kwargs", [
         dict(se_max=0.0), dict(se_max=-1.0), dict(n0=1),
