@@ -50,6 +50,7 @@ A manifest file is a YAML document with a single ``instances`` list of
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import yaml
@@ -196,9 +197,22 @@ def _parse_instance(node, where: str) -> InstanceRef:
     return _call(InstanceRef, _read(node, INSTANCE, where, required=("id",)), where)
 
 
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, plus YAML 1.2's floats that YAML 1.1 reads as
+    strings: an exponent without a dot or without a sign, as in ``1e-09``,
+    which ``json.dumps`` writes.  Integers and quoted scalars are unchanged."""
+
+
+# tried after YAML 1.1's own float and int forms, so an integer stays one
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)(?:[eE][-+]?[0-9]+)?$"),
+    list("-+.0123456789"))
+
+
 def _load_yaml(path: Path, what: str):
     try:
-        return yaml.safe_load(path.read_text())
+        return yaml.load(path.read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:

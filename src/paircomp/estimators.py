@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AssumptionViolationError, DegenerateRatioError
-from .seeding import make_generator
+from .seeding import generator_key, kept_generator, make_generator
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
@@ -211,8 +211,12 @@ def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, dict]:
-    """Resampled means of the first side and the generator state after them."""
-    rng = make_generator(seed)
+    """Resampled means of the first side and the generator state after them.
+
+    They are drawn from the thread's kept generator, which the caller goes
+    on drawing from; the state is a copy, so the memo never aliases it.
+    """
+    rng = kept_generator(generator_key(seed))
     m1 = _resample_means(rng, np.frombuffer(x1_bytes), resamples)
     m1.flags.writeable = False
     return m1, rng.bit_generator.state
@@ -231,7 +235,9 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     The first side's resampled means, and the generator state after them,
     are memoised on ``(seed, resamples, x1)`` with the exact observation
     bytes in the key.  A call whose first side repeats draws
-    only the second side; the result is the same to the last bit.
+    only the second side; the result is the same to the last bit.  Both
+    sides come from the thread's kept generator (see
+    :mod:`paircomp.seeding`), restored to the memoised state.
     """
     _check_resamples(resamples)
     _require_runs(s1, 2, "bootstrap_se")
@@ -241,7 +247,7 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     x2 = np.asarray(s2.observations, dtype=float)
     R = resamples
     m1, state = _first_side(seed, R, x1.tobytes())
-    rng = make_generator(seed)
+    rng = kept_generator()
     rng.bit_generator.state = state
 
     m2 = _resample_means(rng, x2, R)

@@ -36,13 +36,17 @@ from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
 from .runners import AlgorithmSpec, InstanceRef, Runner, read_run_inputs
-from .sampler import SamplingConfig, SamplingOutcome, calc_nreps
+from .sampler import SamplingConfig, SamplingOutcome, calc_nreps, first_stage
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, make_generator)
 
 __all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
 _JOURNAL_VERSION = 2
+# runs per first-stage kernel call: a chunk of instances' n0-stage seeds
+# and keys is derived at once, so the kernel's fixed cost is shared and
+# its temporaries stay bounded
+_FIRST_STAGE_RUNS = 4096
 
 
 @dataclass(frozen=True)
@@ -278,8 +282,12 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     outcomes: dict[str, SamplingOutcome] = {}
 
-    def sample_one(inst: InstanceRef, seed: int) -> SamplingOutcome:
-        return calc_nreps(runner1, runner2, inst, plan.sampling, seed)
+    def first_stages():
+        n0 = plan.sampling.n0
+        step = max(1, _FIRST_STAGE_RUNS // (2 * n0))
+        for start in range(0, len(pending), step):
+            chunk = pending[start:start + step]
+            yield from zip(chunk, first_stage([seed for _, seed in chunk], n0))
 
     def record(inst: InstanceRef, outcome: SamplingOutcome) -> None:
         outcomes[inst.id] = outcome
@@ -289,14 +297,16 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     try:
         if workers == 1 or len(pending) <= 1:
-            for inst, seed in pending:
-                record(inst, sample_one(inst, seed))
+            for (inst, seed), first in first_stages():
+                record(inst, calc_nreps(runner1, runner2, inst, plan.sampling,
+                                        seed, first))
         else:
             # journal rows land as instances complete, so an interrupt
             # loses at most the in-flight instances
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(sample_one, inst, seed): inst
-                           for inst, seed in pending}
+                futures = {pool.submit(calc_nreps, runner1, runner2, inst,
+                                       plan.sampling, seed, first): inst
+                           for (inst, seed), first in first_stages()}
                 try:
                     for fut in as_completed(futures):
                         record(futures[fut], fut.result())

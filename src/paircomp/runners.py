@@ -1,8 +1,11 @@
 """Algorithm and instance abstractions: one run -> one performance value.
 
-``Runner(spec).run(instance, seed)`` is the one entry point: it performs
-a single run and returns its value as a finite float.  Four algorithm
-kinds are provided:
+``Runner(spec).bind(instance)`` reads the instance's inputs once and
+returns the run function: called with a run seed and the Philox key of its
+generator (see :mod:`paircomp.seeding`), it performs a single run and
+returns its value as a finite float.  ``Runner(spec).run(instance, seed)``
+is the two composed, for a single run.  Four algorithm kinds are
+provided:
 
 * ``subprocess`` wraps an external solver.  The command line is the
   executable followed by its argument template with ``{instance}`` and
@@ -26,7 +29,8 @@ kinds are provided:
 must be, and its default.  A spec is checked against it when built, and
 ``read_run_inputs`` reads and checks the payload keys its kind reads;
 an experiment plan calls it for every pool instance when built, and
-every run calls it again.  So the run functions take checked values.
+``bind`` once per (algorithm, instance).  So the run functions take
+checked values.
 
 Raw values are recorded as-is: whether smaller or larger is better lives
 entirely in the experiment design's alternative hypothesis.
@@ -46,7 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RunnerError
-from .seeding import make_generator
+from .seeding import generator_key, kept_generator, make_generator
 
 __all__ = [
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "Runner",
@@ -170,15 +174,29 @@ class Runner:
     def concurrent_safe(self) -> bool:
         return self.spec.concurrent_safe
 
-    def run(self, instance: InstanceRef, seed: int) -> float:
-        """Run the algorithm once on the instance and return its performance value."""
+    def bind(self, instance: InstanceRef):
+        """The algorithm's run function on the instance, inputs read once.
+
+        It takes a run seed and the key of that seed's generator (as
+        ``seeding.run_keys`` or ``seeding.generator_key`` gives it) and
+        returns the run's performance value.
+        """
         spec = self.spec
         read, run = _KINDS[spec.kind]
-        value = run(spec, instance, seed, *read(spec, instance))
-        if not math.isfinite(value):
-            raise RunnerError(f"run produced a non-finite value {value!r}",
-                              alias=spec.alias, instance_id=instance.id, seed=seed)
-        return float(value)
+        inputs = read(spec, instance)
+
+        def run_once(seed: int, key) -> float:
+            value = run(spec, instance, seed, key, *inputs)
+            if not math.isfinite(value):
+                raise RunnerError(f"run produced a non-finite value {value!r}",
+                                  alias=spec.alias, instance_id=instance.id, seed=seed)
+            return float(value)
+
+        return run_once
+
+    def run(self, instance: InstanceRef, seed: int) -> float:
+        """Run the algorithm once on the instance and return its performance value."""
+        return self.bind(instance)(seed, generator_key(seed))
 
 
 def read_run_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
@@ -207,16 +225,16 @@ def _synthetic_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
     return params["mu"], params["sigma"]
 
 
-def _run_normal(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+def _run_normal(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
                 mu: float, sigma: float) -> float:
     if sigma == 0.0:
         return mu
-    return mu + sigma * make_generator(seed).standard_normal()
+    return mu + sigma * kept_generator(key).standard_normal()
 
 
-def _run_lognormal(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+def _run_lognormal(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
                    mu: float, sigma: float) -> float:
-    return math.exp(_run_normal(spec, instance, seed, mu, sigma))
+    return math.exp(_run_normal(spec, instance, seed, key, mu, sigma))
 
 
 def build_synthetic_pool(n_instances: int, delta: float = 0.0,
@@ -276,7 +294,7 @@ def _subprocess_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
     return params["executable"], args, path
 
 
-def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
                     executable: str, args: list, instance_arg: str) -> float:
     cmd = [executable] + [
         str(a).replace("{instance}", instance_arg).replace("{seed}", str(seed))
@@ -375,10 +393,10 @@ def _tour_length(tour: list[int], d) -> float:
     return total + d[tour[-1]][tour[0]]
 
 
-def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
+def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
                   temp: float, budget: int, d: list) -> float:
     n = len(d)
-    rng = make_generator(seed)
+    rng = kept_generator(key)
 
     tour = list(range(n))
     tail = tour[1:]
@@ -405,7 +423,7 @@ def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int,
 
 
 # each kind's reader and run function; a run takes the spec, the instance,
-# the seed and what the reader returned
+# the seed, its generator key and what the reader returned
 _KINDS = {
     AlgorithmKind.SUBPROCESS: (_subprocess_inputs, _run_subprocess),
     AlgorithmKind.SYNTHETIC_NORMAL: (_synthetic_inputs, _run_normal),

@@ -9,7 +9,12 @@ sequential: every allocation decision depends on all runs so far.
 
 Run seeds are derived deterministically from the instance seed and the
 (algorithm index, run index) pair, so outcomes are bit-reproducible and
-re-running an instance never changes earlier draws.
+re-running an instance never changes earlier draws.  A run's seed does
+not depend on the allocation, so seeds and generator keys are derived in
+blocks (see :mod:`paircomp.seeding`): the ``n0`` stage of each instance in
+one block, which ``run_experiment`` derives for many instances at once,
+and each algorithm's later runs in blocks that double from ``n0``, capped
+by what is left of the ``n_max`` budget.
 """
 
 from __future__ import annotations
@@ -17,13 +22,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import AssumptionViolationError, DegenerateRatioError
 from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
                          PairedDifference, SEMethod, bootstrap_se,
                          phi_percent, phi_simple,
                          optimal_ratio_percent, optimal_ratio_simple,
                          se_percent, se_simple)
-from .seeding import BOOTSTRAP_STREAM, derive_seed
+from .seeding import BOOTSTRAP_STREAM, derive_seed, run_keys
 
 __all__ = ["SamplingConfig", "SamplingOutcome", "calc_nreps"]
 
@@ -36,7 +43,8 @@ class SamplingConfig:
     the bootstrap's draw count, for the bootstrap SE and for the
     diagnostics; the bootstrap's seeds derive from each instance's seed.
     ``force_balance`` alternates the two algorithms regardless of the
-    ratio, for experimenters who want equal sample sizes.
+    ratio, for experimenters who want equal sample sizes.  ``n_max`` must
+    stay below 2**32: a run index enters its seed as one 32-bit word.
     """
 
     se_max: float
@@ -56,6 +64,8 @@ class SamplingConfig:
             raise ValueError(f"n0 must be at least 2, got {self.n0!r}")
         if self.n_max < 2 * self.n0:
             raise ValueError(f"n_max={self.n_max!r} must be at least 2*n0={2 * self.n0}")
+        if self.n_max >= 2 ** 32:
+            raise ValueError(f"n_max must be below 2**32, got {self.n_max!r}")
         if self.resamples < MIN_RESAMPLES:
             raise ValueError(f"at least {MIN_RESAMPLES} bootstrap resamples are "
                              f"required, got {self.resamples!r}")
@@ -71,26 +81,59 @@ class SamplingOutcome:
     seed_ledger: list[int] = field(default_factory=list)
 
 
-def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int) -> SamplingOutcome:
+def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``n0``-stage run seeds and generator keys of each instance.
+
+    One ``run_keys`` call serves them all.  Each instance's entry holds
+    algorithm 0's runs 0 to n0-1, then algorithm 1's, as ``(seeds, keys)``.
+    """
+    width, count = 2 * n0, len(instance_seeds)
+    seeds, keys = run_keys([seed for seed in instance_seeds for _ in range(width)],
+                           ([0] * n0 + [1] * n0) * count,
+                           np.tile(np.arange(n0), 2 * count))
+    return [(seeds[k:k + width], keys[k:k + width])
+            for k in range(0, width * count, width)]
+
+
+def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int,
+               first=None) -> SamplingOutcome:
     """Sample two algorithms on one instance until the SE budget is met.
 
     Returns when the standard error of the paired difference drops to
     ``cfg.se_max`` or the total-run budget ``cfg.n_max`` is exhausted
     (flagged on the result).  If the parametric percent-difference SE
     degenerates (zero mean gap), the instance falls back to the bootstrap
-    estimate and the switch is recorded in ``events``.
+    estimate and the switch is recorded in ``events``.  ``first`` is the
+    instance's entry of ``first_stage``, when the caller derived it along
+    with other instances'; without it, it is derived here.
     """
     samples = (InstanceSample(), InstanceSample())
-    runners = (runner1, runner2)
+    runs = (runner1.bind(instance), runner2.bind(instance))
     ledger: list[int] = []
     events: list[str] = []
     se_method = cfg.se_method
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM)
+    n0 = cfg.n0
+    seeds, keys = first if first is not None else first_stage([seed], n0)[0]
+    seeds, keys = seeds.tolist(), keys.tolist()
+    # each algorithm's run seeds and keys derived so far, by run index
+    derived = ((seeds[:n0], keys[:n0]), (seeds[n0:], keys[n0:]))
+    block = [n0, n0]
 
     def do_run(algo_index: int) -> None:
-        sample = samples[algo_index]
-        rs = derive_seed(seed, algo_index, sample.n)
-        sample.add(runners[algo_index].run(instance, rs))
+        algo_seeds, algo_keys = derived[algo_index]
+        r = samples[algo_index].n
+        if r == len(algo_seeds):
+            # the next block doubles, but never outruns the budget
+            size = min(2 * block[algo_index],
+                       cfg.n_max - samples[0].n - samples[1].n)
+            block[algo_index] = size
+            more_seeds, more_keys = run_keys([seed] * size, [algo_index] * size,
+                                             np.arange(r, r + size))
+            algo_seeds += more_seeds.tolist()
+            algo_keys += more_keys.tolist()
+        rs = algo_seeds[r]
+        samples[algo_index].add(runs[algo_index](rs, algo_keys[r]))
         ledger.append(rs)
 
     def current_se() -> float:

@@ -172,6 +172,17 @@ def seed_sequence_seed(root: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def reference_generator(seed: int) -> np.random.Generator:
+    """The generator a run with this seed must draw from: numpy's own
+    constructor, with no key derived or re-keyed by paircomp."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
+def reference_key(seed: int) -> list[int]:
+    """The Philox key numpy's constructor derives from ``seed``."""
+    return np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
+
+
 def bootstrap_se_unmemoised(s1, s2, diff_kind: str, resamples: int, rng_seed: int) -> float:
     """The bootstrap SE as drawn without a memo: both sides from a fresh stream."""
     def resample_means(rng, x, count):

@@ -6,6 +6,7 @@ key takes the default of the class it configures.
 """
 
 import copy
+import json
 
 import pytest
 import yaml
@@ -231,3 +232,50 @@ def test_design_command_shares_the_rule(capsys):
                  "--d", "0.5", "--delta", "0.1", "--sigma-bound", "1"])
     assert code == 2
     assert "either 'd' or 'delta'" in capsys.readouterr().err
+
+
+def test_json_exponents_are_numbers(capsys, tmp_path):
+    # json.dumps writes 1e-09 and 2e-05, which YAML 1.1 reads as strings
+    doc = dict(POOL, sampling={"se_max": 1e-9, "n0": 2, "n_max": 6},
+               design={"alpha": 0.05, "power": 0.8, "d": 0.5, "mu0": 2e-5})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    plan, _ = config.load_config(path)
+    assert plan.sampling.se_max == 1e-9 and plan.design.mu0 == 2e-5
+    assert plan.sampling.n0 == 2 and type(plan.sampling.n0) is int
+    code = main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert (tmp_path / "out" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e-9", 1e-9), ("1E+3", 1000.0), ("-2.5e3", -2500.0), (".5e1", 5.0),
+    ("1.0e-3", 1e-3), ("0.25", 0.25), ("7", 7), ("'1e-9'", "1e-9"),
+    ('"1e-9"', "1e-9"), ("1e", "1e"), ("e5", "e5"),
+])
+def test_plain_scalars_in_yaml_1_2_float_form_are_floats(tmp_path, text, value):
+    path = tmp_path / "doc.yaml"
+    path.write_text(f"x: {text}\n")
+    got = config._load_yaml(path, "test document")["x"]
+    assert got == value and type(got) is type(value)
+
+
+def test_quoted_exponent_stays_a_string(capsys, tmp_path):
+    cfg = _write(tmp_path, "design: {alpha: 0.05, power: 0.8, d: 0.5}\n"
+                           "sampling: {se_max: '1e-9'}\n"
+                           "instances: {synthetic_pool: {count: 3}}\n"
+                           "master_seed: 1\n")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "sampling.se_max must be a number, got '1e-9'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "reps"])
+def test_budget_beyond_one_run_index_word_exits_two(capsys, tmp_path, command):
+    doc = dict(POOL, sampling={"se_max": 0.5, "n_max": 2 ** 32})
+    argv = [command, "--config", str(_write(tmp_path, doc)),
+            "--output-dir", str(tmp_path / "out")]
+    if command == "reps":
+        argv = argv[:3] + ["--instance", "synth-00000"]
+    assert main(argv) == 2
+    assert "sampling: n_max must be below 2**32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -9,10 +9,12 @@ import paircomp.experiment as experiment_module
 from paircomp.design import Alternative, ComparisonDesign, TestFamily, calc_power
 from paircomp.errors import (ConfigError, ExperimentAbortedError, RunnerError)
 from paircomp.estimators import DiffKind, SEMethod
-from paircomp.experiment import ExperimentPlan, _plan_fingerprint, run_experiment
-from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
-                              build_synthetic_pool)
-from paircomp.sampler import SamplingConfig
+from paircomp.experiment import (ExperimentPlan, _plan_fingerprint, run_experiment,
+                                 select_instances)
+from paircomp.reporting import write_report_json, write_results_table, write_values
+from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef, Runner,
+                              build_synthetic_pool, build_tsp_instance)
+from paircomp.sampler import SamplingConfig, calc_nreps
 
 
 def null_pool(size):
@@ -118,6 +120,46 @@ class TestReportContents:
         assert [d.phi_hat for d in serial.per_instance] == \
                [d.phi_hat for d in threaded.per_instance]
 
+    @pytest.mark.parametrize("pool_kind", ["synthetic", "tsp"])
+    def test_eight_workers_write_the_bytes_of_one(self, tmp_path, pool_kind):
+        # each worker thread re-keys a generator of its own; the outputs
+        # must not depend on which thread ran which instance
+        if pool_kind == "synthetic":
+            plan = make_plan(pool_size=24, use_all=True, se_max=0.3, n0=3, n_max=30)
+        else:
+            pool = [build_tsp_instance(f"t{k}", n_cities=8, layout_seed=k)
+                    for k in range(10)]
+            specs = tuple(AlgorithmSpec(alias=alias, kind=AlgorithmKind.DEMO_SANN_TSP,
+                                        params={"temp": temp, "budget": 60})
+                          for alias, temp in (("cool", 50.0), ("hot", 400.0)))
+            plan = make_plan(pool=pool, specs=specs, use_all=True, se_max=0.5,
+                             n0=3, n_max=14)
+        written = []
+        for workers in (1, 8):
+            out = tmp_path / f"w{workers}"
+            out.mkdir()
+            report, diagnostics = run_experiment(
+                replace(plan, workers=workers), checkpoint_path=out / "chk.jsonl")
+            write_results_table(out / "results.csv", report.per_instance)
+            write_report_json(out / "report.json", report)
+            write_values(out / "boot_sdm.csv", diagnostics.boot_sdm, "mean")
+            header, *rows = (out / "chk.jsonl").read_text().splitlines()
+            # rows land in completion order, which threads may change
+            written.append([(out / name).read_bytes() for name in
+                            ("results.csv", "report.json", "boot_sdm.csv")]
+                           + [header, sorted(rows)])
+        assert written[0] == written[1]
+
+    def test_one_instance_alone_equals_its_row_in_the_experiment(self):
+        # run_experiment derives the first stage of all instances at once,
+        # calc_nreps alone derives its own; the runs must be the same
+        plan = make_plan(pool_size=30, use_all=True, se_max=0.2, n0=3, n_max=25)
+        report, _ = run_experiment(plan)
+        runners = [Runner(spec) for spec in plan.algorithms]
+        for (inst, seed), row in zip(select_instances(plan, 0), report.per_instance):
+            alone = calc_nreps(*runners, inst, plan.sampling, seed)
+            assert alone.diff == row
+
     def test_unsafe_runner_forces_serial_execution(self):
         plan = make_plan(pool_size=20, workers=1)
         specs = tuple(
@@ -189,10 +231,10 @@ class TestCheckpointing:
         real = experiment_module.calc_nreps
         armed = {"on": True}
 
-        def flaky(r1, r2, inst, cfg, seed):
+        def flaky(r1, r2, inst, cfg, seed, first):
             if armed["on"] and inst.id == target:
                 raise RunnerError("injected failure", instance_id=inst.id)
-            return real(r1, r2, inst, cfg, seed)
+            return real(r1, r2, inst, cfg, seed, first)
 
         monkeypatch.setattr(experiment_module, "calc_nreps", flaky)
         with pytest.raises(ExperimentAbortedError) as err:
@@ -214,11 +256,11 @@ class TestCheckpointing:
         armed = {"on": True}
         calls = []
 
-        def flaky(r1, r2, inst, cfg, seed):
+        def flaky(r1, r2, inst, cfg, seed, first):
             calls.append(inst.id)
             if armed["on"] and inst.id == target:
                 raise RunnerError("injected failure", instance_id=inst.id)
-            return real(r1, r2, inst, cfg, seed)
+            return real(r1, r2, inst, cfg, seed, first)
 
         monkeypatch.setattr(experiment_module, "calc_nreps", flaky)
         with pytest.raises(ExperimentAbortedError):
@@ -241,12 +283,12 @@ class TestCheckpointing:
         real = experiment_module.calc_nreps
         returned = []
 
-        def slow_or_failing(r1, r2, inst, cfg, seed):
+        def slow_or_failing(r1, r2, inst, cfg, seed, first):
             if inst.id == target:
                 time.sleep(0.05)
                 raise RunnerError("injected failure", instance_id=inst.id)
             time.sleep(0.3)
-            outcome = real(r1, r2, inst, cfg, seed)
+            outcome = real(r1, r2, inst, cfg, seed, first)
             returned.append(inst.id)
             return outcome
 

@@ -7,6 +7,8 @@ import time
 import numpy as np
 import pytest
 
+import oracles
+import paircomp.runners as runners_module
 from paircomp.design import ComparisonDesign
 from paircomp.errors import RunnerError
 from paircomp.experiment import ExperimentPlan
@@ -14,6 +16,7 @@ from paircomp.runners import (PARAMS, _REQUIRED, AlgorithmKind, AlgorithmSpec,
                               InstanceRef, Runner, build_synthetic_pool,
                               build_tsp_instance)
 from paircomp.sampler import SamplingConfig
+from paircomp.seeding import derive_seed, run_keys
 
 
 def spec(kind, alias="algo", **params):
@@ -376,3 +379,53 @@ class TestParamTables:
                                             "other": {"mu": 2.0}, "notes": [1]})
         plan = plan_with(spec(AlgorithmKind.SUBPROCESS, executable="x"), inst)
         assert plan.instance_pool == (inst,)
+
+
+class TestBoundRuns:
+    """A bound run re-keys one kept generator; it must draw what a generator
+    built by numpy's own constructor from the run's seed draws."""
+
+    SEEDS = [derive_seed(31, algo, run) for algo in (0, 1) for run in range(40)]
+
+    def keys(self):
+        return run_keys([31] * 80, [0] * 40 + [1] * 40, list(range(40)) * 2)[1].tolist()
+
+    def test_normal_values_equal_reference_draws(self):
+        run = Runner(spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=0.5)).bind(
+            InstanceRef(id="i"))
+        for seed, key in zip(self.SEEDS, self.keys()):
+            assert run(seed, key) == \
+                2.0 + 0.5 * oracles.reference_generator(seed).standard_normal()
+
+    def test_lognormal_values_equal_reference_draws(self):
+        run = Runner(spec(AlgorithmKind.SYNTHETIC_LOGNORMAL, mu=0.1, sigma=0.3)).bind(
+            InstanceRef(id="i", payload={"algo": {"sigma": 0.7}}))
+        for seed, key in zip(self.SEEDS, self.keys()):
+            assert run(seed, key) == \
+                math.exp(0.1 + 0.7 * oracles.reference_generator(seed).standard_normal())
+
+    def test_tsp_values_equal_reference_draws(self, monkeypatch):
+        inst = build_tsp_instance("t", n_cities=12, layout_seed=4)
+        runner = Runner(spec(AlgorithmKind.DEMO_SANN_TSP, temp=500.0, budget=300))
+        keys = self.keys()[:12]
+        rekeyed = [runner.bind(inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
+        by_key = {tuple(key): seed for seed, key in zip(self.SEEDS, keys)}
+        monkeypatch.setattr(runners_module, "kept_generator",
+                            lambda key: oracles.reference_generator(by_key[tuple(key)]))
+        reference = [runner.bind(inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
+        assert rekeyed == reference
+
+    def test_inputs_are_read_once_per_binding(self, monkeypatch):
+        reads = []
+        read, run = runners_module._KINDS[AlgorithmKind.SYNTHETIC_NORMAL]
+
+        def counting(spec_, instance):
+            reads.append(instance.id)
+            return read(spec_, instance)
+
+        monkeypatch.setitem(runners_module._KINDS, AlgorithmKind.SYNTHETIC_NORMAL,
+                            (counting, run))
+        bound = Runner(spec(AlgorithmKind.SYNTHETIC_NORMAL)).bind(InstanceRef(id="i"))
+        for seed, key in zip(self.SEEDS, self.keys()):
+            bound(seed, key)
+        assert reads == ["i"]

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
+
 from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
@@ -38,6 +40,9 @@ class ScriptedRunner:
         v = self.values[self.calls % len(self.values)]
         self.calls += 1
         return float(v)
+
+    def bind(self, instance):
+        return lambda seed, key: self.run(instance, seed)
 
 
 class TestStoppingBehavior:
@@ -216,6 +221,50 @@ class TestFailuresAndValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SamplingConfig(**base)
+
+    def test_budget_beyond_one_run_index_word_rejected(self):
+        # a run index is derived from as one 32-bit word
+        SamplingConfig(se_max=0.1, n0=5, n_max=2 ** 32 - 1)
+        with pytest.raises(ValueError, match="n_max must be below 2\\*\\*32"):
+            SamplingConfig(se_max=0.1, n0=5, n_max=2 ** 32)
+
+
+class RecordingRunner:
+    """Draws as a synthetic normal runner does, and records each run's
+    algorithm, seed and key."""
+
+    concurrent_safe = True
+
+    def __init__(self, algo_index, log, sd):
+        self.algo_index, self.log = algo_index, log
+        self.runner = Runner(normal_spec(f"a{algo_index}", 0.0, sd))
+
+    def bind(self, instance):
+        run = self.runner.bind(instance)
+
+        def record(seed, key):
+            self.log.append((self.algo_index, seed, key))
+            return run(seed, key)
+        return record
+
+
+class TestRunSeedBlocks:
+    @pytest.mark.parametrize("n0, n_max, sd2", [(2, 4, 1.0), (3, 97, 3.0),
+                                                  (5, 200, 0.2), (4, 41, 1.0)])
+    def test_every_run_gets_its_seed_and_key(self, n0, n_max, sd2):
+        # blocks double from n0 and stop at the budget; whatever the
+        # allocation, run r of algorithm a has derive_seed(seed, a, r)
+        log = []
+        cfg = SamplingConfig(se_max=1e-6, n0=n0, n_max=n_max)
+        out = calc_nreps(RecordingRunner(0, log, 1.0), RecordingRunner(1, log, sd2),
+                         INSTANCE, cfg, seed=8)
+        assert out.samples[0].n + out.samples[1].n == n_max == len(log)
+        counts = [0, 0]
+        for algo, seed, key in log:
+            assert seed == derive_seed(8, algo, counts[algo])
+            assert key == oracles.reference_key(seed)
+            counts[algo] += 1
+        assert out.seed_ledger == [seed for _, seed, _ in log]
 
 
 class TestAnnealingDemo:

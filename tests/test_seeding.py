@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from paircomp.seeding import derive_seed, make_generator
+from paircomp.seeding import (derive_seed, generator_key, kept_generator,
+                              make_generator, run_keys)
 
 EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -113,3 +114,109 @@ class TestSeedSequenceEquivalence:
             sys.setswitchinterval(interval)
         for k in range(8):
             assert got[k] == expected[k::8]
+
+
+EDGE_ROOTS = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 128 + 1)
+EDGE_RUNS = (0, 1, 2 ** 32 - 1)
+
+
+class TestRunKeys:
+    def test_matches_derive_seed_and_numpy_keys_on_random_triples(self):
+        rng = random.Random(20261018)
+        roots = [random_value(rng, 2) if rng.random() < 0.9 else random_value(rng, 5)
+                 for _ in range(30_000)]
+        algos = [rng.randrange(2) if rng.random() < 0.9 else rng.getrandbits(32)
+                 for _ in roots]
+        runs = [rng.choice(EDGE_RUNS) if rng.random() < 0.1 else rng.randrange(500)
+                for _ in roots]
+        seeds, keys = run_keys(roots, algos, runs)
+        assert seeds.dtype == np.uint64 and keys.dtype == np.uint64
+        assert keys.shape == (len(roots), 2)
+        for i, (root, algo, run) in enumerate(zip(roots, algos, runs)):
+            seed = int(seeds[i])
+            assert seed == derive_seed(root, algo, run), (root, algo, run)
+            assert keys[i].tolist() == oracles.reference_key(seed), (root, algo, run)
+
+    def test_edge_roots_and_run_indices(self):
+        # a root wider than the pool changes the hash constant of the prefix
+        triples = [(root, algo, run) for root in EDGE_ROOTS for algo in (0, 1)
+                   for run in EDGE_RUNS]
+        seeds, keys = run_keys(*zip(*triples))
+        for (root, algo, run), seed, key in zip(triples, seeds.tolist(), keys.tolist()):
+            assert seed == oracles.seed_sequence_seed(root, algo, run)
+            assert key == oracles.reference_key(seed)
+            assert list(generator_key(seed)) == key
+
+    def test_one_prefix_block_matches_a_mixed_block(self):
+        runs = np.arange(7, 40)
+        alone = run_keys([99] * runs.size, [1] * runs.size, runs)
+        mixed = run_keys([99, 5] * runs.size, [1, 0] * runs.size, np.repeat(runs, 2))
+        assert alone[0].tolist() == mixed[0][0::2].tolist()
+        assert alone[1].tolist() == mixed[1][0::2].tolist()
+
+    def test_empty_block(self):
+        seeds, keys = run_keys([], [], [])
+        assert seeds.shape == (0,) and keys.shape == (0, 2)
+
+    def test_refuses_a_run_index_beyond_one_word(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            run_keys([1], [0], [2 ** 32])
+
+    def test_refuses_sequences_of_different_lengths(self):
+        with pytest.raises(ValueError, match="same length"):
+            run_keys([1, 2], [0, 0], [0])
+
+    def test_concurrent_blocks_agree(self):
+        jobs = [(root, algo, run) for root in range(40) for algo in range(2)
+                for run in range(60)]
+        expected = [oracles.seed_sequence_seed(*job) for job in jobs]
+
+        def derive(share):
+            return run_keys(*zip(*share))[0].tolist()
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(derive, jobs[k::8]) for k in range(8)]
+            got = [f.result(timeout=60) for f in futures]
+        for k in range(8):
+            assert got[k] == expected[k::8]
+
+
+class TestKeptGenerator:
+    def test_rekeyed_draws_equal_a_new_generator(self):
+        for seed in (0, 1, 2 ** 32, 2 ** 64 - 1, 123456789):
+            ref = oracles.reference_generator(seed)
+            rng = kept_generator(generator_key(seed))
+            assert rng.standard_normal(5).tolist() == ref.standard_normal(5).tolist()
+            assert rng.integers(0, 10 ** 6, 7).tolist() == ref.integers(0, 10 ** 6, 7).tolist()
+            assert rng.random() == ref.random()
+
+    def test_rekeying_drops_every_part_of_the_old_state(self):
+        # a 32-bit draw leaves half a word buffered and a normal draw moves
+        # the counter; neither may leak into the next run's stream
+        rng = kept_generator(generator_key(5))
+        rng.integers(0, 2 ** 32, dtype=np.uint32)
+        rng.standard_normal(3)
+        rng = kept_generator(generator_key(6))
+        ref = oracles.reference_generator(6)
+        assert rng.integers(0, 2 ** 32, 5, dtype=np.uint32).tolist() == \
+            ref.integers(0, 2 ** 32, 5, dtype=np.uint32).tolist()
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def test_each_thread_keeps_its_own(self):
+        seeds = list(range(1000, 1400))
+
+        def draw_all(share):
+            return [kept_generator(generator_key(s)).standard_normal(3).tolist()
+                    for s in share]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(draw_all, seeds[k::8]) for k in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(8):
+            assert got[k] == [oracles.reference_generator(s).standard_normal(3).tolist()
+                              for s in seeds[k::8]]
