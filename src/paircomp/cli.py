@@ -149,6 +149,14 @@ def _cmd_power(args) -> int:
         d_range = (float(lo_s), float(hi_s))
     except ValueError:
         raise ConfigError(f"--d-range must look like LO:HI, got {args.d_range!r}") from None
+    try:
+        levels = [float(tok) for tok in (args.highlights or "").split(",") if tok]
+    except ValueError:
+        raise ConfigError(f"--highlights must be comma-separated numbers, "
+                          f"got {args.highlights!r}") from None
+    for level in levels:
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"--highlights: power level {fmt(level)} is not in (0, 1)")
     points = 300 if args.points is None else args.points
     curve = power_curve(args.n, args.alpha, alternative, d_range, points)
     print(f"curve points: {len(curve)}")
@@ -158,17 +166,11 @@ def _cmd_power(args) -> int:
     else:
         for d, p in curve:
             print(f"{d!r},{p!r}")
-    if args.highlights:
-        try:
-            levels = [float(tok) for tok in args.highlights.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"--highlights must be comma-separated numbers, "
-                              f"got {args.highlights!r}") from None
-        for level, d in curve_highlights(curve, levels):
-            if d is None:
-                print(f"power {fmt(level)} not reached on this range")
-            else:
-                print(f"power {fmt(level)} reached at d = {fmt(d)}")
+    for level, d in curve_highlights(curve, levels):
+        if d is None:
+            print(f"power {fmt(level)} not reached on this range")
+        else:
+            print(f"power {fmt(level)} reached at d = {fmt(d)}")
     return EXIT_OK
 
 

@@ -38,7 +38,7 @@ from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
 from .runners import AlgorithmSpec, InstanceRef, Runner, read_run_inputs
 from .sampler import SamplingConfig, SamplingOutcome, calc_nreps, first_stage
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
-                      derive_seed, make_generator)
+                      derive_seed, make_generator, run_keys)
 
 __all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
@@ -116,7 +116,8 @@ def select_instances(plan: ExperimentPlan,
     That is the whole pool, or ``n_required`` instances (at most the
     pool) drawn without replacement under the master seed.  The k-th
     selected instance gets the k-th seed of the instance stream: its seed
-    follows the selection order, not its position in the pool.
+    follows the selection order, not its position in the pool.  All the
+    seeds come from one ``run_keys`` block.
     """
     pool = plan.instance_pool
     if plan.use_all_instances:
@@ -126,8 +127,10 @@ def select_instances(plan: ExperimentPlan,
         rng = make_generator(derive_seed(plan.master_seed, SELECTION_STREAM))
         idx = rng.choice(len(pool), size=count, replace=False)
         selected = [pool[int(i)] for i in idx]
-    return [(inst, derive_seed(plan.master_seed, INSTANCE_STREAM, k))
-            for k, inst in enumerate(selected)]
+    count = len(selected)
+    seeds, _ = run_keys([plan.master_seed] * count, [INSTANCE_STREAM] * count,
+                        range(count))
+    return list(zip(selected, seeds.tolist()))
 
 
 def _diff_to_row(diff: PairedDifference) -> dict:
@@ -280,8 +283,6 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     pending = [(inst, seed) for inst, seed in selected
                if inst.id not in completed]
 
-    outcomes: dict[str, SamplingOutcome] = {}
-
     def first_stages():
         n0 = plan.sampling.n0
         step = max(1, _FIRST_STAGE_RUNS // (2 * n0))
@@ -290,7 +291,6 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
             yield from zip(chunk, first_stage([seed for _, seed in chunk], n0))
 
     def record(inst: InstanceRef, outcome: SamplingOutcome) -> None:
-        outcomes[inst.id] = outcome
         completed[inst.id] = outcome.diff
         if journal:
             journal.append(outcome.diff)
@@ -323,11 +323,6 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
         raise ExperimentAbortedError(
             exc, checkpoint_path=journal.path if journal else None,
             completed=len(completed)) from exc
-
-    all_seeds = [s for oc in outcomes.values() for s in oc.seed_ledger]
-    if len(set(all_seeds)) != len(all_seeds):
-        raise RuntimeError("internal error: a run seed was reused within the "
-                           "experiment")
 
     diffs = [completed[inst.id] for inst, _ in selected]
     phis = [d.phi_hat for d in diffs]

@@ -78,7 +78,6 @@ class SamplingOutcome:
     diff: PairedDifference
     se_trace: list[tuple[int, int, float]]
     events: list[str] = field(default_factory=list)
-    seed_ledger: list[int] = field(default_factory=list)
 
 
 def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -109,7 +108,6 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int,
     """
     samples = (InstanceSample(), InstanceSample())
     runs = (runner1.bind(instance), runner2.bind(instance))
-    ledger: list[int] = []
     events: list[str] = []
     se_method = cfg.se_method
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM)
@@ -132,9 +130,7 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int,
                                              np.arange(r, r + size))
             algo_seeds += more_seeds.tolist()
             algo_keys += more_keys.tolist()
-        rs = algo_seeds[r]
-        samples[algo_index].add(runs[algo_index](rs, algo_keys[r]))
-        ledger.append(rs)
+        samples[algo_index].add(runs[algo_index](algo_seeds[r], algo_keys[r]))
 
     def current_se() -> float:
         nonlocal se_method
@@ -195,4 +191,4 @@ def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int,
         budget_exhausted=se > cfg.se_max,
     )
     return SamplingOutcome(samples=samples, diff=diff, se_trace=trace,
-                           events=events, seed_ledger=ledger)
+                           events=events)

@@ -16,21 +16,9 @@ Within one instance, the run that gives algorithm ``a`` (0 or 1) its
 from the generator ``make_generator`` builds from that seed.  Run indices
 are never reused, so distinct runs always get distinct seeds.
 
-``derive_seed(root, *path)`` is, for every input, the value of
+``derive_seed(root, *path)`` is numpy's own
 ``np.random.SeedSequence(entropy=root, spawn_key=path).generate_state(1,
-np.uint64)[0]``; the tests pin it to numpy's SeedSequence.  SeedSequence
-fills its 4-word pool from the root (zero-padded to 4 words when there is
-a spawn key), mixes the pool, and then absorbs each 32-bit word of the
-spawn key into every pool word in turn.  So the state after a path prefix
-(the pool and the position of the running hash constant) extends the
-state after any shorter prefix.  numpy builds the root's pool once; a
-cache keeps the state for each ``(root, path[:-1])``, and each call
-absorbs only the last path element, with SeedSequence's own
-``hashmix``/``mix`` steps in plain Python ints, then applies its
-``generate_state`` output hash.  That hash reads pool words 0 and 1 only,
-so the element's final word is mixed into those two.  All runs of one
-algorithm on one instance share the prefix ``(instance_seed,
-algo_index)``.
+np.uint64)[0]``.
 
 The key rule: ``make_generator(seed)`` is a Philox generator whose key is
 ``SeedSequence(seed).generate_state(2, np.uint64)`` and whose counter
@@ -48,11 +36,11 @@ runs in blocks: the experiment derives the first stage of many instances
 at once, and the sampler the later runs of an instance in blocks that
 double.
 
-The kernel repeats SeedSequence's hash steps on ``uint32`` arrays, where
-products wrap mod 2**32 as the masks of the scalar code do, vectorised
-over runs and over pool words.  ``derive_seed`` keeps them on Python ints:
-one scalar derivation through numpy would cost about ten times as much,
-and it runs for every instance.  The tests pin both to numpy.
+SeedSequence's ``hashmix`` and ``mix`` steps have one implementation
+here: the kernel's, on ``uint32`` arrays where products wrap mod 2**32,
+vectorised over runs and over pool words.  Every scalar derivation
+(``derive_seed``, ``generator_key`` and the kernel's per-prefix state) is
+numpy's SeedSequence itself, and the tests pin the kernel to numpy.
 
 ``kept_generator(key)`` re-keys the calling thread's one kept Philox
 generator and returns it, instead of building a generator.  It may be used
@@ -87,68 +75,11 @@ _XSHIFT = 16
 _MASK32 = 0xFFFFFFFF
 
 
-def _words(value: int) -> list[int]:
-    """Little-endian 32-bit words of ``value``, split as SeedSequence does."""
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
-
-
-def _absorb(pool, hash_const: int, words, width: int = _POOL_SIZE) -> tuple[list[int], int]:
-    """Mix ``words`` into the first ``width`` pool words as SeedSequence does.
-
-    SeedSequence mixes each spawn-key word into all 4 pool words; a
-    narrower ``width`` serves a last word after which only those are read.
-    """
-    pool = list(pool)
-    for word in words:
-        for i in range(width):
-            hashed = word ^ hash_const                     # hashmix
-            hash_const = hash_const * _MULT_A & _MASK32
-            hashed = hashed * hash_const & _MASK32
-            hashed ^= hashed >> _XSHIFT
-            mixed = (_MIX_MULT_L * pool[i] - _MIX_MULT_R * hashed) & _MASK32  # mix
-            pool[i] = mixed ^ (mixed >> _XSHIFT)
-    return pool, hash_const
-
-
-# sized so that the first-stage block of a whole chunk of instances fits
-@lru_cache(maxsize=4096)
-def _prefix_state(root: int, prefix: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """Pool of ``SeedSequence(root, spawn_key=prefix)`` and its hash constant."""
-    if prefix:
-        pool, hash_const = _absorb(*_prefix_state(root, prefix[:-1]), _words(prefix[-1]))
-        return tuple(pool), hash_const
-    pool = np.random.SeedSequence(entropy=root).pool
-    # mixing n root words, zero-padded to n >= pool size, takes 4 * n
-    # hashmix steps: one per pool word, one per ordered pair of pool words,
-    # and one per pool word for each word beyond the pool
-    n_words = max(len(_words(root)), _POOL_SIZE)
-    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
-    return tuple(int(w) for w in pool), hash_const
-
-
 def derive_seed(root: int, *path: int) -> int:
     """Derive a 64-bit child seed from ``root`` along a counter path."""
-    root = operator.index(root)
-    path = tuple(map(operator.index, path))
-    words = _words(path[-1]) if path else []
-    pool, hash_const = _absorb(*_prefix_state(root, path[:-1]), words[:-1])
-    # generate_state(1, np.uint64) hashes pool words 0 and 1 into the seed
-    pool, _ = _absorb(pool, hash_const, words[-1:], width=2)
-    seed = 0
-    hash_const = _INIT_B
-    for i in range(2):
-        word = pool[i] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        word = word * hash_const & _MASK32
-        seed |= (word ^ (word >> _XSHIFT)) << (32 * i)
-    return seed
+    seq = np.random.SeedSequence(operator.index(root),
+                                 spawn_key=tuple(map(operator.index, path)))
+    return int(seq.generate_state(1, np.uint64)[0])
 
 
 @lru_cache(maxsize=1024)
@@ -202,6 +133,26 @@ _B = _consts(_INIT_B, _MULT_B, 5)
 _OUT = (_column(_B[0:4]), _column(_B[1:5]))
 
 
+def _n_words(value: int) -> int:
+    """How many 32-bit words SeedSequence splits ``value`` into."""
+    return max(1, (value.bit_length() + 31) // 32)
+
+
+# sized so that the first-stage block of a whole chunk of instances fits
+@lru_cache(maxsize=4096)
+def _prefix_row(root: int, algo: int) -> tuple[int, ...]:
+    """Pool words 0 and 1 of ``SeedSequence(root, spawn_key=(algo,))`` and
+    the three hash constants that absorbing a run index into them uses."""
+    pool = np.random.SeedSequence(root, spawn_key=(algo,)).pool
+    # mixing L entropy words (the root's, zero-padded to the pool size, then
+    # the key's) takes 4 * L hashmix steps: one per pool word, one per
+    # ordered pair of pool words, and one per pool word for each word
+    # beyond the pool
+    n_words = max(_n_words(root), _POOL_SIZE) + _n_words(algo)
+    hash_const = _INIT_A * pow(_MULT_A, _POOL_SIZE * n_words, 1 << 32) & _MASK32
+    return (int(pool[0]), int(pool[1]), *_consts(hash_const, _MULT_A, 3))
+
+
 def _hashmix_u32(values, xor, mult):
     hashed = (values ^ xor) * mult
     hashed ^= hashed >> _U32_SHIFT
@@ -231,11 +182,8 @@ def run_keys(roots, algos, runs) -> tuple[np.ndarray, np.ndarray]:
     # each distinct (root, algo) prefix comes from the cache once; its row
     # holds pool words 0 and 1 and three consecutive hash constants
     prefixes = dict.fromkeys(pairs)
-    table = []
-    for root, algo in prefixes:
-        pool, hash_const = _prefix_state(operator.index(root), (operator.index(algo),))
-        consts = _consts(hash_const, _MULT_A, 3)
-        table.append((pool[0], pool[1], *consts))
+    table = [_prefix_row(operator.index(root), operator.index(algo))
+             for root, algo in prefixes]
     table = np.array(table, dtype=np.uint32).reshape(-1, 5).T
     if len(prefixes) > 1:
         index = {pair: i for i, pair in enumerate(prefixes)}

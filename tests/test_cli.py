@@ -186,11 +186,21 @@ class TestPowerCommand:
         assert "--d-range must look like LO:HI, got '0.1'" in err
 
     def test_non_numeric_highlights_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "power", "--n", "100",
-                               "--d-range", "0.1:0.5", "--highlights", "a,b",
-                               "--alpha", "0.05")
-        assert code == 2
-        assert "--highlights must be comma-separated numbers, got 'a,b'" in err
+        # a level outside (0, 1) is no power level either: 0 is reached
+        # everywhere, 1 and beyond nowhere
+        for highlights, message in [
+                ("a,b", "--highlights must be comma-separated numbers, got 'a,b'"),
+                ("0,-1,inf", "--highlights: power level 0 is not in (0, 1)"),
+                ("0.5,-1", "--highlights: power level -1 is not in (0, 1)"),
+                ("0.5,1", "--highlights: power level 1 is not in (0, 1)"),
+                ("inf", "--highlights: power level inf is not in (0, 1)"),
+                ("nan", "--highlights: power level nan is not in (0, 1)")]:
+            code, out, err = run_cli(capsys, "power", "--n", "10",
+                                     "--d-range", "0.1:0.5", "--points", "3",
+                                     "--highlights", highlights, "--alpha", "0.05")
+            assert code == 2, highlights
+            assert message in err
+            assert out == ""
 
     def test_curve_goes_to_stdout_without_curve_out(self, capsys):
         code, out, _ = run_cli(capsys, "power", "--n", "40",

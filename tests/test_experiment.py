@@ -160,6 +160,30 @@ class TestReportContents:
             alone = calc_nreps(*runners, inst, plan.sampling, seed)
             assert alone.diff == row
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_no_run_seed_is_used_twice(self, monkeypatch, workers):
+        # every bound run of every instance and both algorithms, across the
+        # first-stage blocks and the sampler's later ones
+        seeds = []
+
+        class RecordingRunner(Runner):
+            def bind(self, instance):
+                run = super().bind(instance)
+
+                def record(seed, key):
+                    seeds.append(seed)
+                    return run(seed, key)
+                return record
+
+        monkeypatch.setattr(experiment_module, "Runner", RecordingRunner)
+        plan = make_plan(pool_size=30, use_all=True, se_max=0.3, n0=3, n_max=40,
+                         workers=workers)
+        report, _ = run_experiment(plan)
+        runs = [d.n1 + d.n2 for d in report.per_instance]
+        assert max(runs) > 2 * plan.sampling.n0
+        assert len(seeds) == sum(runs)
+        assert len(set(seeds)) == len(seeds)
+
     def test_unsafe_runner_forces_serial_execution(self):
         plan = make_plan(pool_size=20, workers=1)
         specs = tuple(

@@ -45,6 +45,33 @@ class ScriptedRunner:
         return lambda seed, key: self.run(instance, seed)
 
 
+class RecordingRunner:
+    """Runs as the runner it wraps does, and records each run's algorithm,
+    seed and key."""
+
+    concurrent_safe = True
+
+    def __init__(self, algo_index, log, runner):
+        self.algo_index, self.log, self.runner = algo_index, log, runner
+
+    def bind(self, instance):
+        run = self.runner.bind(instance)
+
+        def record(seed, key):
+            self.log.append((self.algo_index, seed, key))
+            return run(seed, key)
+        return record
+
+
+def recording_runners(log, mu1, sd1, mu2, sd2):
+    r1, r2 = normal_runners(mu1, sd1, mu2, sd2)
+    return RecordingRunner(0, log, r1), RecordingRunner(1, log, r2)
+
+
+def run_seeds(log):
+    return [seed for _, seed, _ in log]
+
+
 class TestStoppingBehavior:
     def test_generous_budget_stops_at_n0(self):
         r1, r2 = normal_runners(10, 1, 12, 1)
@@ -97,7 +124,8 @@ class TestSEBudgetContract:
     @settings(max_examples=60, deadline=None)
     def test_contract(self, kind, method, mu1, mu2, sd1, sd2, se_scale, n0,
                       extra, seed):
-        r1, r2 = normal_runners(mu1, sd1, mu2, sd2)
+        log = []
+        r1, r2 = recording_runners(log, mu1, sd1, mu2, sd2)
         # percent differences are relative, simple ones are in data units
         se_max = se_scale if kind is DiffKind.PERCENT else 20.0 * se_scale
         cfg = SamplingConfig(se_max=se_max, n0=n0, n_max=2 * n0 + extra,
@@ -112,7 +140,7 @@ class TestSEBudgetContract:
             assert out.diff.se_hat <= se_max
         assert n1 + n2 <= cfg.n_max
         assert n1 >= n0 and n2 >= n0
-        assert len(out.seed_ledger) == n1 + n2 == len(set(out.seed_ledger))
+        assert len(run_seeds(log)) == n1 + n2 == len(set(run_seeds(log)))
         assert out.se_trace[-1] == (n1, n2, out.diff.se_hat)
 
 
@@ -141,23 +169,25 @@ class TestAllocation:
 class TestDeterminism:
     def test_identical_inputs_identical_outcomes(self):
         cfg = SamplingConfig(se_max=0.3, n0=5, n_max=100)
-        outs = []
+        outs, logs = [], []
         for _ in range(2):
-            r1, r2 = normal_runners(10, 2, 11, 1)
+            logs.append([])
+            r1, r2 = recording_runners(logs[-1], 10, 2, 11, 1)
             outs.append(calc_nreps(r1, r2, INSTANCE, cfg, seed=77))
         a, b = outs
         assert a.samples[0].observations == b.samples[0].observations
         assert a.samples[1].observations == b.samples[1].observations
         assert a.se_trace == b.se_trace
         assert a.diff == b.diff
-        assert a.seed_ledger == b.seed_ledger
+        assert logs[0] == logs[1]
 
-    def test_seed_ledger_unique(self):
-        r1, r2 = normal_runners(10, 2, 11, 1)
+    def test_run_seeds_unique(self):
+        log = []
+        r1, r2 = recording_runners(log, 10, 2, 11, 1)
         cfg = SamplingConfig(se_max=0.2, n0=10, n_max=300)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=5)
-        assert len(set(out.seed_ledger)) == len(out.seed_ledger)
-        assert len(out.seed_ledger) == out.samples[0].n + out.samples[1].n
+        assert len(set(run_seeds(log))) == len(log)
+        assert len(log) == out.samples[0].n + out.samples[1].n
 
 
 class TestPercentKind:
@@ -229,25 +259,6 @@ class TestFailuresAndValidation:
             SamplingConfig(se_max=0.1, n0=5, n_max=2 ** 32)
 
 
-class RecordingRunner:
-    """Draws as a synthetic normal runner does, and records each run's
-    algorithm, seed and key."""
-
-    concurrent_safe = True
-
-    def __init__(self, algo_index, log, sd):
-        self.algo_index, self.log = algo_index, log
-        self.runner = Runner(normal_spec(f"a{algo_index}", 0.0, sd))
-
-    def bind(self, instance):
-        run = self.runner.bind(instance)
-
-        def record(seed, key):
-            self.log.append((self.algo_index, seed, key))
-            return run(seed, key)
-        return record
-
-
 class TestRunSeedBlocks:
     @pytest.mark.parametrize("n0, n_max, sd2", [(2, 4, 1.0), (3, 97, 3.0),
                                                   (5, 200, 0.2), (4, 41, 1.0)])
@@ -256,7 +267,7 @@ class TestRunSeedBlocks:
         # allocation, run r of algorithm a has derive_seed(seed, a, r)
         log = []
         cfg = SamplingConfig(se_max=1e-6, n0=n0, n_max=n_max)
-        out = calc_nreps(RecordingRunner(0, log, 1.0), RecordingRunner(1, log, sd2),
+        out = calc_nreps(*recording_runners(log, 0.0, 1.0, 0.0, sd2),
                          INSTANCE, cfg, seed=8)
         assert out.samples[0].n + out.samples[1].n == n_max == len(log)
         counts = [0, 0]
@@ -264,7 +275,7 @@ class TestRunSeedBlocks:
             assert seed == derive_seed(8, algo, counts[algo])
             assert key == oracles.reference_key(seed)
             counts[algo] += 1
-        assert out.seed_ledger == [seed for _, seed, _ in log]
+        assert len(set(run_seeds(log))) == len(log)
 
 
 class TestAnnealingDemo:

@@ -95,8 +95,7 @@ class TestSeedSequenceEquivalence:
             oracles.seed_sequence_seed(2 ** 64 - 1, 1, 7)
 
     def test_concurrent_callers_agree(self):
-        # more threads than cores and more prefixes than the cache holds, so
-        # lookups, inserts and evictions interleave
+        # more threads than cores, so the derivations interleave
         jobs = [(root, algo, run) for root in range(300) for algo in range(2)
                 for run in range(4)]
         expected = [oracles.seed_sequence_seed(*job) for job in jobs]
@@ -147,6 +146,13 @@ class TestRunKeys:
             assert key == oracles.reference_key(seed)
             assert list(generator_key(seed)) == key
 
+    def test_wide_roots_and_algorithm_indices(self):
+        # a key word beyond the first moves the prefix's hash constant too
+        triples = [(root, algo, run) for root in (5, 2 ** 64 - 1, 2 ** 200)
+                   for algo in (2 ** 32, 2 ** 70, 2 ** 130) for run in (0, 9)]
+        seeds, _ = run_keys(*zip(*triples))
+        assert seeds.tolist() == [oracles.seed_sequence_seed(*t) for t in triples]
+
     def test_one_prefix_block_matches_a_mixed_block(self):
         runs = np.arange(7, 40)
         alone = run_keys([99] * runs.size, [1] * runs.size, runs)
@@ -167,16 +173,25 @@ class TestRunKeys:
             run_keys([1, 2], [0, 0], [0])
 
     def test_concurrent_blocks_agree(self):
-        jobs = [(root, algo, run) for root in range(40) for algo in range(2)
-                for run in range(60)]
+        # more threads than cores and more (root, algo) prefixes than the
+        # prefix cache holds, in small blocks, so lookups, inserts and
+        # evictions interleave; neighbouring threads share prefixes
+        jobs = [(root, algo, run) for root in range(2100) for algo in range(2)
+                for run in range(3)]
         expected = [oracles.seed_sequence_seed(*job) for job in jobs]
 
         def derive(share):
-            return run_keys(*zip(*share))[0].tolist()
+            return [seed for k in range(0, len(share), 50)
+                    for seed in run_keys(*zip(*share[k:k + 50]))[0].tolist()]
 
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(derive, jobs[k::8]) for k in range(8)]
-            got = [f.result(timeout=60) for f in futures]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(derive, jobs[k::8]) for k in range(8)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
         for k in range(8):
             assert got[k] == expected[k::8]
 
