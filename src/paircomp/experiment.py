@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -149,14 +150,19 @@ def _diff_to_row(diff: PairedDifference) -> dict:
 
 def _row_to_diff(row: dict) -> PairedDifference:
     n1, n2, exhausted = row["n1"], row["n2"], row["budget_exhausted"]
-    # coercing these would hide corruption: bool("false") is True, int(3.9) is 3
+    phi, se = row["phi"], row["se"]
+    # coercing these would hide corruption: bool("false") is True, int(3.9)
+    # is 3, float(True) is 1.0.  A non-finite phi fails every test, but an
+    # se is +inf when the variance of the runs overflows, and run keeps it
     if not (isinstance(row["instance_id"], str) and type(n1) is int
-            and type(n2) is int and type(exhausted) is bool):
-        raise ValueError("a journal row field has the wrong type")
+            and type(n2) is int and type(exhausted) is bool
+            and type(phi) is float and type(se) is float
+            and math.isfinite(phi) and not math.isnan(se)):
+        raise ValueError("a journal row field has the wrong type or value")
     return PairedDifference(
         instance_id=row["instance_id"],
-        phi_hat=float(row["phi"]),
-        se_hat=float(row["se"]),
+        phi_hat=phi,
+        se_hat=se,
         n1=n1,
         n2=n2,
         diff_kind=DiffKind(row["diff_kind"]),
@@ -166,7 +172,12 @@ def _row_to_diff(row: dict) -> PairedDifference:
 
 
 class _Journal:
-    """Append-only newline-delimited record file keyed by instance id."""
+    """Append-only newline-delimited record file keyed by instance id.
+
+    The file stays open from construction to :meth:`close`; each row is
+    flushed as it is written, so the OS holds every finished row, as it
+    would if the file were closed after each one.
+    """
 
     def __init__(self, path: Path, fingerprint: str, resume: bool):
         self.path = Path(path)
@@ -179,14 +190,19 @@ class _Journal:
             header = {"kind": "header", "version": _JOURNAL_VERSION,
                       "fingerprint": fingerprint}
             self.path.write_text(json.dumps(header) + "\n")
+        self._fh = self.path.open("a")
 
     def _load(self) -> None:
         data = self.path.read_bytes()
         # a row counts once its newline is written: an unterminated last
         # line is an append cut short, and its instance runs again
         complete = data.rfind(b"\n") + 1
+        try:
+            text = data[:complete].decode()
+        except UnicodeDecodeError as exc:
+            raise self._invalid(data.count(b"\n", 0, exc.start) + 1) from None
         rows = []
-        for number, line in enumerate(data[:complete].decode().split("\n"), 1):
+        for number, line in enumerate(text.split("\n"), 1):
             if not line.strip():
                 continue
             try:
@@ -227,9 +243,12 @@ class _Journal:
                            f"is not a valid record")
 
     def append(self, diff: PairedDifference) -> None:
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(_diff_to_row(diff)) + "\n")
+        self._fh.write(json.dumps(_diff_to_row(diff)) + "\n")
+        self._fh.flush()
         self.completed[diff.instance_id] = diff
+
+    def close(self) -> None:
+        self._fh.close()
 
 
 def _run_test(family: TestFamily, phis, design: ComparisonDesign) -> TestReport:
@@ -270,15 +289,16 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     selected = select_instances(plan, size_result.n_instances)
 
-    journal = None
-    if checkpoint_path is not None:
-        journal = _Journal(Path(checkpoint_path), _plan_fingerprint(plan), resume)
-
     runner1, runner2 = (Runner(s) for s in plan.algorithms)
     workers = plan.workers
     if not (runner1.concurrent_safe and runner2.concurrent_safe):
         workers = 1
 
+    # nothing between opening the journal and the try below can raise,
+    # so its finally closes the journal on every exit
+    journal = None
+    if checkpoint_path is not None:
+        journal = _Journal(Path(checkpoint_path), _plan_fingerprint(plan), resume)
     completed: dict[str, PairedDifference] = dict(journal.completed) if journal else {}
     pending = [(inst, seed) for inst, seed in selected
                if inst.id not in completed]
@@ -323,6 +343,9 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
         raise ExperimentAbortedError(
             exc, checkpoint_path=journal.path if journal else None,
             completed=len(completed)) from exc
+    finally:
+        if journal:
+            journal.close()
 
     diffs = [completed[inst.id] for inst, _ in selected]
     phis = [d.phi_hat for d in diffs]

@@ -2,7 +2,9 @@
 
 Machine-readable files are newline-delimited records with a header line
 (CSV); floats are written in shortest round-trip form so records reload
-bit-exactly.  Human summaries use 6 significant digits.  Given the same
+bit-exactly.  ``report.json`` is the test report as one JSON object,
+indented by 2 with its keys sorted, ``per_instance`` holding one object
+per instance.  Human summaries use 6 significant digits.  Given the same
 configuration and master seed, every file is byte-identical across runs.
 """
 
@@ -10,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 from .design import Alternative, SampleSizeResult
@@ -60,9 +61,29 @@ def write_values(path: str | Path, values, column: str) -> None:
     _w(Path(path), [[_r(v)] for v in values], [column])
 
 
+# a per-instance record holds only scalars, so with this item separator the
+# C encoder writes it as ``indent=2`` would, bar the newlines inside "{}"
+_RECORD = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
 def write_report_json(path: str | Path, report: TestReport) -> None:
+    """Write ``json.dumps(asdict(report), indent=2, sort_keys=True)`` and a newline.
+
+    Only the head goes through the indenting encoder, which is pure
+    Python; the per-instance records, which grow with N, go through the
+    C encoder and are spliced into the head's empty list.  Raw newlines
+    come only from separators (a string's are escaped), so the empty
+    list's text cannot occur elsewhere in the head.  ``vars`` of the
+    report and of a record holds exactly their dataclass fields, without
+    the deep copy ``asdict`` makes.
+    """
     # the enums are str enums, so they serialise as their values
-    doc = json.dumps(asdict(report), indent=2, sort_keys=True)
+    doc = json.dumps(dict(vars(report), per_instance=[]), indent=2, sort_keys=True)
+    if report.per_instance:
+        records = ",\n    ".join("{\n      " + _RECORD.encode(vars(d))[1:-1] + "\n    }"
+                                 for d in report.per_instance)
+        doc = doc.replace('\n  "per_instance": []',
+                          '\n  "per_instance": [\n    ' + records + "\n  ]", 1)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(doc + "\n")

@@ -11,8 +11,9 @@ decomposition and the percent-SE coefficients), plus a sample builder.
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -209,6 +210,12 @@ def bootstrap_se_unmemoised(s1, s2, diff_kind: str, resamples: int, rng_seed: in
     else:
         phis = m2 - m1
     return float(np.std(phis, ddof=1))
+
+
+def report_json_text(report) -> str:
+    """``report.json``'s text, written whole by the indenting pure-Python
+    encoder from a deep copy of the report."""
+    return json.dumps(asdict(report), indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

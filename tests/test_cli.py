@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 import tempfile
 import textwrap
@@ -566,6 +567,17 @@ output_dir: out
         assert code == 2
         assert "checkpoint.jsonl" in err and "line 3" in err
 
+    def test_resume_refuses_invalid_utf8_journal_line(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2].replace(b'"instance_id": "', b'"instance_id": "\xff', 1)
+        journal.write_bytes(b"".join(lines))
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        assert "checkpoint.jsonl: line 3 is not a valid record" in err
+
     @pytest.mark.parametrize("line, edit", [
         (3, lambda row: {k: v for k, v in row.items() if k != "phi"}),
         (3, lambda row: [1, 2]),
@@ -575,9 +587,19 @@ output_dir: out
         (3, lambda row: {**row, "budget_exhausted": "false"}),
         (3, lambda row: {**row, "n1": 3.9}),
         (3, lambda row: {**row, "se": -1.0}),
+        (3, lambda row: {**row, "phi": math.nan}),
+        (3, lambda row: {**row, "phi": math.inf}),
+        (3, lambda row: {**row, "phi": -math.inf}),
+        (3, lambda row: {**row, "se": math.nan}),
+        (3, lambda row: {**row, "se": -math.inf}),
+        (3, lambda row: {**row, "phi": 10**400}),
+        (3, lambda row: {**row, "phi": True}),
+        (3, lambda row: {**row, "se": str(row["se"])}),
     ], ids=["missing-field", "row-not-object", "header-not-object",
             "bad-number", "bad-enum", "flag-not-bool", "count-not-int",
-            "negative-se"])
+            "negative-se", "phi-nan", "phi-inf", "phi-minus-inf",
+            "se-nan", "se-minus-inf", "phi-beyond-float",
+            "phi-bool", "se-numeric-string"])
     def test_resume_refuses_malformed_journal_record(self, capsys, tmp_path, line, edit):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
         assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
@@ -588,6 +610,22 @@ output_dir: out
         code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
         assert code == 2
         assert f"checkpoint.jsonl: line {line} is not a valid record" in err
+
+    def test_resume_keeps_an_infinite_se(self, capsys, tmp_path):
+        # `run` journals se = Infinity when the variance of the runs
+        # overflows (say sigma 1e200), so `resume` must take it back
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        lines = journal.read_text().splitlines()
+        row = {**json.loads(lines[2]), "se": math.inf}
+        lines[2] = json.dumps(row)
+        journal.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 0, err
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            ses = {r["instance"]: r["se"] for r in csv.DictReader(fh)}
+        assert ses[row["instance_id"]] == "inf"
 
     def test_one_instance_run_is_refused_before_any_run(self, capsys, tmp_path):
         cfg = write_config(tmp_path, REPLAY_CONFIG.replace(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +324,72 @@ class TestCheckpointing:
         assert returned
         assert sorted(row["instance_id"] for row in rows) == sorted(returned)
         assert err.value.completed == len(returned)
+
+    def test_each_row_reaches_the_file_before_the_next_instance(self, tmp_path,
+                                                                monkeypatch):
+        # what a crash would leave behind: every finished row, while the
+        # journal's handle is still open
+        plan = make_plan(pool_size=8, use_all=True)
+        chk = tmp_path / "chk.jsonl"
+        real = experiment_module.calc_nreps
+        seen = []
+
+        def reading(*args):
+            seen.append(len(chk.read_text().splitlines()))
+            return real(*args)
+
+        monkeypatch.setattr(experiment_module, "calc_nreps", reading)
+        run_experiment(plan, checkpoint_path=chk)
+        assert seen == list(range(1, 9))
+
+    @pytest.mark.parametrize("error, raised", [
+        (RunnerError("injected failure"), ExperimentAbortedError),
+        (KeyboardInterrupt(), KeyboardInterrupt),
+    ], ids=["runner-error", "interrupt"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runner_raising_leaves_journal_closed_and_whole(self, tmp_path, monkeypatch,
+                                                            workers, error, raised):
+        plan = make_plan(pool_size=10, use_all=True, workers=workers)
+        target = plan.instance_pool[6].id
+        chk = tmp_path / "chk.jsonl"
+        opened = []
+        real_open = Path.open
+
+        def spying_open(self, *args, **kwargs):
+            fh = real_open(self, *args, **kwargs)
+            if self == chk:
+                opened.append(fh)
+            return fh
+
+        class FailingRunner(Runner):
+            def bind(self, instance):
+                run = super().bind(instance)
+                if instance.id != target:
+                    return run
+
+                def fail(seed, key):
+                    raise error
+                return fail
+
+        real = experiment_module.calc_nreps
+        returned = []
+
+        def recording(*args):
+            outcome = real(*args)
+            returned.append(args[2].id)
+            return outcome
+
+        monkeypatch.setattr(Path, "open", spying_open)
+        monkeypatch.setattr(experiment_module, "Runner", FailingRunner)
+        monkeypatch.setattr(experiment_module, "calc_nreps", recording)
+        with pytest.raises(raised):
+            run_experiment(plan, checkpoint_path=chk)
+        assert opened and all(fh.closed for fh in opened)
+        header, *rows = chk.read_text().splitlines()
+        assert json.loads(header)["kind"] == "header"
+        assert sorted(json.loads(row)["instance_id"] for row in rows) == sorted(returned)
+        ids = [inst.id for inst in plan.instance_pool]
+        assert set(ids[:5]) <= set(returned) and target not in returned
 
     def test_resume_rejects_other_configuration(self, tmp_path):
         chk = tmp_path / "chk.jsonl"

@@ -1,10 +1,12 @@
 """Golden digests of two small `run`s: the reference that refactoring keeps.
 
-The digests pin `results.csv` and `checkpoint.jsonl` byte for byte.  Any
-change to instance selection, seed derivation, run allocation, the
-estimators or the journal format moves them; a change that only moves
-code around must not.  Both runs use one worker, so the journal's row
-order is fixed.
+The digests pin every file `run` writes byte for byte: `results.csv`,
+`checkpoint.jsonl`, `report.json`, `summary.txt` and the three Q-Q and
+bootstrap CSVs.  Any change to instance selection, seed derivation, run
+allocation, the estimators, the tests, the diagnostics or an output
+format moves them; a change that only moves code around or speeds up a
+writer must not.  Both runs use one worker, so the journal's row order
+is fixed.
 """
 
 import hashlib
@@ -53,10 +55,20 @@ GOLDEN = {
     "simple-parametric": (SIMPLE_PARAMETRIC, {
         "results.csv": "ee302dc34de40083d19330611ec201cf96bd561a585b5add9b796266636292c6",
         "checkpoint.jsonl": "4c8d82d3ae2393ee09717bfcf6dbdd19b4b7167ef274b666b8f287ae83600c7e",
+        "report.json": "5852f0a4afef082956e7ccad87656ca8f2140f687bc762fec78f64bbc5890fda",
+        "summary.txt": "8e73ff2c515870f90324e0a4d53237f4d76b0dc3559abda96570e3acb4197c29",
+        "qq.csv": "e33e6111daf187fe158cdf5b702562afacf60e1edb9cd81b1e0febff1473a853",
+        "boot_sdm.csv": "55ac7e3df67b4aaae38869c962055dae46d59bc463ca7294e3653688ba55ce0d",
+        "boot_sdm_qq.csv": "d2cd3c461eb7917047ad4d914baf5ae97844bfef2ad5a3d94f66e10751f485ab",
     }),
     "percent-bootstrap": (PERCENT_BOOTSTRAP, {
         "results.csv": "ce181e4091479c57e798c0cb6aa35697291f70f2318d0f7334c40c7f0c8834a2",
         "checkpoint.jsonl": "3812da73f7bca427eeea8b3686bf87297c34ea985c731b4c7adb2e588a5be510",
+        "report.json": "550febe2583643108a15ed93760f9b98e010c574cdc8878d56ae006e77b68ced",
+        "summary.txt": "f2bea075e7c6426dfd178f76cac11a78aad703cd2a59c080eec3b8f89a74eb09",
+        "qq.csv": "f03d50de31e99d512e14f000ac32a3d3828c7fdc6b019cbcc355164e6e4c2d0e",
+        "boot_sdm.csv": "c32fd54f4ebd13bfcf4a97cf83f7236c0d9084d522039f8ab36cf7ce751316b9",
+        "boot_sdm_qq.csv": "2116b67bde32ee0e676fd76666269b5be3b6792f47f21c0a73280a2b4b42f799",
     }),
 }
 
