@@ -21,7 +21,7 @@ from .experiment import ExperimentPlan, run_experiment
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, qq_normal, sign_test,
                         wilcoxon_signed_rank)
-from .runners import (AlgorithmKind, AlgorithmSpec, InstanceRef, Runner,
+from .runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
                       build_synthetic_pool, build_tsp_instance)
 from .sampler import SamplingConfig, SamplingOutcome, calc_nreps
 
@@ -37,7 +37,7 @@ __all__ = [
     "se_simple", "se_percent",
     "optimal_ratio_simple", "optimal_ratio_percent", "bootstrap_se",
     "bootstrap_sdm", "SamplingConfig", "SamplingOutcome", "calc_nreps",
-    "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "Runner",
+    "AlgorithmKind", "AlgorithmSpec", "InstanceRef",
     "build_synthetic_pool", "build_tsp_instance",
     "TestReport", "DiagnosticsBundle", "paired_t_test", "wilcoxon_signed_rank",
     "sign_test", "qq_normal", "build_diagnostics",

@@ -31,7 +31,7 @@ from .experiment import ExperimentPlan, run_experiment, select_instances
 from .reporting import (fmt, render_size_result, render_summary,
                         write_power_curve, write_qq_points, write_report_json,
                         write_results_table, write_values)
-from .runners import Runner
+from .runners import bind
 from .sampler import calc_nreps
 
 EXIT_OK = 0
@@ -215,8 +215,8 @@ def _cmd_reps(args) -> int:
                               f"so it has no derived seed; pass --seed")
     elif seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
-    runner1, runner2 = (Runner(s) for s in plan.algorithms)
-    outcome = calc_nreps(runner1, runner2, instance, plan.sampling, seed)
+    run1, run2 = (bind(spec, instance) for spec in plan.algorithms)
+    outcome = calc_nreps(run1, run2, instance, plan.sampling, seed)
     d = outcome.diff
     print(f"instance: {d.instance_id}")
     print(f"n1: {d.n1}")

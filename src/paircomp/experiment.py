@@ -14,11 +14,11 @@ The flow for one experiment:
 Per-instance seeds come from the master seed through a counter scheme
 (see :mod:`paircomp.seeding`), so results are bit-reproducible and the
 k-th instance's runs never depend on how many instances follow it.
-Instances may be sampled concurrently when every runner declares itself
-safe for concurrent invocation; the journal is written by the calling
-thread only.  After each instance completes, its row is appended to a
-newline-delimited checkpoint journal so an interrupted experiment can
-resume without re-running finished instances.
+Instances may be sampled concurrently when both algorithm specs declare
+themselves safe for concurrent invocation; the journal is written by the
+calling thread only.  After each instance completes, its row is appended
+to a newline-delimited checkpoint journal so an interrupted experiment
+can resume without re-running finished instances.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import ConfigError, ExperimentAbortedError
 from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
-from .runners import AlgorithmSpec, InstanceRef, Runner, read_run_inputs
+from .runners import AlgorithmSpec, InstanceRef, bind
 from .sampler import SamplingConfig, SamplingOutcome, calc_nreps, first_stage
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, make_generator, run_keys)
@@ -76,11 +76,12 @@ class ExperimentPlan:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
-        # every run input is checked here, so a bad one stops nothing midway
+        # every run input is checked here, so a bad one stops nothing midway;
+        # the bound runs are dropped, and sampling binds each instance again
         for inst in self.instance_pool:
             for spec in self.algorithms:
                 try:
-                    read_run_inputs(spec, inst)
+                    bind(spec, inst)
                 except ValueError as exc:
                     raise ValueError(f"instance {inst.id!r}, algorithm "
                                      f"{spec.alias!r}: {exc}") from None
@@ -289,9 +290,9 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     selected = select_instances(plan, size_result.n_instances)
 
-    runner1, runner2 = (Runner(s) for s in plan.algorithms)
+    spec1, spec2 = plan.algorithms
     workers = plan.workers
-    if not (runner1.concurrent_safe and runner2.concurrent_safe):
+    if not (spec1.concurrent_safe and spec2.concurrent_safe):
         workers = 1
 
     # nothing between opening the journal and the try below can raise,
@@ -310,6 +311,10 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
             chunk = pending[start:start + step]
             yield from zip(chunk, first_stage([seed for _, seed in chunk], n0))
 
+    def sample(inst: InstanceRef, seed: int, first) -> SamplingOutcome:
+        return calc_nreps(bind(spec1, inst), bind(spec2, inst), inst,
+                          plan.sampling, seed, first)
+
     def record(inst: InstanceRef, outcome: SamplingOutcome) -> None:
         completed[inst.id] = outcome.diff
         if journal:
@@ -318,14 +323,12 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     try:
         if workers == 1 or len(pending) <= 1:
             for (inst, seed), first in first_stages():
-                record(inst, calc_nreps(runner1, runner2, inst, plan.sampling,
-                                        seed, first))
+                record(inst, sample(inst, seed, first))
         else:
             # journal rows land as instances complete, so an interrupt
             # loses at most the in-flight instances
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(calc_nreps, runner1, runner2, inst,
-                                       plan.sampling, seed, first): inst
+                futures = {pool.submit(sample, inst, seed, first): inst
                            for (inst, seed), first in first_stages()}
                 try:
                     for fut in as_completed(futures):

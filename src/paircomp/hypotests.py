@@ -74,6 +74,12 @@ def _as_array(phis, min_len: int, who: str) -> np.ndarray:
     return arr
 
 
+def _mean_sd(arr: np.ndarray) -> tuple[float, float]:
+    """Mean and sample sd, +-inf or nan where a sum or square overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(arr.mean()), float(arr.std(ddof=1))
+
+
 def _nonzero_differences(arr: np.ndarray, mu0: float,
                          statistic: str) -> tuple[np.ndarray, list[str]]:
     """The differences from ``mu0`` without exact zeros, and a warning if any went."""
@@ -97,11 +103,13 @@ def paired_t_test(phis, mu0: float, alpha: float,
     alternative = Alternative(alternative)
     n = arr.size
     df = n - 1
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
+    mean, sd = _mean_sd(arr)
     if sd == 0.0:
         raise DegenerateDataError("all differences are identical; the t statistic "
                                   "is undefined (zero spread)")
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise DegenerateDataError("the mean or spread of the differences "
+                                  "overflows a float; the t statistic is undefined")
     se = sd / math.sqrt(n)
     t0 = (mean - mu0) / se
     if alternative is Alternative.TWO_SIDED:
@@ -277,10 +285,13 @@ def qq_normal(sample) -> list[tuple[float, float]]:
     """
     arr = _as_array(sample, 3, "qq_normal")
     n = arr.size
-    sd = float(arr.std(ddof=1))
+    mean, sd = _mean_sd(arr)
     if sd == 0.0:
         raise DegenerateDataError("cannot standardize a zero-spread sample")
-    srt = (np.sort(arr) - float(arr.mean())) / sd
+    if not (math.isfinite(mean) and math.isfinite(sd)):
+        raise DegenerateDataError("cannot standardize a sample whose mean or "
+                                  "spread overflows a float")
+    srt = (np.sort(arr) - mean) / sd
     theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
     return list(zip(theo.tolist(), srt.tolist()))
 

@@ -1,11 +1,9 @@
 """Algorithm and instance abstractions: one run -> one performance value.
 
-``Runner(spec).bind(instance)`` reads the instance's inputs once and
-returns the run function: called with a run seed and the Philox key of its
-generator (see :mod:`paircomp.seeding`), it performs a single run and
-returns its value as a finite float.  ``Runner(spec).run(instance, seed)``
-is the two composed, for a single run.  Four algorithm kinds are
-provided:
+``bind(spec, instance)`` reads the instance's inputs once and returns the
+run function: called with a run seed and the Philox key of its generator
+(see :mod:`paircomp.seeding`), it performs a single run and returns its
+value as a finite float.  Four algorithm kinds are provided:
 
 * ``subprocess`` wraps an external solver.  The command line is the
   executable followed by its argument template with ``{instance}`` and
@@ -26,11 +24,11 @@ provided:
   the temperature parameter sets the initial acceptance scale.
 
 ``PARAMS`` holds one table per kind: the params it reads, what each
-must be, and its default.  A spec is checked against it when built, and
-``read_run_inputs`` reads and checks the payload keys its kind reads;
-an experiment plan calls it for every pool instance when built, and
-``bind`` once per (algorithm, instance).  So the run functions take
-checked values.
+must be, and its default.  A spec is checked against it when built.
+Each kind has one binder, which reads and checks the payload keys its
+kind reads and returns a closure over the checked values; an experiment
+plan binds every pool instance when built, and sampling binds once per
+(algorithm, instance).
 
 Raw values are recorded as-is: whether smaller or larger is better lives
 entirely in the experiment design's alternative hypothesis.
@@ -50,11 +48,11 @@ from enum import Enum
 import numpy as np
 
 from .errors import RunnerError
-from .seeding import generator_key, kept_generator, make_generator
+from .seeding import kept_generator, make_generator
 
 __all__ = [
-    "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "Runner",
-    "build_synthetic_pool", "build_tsp_instance", "read_run_inputs",
+    "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "bind",
+    "build_synthetic_pool", "build_tsp_instance",
 ]
 
 _EXCERPT_CHARS = 400
@@ -165,76 +163,48 @@ class InstanceRef:
             raise ValueError("instance id must be nonempty")
 
 
-@dataclass(frozen=True)
-class Runner:
-    """Callable binding of a spec, as consumed by the adaptive sampler."""
-    spec: AlgorithmSpec
+def bind(spec: AlgorithmSpec, instance: InstanceRef):
+    """The algorithm's run function on the instance, its inputs read once.
 
-    @property
-    def concurrent_safe(self) -> bool:
-        return self.spec.concurrent_safe
-
-    def bind(self, instance: InstanceRef):
-        """The algorithm's run function on the instance, inputs read once.
-
-        It takes a run seed and the key of that seed's generator (as
-        ``seeding.run_keys`` or ``seeding.generator_key`` gives it) and
-        returns the run's performance value.
-        """
-        spec = self.spec
-        read, run = _KINDS[spec.kind]
-        inputs = read(spec, instance)
-
-        def run_once(seed: int, key) -> float:
-            value = run(spec, instance, seed, key, *inputs)
-            if not math.isfinite(value):
-                raise RunnerError(f"run produced a non-finite value {value!r}",
-                                  alias=spec.alias, instance_id=instance.id, seed=seed)
-            return float(value)
-
-        return run_once
-
-    def run(self, instance: InstanceRef, seed: int) -> float:
-        """Run the algorithm once on the instance and return its performance value."""
-        return self.bind(instance)(seed, generator_key(seed))
-
-
-def read_run_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
-    """What a run of ``spec`` on ``instance`` reads, checked.
-
-    Each kind has one reader: it merges the spec's params, with their
-    defaults, and the payload keys that kind reads, and raises
-    ``ValueError`` naming the payload key at fault.  An experiment plan
-    calls it for every algorithm and pool instance, so a bad payload is
-    refused before the first run.
+    Binding merges the spec's params, with their defaults, and the payload
+    keys its kind reads, and raises ``ValueError`` naming the payload key
+    at fault.  The run function takes a run seed and the key of that
+    seed's generator (as ``seeding.run_keys`` or ``seeding.generator_key``
+    gives it) and returns the run's performance value.
     """
-    return _KINDS[spec.kind][0](spec, instance)
+    run = _BINDERS[spec.kind](spec, instance)
+
+    def run_once(seed: int, key) -> float:
+        value = run(seed, key)
+        if not math.isfinite(value):
+            raise RunnerError(f"run produced a non-finite value {value!r}",
+                              alias=spec.alias, instance_id=instance.id, seed=seed)
+        return float(value)
+
+    return run_once
 
 
 # ---------------------------------------------------------------------------
 # synthetic runners
 
 
-def _synthetic_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
-    """``mu`` and ``sigma``: the spec's params, overridden by ``payload[alias]``."""
+def _bind_normal(spec: AlgorithmSpec, instance: InstanceRef):
+    """A normal draw at ``mu`` and ``sigma``: the spec's params, overridden
+    by ``payload[alias]``."""
     override = instance.payload.get(spec.alias, {})
     if not isinstance(override, dict):
         raise ValueError(f"payload.{spec.alias} must be a mapping, got {override!r}")
     _check(spec.kind, override, f"payload.{spec.alias}")
     params = {**_DEFAULTS[spec.kind], **spec.params, **override}
-    return params["mu"], params["sigma"]
-
-
-def _run_normal(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
-                mu: float, sigma: float) -> float:
+    mu, sigma = params["mu"], params["sigma"]
     if sigma == 0.0:
-        return mu
-    return mu + sigma * kept_generator(key).standard_normal()
+        return lambda seed, key: mu
+    return lambda seed, key: mu + sigma * kept_generator(key).standard_normal()
 
 
-def _run_lognormal(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
-                   mu: float, sigma: float) -> float:
-    return math.exp(_run_normal(spec, instance, seed, key, mu, sigma))
+def _bind_lognormal(spec: AlgorithmSpec, instance: InstanceRef):
+    normal = _bind_normal(spec, instance)
+    return lambda seed, key: math.exp(normal(seed, key))
 
 
 def build_synthetic_pool(n_instances: int, delta: float = 0.0,
@@ -281,9 +251,10 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
 # subprocess runner
 
 
-def _subprocess_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
-    """The executable, its argument template, and what replaces
-    ``{instance}`` in it: ``payload.path``, else the instance id."""
+def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
+    """The executable and its argument template, with ``{instance}``
+    replaced by ``payload.path``, else the instance id; a run then
+    replaces ``{seed}``.  Neither is replaced in the executable."""
     params = {**_DEFAULTS[spec.kind], **spec.params}
     path = instance.payload.get("path", instance.id)
     if not isinstance(path, str):
@@ -291,55 +262,48 @@ def _subprocess_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
     args = params["args"]
     if isinstance(args, str):
         args = shlex.split(args)
-    return params["executable"], args, path
+    executable = params["executable"]
+    template = [str(a).replace("{instance}", path) for a in args]
 
+    def run(seed: int, key) -> float:
+        def failure(message: str, *output: str) -> RunnerError:
+            # output: the run's stdout and stderr, whose tail the error keeps
+            excerpt = "\n".join(text for text in output if text).strip()
+            return RunnerError(message, alias=spec.alias, instance_id=instance.id,
+                               seed=seed,
+                               output_excerpt=excerpt[-_EXCERPT_CHARS:] if output else None)
 
-def _run_subprocess(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
-                    executable: str, args: list, instance_arg: str) -> float:
-    cmd = [executable] + [
-        str(a).replace("{instance}", instance_arg).replace("{seed}", str(seed))
-        for a in args
-    ]
-    try:
-        # a session of its own, so a timeout can kill everything it started
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                                text=True, start_new_session=True)
-    except OSError as exc:
-        raise RunnerError(f"could not launch {cmd[0]!r}: {exc}",
-                          alias=spec.alias, instance_id=instance.id,
-                          seed=seed) from exc
-    with proc:
+        cmd = [executable] + [a.replace("{seed}", str(seed)) for a in template]
         try:
-            stdout, stderr = proc.communicate(timeout=spec.timeout)
-        except subprocess.TimeoutExpired as exc:
-            os.killpg(proc.pid, signal.SIGKILL)
-            stdout, stderr = proc.communicate()
-            raise RunnerError(f"run timed out after {spec.timeout:g}s",
-                              alias=spec.alias, instance_id=instance.id, seed=seed,
-                              output_excerpt=_excerpt(stdout, stderr)) from exc
-        except BaseException:
-            os.killpg(proc.pid, signal.SIGKILL)
-            raise
-    if proc.returncode != 0:
-        raise RunnerError(f"run exited with status {proc.returncode}",
-                          alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(stdout, stderr))
-    lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
-    if not lines:
-        raise RunnerError("run produced no output to parse",
-                          alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(stdout, stderr))
-    try:
-        return float(lines[-1])
-    except ValueError:
-        raise RunnerError(f"last output line {lines[-1]!r} is not a decimal value",
-                          alias=spec.alias, instance_id=instance.id, seed=seed,
-                          output_excerpt=_excerpt(stdout, stderr)) from None
+            # a session of its own, so a timeout can kill everything it started
+            proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
+                                    stderr=subprocess.PIPE, text=True,
+                                    start_new_session=True)
+        except OSError as exc:
+            raise failure(f"could not launch {cmd[0]!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=spec.timeout)
+            except subprocess.TimeoutExpired as exc:
+                os.killpg(proc.pid, signal.SIGKILL)
+                stdout, stderr = proc.communicate()
+                raise failure(f"run timed out after {spec.timeout:g}s",
+                              stdout, stderr) from exc
+            except BaseException:
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        if proc.returncode != 0:
+            raise failure(f"run exited with status {proc.returncode}", stdout, stderr)
+        lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
+        if not lines:
+            raise failure("run produced no output to parse", stdout, stderr)
+        try:
+            return float(lines[-1])
+        except ValueError:
+            raise failure(f"last output line {lines[-1]!r} is not a decimal value",
+                          stdout, stderr) from None
 
-
-def _excerpt(stdout, stderr) -> str:
-    merged = ((stdout or "") + ("\n" + stderr if stderr else "")).strip()
-    return merged[-_EXCERPT_CHARS:]
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +322,15 @@ def build_tsp_instance(instance_id: str, n_cities: int = 21,
     return InstanceRef(id=instance_id, payload={"distance_matrix": dist.tolist()})
 
 
-def _tsp_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
-    """``temp``, ``budget`` and the distance matrix: ``payload.distance_matrix``,
+def _tour_length(tour: list[int], d) -> float:
+    total = 0.0
+    for i in range(len(tour) - 1):
+        total += d[tour[i]][tour[i + 1]]
+    return total + d[tour[-1]][tour[0]]
+
+
+def _bind_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef):
+    """One annealing run on the distance matrix: ``payload.distance_matrix``,
     or one generated from ``payload.cities`` and ``payload.layout_seed``."""
     params = {**_DEFAULTS[spec.kind], **spec.params}
     payload = instance.payload
@@ -383,50 +354,42 @@ def _tsp_inputs(spec: AlgorithmSpec, instance: InstanceRef) -> tuple:
         d = build_tsp_instance(instance.id, cities, layout_seed).payload["distance_matrix"]
     else:
         raise ValueError("the payload needs a 'distance_matrix' or a 'cities' count")
-    return params["temp"], params["budget"], d
+    temp, budget, n = params["temp"], params["budget"], len(d)
+
+    def run(seed: int, key) -> float:
+        rng = kept_generator(key)
+        tour = list(range(n))
+        tail = tour[1:]
+        rng.shuffle(tail)
+        tour[1:] = tail
+        cur = _tour_length(tour, d)
+        best = cur
+
+        # 2-opt reversal of tour[i..k] (city 0 stays fixed); O(1) length delta
+        for step in range(1, budget + 1):
+            i = int(rng.integers(1, n - 1))
+            k = int(rng.integers(i + 1, n))
+            a, b = tour[i - 1], tour[i]
+            c, e = tour[k], tour[(k + 1) % n]
+            if a == e:  # reversing the whole remainder changes nothing
+                continue
+            delta = d[a][c] + d[b][e] - d[a][b] - d[c][e]
+            cooled = temp / math.log(step + math.e)
+            if delta < 0.0 or rng.random() < math.exp(-delta / cooled):
+                tour[i:k + 1] = reversed(tour[i:k + 1])
+                cur += delta
+                if cur < best:
+                    best = cur
+        return best
+
+    return run
 
 
-def _tour_length(tour: list[int], d) -> float:
-    total = 0.0
-    for i in range(len(tour) - 1):
-        total += d[tour[i]][tour[i + 1]]
-    return total + d[tour[-1]][tour[0]]
-
-
-def _run_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, seed: int, key,
-                  temp: float, budget: int, d: list) -> float:
-    n = len(d)
-    rng = kept_generator(key)
-
-    tour = list(range(n))
-    tail = tour[1:]
-    rng.shuffle(tail)
-    tour[1:] = tail
-    cur = _tour_length(tour, d)
-    best = cur
-
-    # 2-opt reversal of tour[i..k] (city 0 stays fixed); O(1) length delta
-    for step in range(1, budget + 1):
-        i = int(rng.integers(1, n - 1))
-        k = int(rng.integers(i + 1, n))
-        a, b = tour[i - 1], tour[i]
-        c, e = tour[k], tour[(k + 1) % n]
-        if a == e:  # reversing the whole remainder changes nothing
-            continue
-        delta = d[a][c] + d[b][e] - d[a][b] - d[c][e]
-        if delta < 0.0 or rng.random() < math.exp(-delta / (temp / math.log(step + math.e))):
-            tour[i:k + 1] = reversed(tour[i:k + 1])
-            cur += delta
-            if cur < best:
-                best = cur
-    return best
-
-
-# each kind's reader and run function; a run takes the spec, the instance,
-# the seed, its generator key and what the reader returned
-_KINDS = {
-    AlgorithmKind.SUBPROCESS: (_subprocess_inputs, _run_subprocess),
-    AlgorithmKind.SYNTHETIC_NORMAL: (_synthetic_inputs, _run_normal),
-    AlgorithmKind.SYNTHETIC_LOGNORMAL: (_synthetic_inputs, _run_lognormal),
-    AlgorithmKind.DEMO_SANN_TSP: (_tsp_inputs, _run_sann_tsp),
+# each kind's binder: it reads and checks what a run of the spec on the
+# instance reads, and returns the run function of (seed, key)
+_BINDERS = {
+    AlgorithmKind.SUBPROCESS: _bind_subprocess,
+    AlgorithmKind.SYNTHETIC_NORMAL: _bind_normal,
+    AlgorithmKind.SYNTHETIC_LOGNORMAL: _bind_lognormal,
+    AlgorithmKind.DEMO_SANN_TSP: _bind_sann_tsp,
 }

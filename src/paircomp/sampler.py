@@ -1,11 +1,14 @@
 """Adaptive within-instance run allocation.
 
-Both algorithms get ``n0`` initial runs on the instance; afterwards, while
-the standard error of the paired-difference estimate exceeds the budget
-``se_max`` and fewer than ``n_max`` total runs have been spent, one more
-run goes to the algorithm whose share is below the optimal allocation
-ratio (ties go to the second algorithm).  The loop is inherently
-sequential: every allocation decision depends on all runs so far.
+Each algorithm enters as its run on the instance, a function of the run
+seed and its generator key that ``runners.bind`` returns; the sampler
+calls it in one place, ``calc_nreps``'s ``do_run``.  Both algorithms get
+``n0`` initial runs on the instance; afterwards, while the standard error
+of the paired-difference estimate exceeds the budget ``se_max`` and fewer
+than ``n_max`` total runs have been spent, one more run goes to the
+algorithm whose share is below the optimal allocation ratio (ties go to
+the second algorithm).  The loop is inherently sequential: every
+allocation decision depends on all runs so far.
 
 Run seeds are derived deterministically from the instance seed and the
 (algorithm index, run index) pair, so outcomes are bit-reproducible and
@@ -94,20 +97,21 @@ def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
             for k in range(0, width * count, width)]
 
 
-def calc_nreps(runner1, runner2, instance, cfg: SamplingConfig, seed: int,
+def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
                first=None) -> SamplingOutcome:
     """Sample two algorithms on one instance until the SE budget is met.
 
-    Returns when the standard error of the paired difference drops to
-    ``cfg.se_max`` or the total-run budget ``cfg.n_max`` is exhausted
-    (flagged on the result).  If the parametric percent-difference SE
+    ``run1`` and ``run2`` are the two algorithms' runs bound to the
+    instance (see ``runners.bind``).  Returns when the standard error of
+    the paired difference drops to ``cfg.se_max`` or the total-run budget
+    ``cfg.n_max`` is exhausted (flagged on the result).  If the parametric percent-difference SE
     degenerates (zero mean gap), the instance falls back to the bootstrap
     estimate and the switch is recorded in ``events``.  ``first`` is the
     instance's entry of ``first_stage``, when the caller derived it along
     with other instances'; without it, it is derived here.
     """
     samples = (InstanceSample(), InstanceSample())
-    runs = (runner1.bind(instance), runner2.bind(instance))
+    runs = (run1, run2)
     events: list[str] = []
     se_method = cfg.se_method
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM)

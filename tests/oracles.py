@@ -5,7 +5,8 @@ implementation it checks: quadrature instead of closed forms, exhaustive
 enumeration instead of recursions, grid search instead of analytic
 optima.  The last section holds quantities that only tests need (the
 noncentral-t quantile, the Hodges-Lehmann estimate, the effect-size
-decomposition and the percent-SE coefficients), plus a sample builder.
+decomposition and the percent-SE coefficients), plus a sample builder
+and a single run.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from scipy import integrate, special
 from paircomp.distributions import t_quantile
 from paircomp.errors import AssumptionViolationError, DegenerateRatioError
 from paircomp.estimators import InstanceSample
+from paircomp.runners import bind
+from paircomp.seeding import generator_key
 
 
 def t_density(x: float, df: float) -> float:
@@ -228,6 +231,12 @@ def instance_sample(values) -> InstanceSample:
     for v in values:
         sample.add(v)
     return sample
+
+
+def run_once(spec, instance, seed: int) -> float:
+    """One run of ``spec`` on ``instance``: the bound run, called with the
+    seed and its generator key."""
+    return bind(spec, instance)(seed, generator_key(seed))
 
 
 def fieller_coefficients(s1, s2) -> tuple[float, float]:

@@ -19,7 +19,7 @@ from paircomp.estimators import (DiffKind, bootstrap_se,
                                  phi_percent, se_percent, se_simple)
 from paircomp.experiment import ExperimentPlan, run_experiment
 from paircomp.hypotests import sign_test, wilcoxon_signed_rank
-from paircomp.runners import Runner, build_synthetic_pool
+from paircomp.runners import bind, build_synthetic_pool
 from paircomp.sampler import SamplingConfig, calc_nreps
 
 import oracles
@@ -142,8 +142,8 @@ def test_criterion_5_sampler_se_contract(capsys):
                         params={"mu": 0.0, "sigma": 2.0})
     spec2 = type(spec2)(alias=spec2.alias, kind=spec2.kind,
                         params={"mu": 0.0, "sigma": 1.0})
-    r1, r2 = Runner(spec1), Runner(spec2)
     instance = pool[0]
+    r1, r2 = bind(spec1, instance), bind(spec2, instance)
     cfg = SamplingConfig(se_max=0.2, n0=10, n_max=600)
     ratios = []
     violations = 0

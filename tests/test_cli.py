@@ -4,6 +4,7 @@ import math
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -626,6 +627,30 @@ output_dir: out
         with (tmp_path / "out" / "results.csv").open() as fh:
             ses = {r["instance"]: r["se"] for r in csv.DictReader(fh)}
         assert ses[row["instance_id"]] == "inf"
+
+    def test_overflowing_differences_exit_4_without_a_warning(self, capsys, tmp_path):
+        # sigma 1e200 makes the differences' spread overflow a float: the
+        # t-test is undefined, and numpy's overflow warning must not escape
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5, test: t_test}
+sampling: {se_max: 0.5, n0: 3, n_max: 8}
+algorithms:
+  - {alias: wide, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0e+200}}
+  - {alias: narrow, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0}}
+instances:
+  inline: [{id: x}, {id: y}, {id: z}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert caught == []
+        assert err == ("error: the mean or spread of the differences overflows "
+                       "a float; the t statistic is undefined\n")
+        assert not (tmp_path / "out" / "report.json").exists()
 
     def test_one_instance_run_is_refused_before_any_run(self, capsys, tmp_path):
         cfg = write_config(tmp_path, REPLAY_CONFIG.replace(

@@ -13,7 +13,7 @@ from paircomp.estimators import DiffKind, SEMethod
 from paircomp.experiment import (ExperimentPlan, _plan_fingerprint, run_experiment,
                                  select_instances)
 from paircomp.reporting import write_report_json, write_results_table, write_values
-from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef, Runner,
+from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef, bind,
                               build_synthetic_pool, build_tsp_instance)
 from paircomp.sampler import SamplingConfig, calc_nreps
 
@@ -156,9 +156,9 @@ class TestReportContents:
         # calc_nreps alone derives its own; the runs must be the same
         plan = make_plan(pool_size=30, use_all=True, se_max=0.2, n0=3, n_max=25)
         report, _ = run_experiment(plan)
-        runners = [Runner(spec) for spec in plan.algorithms]
         for (inst, seed), row in zip(select_instances(plan, 0), report.per_instance):
-            alone = calc_nreps(*runners, inst, plan.sampling, seed)
+            runs = [bind(spec, inst) for spec in plan.algorithms]
+            alone = calc_nreps(*runs, inst, plan.sampling, seed)
             assert alone.diff == row
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -167,16 +167,15 @@ class TestReportContents:
         # first-stage blocks and the sampler's later ones
         seeds = []
 
-        class RecordingRunner(Runner):
-            def bind(self, instance):
-                run = super().bind(instance)
+        def recording_bind(spec, instance):
+            run = bind(spec, instance)
 
-                def record(seed, key):
-                    seeds.append(seed)
-                    return run(seed, key)
-                return record
+            def record(seed, key):
+                seeds.append(seed)
+                return run(seed, key)
+            return record
 
-        monkeypatch.setattr(experiment_module, "Runner", RecordingRunner)
+        monkeypatch.setattr(experiment_module, "bind", recording_bind)
         plan = make_plan(pool_size=30, use_all=True, se_max=0.3, n0=3, n_max=40,
                          workers=workers)
         report, _ = run_experiment(plan)
@@ -361,15 +360,14 @@ class TestCheckpointing:
                 opened.append(fh)
             return fh
 
-        class FailingRunner(Runner):
-            def bind(self, instance):
-                run = super().bind(instance)
-                if instance.id != target:
-                    return run
+        def failing_bind(spec, instance):
+            run = bind(spec, instance)
+            if instance.id != target:
+                return run
 
-                def fail(seed, key):
-                    raise error
-                return fail
+            def fail(seed, key):
+                raise error
+            return fail
 
         real = experiment_module.calc_nreps
         returned = []
@@ -380,7 +378,7 @@ class TestCheckpointing:
             return outcome
 
         monkeypatch.setattr(Path, "open", spying_open)
-        monkeypatch.setattr(experiment_module, "Runner", FailingRunner)
+        monkeypatch.setattr(experiment_module, "bind", failing_bind)
         monkeypatch.setattr(experiment_module, "calc_nreps", recording)
         with pytest.raises(raised):
             run_experiment(plan, checkpoint_path=chk)

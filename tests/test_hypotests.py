@@ -89,6 +89,13 @@ class TestPairedT:
         with pytest.raises(DegenerateDataError):
             paired_t_test([2.0, 2.0, 2.0], mu0=0.0, alpha=0.05, alternative=TWO)
 
+    @pytest.mark.parametrize("phis", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308]],
+                             ids=["spread", "mean"])
+    def test_overflowing_differences_degenerate(self, phis):
+        # numpy's overflow warning is an error under pytest: none may escape
+        with pytest.raises(DegenerateDataError, match="overflows a float"):
+            paired_t_test(phis, mu0=0.0, alpha=0.05, alternative=TWO)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             paired_t_test([1.0], mu0=0.0, alpha=0.05, alternative=TWO)
@@ -287,6 +294,12 @@ class TestQQNormal:
         with pytest.raises(DegenerateDataError):
             qq_normal([1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("sample", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308]],
+                             ids=["spread", "mean"])
+    def test_overflowing_sample_degenerate(self, sample):
+        with pytest.raises(DegenerateDataError, match="overflows a float"):
+            qq_normal(sample)
+
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             qq_normal([1.0, 2.0])
@@ -313,3 +326,9 @@ class TestDiagnosticsBundle:
         bundle = build_diagnostics([2.0, 2.0, 2.0, 2.0], resamples=200, seed=1)
         assert bundle.qq_points == []
         assert bundle.boot_sdm_qq == []
+
+    def test_overflowing_spread_gives_no_points(self):
+        bundle = build_diagnostics([1e200, -1e200, 3e200, 2e200], resamples=200, seed=1)
+        assert bundle.qq_points == []
+        assert bundle.boot_sdm_qq == []
+        assert len(bundle.boot_sdm) == 200

@@ -1,5 +1,6 @@
 import math
 import shlex
+import subprocess
 import sys
 import textwrap
 import time
@@ -13,7 +14,7 @@ from paircomp.design import ComparisonDesign
 from paircomp.errors import RunnerError
 from paircomp.experiment import ExperimentPlan
 from paircomp.runners import (PARAMS, _REQUIRED, AlgorithmKind, AlgorithmSpec,
-                              InstanceRef, Runner, build_synthetic_pool,
+                              InstanceRef, bind, build_synthetic_pool,
                               build_tsp_instance)
 from paircomp.sampler import SamplingConfig
 from paircomp.seeding import derive_seed, run_keys
@@ -36,36 +37,36 @@ class TestSyntheticRunners:
     def test_degenerate_spread_returns_mean_exactly(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=5.0, sigma=0.0)
         for seed in (0, 1, 999):
-            assert Runner(s).run(InstanceRef(id="i"), seed) == 5.0
+            assert oracles.run_once(s, InstanceRef(id="i"), seed) == 5.0
 
     def test_same_seed_same_value(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        assert Runner(s).run(inst, 42) == Runner(s).run(inst, 42)
+        assert oracles.run_once(s, inst, 42) == oracles.run_once(s, inst, 42)
 
     def test_different_seeds_differ(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        assert Runner(s).run(inst, 1) != Runner(s).run(inst, 2)
+        assert oracles.run_once(s, inst, 1) != oracles.run_once(s, inst, 2)
 
     def test_law_of_large_numbers(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=0.0, sigma=1.0)
         inst = InstanceRef(id="i")
-        values = np.array([Runner(s).run(inst, seed) for seed in range(10**5)])
+        values = np.array([oracles.run_once(s, inst, seed) for seed in range(10**5)])
         assert abs(values.mean()) < 0.02
         assert abs(values.std(ddof=1) - 1.0) < 0.02
 
     def test_instance_payload_overrides_parameters(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, alias="a2", mu=0.0, sigma=0.0)
         inst = InstanceRef(id="i", payload={"a2": {"mu": 3.25}})
-        assert Runner(s).run(inst, 7) == 3.25
+        assert oracles.run_once(s, inst, 7) == 3.25
 
     def test_lognormal_is_positive_and_deterministic(self):
         s = spec(AlgorithmKind.SYNTHETIC_LOGNORMAL, mu=1.0, sigma=0.5)
         inst = InstanceRef(id="i")
-        vals = [Runner(s).run(inst, k) for k in range(50)]
+        vals = [oracles.run_once(s, inst, k) for k in range(50)]
         assert all(v > 0 for v in vals)
-        assert Runner(s).run(inst, 3) == vals[3]
+        assert oracles.run_once(s, inst, 3) == vals[3]
 
     def test_negative_sigma_rejected(self):
         with pytest.raises(ValueError, match=r"params\.sigma must be a finite "
@@ -74,7 +75,7 @@ class TestSyntheticRunners:
 
     def test_run_returns_finite_float(self):
         s = spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=1.0)
-        value = Runner(s).run(InstanceRef(id="i"), 11)
+        value = oracles.run_once(s, InstanceRef(id="i"), 11)
         assert type(value) is float and math.isfinite(value)
 
 
@@ -83,8 +84,8 @@ class TestSyntheticPool:
         pool, (s1, s2) = build_synthetic_pool(4, delta=0.0, sigma_phi=0.0,
                                               noise_sd=0.0, seed=1, base_mean=7.0)
         for inst in pool:
-            v1 = {Runner(s1).run(inst, k) for k in range(3)}
-            v2 = {Runner(s2).run(inst, k) for k in range(3)}
+            v1 = {oracles.run_once(s1, inst, k) for k in range(3)}
+            v2 = {oracles.run_once(s2, inst, k) for k in range(3)}
             assert v1 == v2 == {7.0}
 
     def test_ids_distinct_and_sized(self):
@@ -96,11 +97,12 @@ class TestSyntheticPool:
     def test_latent_differences_center_on_delta(self):
         pool, (s1, s2) = build_synthetic_pool(10**4, delta=0.5, sigma_phi=1.0,
                                               noise_sd=0.01, seed=3)
-        r1, r2 = Runner(s1), Runner(s2)
+        run_once = oracles.run_once
         phis = []
         for k, inst in enumerate(pool):
-            a = np.mean([r1.run(inst, 2 * k), r1.run(inst, 2 * k + 1)])
-            b = np.mean([r2.run(inst, 10**7 + 2 * k), r2.run(inst, 10**7 + 2 * k + 1)])
+            a = np.mean([run_once(s1, inst, 2 * k), run_once(s1, inst, 2 * k + 1)])
+            b = np.mean([run_once(s2, inst, 10**7 + 2 * k),
+                         run_once(s2, inst, 10**7 + 2 * k + 1)])
             phis.append(b - a)
         assert abs(np.mean(phis) - 0.5) < 0.02
 
@@ -138,7 +140,7 @@ class TestSubprocessRunner:
     def test_round_trip_is_bit_exact(self, echo_stub):
         s = self.sub_spec(echo_stub)
         inst = InstanceRef(id="case7", payload={"path": "case7.txt"})
-        assert Runner(s).run(inst, 816) == 816 * 0.125 + 3.0
+        assert oracles.run_once(s, inst, 816) == 816 * 0.125 + 3.0
 
     def test_instance_placeholder_uses_payload_path(self, echo_stub, tmp_path):
         probe = tmp_path / "probe.py"
@@ -146,7 +148,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable,
                                   "args": [str(probe), "{instance}"]})
-        assert Runner(s).run(InstanceRef(id="x", payload={"path": "abcdef"}), 1) == 6.0
+        assert oracles.run_once(s, InstanceRef(id="x", payload={"path": "abcdef"}), 1) == 6.0
 
     def test_args_string_is_split_like_a_shell(self, echo_stub, tmp_path):
         probe = tmp_path / "probe.py"
@@ -154,10 +156,10 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable,
                                   "args": f"{shlex.quote(str(probe))} 'a b {{seed}}'"})
-        assert Runner(s).run(InstanceRef(id="x"), 123) == 7.0  # 'a b 123'
+        assert oracles.run_once(s, InstanceRef(id="x"), 123) == 7.0  # 'a b 123'
         s = self.sub_spec(echo_stub, params={
             "args": f"{shlex.quote(str(echo_stub))} {{instance}} {{seed}}"})
-        assert Runner(s).run(InstanceRef(id="case7"), 816) == 816 * 0.125 + 3.0
+        assert oracles.run_once(s, InstanceRef(id="case7"), 816) == 816 * 0.125 + 3.0
 
     def test_nonzero_exit_raises(self, tmp_path):
         bad = tmp_path / "bad.py"
@@ -165,7 +167,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(bad)]})
         with pytest.raises(RunnerError, match="status 3") as err:
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
         assert "partial" in (err.value.output_excerpt or "")
 
     def test_unparsable_output_raises(self, tmp_path):
@@ -174,7 +176,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(bad)]})
         with pytest.raises(RunnerError, match="not a decimal"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
 
     def test_empty_output_raises(self, tmp_path):
         quiet = tmp_path / "quiet.py"
@@ -182,7 +184,7 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": sys.executable, "args": [str(quiet)]})
         with pytest.raises(RunnerError, match="no output"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
 
     def test_timeout_raises(self, tmp_path):
         slow = tmp_path / "slow.py"
@@ -191,7 +193,7 @@ class TestSubprocessRunner:
                           params={"executable": sys.executable, "args": [str(slow)]},
                           timeout=0.2)
         with pytest.raises(RunnerError, match="timed out"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
 
     def test_timeout_keeps_output_excerpt(self):
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
@@ -199,7 +201,7 @@ class TestSubprocessRunner:
                                   "args": ["-c", "echo partial; echo warn >&2; sleep 30"]},
                           timeout=0.5)
         with pytest.raises(RunnerError, match="timed out") as info:
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
         assert "partial" in info.value.output_excerpt
         assert "warn" in info.value.output_excerpt
 
@@ -210,7 +212,24 @@ class TestSubprocessRunner:
                                   "args": ["-c", f"(sleep 2; touch {marker}) & wait"]},
                           timeout=0.5)
         with pytest.raises(RunnerError, match="timed out"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
+        time.sleep(3.0)
+        assert not marker.exists()
+
+    def test_interrupt_kills_the_whole_process_group(self, tmp_path, monkeypatch):
+        marker = tmp_path / "MARKER"
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": "/bin/sh",
+                                  "args": ["-c", f"(sleep 2; touch {marker}) & wait"]})
+
+        def interrupted(proc, timeout=None):
+            time.sleep(0.5)  # the shell has started its background job by now
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(subprocess.Popen, "communicate", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            oracles.run_once(s, InstanceRef(id="i"), 1)
+        monkeypatch.undo()
         time.sleep(3.0)
         assert not marker.exists()
 
@@ -222,26 +241,26 @@ class TestSubprocessRunner:
         s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
                           params={"executable": "/nonexistent/solver"})
         with pytest.raises(RunnerError, match="launch"):
-            Runner(s).run(InstanceRef(id="i"), 1)
+            oracles.run_once(s, InstanceRef(id="i"), 1)
 
 
 class TestAnnealingDemoRunner:
     def test_deterministic_given_seed(self):
         inst = build_tsp_instance("t", n_cities=15, layout_seed=1)
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=2000.0, budget=800)
-        assert Runner(s).run(inst, 5) == Runner(s).run(inst, 5)
+        assert oracles.run_once(s, inst, 5) == oracles.run_once(s, inst, 5)
 
     def test_positive_tour_length(self):
         inst = build_tsp_instance("t", n_cities=12, layout_seed=2)
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=500)
-        assert Runner(s).run(inst, 1) > 0
+        assert oracles.run_once(s, inst, 1) > 0
 
     def test_longer_budget_does_not_hurt(self):
         inst = build_tsp_instance("t", n_cities=18, layout_seed=3)
         short = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=50)
         long = spec(AlgorithmKind.DEMO_SANN_TSP, temp=1000.0, budget=5000)
-        short_best = np.median([Runner(short).run(inst, k) for k in range(9)])
-        long_best = np.median([Runner(long).run(inst, k) for k in range(9)])
+        short_best = np.median([oracles.run_once(short, inst, k) for k in range(9)])
+        long_best = np.median([oracles.run_once(long, inst, k) for k in range(9)])
         assert long_best <= short_best
 
     def test_inline_matrix_payload(self):
@@ -249,12 +268,12 @@ class TestAnnealingDemoRunner:
         inst = InstanceRef(id="sq", payload={"distance_matrix": d})
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=10.0, budget=400)
         # optimal tour of this line graph costs 1+1+1+3
-        assert Runner(s).run(inst, 0) >= 6.0
+        assert oracles.run_once(s, inst, 0) >= 6.0
 
     def test_generated_payload_form(self):
         inst = InstanceRef(id="gen", payload={"cities": 10, "layout_seed": 4})
         s = spec(AlgorithmKind.DEMO_SANN_TSP, temp=100.0, budget=300)
-        assert Runner(s).run(inst, 0) > 0
+        assert oracles.run_once(s, inst, 0) > 0
 
     def test_builder_refuses_fewer_than_four_cities(self):
         with pytest.raises(ValueError, match="at least 4 cities, got 3"):
@@ -315,8 +334,8 @@ class TestParamTables:
         explicit = {key: default for key, (_, _, default) in PARAMS[kind].items()}
         explicit.update(params)
         inst = build_tsp_instance("t", n_cities=6, layout_seed=1)
-        assert Runner(spec(kind, **params)).run(inst, 3) == \
-            Runner(spec(kind, **explicit)).run(inst, 3)
+        assert oracles.run_once(spec(kind, **params), inst, 3) == \
+            oracles.run_once(spec(kind, **explicit), inst, 3)
 
     @pytest.mark.parametrize("kind, params, message", [
         (AlgorithmKind.SYNTHETIC_NORMAL, {"mu": 1, "sgima": 5},
@@ -371,7 +390,7 @@ class TestParamTables:
             plan_with(algorithm, inst)
         # a run reads its payload through the same check
         with pytest.raises(ValueError, match=message):
-            Runner(algorithm).run(inst, 1)
+            oracles.run_once(algorithm, inst, 1)
 
     def test_payload_keys_no_algorithm_reads_are_free(self):
         # a subprocess reads only 'path', a synthetic algorithm only its alias
@@ -391,41 +410,49 @@ class TestBoundRuns:
         return run_keys([31] * 80, [0] * 40 + [1] * 40, list(range(40)) * 2)[1].tolist()
 
     def test_normal_values_equal_reference_draws(self):
-        run = Runner(spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=0.5)).bind(
-            InstanceRef(id="i"))
+        run = bind(spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=0.5),
+                   InstanceRef(id="i"))
         for seed, key in zip(self.SEEDS, self.keys()):
             assert run(seed, key) == \
                 2.0 + 0.5 * oracles.reference_generator(seed).standard_normal()
 
     def test_lognormal_values_equal_reference_draws(self):
-        run = Runner(spec(AlgorithmKind.SYNTHETIC_LOGNORMAL, mu=0.1, sigma=0.3)).bind(
-            InstanceRef(id="i", payload={"algo": {"sigma": 0.7}}))
+        run = bind(spec(AlgorithmKind.SYNTHETIC_LOGNORMAL, mu=0.1, sigma=0.3),
+                   InstanceRef(id="i", payload={"algo": {"sigma": 0.7}}))
         for seed, key in zip(self.SEEDS, self.keys()):
             assert run(seed, key) == \
                 math.exp(0.1 + 0.7 * oracles.reference_generator(seed).standard_normal())
 
     def test_tsp_values_equal_reference_draws(self, monkeypatch):
         inst = build_tsp_instance("t", n_cities=12, layout_seed=4)
-        runner = Runner(spec(AlgorithmKind.DEMO_SANN_TSP, temp=500.0, budget=300))
+        algorithm = spec(AlgorithmKind.DEMO_SANN_TSP, temp=500.0, budget=300)
         keys = self.keys()[:12]
-        rekeyed = [runner.bind(inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
+        rekeyed = [bind(algorithm, inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
         by_key = {tuple(key): seed for seed, key in zip(self.SEEDS, keys)}
         monkeypatch.setattr(runners_module, "kept_generator",
                             lambda key: oracles.reference_generator(by_key[tuple(key)]))
-        reference = [runner.bind(inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
+        reference = [bind(algorithm, inst)(seed, key) for seed, key in zip(self.SEEDS, keys)]
         assert rekeyed == reference
 
     def test_inputs_are_read_once_per_binding(self, monkeypatch):
-        reads = []
-        read, run = runners_module._KINDS[AlgorithmKind.SYNTHETIC_NORMAL]
+        # the binder reads the payload; the runs it returns must not
+        binds, reads = [], []
+        binder = runners_module._BINDERS[AlgorithmKind.SYNTHETIC_NORMAL]
 
         def counting(spec_, instance):
-            reads.append(instance.id)
-            return read(spec_, instance)
+            binds.append(instance.id)
+            return binder(spec_, instance)
 
-        monkeypatch.setitem(runners_module._KINDS, AlgorithmKind.SYNTHETIC_NORMAL,
-                            (counting, run))
-        bound = Runner(spec(AlgorithmKind.SYNTHETIC_NORMAL)).bind(InstanceRef(id="i"))
+        class Payload(dict):
+            def get(self, *args):
+                reads.append(args[0])
+                return super().get(*args)
+
+        monkeypatch.setitem(runners_module._BINDERS, AlgorithmKind.SYNTHETIC_NORMAL,
+                            counting)
+        bound = bind(spec(AlgorithmKind.SYNTHETIC_NORMAL),
+                     InstanceRef(id="i", payload=Payload(algo={"mu": 1.0})))
+        assert binds == ["i"] and reads == ["algo"]
         for seed, key in zip(self.SEEDS, self.keys()):
             bound(seed, key)
-        assert reads == ["i"]
+        assert binds == ["i"] and reads == ["algo"]

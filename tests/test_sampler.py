@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ import oracles
 from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
-                              Runner, build_tsp_instance)
+                              bind, build_tsp_instance)
 from paircomp.sampler import SamplingConfig, calc_nreps
 from paircomp.seeding import derive_seed
 
@@ -20,52 +21,31 @@ def normal_spec(alias, mu, sigma):
                          params={"mu": mu, "sigma": sigma})
 
 
-def normal_runners(mu1, sd1, mu2, sd2):
-    return Runner(normal_spec("a1", mu1, sd1)), Runner(normal_spec("a2", mu2, sd2))
-
-
 INSTANCE = InstanceRef(id="inst-0")
 
 
-class ScriptedRunner:
-    """Replays a fixed sequence of values, cycling; ignores seeds."""
-
-    concurrent_safe = True
-
-    def __init__(self, values):
-        self.values = list(values)
-        self.calls = 0
-
-    def run(self, instance, seed):
-        v = self.values[self.calls % len(self.values)]
-        self.calls += 1
-        return float(v)
-
-    def bind(self, instance):
-        return lambda seed, key: self.run(instance, seed)
+def normal_runs(mu1, sd1, mu2, sd2):
+    return (bind(normal_spec("a1", mu1, sd1), INSTANCE),
+            bind(normal_spec("a2", mu2, sd2), INSTANCE))
 
 
-class RecordingRunner:
-    """Runs as the runner it wraps does, and records each run's algorithm,
-    seed and key."""
-
-    concurrent_safe = True
-
-    def __init__(self, algo_index, log, runner):
-        self.algo_index, self.log, self.runner = algo_index, log, runner
-
-    def bind(self, instance):
-        run = self.runner.bind(instance)
-
-        def record(seed, key):
-            self.log.append((self.algo_index, seed, key))
-            return run(seed, key)
-        return record
+def scripted(values):
+    """A run that replays a fixed sequence of values, cycling; ignores seeds."""
+    replay = itertools.cycle([float(v) for v in values])
+    return lambda seed, key: next(replay)
 
 
-def recording_runners(log, mu1, sd1, mu2, sd2):
-    r1, r2 = normal_runners(mu1, sd1, mu2, sd2)
-    return RecordingRunner(0, log, r1), RecordingRunner(1, log, r2)
+def recording(algo_index, log, run):
+    """Runs as ``run`` does, and records each run's algorithm, seed and key."""
+    def record(seed, key):
+        log.append((algo_index, seed, key))
+        return run(seed, key)
+    return record
+
+
+def recording_runs(log, mu1, sd1, mu2, sd2):
+    r1, r2 = normal_runs(mu1, sd1, mu2, sd2)
+    return recording(0, log, r1), recording(1, log, r2)
 
 
 def run_seeds(log):
@@ -74,7 +54,7 @@ def run_seeds(log):
 
 class TestStoppingBehavior:
     def test_generous_budget_stops_at_n0(self):
-        r1, r2 = normal_runners(10, 1, 12, 1)
+        r1, r2 = normal_runs(10, 1, 12, 1)
         cfg = SamplingConfig(se_max=5.0, n0=15, n_max=100)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
         assert (out.samples[0].n, out.samples[1].n) == (15, 15)
@@ -83,14 +63,14 @@ class TestStoppingBehavior:
         assert out.diff.se_hat == pytest.approx(math.sqrt(2 / 15), rel=0.5)
 
     def test_unreachable_budget_exhausts_n_max(self):
-        r1, r2 = normal_runners(10, 1, 12, 1)
+        r1, r2 = normal_runs(10, 1, 12, 1)
         cfg = SamplingConfig(se_max=0.001, n0=15, n_max=40)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
         assert out.diff.budget_exhausted
         assert out.samples[0].n + out.samples[1].n == 40
 
     def test_se_contract_when_not_exhausted(self):
-        r1, r2 = normal_runners(10, 2, 12, 1)
+        r1, r2 = normal_runs(10, 2, 12, 1)
         cfg = SamplingConfig(se_max=0.5, n0=5, n_max=400)
         for seed in range(10):
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
@@ -104,7 +84,7 @@ class TestStoppingBehavior:
                 assert out.se_trace[-1][2] < out.se_trace[0][2]
 
     def test_trace_totals_increase_by_one(self):
-        r1, r2 = normal_runners(0, 1, 0.5, 1)
+        r1, r2 = normal_runs(0, 1, 0.5, 1)
         cfg = SamplingConfig(se_max=0.3, n0=5, n_max=200)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=3)
         totals = [n1 + n2 for n1, n2, _ in out.se_trace]
@@ -125,7 +105,7 @@ class TestSEBudgetContract:
     def test_contract(self, kind, method, mu1, mu2, sd1, sd2, se_scale, n0,
                       extra, seed):
         log = []
-        r1, r2 = recording_runners(log, mu1, sd1, mu2, sd2)
+        r1, r2 = recording_runs(log, mu1, sd1, mu2, sd2)
         # percent differences are relative, simple ones are in data units
         se_max = se_scale if kind is DiffKind.PERCENT else 20.0 * se_scale
         cfg = SamplingConfig(se_max=se_max, n0=n0, n_max=2 * n0 + extra,
@@ -150,7 +130,7 @@ class TestAllocation:
         ratios = []
         n1_ge_n2 = 0
         for seed in range(100):
-            r1, r2 = normal_runners(10, 2, 10, 1)
+            r1, r2 = normal_runs(10, 2, 10, 1)
             cfg = SamplingConfig(se_max=0.2, n0=10, n_max=600)
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
             ratios.append(out.samples[0].n / out.samples[1].n)
@@ -159,7 +139,7 @@ class TestAllocation:
         assert n1_ge_n2 >= 90
 
     def test_forced_balance_keeps_counts_even(self):
-        r1, r2 = normal_runners(10, 3, 10, 1)
+        r1, r2 = normal_runs(10, 3, 10, 1)
         cfg = SamplingConfig(se_max=0.4, n0=5, n_max=400, force_balance=True)
         for seed in range(5):
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
@@ -172,7 +152,7 @@ class TestDeterminism:
         outs, logs = [], []
         for _ in range(2):
             logs.append([])
-            r1, r2 = recording_runners(logs[-1], 10, 2, 11, 1)
+            r1, r2 = recording_runs(logs[-1], 10, 2, 11, 1)
             outs.append(calc_nreps(r1, r2, INSTANCE, cfg, seed=77))
         a, b = outs
         assert a.samples[0].observations == b.samples[0].observations
@@ -183,7 +163,7 @@ class TestDeterminism:
 
     def test_run_seeds_unique(self):
         log = []
-        r1, r2 = recording_runners(log, 10, 2, 11, 1)
+        r1, r2 = recording_runs(log, 10, 2, 11, 1)
         cfg = SamplingConfig(se_max=0.2, n0=10, n_max=300)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=5)
         assert len(set(run_seeds(log))) == len(log)
@@ -192,7 +172,7 @@ class TestDeterminism:
 
 class TestPercentKind:
     def test_percent_se_contract(self):
-        r1, r2 = normal_runners(100, 5, 105, 5)
+        r1, r2 = normal_runs(100, 5, 105, 5)
         cfg = SamplingConfig(se_max=0.01, n0=10, n_max=500,
                              diff_kind=DiffKind.PERCENT)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=11)
@@ -201,7 +181,7 @@ class TestPercentKind:
         assert out.diff.diff_kind is DiffKind.PERCENT
 
     def test_nonpositive_baseline_names_instance(self):
-        r1, r2 = normal_runners(-5, 1, 5, 1)
+        r1, r2 = normal_runs(-5, 1, 5, 1)
         cfg = SamplingConfig(se_max=0.01, n0=5, n_max=50,
                              diff_kind=DiffKind.PERCENT)
         with pytest.raises(AssumptionViolationError, match="inst-0"):
@@ -209,8 +189,8 @@ class TestPercentKind:
 
     def test_zero_gap_falls_back_to_bootstrap(self):
         # identical means with spread: the parametric percent SE degenerates
-        r1 = ScriptedRunner([1.0, 3.0, 2.0, 2.0])
-        r2 = ScriptedRunner([3.0, 1.0, 2.0, 2.0])
+        r1 = scripted([1.0, 3.0, 2.0, 2.0])
+        r2 = scripted([3.0, 1.0, 2.0, 2.0])
         cfg = SamplingConfig(se_max=0.4, n0=4, n_max=60,
                              diff_kind=DiffKind.PERCENT,
                              resamples=200)
@@ -219,7 +199,7 @@ class TestPercentKind:
         assert any("bootstrap" in e for e in out.events)
 
     def test_bootstrap_method_from_start(self):
-        r1, r2 = normal_runners(100, 5, 105, 5)
+        r1, r2 = normal_runs(100, 5, 105, 5)
         cfg = SamplingConfig(se_max=0.02, n0=10, n_max=400,
                              diff_kind=DiffKind.PERCENT,
                              se_method=SEMethod.BOOTSTRAP,
@@ -231,9 +211,9 @@ class TestPercentKind:
 
 class TestFailuresAndValidation:
     def test_runner_failure_carries_context(self):
-        r1 = Runner(AlgorithmSpec(alias="broken", kind=AlgorithmKind.SUBPROCESS,
-                                  params={"executable": "/nonexistent/solver"}))
-        _, r2 = normal_runners(0, 1, 0, 1)
+        r1 = bind(AlgorithmSpec(alias="broken", kind=AlgorithmKind.SUBPROCESS,
+                                params={"executable": "/nonexistent/solver"}), INSTANCE)
+        _, r2 = normal_runs(0, 1, 0, 1)
         cfg = SamplingConfig(se_max=0.1, n0=5, n_max=50)
         with pytest.raises(RunnerError, match="could not launch") as err:
             calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
@@ -267,7 +247,7 @@ class TestRunSeedBlocks:
         # allocation, run r of algorithm a has derive_seed(seed, a, r)
         log = []
         cfg = SamplingConfig(se_max=1e-6, n0=n0, n_max=n_max)
-        out = calc_nreps(*recording_runners(log, 0.0, 1.0, 0.0, sd2),
+        out = calc_nreps(*recording_runs(log, 0.0, 1.0, 0.0, sd2),
                          INSTANCE, cfg, seed=8)
         assert out.samples[0].n + out.samples[1].n == n_max == len(log)
         counts = [0, 0]
@@ -282,10 +262,10 @@ class TestAnnealingDemo:
     def test_two_temperatures_meet_percent_budget(self):
         # scenario shape: one distance matrix, two annealing temperatures
         instance = build_tsp_instance("tsp21", n_cities=21, layout_seed=4)
-        r1 = Runner(AlgorithmSpec(alias="cool", kind=AlgorithmKind.DEMO_SANN_TSP,
-                                  params={"temp": 2000.0, "budget": 1500}))
-        r2 = Runner(AlgorithmSpec(alias="hot", kind=AlgorithmKind.DEMO_SANN_TSP,
-                                  params={"temp": 4000.0, "budget": 1500}))
+        r1 = bind(AlgorithmSpec(alias="cool", kind=AlgorithmKind.DEMO_SANN_TSP,
+                                params={"temp": 2000.0, "budget": 1500}), instance)
+        r2 = bind(AlgorithmSpec(alias="hot", kind=AlgorithmKind.DEMO_SANN_TSP,
+                                params={"temp": 4000.0, "budget": 1500}), instance)
         cfg = SamplingConfig(se_max=0.01, n0=20, n_max=200,
                              diff_kind=DiffKind.PERCENT)
         out = calc_nreps(r1, r2, instance, cfg, seed=1234)
