@@ -11,8 +11,7 @@ from .design import (Alternative, ComparisonDesign, SampleSizeResult,
                      power_curve, validate_design)
 from .distributions import noncentral_t_cdf, t_cdf, t_quantile
 from .errors import (AssumptionViolationError, ConfigError, DegenerateDataError,
-                     DegenerateRatioError, ExperimentAbortedError, PaircompError,
-                     RunnerError)
+                     ExperimentAbortedError, PaircompError, RunnerError)
 from .estimators import (DiffKind, InstanceSample, PairedDifference,
                          SEMethod, bootstrap_sdm, bootstrap_se,
                          optimal_ratio_percent, optimal_ratio_simple,
@@ -43,6 +42,5 @@ __all__ = [
     "sign_test", "qq_normal", "build_diagnostics",
     "ExperimentPlan", "run_experiment",
     "PaircompError", "ConfigError", "AssumptionViolationError",
-    "DegenerateRatioError", "DegenerateDataError", "RunnerError",
-    "ExperimentAbortedError",
+    "DegenerateDataError", "RunnerError", "ExperimentAbortedError",
 ]

@@ -216,8 +216,7 @@ def _cmd_reps(args) -> int:
     elif seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
     run1, run2 = (bind(spec, instance) for spec in plan.algorithms)
-    outcome = calc_nreps(run1, run2, instance, plan.sampling, seed)
-    d = outcome.diff
+    d = calc_nreps(run1, run2, instance, plan.sampling, seed).diff
     print(f"instance: {d.instance_id}")
     print(f"n1: {d.n1}")
     print(f"n2: {d.n2}")
@@ -225,8 +224,6 @@ def _cmd_reps(args) -> int:
     print(f"se: {fmt(d.se_hat)}")
     print(f"se method: {d.se_method.value}")
     print(f"budget exhausted: {str(d.budget_exhausted).lower()}")
-    for event in outcome.events:
-        print(f"note: {event}")
     return EXIT_OK
 
 

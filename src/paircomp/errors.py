@@ -20,16 +20,9 @@ class AssumptionViolationError(PaircompError):
     """A statistical working assumption does not hold for the data.
 
     Raised e.g. when percent differences are requested but the baseline
-    sample mean is not strictly positive; the remedy is to switch to
-    simple differences.
-    """
-
-
-class DegenerateRatioError(PaircompError):
-    """The percent-difference standard error is undefined (zero mean gap).
-
-    The parametric formula divides by the squared simple difference; a
-    bootstrap estimate sidesteps the singularity.
+    sample mean is not strictly positive (the remedy is to switch to
+    simple differences), or when the parametric percent-difference SE
+    overflows a float at the data's scale.
     """
 
 

@@ -8,7 +8,8 @@ Two difference kinds are supported for a pair of observation samples
 * percent:  phi = (mean(x2) - mean(x1)) / mean(x1),
   se = |phi| * sqrt(c1/n1 + c2/n2)   (no-covariance Fieller form)
   with c1 = s1^2 [gap^-2 + mean1^-2],  c2 = s2^2 gap^-2,
-  gap = mean(x2) - mean(x1)
+  gap = mean(x2) - mean(x1); at gap = 0 it is the limit
+  sqrt(s1^2/n1 + s2^2/n2) / mean(x1)
 
 The total-run-minimizing allocation keeps n1/n2 at s1/s2 (simple) or
 sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A bootstrap of
@@ -33,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import AssumptionViolationError, DegenerateRatioError
+from .errors import AssumptionViolationError
 from .seeding import generator_key, kept_generator, make_generator
 
 __all__ = [
@@ -146,8 +147,11 @@ def se_simple(s1, s2) -> float:
 def se_percent(s1, s2) -> float:
     """Standard error of the percent difference (no-covariance ratio form).
 
-    A zero mean gap makes the ratio form singular; callers should fall
-    back to the bootstrap estimate in that case.
+    The gap^-2 factors of c1 and c2 cancel against phi^2, so at a zero
+    mean gap the SE is its limit, the delta-method form
+    sqrt(s1^2/n1 + s2^2/n2) / mean1.  The ratio form overflows a float
+    when the gap or the baseline mean is below about 1.5e-154; that is
+    refused as an assumption violation.
     """
     _require_runs(s1, 2, "se_percent")
     _require_runs(s2, 2, "se_percent")
@@ -158,13 +162,16 @@ def se_percent(s1, s2) -> float:
     gap = s2.mean - s1.mean
     v1, v2 = s1.variance, s2.variance
     if gap == 0.0:
-        if v1 == 0.0 and v2 == 0.0:
-            return 0.0
-        raise DegenerateRatioError(
-            "percent-difference standard error is undefined when the mean gap "
-            "is exactly zero; use the bootstrap estimate")
-    c1 = v1 * (gap ** -2 + s1.mean ** -2)
-    c2 = v2 * gap ** -2
+        return math.sqrt(v1 / s1.n + v2 / s2.n) / s1.mean
+    try:
+        c1 = v1 * (gap ** -2 + s1.mean ** -2)
+        c2 = v2 * gap ** -2
+    except OverflowError:
+        raise AssumptionViolationError(
+            f"the parametric percent-difference standard error overflows a "
+            f"float at this scale (mean gap {gap:g}, baseline mean "
+            f"{s1.mean:g}); rescale the values or use se_method: "
+            f"bootstrap") from None
     phi = gap / s1.mean
     return abs(phi) * math.sqrt(c1 / s1.n + c2 / s2.n)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
-from scipy.stats import binom, rankdata
+from scipy.stats import binom
 
 from .design import Alternative, TestFamily
 from .distributions import t_cdf, t_quantile
@@ -171,9 +171,11 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
     alternative = Alternative(alternative)
     d, warnings = _nonzero_differences(arr, mu0, "signed-rank")
     n = d.size
-    ranks = rankdata(np.abs(d))
+    # average ranks for ties, from the one sort that also counts them
+    _, tie_index, tie_counts = np.unique(np.abs(d), return_inverse=True,
+                                         return_counts=True)
+    ranks = (np.cumsum(tie_counts) - (tie_counts - 1) / 2.0)[tie_index]
     w = float(ranks[d > 0].sum())
-    _, tie_counts = np.unique(np.abs(d), return_counts=True)
     exact = n <= 25 and n == arr.size and bool((tie_counts == 1).all())
 
     mu_w = n * (n + 1) / 4.0

@@ -23,11 +23,11 @@ by what is left of the ``n_max`` budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolationError, DegenerateRatioError
+from .errors import AssumptionViolationError
 from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
                          PairedDifference, SEMethod, bootstrap_se,
                          phi_percent, phi_simple,
@@ -80,7 +80,6 @@ class SamplingOutcome:
     samples: tuple[InstanceSample, InstanceSample]
     diff: PairedDifference
     se_trace: list[tuple[int, int, float]]
-    events: list[str] = field(default_factory=list)
 
 
 def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -104,17 +103,16 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     ``run1`` and ``run2`` are the two algorithms' runs bound to the
     instance (see ``runners.bind``).  Returns when the standard error of
     the paired difference drops to ``cfg.se_max`` or the total-run budget
-    ``cfg.n_max`` is exhausted (flagged on the result).  If the parametric percent-difference SE
-    degenerates (zero mean gap), the instance falls back to the bootstrap
-    estimate and the switch is recorded in ``events``.  ``first`` is the
-    instance's entry of ``first_stage``, when the caller derived it along
-    with other instances'; without it, it is derived here.
+    ``cfg.n_max`` is exhausted (flagged on the result).  The SE is
+    ``cfg.se_method``'s throughout; the bootstrap's seed derives from
+    ``seed``.  ``first`` is the instance's entry of ``first_stage``, when
+    the caller derived it along with other instances'; without it, it is
+    derived here.
     """
     samples = (InstanceSample(), InstanceSample())
     runs = (run1, run2)
-    events: list[str] = []
-    se_method = cfg.se_method
-    boot_seed = derive_seed(seed, BOOTSTRAP_STREAM)
+    bootstrap = cfg.se_method is SEMethod.BOOTSTRAP
+    boot_seed = derive_seed(seed, BOOTSTRAP_STREAM) if bootstrap else None
     n0 = cfg.n0
     seeds, keys = first if first is not None else first_stage([seed], n0)[0]
     seeds, keys = seeds.tolist(), keys.tolist()
@@ -137,25 +135,17 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         samples[algo_index].add(runs[algo_index](algo_seeds[r], algo_keys[r]))
 
     def current_se() -> float:
-        nonlocal se_method
         s1, s2 = samples
         if cfg.diff_kind is DiffKind.PERCENT and s1.mean <= 0.0:
             raise AssumptionViolationError(
                 f"instance {instance.id}: baseline mean "
                 f"{s1.mean:g} is not strictly positive, percent differences do "
                 f"not apply; use simple differences")
-        if se_method is SEMethod.BOOTSTRAP:
+        if bootstrap:
             return bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
         if cfg.diff_kind is DiffKind.SIMPLE:
             return se_simple(s1, s2)
-        try:
-            return se_percent(s1, s2)
-        except DegenerateRatioError:
-            se_method = SEMethod.BOOTSTRAP
-            events.append(
-                f"parametric percent SE degenerate at n1={s1.n}, n2={s2.n}; "
-                f"switched to bootstrap SE")
-            return bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
+        return se_percent(s1, s2)
 
     def allocation_ratio() -> float:
         s1, s2 = samples
@@ -191,8 +181,7 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         n1=s1.n,
         n2=s2.n,
         diff_kind=cfg.diff_kind,
-        se_method=se_method,
+        se_method=cfg.se_method,
         budget_exhausted=se > cfg.se_max,
     )
-    return SamplingOutcome(samples=samples, diff=diff, se_trace=trace,
-                           events=events)
+    return SamplingOutcome(samples=samples, diff=diff, se_trace=trace)

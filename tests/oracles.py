@@ -21,7 +21,7 @@ import numpy as np
 from scipy import integrate, special
 
 from paircomp.distributions import t_quantile
-from paircomp.errors import AssumptionViolationError, DegenerateRatioError
+from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import InstanceSample
 from paircomp.runners import bind
 from paircomp.seeding import generator_key
@@ -140,7 +140,7 @@ def se_percent_with_covariance(x1, x2) -> float:
         raise AssumptionViolationError("baseline mean must be strictly positive")
     gap = float(x2.mean()) - m1
     if gap == 0.0:
-        raise DegenerateRatioError("undefined for a zero mean gap")
+        raise ValueError("undefined for a zero mean gap")
     v1 = float(x1.var(ddof=1))
     v2 = float(x2.var(ddof=1))
     cov = float(np.cov(x1, x2 - x1, ddof=1)[0, 1])

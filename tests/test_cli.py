@@ -322,10 +322,10 @@ master_seed: 4
         assert code == 0
         assert f"instance: {unused}" in out
 
-    def test_prints_the_bootstrap_fallback_note(self, capsys, tmp_path):
+    def test_zero_gap_keeps_the_parametric_se(self, capsys, tmp_path):
         # the first solver alternates 4 and 6, the second prints 5: after
-        # n0 = 2 runs each the mean gap is exactly zero, so the percent SE
-        # falls back to the bootstrap
+        # n0 = 2 runs each the mean gap is exactly zero, and the percent SE
+        # is its limit sqrt(2/2 + 0/2) / 5
         solver = tmp_path / "alternating.py"
         solver.write_text(textwrap.dedent("""\
             import sys
@@ -351,9 +351,9 @@ master_seed: 3
                                  "--instance", "only")
         assert code == 0, err
         lines = out.splitlines()
-        assert "phi: 0" in lines and "se method: bootstrap" in lines
-        assert ("note: parametric percent SE degenerate at n1=2, n2=2; "
-                "switched to bootstrap SE") in lines
+        assert "phi: 0" in lines and "se: 0.2" in lines
+        assert "se method: parametric" in lines
+        assert not [line for line in lines if line.startswith("note:")]
 
     def test_annealing_demo_meets_budget_or_flags(self, capsys, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -651,6 +651,33 @@ output_dir: out
         assert err == ("error: the mean or spread of the differences overflows "
                        "a float; the t statistic is undefined\n")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_percent_se_overflow_exits_4(self, capsys, tmp_path):
+        # lognormal runs near exp(-368) ~ 1e-160: the parametric percent SE
+        # squares the reciprocal of the mean gap, which overflows a float
+        config = """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 0.5, n0: 3, n_max: 12, diff: percent, se_method: SE}
+algorithms:
+  - {alias: low, kind: synthetic_lognormal, params: {mu: -368.0, sigma: 0.3}}
+  - {alias: high, kind: synthetic_lognormal, params: {mu: -367.9, sigma: 0.3}}
+instances:
+  inline: [{id: x}, {id: y}, {id: z}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+"""
+        cfg = write_config(tmp_path, config.replace("SE", "parametric"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        [line] = err.splitlines()
+        assert line.startswith("error: experiment aborted after 0 instance(s)")
+        assert ("the parametric percent-difference standard error overflows "
+                "a float at this scale (mean gap ") in line
+        assert line.endswith("rescale the values or use se_method: bootstrap")
+        assert not (tmp_path / "out" / "report.json").exists()
+        cfg = write_config(tmp_path, config.replace("SE", "bootstrap"))
+        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
 
     def test_one_instance_run_is_refused_before_any_run(self, capsys, tmp_path):
         cfg = write_config(tmp_path, REPLAY_CONFIG.replace(

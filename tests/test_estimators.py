@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paircomp.errors import AssumptionViolationError, DegenerateRatioError
+from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
                                  _first_side,
                                  bootstrap_sdm, bootstrap_se,
@@ -120,9 +120,43 @@ class TestStandardErrors:
         se = se_percent(stats_stub(10, 0, 5), stats_stub(12, 0, 5))
         assert se == 0.0
 
-    def test_percent_zero_gap_degenerate(self):
-        with pytest.raises(DegenerateRatioError):
-            se_percent(stats_stub(10, 1, 5), stats_stub(10, 1, 5))
+    def test_percent_zero_gap_is_the_limit(self):
+        # the gap^-2 factors cancel against phi^2: the delta-method SE
+        se = se_percent(stats_stub(10, 1, 5), stats_stub(10, 2, 4))
+        assert se == math.sqrt(1 / 5 + 4 / 4) / 10
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9, 1e-12])
+    def test_percent_small_gaps_approach_the_zero_gap_value(self, gap):
+        # the ratio form exceeds the limit by a relative phi^2 / 2 at most,
+        # plus rounding
+        s1 = stats_stub(10.0, 1.5, 6)
+        limit = se_percent(s1, stats_stub(10.0, 1.5, 6))
+        assert limit == math.sqrt(2.25 / 6 + 2.25 / 6) / 10.0
+        se = se_percent(s1, stats_stub(10.0 + gap, 1.5, 6))
+        assert abs(se / limit - 1.0) <= (gap / 10.0) ** 2 / 2 + 4e-16
+
+    def test_percent_nonzero_gap_keeps_the_ratio_form_bits(self):
+        rng = np.random.default_rng(15)
+        for _ in range(2000):
+            n1, n2 = (int(k) for k in rng.integers(2, 500, 2))
+            mean1 = float(10.0 ** rng.uniform(-3, 6))
+            gap = mean1 * float(10.0 ** rng.uniform(-13, 1)) * rng.choice([-1, 1])
+            s1 = stats_stub(mean1, mean1 * float(rng.uniform(0, 2)), n1)
+            s2 = stats_stub(mean1 + gap, abs(gap) * float(rng.uniform(0, 50)), n2)
+            if s2.mean == s1.mean:
+                continue
+            c1, c2 = oracles.fieller_coefficients(s1, s2)
+            phi = (s2.mean - s1.mean) / s1.mean
+            assert se_percent(s1, s2) == abs(phi) * math.sqrt(c1 / n1 + c2 / n2)
+
+    @pytest.mark.parametrize("mean2", [1.1e-160, 1.0], ids=["gap", "baseline"])
+    def test_percent_overflow_is_an_assumption_violation(self, mean2):
+        # gap^-2 or mean1^-2 overflows a float below about 1.5e-154
+        s1, s2 = stats_stub(1e-160, 1e-161, 5), stats_stub(mean2, 1e-161, 5)
+        with pytest.raises(AssumptionViolationError,
+                           match="overflows a float.*rescale the values or "
+                                 "use se_method: bootstrap"):
+            se_percent(s1, s2)
 
     def test_percent_zero_gap_zero_spread_is_zero(self):
         se = se_percent(stats_stub(10, 0, 5), stats_stub(10, 0, 5))

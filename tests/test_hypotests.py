@@ -102,6 +102,18 @@ class TestPairedT:
 
 
 class TestWilcoxon:
+    @pytest.mark.parametrize("sample", ["tied", "tie-free", "all-tied"])
+    def test_statistic_sums_scipy_average_ranks(self, sample):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 7, 26, 150, 1200):
+            values = {"tied": rng.integers(-6, 7, n) / 4.0,
+                      "tie-free": rng.normal(0.1, 1.0, n),
+                      "all-tied": rng.choice([-1.5, 1.5], n)}[sample]
+            d = values[values != 0.0]
+            ranks = stats.rankdata(np.abs(d))
+            rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
+            assert rep.statistic == float(ranks[d > 0].sum())
+
     def test_symmetric_sample_large_p(self):
         values = [-3, -2, -1, 1, 2, 3, -0.5, 0.5]
         rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)

@@ -12,8 +12,9 @@ from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
                               bind, build_tsp_instance)
+from paircomp import sampler as sampler_module
 from paircomp.sampler import SamplingConfig, calc_nreps
-from paircomp.seeding import derive_seed
+from paircomp.seeding import BOOTSTRAP_STREAM, derive_seed
 
 
 def normal_spec(alias, mu, sigma):
@@ -187,16 +188,35 @@ class TestPercentKind:
         with pytest.raises(AssumptionViolationError, match="inst-0"):
             calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
 
-    def test_zero_gap_falls_back_to_bootstrap(self):
-        # identical means with spread: the parametric percent SE degenerates
+    def test_zero_gap_keeps_the_parametric_se(self):
+        # identical means with spread: the percent SE is its zero-gap limit
         r1 = scripted([1.0, 3.0, 2.0, 2.0])
         r2 = scripted([3.0, 1.0, 2.0, 2.0])
         cfg = SamplingConfig(se_max=0.4, n0=4, n_max=60,
                              diff_kind=DiffKind.PERCENT,
                              resamples=200)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
-        assert out.diff.se_method is SEMethod.BOOTSTRAP
-        assert any("bootstrap" in e for e in out.events)
+        assert out.diff.se_method is SEMethod.PARAMETRIC
+        assert (out.diff.n1, out.diff.n2, out.diff.phi_hat) == (4, 4, 0.0)
+        assert out.diff.se_hat == math.sqrt(2 / 3 / 4 + 2 / 3 / 4) / 2.0
+
+    @pytest.mark.parametrize("se_method, derived", [(SEMethod.PARAMETRIC, []),
+                                                    (SEMethod.BOOTSTRAP, [(3, BOOTSTRAP_STREAM)])])
+    def test_bootstrap_seed_derived_only_for_the_bootstrap(self, monkeypatch,
+                                                           se_method, derived):
+        calls = []
+
+        def counting(*words):
+            calls.append(words)
+            return derive_seed(*words)
+
+        monkeypatch.setattr(sampler_module, "derive_seed", counting)
+        r1, r2 = normal_runs(100, 5, 105, 5)
+        cfg = SamplingConfig(se_max=0.02, n0=5, n_max=40,
+                             diff_kind=DiffKind.PERCENT, se_method=se_method,
+                             resamples=100)
+        calc_nreps(r1, r2, INSTANCE, cfg, seed=3)
+        assert calls == derived
 
     def test_bootstrap_method_from_start(self):
         r1, r2 = normal_runs(100, 5, 105, 5)
