@@ -22,7 +22,7 @@ from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         wilcoxon_signed_rank)
 from .runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
                       build_synthetic_pool, build_tsp_instance)
-from .sampler import SamplingConfig, SamplingOutcome, calc_nreps
+from .sampler import SamplingConfig, calc_nreps
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,7 @@ __all__ = [
     "phi_simple", "phi_percent",
     "se_simple", "se_percent",
     "optimal_ratio_simple", "optimal_ratio_percent", "bootstrap_se",
-    "bootstrap_sdm", "SamplingConfig", "SamplingOutcome", "calc_nreps",
+    "bootstrap_sdm", "SamplingConfig", "calc_nreps",
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef",
     "build_synthetic_pool", "build_tsp_instance",
     "TestReport", "DiagnosticsBundle", "paired_t_test", "wilcoxon_signed_rank",

@@ -216,7 +216,7 @@ def _cmd_reps(args) -> int:
     elif seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {seed}")
     run1, run2 = (bind(spec, instance) for spec in plan.algorithms)
-    d = calc_nreps(run1, run2, instance, plan.sampling, seed).diff
+    d = calc_nreps(run1, run2, instance, plan.sampling, seed)
     print(f"instance: {d.instance_id}")
     print(f"n1: {d.n1}")
     print(f"n2: {d.n2}")

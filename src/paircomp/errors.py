@@ -56,13 +56,18 @@ class RunnerError(PaircompError):
 class ExperimentAbortedError(PaircompError):
     """An experiment stopped early; completed instances are on disk.
 
-    Wraps the causing error and points at the checkpoint journal holding
-    the partial results.
+    Wraps the causing error, points at the checkpoint journal holding
+    the partial results and names the failing instance, unless the cause
+    is a ``RunnerError``, which names it already.
     """
 
-    def __init__(self, cause: Exception, checkpoint_path=None, completed: int = 0):
+    def __init__(self, cause: Exception, checkpoint_path=None, completed: int = 0,
+                 instance_id: str | None = None):
         self.cause = cause
         self.checkpoint_path = checkpoint_path
         self.completed = completed
         where = f" (partial results: {checkpoint_path})" if checkpoint_path else ""
-        super().__init__(f"experiment aborted after {completed} instance(s){where}: {cause}")
+        which = ("" if instance_id is None or isinstance(cause, RunnerError)
+                 else f"instance {instance_id}: ")
+        super().__init__(f"experiment aborted after {completed} instance(s)"
+                         f"{where}: {which}{cause}")

@@ -21,6 +21,11 @@ depend only on ``seed``, ``resamples`` and the baseline observations, so
 an allocation step that adds a run to the second algorithm reuses them.
 Results are bit-identical to drawing them afresh.
 
+Every percent estimator (phi, the parametric SE and the bootstrap SE)
+refuses a nonpositive baseline mean with the same
+``AssumptionViolationError``.  An SE is inf or nan where the variance of
+the values overflows a float; the sampler refuses such an SE.
+
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
 """
@@ -115,6 +120,13 @@ def _require_runs(sample, k: int, who: str) -> None:
         raise ValueError(f"{who} needs at least {k} observation(s), got n={sample.n}")
 
 
+def _require_positive_baseline(s1) -> None:
+    if s1.mean <= 0.0:
+        raise AssumptionViolationError(
+            f"percent differences assume a strictly positive baseline mean, got "
+            f"{s1.mean:g}; use simple differences for this data")
+
+
 def phi_simple(s1, s2) -> float:
     """Difference of mean performance, second algorithm minus first."""
     _require_runs(s1, 1, "phi_simple")
@@ -130,10 +142,7 @@ def phi_percent(s1, s2) -> float:
     """
     _require_runs(s1, 1, "phi_percent")
     _require_runs(s2, 1, "phi_percent")
-    if s1.mean <= 0.0:
-        raise AssumptionViolationError(
-            f"percent differences assume a strictly positive baseline mean, got "
-            f"{s1.mean:g}; use simple differences for this data")
+    _require_positive_baseline(s1)
     return (s2.mean - s1.mean) / s1.mean
 
 
@@ -155,10 +164,7 @@ def se_percent(s1, s2) -> float:
     """
     _require_runs(s1, 2, "se_percent")
     _require_runs(s2, 2, "se_percent")
-    if s1.mean <= 0.0:
-        raise AssumptionViolationError(
-            f"percent differences assume a strictly positive baseline mean, got "
-            f"{s1.mean:g}; use simple differences for this data")
+    _require_positive_baseline(s1)
     gap = s2.mean - s1.mean
     v1, v2 = s1.variance, s2.variance
     if gap == 0.0:
@@ -236,8 +242,10 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     n1, n2), computes the difference of the requested kind on each pair of
     resampled means, and returns the sample standard deviation of those
     values.  Deterministic for a fixed ``seed``.  Under the percent kind,
+    a nonpositive baseline mean is refused as in ``phi_percent``, and
     resamples with a nonpositive baseline mean are rejected and redrawn;
-    more than 100*R rejections abort.
+    more than 100*R rejections abort.  Values whose resampled sums or
+    squares overflow a float give an inf or nan SE, without a warning.
 
     The first side's resampled means, and the generator state after them,
     are memoised on ``(seed, resamples, x1)`` with the exact observation
@@ -250,9 +258,15 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     _require_runs(s1, 2, "bootstrap_se")
     _require_runs(s2, 2, "bootstrap_se")
     diff_kind = DiffKind(diff_kind)
+    if diff_kind is DiffKind.PERCENT:
+        _require_positive_baseline(s1)
     x1 = np.asarray(s1.observations, dtype=float)
     x2 = np.asarray(s2.observations, dtype=float)
-    R = resamples
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _bootstrap_se(x1, x2, diff_kind, resamples, seed)
+
+
+def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
     m1, state = _first_side(seed, R, x1.tobytes())
     rng = kept_generator()
     rng.bit_generator.state = state

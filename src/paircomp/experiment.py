@@ -37,7 +37,7 @@ from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
 from .runners import AlgorithmSpec, InstanceRef, bind
-from .sampler import SamplingConfig, SamplingOutcome, calc_nreps, first_stage
+from .sampler import SamplingConfig, calc_nreps, first_stage
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, make_generator, run_keys)
 
@@ -153,12 +153,12 @@ def _row_to_diff(row: dict) -> PairedDifference:
     n1, n2, exhausted = row["n1"], row["n2"], row["budget_exhausted"]
     phi, se = row["phi"], row["se"]
     # coercing these would hide corruption: bool("false") is True, int(3.9)
-    # is 3, float(True) is 1.0.  A non-finite phi fails every test, but an
-    # se is +inf when the variance of the runs overflows, and run keeps it
+    # is 3, float(True) is 1.0.  run writes only a finite phi and se: a
+    # non-finite phi fails every test, and a non-finite se stops sampling
     if not (isinstance(row["instance_id"], str) and type(n1) is int
             and type(n2) is int and type(exhausted) is bool
             and type(phi) is float and type(se) is float
-            and math.isfinite(phi) and not math.isnan(se)):
+            and math.isfinite(phi) and math.isfinite(se)):
         raise ValueError("a journal row field has the wrong type or value")
     return PairedDifference(
         instance_id=row["instance_id"],
@@ -267,10 +267,11 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     With a ``checkpoint_path``, each completed instance is journaled and
     ``resume=True`` skips instances already journaled under an identical
-    configuration.  A failing instance aborts the experiment; the journal
-    keeps everything completed so far, including the instances that were
-    still running when the failure came.  A pool of one instance is
-    refused before any run: no paired test applies to one difference.
+    configuration.  A failing instance aborts the experiment, with an error
+    that names it; the journal keeps everything completed so far,
+    including the instances that were still running when the failure
+    came.  A pool of one instance is refused before any run: no paired
+    test applies to one difference.
     """
     pool_size = len(plan.instance_pool)
     if pool_size < 2:
@@ -311,19 +312,20 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
             chunk = pending[start:start + step]
             yield from zip(chunk, first_stage([seed for _, seed in chunk], n0))
 
-    def sample(inst: InstanceRef, seed: int, first) -> SamplingOutcome:
+    def sample(inst: InstanceRef, seed: int, first) -> PairedDifference:
         return calc_nreps(bind(spec1, inst), bind(spec2, inst), inst,
                           plan.sampling, seed, first)
 
-    def record(inst: InstanceRef, outcome: SamplingOutcome) -> None:
-        completed[inst.id] = outcome.diff
+    def record(diff: PairedDifference) -> None:
+        completed[diff.instance_id] = diff
         if journal:
-            journal.append(outcome.diff)
+            journal.append(diff)
 
+    current = None  # the instance being sampled, or whose result is read
     try:
         if workers == 1 or len(pending) <= 1:
-            for (inst, seed), first in first_stages():
-                record(inst, sample(inst, seed, first))
+            for (current, seed), first in first_stages():
+                record(sample(current, seed, first))
         else:
             # journal rows land as instances complete, so an interrupt
             # loses at most the in-flight instances
@@ -332,7 +334,8 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                            for (inst, seed), first in first_stages()}
                 try:
                     for fut in as_completed(futures):
-                        record(futures[fut], fut.result())
+                        current = futures[fut]
+                        record(fut.result())
                 except BaseException:
                     # drop the queued instances, wait for the running ones
                     # and keep every result they return
@@ -340,12 +343,13 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                     for fut, inst in futures.items():
                         if (inst.id not in completed and not fut.cancelled()
                                 and fut.exception() is None):
-                            record(inst, fut.result())
+                            record(fut.result())
                     raise
     except Exception as exc:
         raise ExperimentAbortedError(
             exc, checkpoint_path=journal.path if journal else None,
-            completed=len(completed)) from exc
+            completed=len(completed),
+            instance_id=current.id if current is not None else None) from exc
     finally:
         if journal:
             journal.close()

@@ -35,7 +35,7 @@ from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
                          se_percent, se_simple)
 from .seeding import BOOTSTRAP_STREAM, derive_seed, run_keys
 
-__all__ = ["SamplingConfig", "SamplingOutcome", "calc_nreps"]
+__all__ = ["SamplingConfig", "calc_nreps"]
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,6 @@ class SamplingConfig:
                              f"required, got {self.resamples!r}")
 
 
-@dataclass
-class SamplingOutcome:
-    """Result of adaptively sampling two algorithms on one instance."""
-    samples: tuple[InstanceSample, InstanceSample]
-    diff: PairedDifference
-    se_trace: list[tuple[int, int, float]]
-
-
 def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The ``n0``-stage run seeds and generator keys of each instance.
 
@@ -97,17 +89,19 @@ def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
-               first=None) -> SamplingOutcome:
+               first=None) -> PairedDifference:
     """Sample two algorithms on one instance until the SE budget is met.
 
     ``run1`` and ``run2`` are the two algorithms' runs bound to the
-    instance (see ``runners.bind``).  Returns when the standard error of
-    the paired difference drops to ``cfg.se_max`` or the total-run budget
+    instance (see ``runners.bind``).  Returns the instance's
+    ``PairedDifference`` (the estimate, its SE and both run counts) when
+    the standard error drops to ``cfg.se_max`` or the total-run budget
     ``cfg.n_max`` is exhausted (flagged on the result).  The SE is
     ``cfg.se_method``'s throughout; the bootstrap's seed derives from
-    ``seed``.  ``first`` is the instance's entry of ``first_stage``, when
-    the caller derived it along with other instances'; without it, it is
-    derived here.
+    ``seed``.  An SE that is not finite raises
+    ``AssumptionViolationError`` at once.  ``first`` is the instance's
+    entry of ``first_stage``, when the caller derived it along with other
+    instances'; without it, it is derived here.
     """
     samples = (InstanceSample(), InstanceSample())
     runs = (run1, run2)
@@ -136,16 +130,19 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
 
     def current_se() -> float:
         s1, s2 = samples
-        if cfg.diff_kind is DiffKind.PERCENT and s1.mean <= 0.0:
-            raise AssumptionViolationError(
-                f"instance {instance.id}: baseline mean "
-                f"{s1.mean:g} is not strictly positive, percent differences do "
-                f"not apply; use simple differences")
         if bootstrap:
-            return bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
-        if cfg.diff_kind is DiffKind.SIMPLE:
-            return se_simple(s1, s2)
-        return se_percent(s1, s2)
+            se = bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
+        elif cfg.diff_kind is DiffKind.SIMPLE:
+            se = se_simple(s1, s2)
+        else:
+            se = se_percent(s1, s2)
+        if not math.isfinite(se):
+            # no number of runs could meet the budget
+            raise AssumptionViolationError(
+                f"the standard error of the difference is {se} after "
+                f"{s1.n} + {s2.n} runs: the values overflow a float at this "
+                f"scale; rescale them")
+        return se
 
     def allocation_ratio() -> float:
         s1, s2 = samples
@@ -158,9 +155,7 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     for _ in range(cfg.n0):
         do_run(1)
 
-    trace: list[tuple[int, int, float]] = []
     se = current_se()
-    trace.append((samples[0].n, samples[1].n, se))
 
     while se > cfg.se_max and samples[0].n + samples[1].n < cfg.n_max:
         if cfg.force_balance:
@@ -170,11 +165,10 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
             chosen = 0 if samples[0].n / samples[1].n < allocation_ratio() else 1
         do_run(chosen)
         se = current_se()
-        trace.append((samples[0].n, samples[1].n, se))
 
     s1, s2 = samples
     phi = phi_simple(s1, s2) if cfg.diff_kind is DiffKind.SIMPLE else phi_percent(s1, s2)
-    diff = PairedDifference(
+    return PairedDifference(
         instance_id=instance.id,
         phi_hat=phi,
         se_hat=se,
@@ -184,4 +178,3 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         se_method=cfg.se_method,
         budget_exhausted=se > cfg.se_max,
     )
-    return SamplingOutcome(samples=samples, diff=diff, se_trace=trace)

@@ -149,9 +149,9 @@ def test_criterion_5_sampler_se_contract(capsys):
     violations = 0
     for seed in range(100):
         out = calc_nreps(r1, r2, instance, cfg, seed=seed)
-        if not out.diff.budget_exhausted and out.diff.se_hat > cfg.se_max:
+        if not out.budget_exhausted and out.se_hat > cfg.se_max:
             violations += 1
-        ratios.append(out.samples[0].n / out.samples[1].n)
+        ratios.append(out.n1 / out.n2)
     median_ratio = float(np.median(ratios))
     ok = violations == 0 and 0.8 * 2.0 <= median_ratio <= 1.2 * 2.0
     with capsys.disabled():

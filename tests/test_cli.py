@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -8,7 +10,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paircomp.cli import main
@@ -504,6 +506,7 @@ output_dir: out
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 4
         assert "positive" in err
+        assert "): instance x1: " in err
 
     def test_runner_failure_exit_code(self, capsys, tmp_path):
         cfg = write_config(tmp_path, """\
@@ -520,6 +523,8 @@ output_dir: out
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 3
         assert "launch" in err
+        # a runner error names its instance itself, and only once
+        assert "instance=" in err and "): instance " not in err
 
     def test_degenerate_data_exit_code(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace(
@@ -592,6 +597,7 @@ output_dir: out
         (3, lambda row: {**row, "phi": math.inf}),
         (3, lambda row: {**row, "phi": -math.inf}),
         (3, lambda row: {**row, "se": math.nan}),
+        (3, lambda row: {**row, "se": math.inf}),
         (3, lambda row: {**row, "se": -math.inf}),
         (3, lambda row: {**row, "phi": 10**400}),
         (3, lambda row: {**row, "phi": True}),
@@ -599,7 +605,7 @@ output_dir: out
     ], ids=["missing-field", "row-not-object", "header-not-object",
             "bad-number", "bad-enum", "flag-not-bool", "count-not-int",
             "negative-se", "phi-nan", "phi-inf", "phi-minus-inf",
-            "se-nan", "se-minus-inf", "phi-beyond-float",
+            "se-nan", "se-inf", "se-minus-inf", "phi-beyond-float",
             "phi-bool", "se-numeric-string"])
     def test_resume_refuses_malformed_journal_record(self, capsys, tmp_path, line, edit):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
@@ -612,33 +618,74 @@ output_dir: out
         assert code == 2
         assert f"checkpoint.jsonl: line {line} is not a valid record" in err
 
-    def test_resume_keeps_an_infinite_se(self, capsys, tmp_path):
-        # `run` journals se = Infinity when the variance of the runs
-        # overflows (say sigma 1e200), so `resume` must take it back
-        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
-        assert run_cli(capsys, "run", "--config", str(cfg))[0] == 0
-        journal = tmp_path / "out" / "checkpoint.jsonl"
-        lines = journal.read_text().splitlines()
-        row = {**json.loads(lines[2]), "se": math.inf}
-        lines[2] = json.dumps(row)
-        journal.write_text("\n".join(lines) + "\n")
-        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
-        assert code == 0, err
-        with (tmp_path / "out" / "results.csv").open() as fh:
-            ses = {r["instance"]: r["se"] for r in csv.DictReader(fh)}
-        assert ses[row["instance_id"]] == "inf"
+    @pytest.mark.parametrize("se_method", ["parametric", "bootstrap"])
+    @pytest.mark.parametrize("test", ["t_test", "wilcoxon", "sign"])
+    def test_infinite_se_exits_4_at_the_first_se(self, capsys, tmp_path, test,
+                                                 se_method):
+        # sigma 1e200: the variance of the runs overflows a float, so no
+        # number of runs could meet the budget, and no numpy warning escapes
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}}}
+sampling: {{se_max: 0.5, n0: 3, n_max: 8, se_method: {se_method},
+           bootstrap: {{resamples: 100}}}}
+algorithms:
+  - {{alias: wide, kind: synthetic_normal, params: {{mu: 0.0, sigma: 1.0e+200}}}}
+  - {{alias: narrow, kind: synthetic_normal, params: {{mu: 0.0, sigma: 1.0}}}}
+instances:
+  inline: [{{id: x}}, {{id: y}}, {{id: z}}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        assert caught == []
+        [line] = err.splitlines()
+        assert line.startswith("error: experiment aborted after 0 instance(s)")
+        assert line.endswith("): instance x: the standard error of the difference "
+                             "is inf after 3 + 3 runs: the values overflow a "
+                             "float at this scale; rescale them")
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_aborting_error_names_its_instance(self, capsys, tmp_path, workers):
+        # only y has a negative baseline; x and z may finish first
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5}}
+sampling: {{se_max: 0.05, n0: 4, n_max: 20, diff: percent}}
+algorithms:
+  - {{alias: base, kind: synthetic_normal, params: {{mu: 5.0, sigma: 1.0}}}}
+  - {{alias: other, kind: synthetic_normal, params: {{mu: 6.0, sigma: 1.0}}}}
+instances:
+  inline: [{{id: x}}, {{id: y, payload: {{base: {{mu: -5.0}}}}}}, {{id: z}}]
+master_seed: 6
+use_all_instances: true
+workers: {workers}
+output_dir: out
+""")
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 4
+        [line] = err.splitlines()
+        assert line.startswith("error: experiment aborted after ")
+        assert ("): instance y: percent differences assume a strictly positive "
+                "baseline mean, got ") in line
+        assert line.count("instance y") == 1
 
     def test_overflowing_differences_exit_4_without_a_warning(self, capsys, tmp_path):
-        # sigma 1e200 makes the differences' spread overflow a float: the
-        # t-test is undefined, and numpy's overflow warning must not escape
+        # per-instance means of +-1e200 make the differences' spread overflow
+        # a float: the t-test is undefined, and numpy's overflow warning must
+        # not escape
         cfg = write_config(tmp_path, """\
 design: {alpha: 0.05, power: 0.8, d: 0.5, test: t_test}
 sampling: {se_max: 0.5, n0: 3, n_max: 8}
 algorithms:
-  - {alias: wide, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0e+200}}
+  - {alias: wide, kind: synthetic_normal, params: {mu: 0.0, sigma: 0.0}}
   - {alias: narrow, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0}}
 instances:
-  inline: [{id: x}, {id: y}, {id: z}]
+  inline: [{id: x, payload: {wide: {mu: 1.0e+200}}},
+           {id: y, payload: {wide: {mu: -1.0e+200}}}, {id: z}]
 master_seed: 3
 use_all_instances: true
 output_dir: out
@@ -672,8 +719,8 @@ output_dir: out
         assert code == 4
         [line] = err.splitlines()
         assert line.startswith("error: experiment aborted after 0 instance(s)")
-        assert ("the parametric percent-difference standard error overflows "
-                "a float at this scale (mean gap ") in line
+        assert ("): instance x: the parametric percent-difference standard "
+                "error overflows a float at this scale (mean gap ") in line
         assert line.endswith("rescale the values or use se_method: bootstrap")
         assert not (tmp_path / "out" / "report.json").exists()
         cfg = write_config(tmp_path, config.replace("SE", "bootstrap"))
@@ -917,3 +964,76 @@ class TestJournalTruncation:
         header_end = finished_run[1].index(b"\n") + 1
         for cut in (0, header_end - 1, header_end, header_end + 1):
             resume_after_cut(finished_run, cut)
+
+
+def magnitudes():
+    """A power of ten from 1e-300 to 1e300, or now and then 0."""
+    return st.floats(-330.0, 300.0).map(lambda e: 0.0 if e < -300.0 else 10.0 ** e)
+
+
+def signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+class TestExtremeScales:
+    """The exit-code contract holds for means and spreads across the float range."""
+
+    @given(test=st.sampled_from(["t_test", "wilcoxon", "sign"]),
+           diff=st.sampled_from(["simple", "percent"]),
+           se_method=st.sampled_from(["parametric", "bootstrap"]),
+           means=st.lists(st.tuples(signed(magnitudes()), signed(magnitudes())),
+                          min_size=3, max_size=3),
+           positive=st.booleans(),
+           sigmas=st.tuples(magnitudes(), magnitudes()),
+           se_max=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+           seed=st.integers(0, 2 ** 32 - 1))
+    # the spread of one algorithm's runs overflows a float
+    @example(test="wilcoxon", diff="simple", se_method="parametric",
+             means=[(0.0, 0.0)] * 3, positive=False, sigmas=(1e200, 1.0),
+             se_max=0.5, seed=3)
+    @example(test="sign", diff="simple", se_method="bootstrap",
+             means=[(0.0, 0.0)] * 3, positive=False, sigmas=(1e200, 1.0),
+             se_max=0.5, seed=3)
+    @settings(max_examples=100, deadline=None)
+    def test_exit_code_contract(self, test, diff, se_method, means, positive,
+                                sigmas, se_max, seed):
+        if positive:
+            # positive means, and a baseline spread that keeps them so, for
+            # percent differences to get past the baseline check
+            means = [(abs(mu1), abs(mu2)) for mu1, mu2 in means]
+            sigmas = (min(sigmas[0], min(mu1 for mu1, _ in means) / 4), sigmas[1])
+        config = {
+            "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "test": test},
+            "sampling": {"se_max": se_max, "n0": 3, "n_max": 8, "diff": diff,
+                         "se_method": se_method, "bootstrap": {"resamples": 100}},
+            "algorithms": [
+                {"alias": "one", "kind": "synthetic_normal",
+                 "params": {"mu": 0.0, "sigma": sigmas[0]}},
+                {"alias": "two", "kind": "synthetic_normal",
+                 "params": {"mu": 0.0, "sigma": sigmas[1]}}],
+            "instances": {"inline": [
+                {"id": f"i{k}", "payload": {"one": {"mu": mu1}, "two": {"mu": mu2}}}
+                for k, (mu1, mu2) in enumerate(means)]},
+            "master_seed": seed,
+            "use_all_instances": True,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            cfg = out / "config.yaml"
+            cfg.write_text(json.dumps(config))
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
+            assert caught == []
+            assert code in (0, 2, 3, 4)
+            if code:
+                [line] = err.getvalue().splitlines()
+                assert line.startswith("error: ")
+            else:
+                with (out / "results.csv").open() as fh:
+                    for row in csv.DictReader(fh):
+                        assert math.isfinite(float(row["phi"])), row
+                        assert math.isfinite(float(row["se"])), row

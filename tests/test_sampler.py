@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 
@@ -37,10 +38,11 @@ def scripted(values):
 
 
 def recording(algo_index, log, run):
-    """Runs as ``run`` does, and records each run's algorithm, seed and key."""
+    """Runs as ``run`` does, and records each run's algorithm, seed, key and value."""
     def record(seed, key):
-        log.append((algo_index, seed, key))
-        return run(seed, key)
+        value = run(seed, key)
+        log.append((algo_index, seed, key, value))
+        return value
     return record
 
 
@@ -50,45 +52,70 @@ def recording_runs(log, mu1, sd1, mu2, sd2):
 
 
 def run_seeds(log):
-    return [seed for _, seed, _ in log]
+    return [seed for _, seed, _, _ in log]
+
+
+def observations(log, algo_index):
+    return [value for algo, _, _, value in log if algo == algo_index]
+
+
+@contextlib.contextmanager
+def se_spy():
+    """Records ``(n1, n2, se)`` for every SE the sampler computes, in order."""
+    trace = []
+
+    def spying(estimator):
+        def spy(s1, s2, *args):
+            se = estimator(s1, s2, *args)
+            trace.append((s1.n, s2.n, se))
+            return se
+        return spy
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("se_simple", "se_percent", "bootstrap_se"):
+            mp.setattr(sampler_module, name, spying(getattr(sampler_module, name)))
+        yield trace
 
 
 class TestStoppingBehavior:
     def test_generous_budget_stops_at_n0(self):
         r1, r2 = normal_runs(10, 1, 12, 1)
         cfg = SamplingConfig(se_max=5.0, n0=15, n_max=100)
-        out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
-        assert (out.samples[0].n, out.samples[1].n) == (15, 15)
-        assert len(out.se_trace) == 1
-        assert not out.diff.budget_exhausted
-        assert out.diff.se_hat == pytest.approx(math.sqrt(2 / 15), rel=0.5)
+        with se_spy() as trace:
+            out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
+        assert (out.n1, out.n2) == (15, 15)
+        assert len(trace) == 1
+        assert not out.budget_exhausted
+        assert out.se_hat == pytest.approx(math.sqrt(2 / 15), rel=0.5)
 
     def test_unreachable_budget_exhausts_n_max(self):
         r1, r2 = normal_runs(10, 1, 12, 1)
         cfg = SamplingConfig(se_max=0.001, n0=15, n_max=40)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
-        assert out.diff.budget_exhausted
-        assert out.samples[0].n + out.samples[1].n == 40
+        assert out.budget_exhausted
+        assert out.n1 + out.n2 == 40
 
     def test_se_contract_when_not_exhausted(self):
         r1, r2 = normal_runs(10, 2, 12, 1)
         cfg = SamplingConfig(se_max=0.5, n0=5, n_max=400)
         for seed in range(10):
-            out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
-            assert not out.diff.budget_exhausted
-            assert out.diff.se_hat <= 0.5
-            n1, n2, se = out.se_trace[-1]
-            assert se == out.diff.se_hat
-            assert (n1, n2) == (out.samples[0].n, out.samples[1].n)
-            if len(out.se_trace) > 1:
+            with se_spy() as trace:
+                out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
+            assert not out.budget_exhausted
+            assert out.se_hat <= 0.5
+            n1, n2, se = trace[-1]
+            assert se == out.se_hat
+            assert (n1, n2) == (out.n1, out.n2)
+            if len(trace) > 1:
                 # extra runs shrank the uncertainty below the starting level
-                assert out.se_trace[-1][2] < out.se_trace[0][2]
+                assert trace[-1][2] < trace[0][2]
 
     def test_trace_totals_increase_by_one(self):
         r1, r2 = normal_runs(0, 1, 0.5, 1)
         cfg = SamplingConfig(se_max=0.3, n0=5, n_max=200)
-        out = calc_nreps(r1, r2, INSTANCE, cfg, seed=3)
-        totals = [n1 + n2 for n1, n2, _ in out.se_trace]
+        with se_spy() as trace:
+            calc_nreps(r1, r2, INSTANCE, cfg, seed=3)
+        totals = [n1 + n2 for n1, n2, _ in trace]
         assert totals[0] == 10
         assert all(b - a == 1 for a, b in zip(totals, totals[1:]))
 
@@ -112,17 +139,18 @@ class TestSEBudgetContract:
         cfg = SamplingConfig(se_max=se_max, n0=n0, n_max=2 * n0 + extra,
                              diff_kind=kind, se_method=method,
                              resamples=100)
-        out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
-        n1, n2 = out.samples[0].n, out.samples[1].n
-        assert (out.diff.n1, out.diff.n2) == (n1, n2)
-        if out.diff.budget_exhausted:
-            assert n1 + n2 == cfg.n_max and out.diff.se_hat > se_max
+        with se_spy() as trace:
+            out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
+        n1, n2 = len(observations(log, 0)), len(observations(log, 1))
+        assert (out.n1, out.n2) == (n1, n2)
+        if out.budget_exhausted:
+            assert n1 + n2 == cfg.n_max and out.se_hat > se_max
         else:
-            assert out.diff.se_hat <= se_max
+            assert out.se_hat <= se_max
         assert n1 + n2 <= cfg.n_max
         assert n1 >= n0 and n2 >= n0
         assert len(run_seeds(log)) == n1 + n2 == len(set(run_seeds(log)))
-        assert out.se_trace[-1] == (n1, n2, out.diff.se_hat)
+        assert trace[-1] == (n1, n2, out.se_hat)
 
 
 class TestAllocation:
@@ -134,8 +162,8 @@ class TestAllocation:
             r1, r2 = normal_runs(10, 2, 10, 1)
             cfg = SamplingConfig(se_max=0.2, n0=10, n_max=600)
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
-            ratios.append(out.samples[0].n / out.samples[1].n)
-            n1_ge_n2 += out.samples[0].n >= out.samples[1].n
+            ratios.append(out.n1 / out.n2)
+            n1_ge_n2 += out.n1 >= out.n2
         assert 1.6 <= float(np.median(ratios)) <= 2.4
         assert n1_ge_n2 >= 90
 
@@ -144,22 +172,24 @@ class TestAllocation:
         cfg = SamplingConfig(se_max=0.4, n0=5, n_max=400, force_balance=True)
         for seed in range(5):
             out = calc_nreps(r1, r2, INSTANCE, cfg, seed=seed)
-            assert abs(out.samples[0].n - out.samples[1].n) <= 1
+            assert abs(out.n1 - out.n2) <= 1
 
 
 class TestDeterminism:
     def test_identical_inputs_identical_outcomes(self):
         cfg = SamplingConfig(se_max=0.3, n0=5, n_max=100)
-        outs, logs = [], []
+        outs, logs, traces = [], [], []
         for _ in range(2):
             logs.append([])
             r1, r2 = recording_runs(logs[-1], 10, 2, 11, 1)
-            outs.append(calc_nreps(r1, r2, INSTANCE, cfg, seed=77))
+            with se_spy() as trace:
+                outs.append(calc_nreps(r1, r2, INSTANCE, cfg, seed=77))
+            traces.append(trace)
         a, b = outs
-        assert a.samples[0].observations == b.samples[0].observations
-        assert a.samples[1].observations == b.samples[1].observations
-        assert a.se_trace == b.se_trace
-        assert a.diff == b.diff
+        assert observations(logs[0], 0) == observations(logs[1], 0)
+        assert observations(logs[0], 1) == observations(logs[1], 1)
+        assert traces[0] == traces[1]
+        assert a == b
         assert logs[0] == logs[1]
 
     def test_run_seeds_unique(self):
@@ -168,7 +198,7 @@ class TestDeterminism:
         cfg = SamplingConfig(se_max=0.2, n0=10, n_max=300)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=5)
         assert len(set(run_seeds(log))) == len(log)
-        assert len(log) == out.samples[0].n + out.samples[1].n
+        assert len(log) == out.n1 + out.n2
 
 
 class TestPercentKind:
@@ -177,16 +207,22 @@ class TestPercentKind:
         cfg = SamplingConfig(se_max=0.01, n0=10, n_max=500,
                              diff_kind=DiffKind.PERCENT)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=11)
-        assert not out.diff.budget_exhausted
-        assert out.diff.se_hat <= 0.01
-        assert out.diff.diff_kind is DiffKind.PERCENT
+        assert not out.budget_exhausted
+        assert out.se_hat <= 0.01
+        assert out.diff_kind is DiffKind.PERCENT
 
-    def test_nonpositive_baseline_names_instance(self):
-        r1, r2 = normal_runs(-5, 1, 5, 1)
+    @pytest.mark.parametrize("se_method", list(SEMethod), ids=lambda m: m.value)
+    def test_nonpositive_baseline_refused_at_the_first_se(self, se_method):
+        # the instance is named by run_experiment, which knows it
+        log = []
+        r1, r2 = recording_runs(log, -5, 1, 5, 1)
         cfg = SamplingConfig(se_max=0.01, n0=5, n_max=50,
-                             diff_kind=DiffKind.PERCENT)
-        with pytest.raises(AssumptionViolationError, match="inst-0"):
+                             diff_kind=DiffKind.PERCENT, se_method=se_method,
+                             resamples=100)
+        with pytest.raises(AssumptionViolationError,
+                           match="strictly positive baseline mean"):
             calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
+        assert len(log) == 10
 
     def test_zero_gap_keeps_the_parametric_se(self):
         # identical means with spread: the percent SE is its zero-gap limit
@@ -196,9 +232,9 @@ class TestPercentKind:
                              diff_kind=DiffKind.PERCENT,
                              resamples=200)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=1)
-        assert out.diff.se_method is SEMethod.PARAMETRIC
-        assert (out.diff.n1, out.diff.n2, out.diff.phi_hat) == (4, 4, 0.0)
-        assert out.diff.se_hat == math.sqrt(2 / 3 / 4 + 2 / 3 / 4) / 2.0
+        assert out.se_method is SEMethod.PARAMETRIC
+        assert (out.n1, out.n2, out.phi_hat) == (4, 4, 0.0)
+        assert out.se_hat == math.sqrt(2 / 3 / 4 + 2 / 3 / 4) / 2.0
 
     @pytest.mark.parametrize("se_method, derived", [(SEMethod.PARAMETRIC, []),
                                                     (SEMethod.BOOTSTRAP, [(3, BOOTSTRAP_STREAM)])])
@@ -225,8 +261,8 @@ class TestPercentKind:
                              se_method=SEMethod.BOOTSTRAP,
                              resamples=300)
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=2)
-        assert out.diff.se_method is SEMethod.BOOTSTRAP
-        assert out.diff.se_hat <= 0.02 or out.diff.budget_exhausted
+        assert out.se_method is SEMethod.BOOTSTRAP
+        assert out.se_hat <= 0.02 or out.budget_exhausted
 
 
 class TestFailuresAndValidation:
@@ -269,9 +305,9 @@ class TestRunSeedBlocks:
         cfg = SamplingConfig(se_max=1e-6, n0=n0, n_max=n_max)
         out = calc_nreps(*recording_runs(log, 0.0, 1.0, 0.0, sd2),
                          INSTANCE, cfg, seed=8)
-        assert out.samples[0].n + out.samples[1].n == n_max == len(log)
+        assert out.n1 + out.n2 == n_max == len(log)
         counts = [0, 0]
-        for algo, seed, key in log:
+        for algo, seed, key, _ in log:
             assert seed == derive_seed(8, algo, counts[algo])
             assert key == oracles.reference_key(seed)
             counts[algo] += 1
@@ -289,6 +325,6 @@ class TestAnnealingDemo:
         cfg = SamplingConfig(se_max=0.01, n0=20, n_max=200,
                              diff_kind=DiffKind.PERCENT)
         out = calc_nreps(r1, r2, instance, cfg, seed=1234)
-        assert out.diff.se_hat <= 0.01 or out.diff.budget_exhausted
-        assert out.samples[0].n >= 20 and out.samples[1].n >= 20
-        assert out.samples[0].n + out.samples[1].n <= 200
+        assert out.se_hat <= 0.01 or out.budget_exhausted
+        assert out.n1 >= 20 and out.n2 >= 20
+        assert out.n1 + out.n2 <= 200
