@@ -217,9 +217,27 @@ def _check_resamples(resamples: int) -> None:
                          f"required, got {resamples!r}")
 
 
+# index elements drawn per ``rng.integers`` call: every bootstrap SE with
+# R * n <= 999 * 262 draws in one call, and a resample of N values holds
+# O(N) memory at any N
+_DRAW_CHUNK = 1 << 18
+
+
 def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
-    idx = rng.integers(0, x.size, size=(count, x.size))
-    return x[idx].mean(axis=1)
+    """Means of ``count`` with-replacement resamples of ``x``, drawn a
+    block of rows at a time.
+
+    Consecutive blocks draw the same indices, and leave the generator in
+    the same state, as one ``rng.integers(0, n, (count, n))`` call; each
+    row's mean is the same float.
+    """
+    n = x.size
+    rows = max(1, _DRAW_CHUNK // n)
+    means = np.empty(count)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        means[start:stop] = x[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
+    return means
 
 
 @lru_cache(maxsize=64)
@@ -298,10 +316,14 @@ def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:
 
     Feeds normality diagnostics: if the returned means look normal on a
     Q-Q plot, mean-based inference is on safe ground even when the data
-    itself is not normal.
+    itself is not normal.  The indices are drawn a block of rows at a
+    time, so the extra memory is O(N) beyond the result, and the means
+    are the same floats one (R, N) draw gives.  A mean whose resampled
+    sum overflows a float is +-inf, without a warning.
     """
     _check_resamples(resamples)
     values = np.asarray(getattr(sample, "observations", sample), dtype=float)
     if values.size < 2:
         raise ValueError(f"at least 2 observations are required, got {values.size}")
-    return _resample_means(make_generator(seed), values, resamples)
+    with np.errstate(over="ignore"):
+        return _resample_means(make_generator(seed), values, resamples)

@@ -12,6 +12,13 @@ The one-sided alternative tests H1: location < mu0, the natural direction
 for smaller-is-better performance indicators; swap the two algorithms (or
 negate the differences) for the opposite direction.  One-sided tests still
 report the two-sided interval at level 1-alpha, plus the one-sided bound.
+
+Every test and the diagnostics take O(N) extra memory: the Wilcoxon
+estimate and interval are selected from the N(N+1)/2 Walsh averages
+without building them, and the bootstrap of the mean draws its indices a
+block of rows at a time.  Where a sum of differences overflows a float
+and makes a reported estimate, interval or resampled mean infinite, the
+test or the diagnostics raise ``DegenerateDataError`` instead.
 """
 
 from __future__ import annotations
@@ -146,15 +153,92 @@ def _signrank_counts(n: int) -> np.ndarray:
 def _walsh_stats(arr: np.ndarray, ranks) -> tuple[float, tuple[float, ...]]:
     """Median of the Walsh averages and the averages at 0-based ``ranks``.
 
-    The averages are built once and one partition serves every order
-    statistic; the median is formed as ``np.median`` forms it.
+    The N(N+1)/2 averages are never built: each order statistic is
+    selected from the implicit sorted matrix (see ``_walsh_select``), in
+    O(N log^2 N) time and O(N) memory.  Each is the same float the
+    averages ``(arr[i] + arr[j]) / 2.0``, i <= j, would hold at that rank,
+    and the median is formed as ``np.median`` forms it.  Sums that
+    overflow give +-inf averages, without a warning.
     """
-    i, j = np.triu_indices(arr.size)
-    walsh = (arr[i] + arr[j]) / 2.0
-    m = walsh.size
+    a = np.sort(arr)
+    m = a.size * (a.size + 1) // 2
     wanted = [(m - 1) // 2, m // 2, *ranks]
-    picked = np.partition(walsh, sorted(set(wanted)))[wanted]
-    return float((picked[0] + picked[1]) / 2.0), tuple(float(v) for v in picked[2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        picked = {k: _walsh_select(a, k) for k in set(wanted)}
+        median = (picked[wanted[0]] + picked[wanted[1]]) / 2.0
+    return float(median), tuple(float(picked[k]) for k in wanted[2:])
+
+
+# a selection gathers its candidates once at most this many per value are
+# left: the peak stays O(N), and samples up to N = 31 gather at once
+_GATHER_PER_VALUE = 16
+
+
+def _walsh_select(a: np.ndarray, k: int) -> np.float64:
+    """The Walsh average of ascending ``a`` at 0-based rank ``k``.
+
+    Row i of the implicit matrix holds ``(a[i] + a[j]) / 2.0`` for
+    j >= i, nondecreasing in j because float add and halve are monotone.
+    Each row keeps the candidate columns [lo_i, hi_i).  A pivot, the
+    weighted median of the row middles, is counted per row; the rank
+    then lies below, at or above it, and at least a quarter of the
+    candidates go each round.  The last ones are gathered and
+    partitioned.  Every value compared or returned is computed with the
+    one expression above (Monahan, ACM TOMS Algorithm 616, 1984).
+    """
+    n = a.size
+    rows = np.arange(n)
+    lo, hi = rows.copy(), np.full(n, n)
+    while True:
+        width = hi - lo
+        if width.sum() <= _GATHER_PER_VALUE * n:
+            break
+        live = np.flatnonzero(width)
+        middle = (a[live] + a[(lo[live] + hi[live]) // 2]) / 2.0
+        order = np.argsort(middle)
+        weight = np.cumsum(width[live][order])
+        pivot = middle[order[np.searchsorted(2 * weight, weight[-1])]]
+        below = _row_bounds(a, pivot, lo, hi, "left")
+        if k < (below - rows).sum():
+            hi = below
+            continue
+        upto = _row_bounds(a, pivot, lo, hi, "right")
+        if k >= (upto - rows).sum():
+            lo = upto
+            continue
+        return pivot
+    width = hi - lo
+    starts = np.cumsum(width) - width
+    i = np.repeat(rows, width)
+    j = np.arange(width.sum()) - np.repeat(starts - lo, width)
+    left = int(k - (lo - rows).sum())
+    return np.partition((a[i] + a[j]) / 2.0, left)[left]
+
+
+def _row_bounds(a: np.ndarray, pivot, lo: np.ndarray, hi: np.ndarray,
+                side: str) -> np.ndarray:
+    """Per row, the first column in [lo_i, hi_i] whose average is >= the
+    pivot (``side="left"``) or > it (``"right"``).
+
+    The guess from ``searchsorted`` is checked against the averages
+    themselves; a row it misses, by rounding or because ``2 * pivot``
+    overflows, is bisected, in at most log2(N) + 1 vectorised steps.
+    """
+    n = a.size
+    before = np.less if side == "left" else np.less_equal
+    col = np.clip(np.searchsorted(a, 2.0 * pivot - a, side), lo, hi)
+    ok = (col == lo) | before((a + a[np.maximum(col - 1, 0)]) / 2.0, pivot)
+    ok &= (col == hi) | ~before((a + a[np.minimum(col, n - 1)]) / 2.0, pivot)
+    missed = np.flatnonzero(~ok)
+    if missed.size:
+        ai, left, right = a[missed], lo[missed], hi[missed]
+        while (open_ := left < right).any():
+            mid = (left + right) // 2
+            go = before((ai + a[np.minimum(mid, n - 1)]) / 2.0, pivot)
+            left = np.where(open_ & go, mid + 1, left)
+            right = np.where(open_ & ~go, mid, right)
+        col[missed] = left
+    return col
 
 
 def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
@@ -206,6 +290,10 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
 
     ci_ranks = _walsh_interval_ranks(arr.size, n, alpha, cum)
     estimate, ci = _walsh_stats(arr, ci_ranks)
+    if not all(map(math.isfinite, (estimate, *ci))):
+        raise DegenerateDataError("a Walsh average of the differences overflows "
+                                  "a float; the pseudo-median or its interval "
+                                  "is undefined")
     return TestReport(test_family=TestFamily.WILCOXON, statistic=w, df=None,
                       p_value=p, estimate=estimate, ci=ci, alpha=alpha,
                       alternative=alternative, n_instances_used=arr.size,
@@ -256,7 +344,11 @@ def sign_test(phis, mu0: float, alpha: float,
     else:
         p = lower
 
-    estimate = float(np.median(arr))
+    with np.errstate(over="ignore"):
+        estimate = float(np.median(arr))
+    if not math.isfinite(estimate):
+        raise DegenerateDataError("the median of the differences overflows a "
+                                  "float; the sign-test estimate is undefined")
     ci = _sign_interval(arr, alpha)
     return TestReport(test_family=TestFamily.SIGN, statistic=float(k), df=None,
                       p_value=p, estimate=estimate, ci=ci, alpha=alpha,
@@ -302,6 +394,9 @@ def build_diagnostics(phis, resamples: int, seed: int) -> DiagnosticsBundle:
     """Q-Q points for the differences plus a bootstrap of their mean."""
     arr = _as_array(phis, 2, "build_diagnostics")
     boot = bootstrap_sdm(arr, resamples, seed)
+    if not np.isfinite(boot).all():
+        raise DegenerateDataError("a resampled mean of the differences overflows "
+                                  "a float; the bootstrap diagnostics are undefined")
     try:
         qq = qq_normal(arr) if arr.size >= 3 else []
     except DegenerateDataError:

@@ -4,9 +4,9 @@ Each oracle computes an expected value by a route different from the
 implementation it checks: quadrature instead of closed forms, exhaustive
 enumeration instead of recursions, grid search instead of analytic
 optima.  The last section holds quantities that only tests need (the
-noncentral-t quantile, the Hodges-Lehmann estimate, the effect-size
-decomposition and the percent-SE coefficients), plus a sample builder
-and a single run.
+noncentral-t quantile, the Hodges-Lehmann estimate, the Walsh-average
+order statistics by partition, the effect-size decomposition and the
+percent-SE coefficients), plus a sample builder and a single run.
 """
 
 from __future__ import annotations
@@ -187,11 +187,13 @@ def reference_key(seed: int) -> list[int]:
     return np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist()
 
 
+def resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
+    """Means of ``count`` resamples of ``x``, every index drawn in one call."""
+    return x[rng.integers(0, x.size, size=(count, x.size))].mean(axis=1)
+
+
 def bootstrap_se_unmemoised(s1, s2, diff_kind: str, resamples: int, rng_seed: int) -> float:
     """The bootstrap SE as drawn without a memo: both sides from a fresh stream."""
-    def resample_means(rng, x, count):
-        return x[rng.integers(0, x.size, size=(count, x.size))].mean(axis=1)
-
     x1 = np.asarray(s1.observations, dtype=float)
     x2 = np.asarray(s2.observations, dtype=float)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(rng_seed))))
@@ -269,6 +271,23 @@ def hodges_lehmann(values) -> float:
     x = [float(v) for v in values]
     walsh = [(x[i] + x[j]) / 2.0 for i in range(len(x)) for j in range(i, len(x))]
     return float(np.median(walsh))
+
+
+def walsh_stats_partition(arr: np.ndarray, ranks) -> tuple[float, tuple[float, ...]]:
+    """Median of the Walsh averages and the averages at 0-based ``ranks``,
+    from all N(N+1)/2 averages built at once and one partition.
+
+    O(N^2) memory: 256 MB at N = 4000.  The median is formed as
+    ``np.median`` forms it; sums that overflow give +-inf averages.
+    """
+    i, j = np.triu_indices(arr.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        walsh = (arr[i] + arr[j]) / 2.0
+        m = walsh.size
+        wanted = [(m - 1) // 2, m // 2, *ranks]
+        picked = np.partition(walsh, sorted(set(wanted)))[wanted]
+        median = (picked[0] + picked[1]) / 2.0
+    return float(median), tuple(float(v) for v in picked[2:])
 
 
 @dataclass(frozen=True)

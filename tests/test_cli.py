@@ -699,6 +699,39 @@ output_dir: out
                        "a float; the t statistic is undefined\n")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("test, message", [
+        ("t_test", "the mean or spread of the differences overflows a float; "
+                   "the t statistic is undefined"),
+        ("wilcoxon", "a Walsh average of the differences overflows a float; the "
+                     "pseudo-median or its interval is undefined"),
+        ("sign", "a resampled mean of the differences overflows a float; the "
+                 "bootstrap diagnostics are undefined"),
+    ], ids=["t_test", "wilcoxon", "sign"])
+    def test_overflowing_sums_exit_4_without_a_warning(self, capsys, tmp_path,
+                                                       test, message):
+        # two differences of 1.6e308 and one of 1: every difference is finite,
+        # but the mean, the Walsh averages and a resampled mean overflow
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}}}
+sampling: {{se_max: 0.5, n0: 3, n_max: 8}}
+algorithms:
+  - {{alias: one, kind: synthetic_normal, params: {{mu: 0.0, sigma: 0.0}}}}
+  - {{alias: two, kind: synthetic_normal, params: {{mu: 0.0, sigma: 0.0}}}}
+instances:
+  inline: [{{id: x, payload: {{one: {{mu: -8.0e+307}}, two: {{mu: 8.0e+307}}}}}},
+           {{id: y, payload: {{one: {{mu: -7.0e+307}}, two: {{mu: 9.0e+307}}}}}},
+           {{id: z, payload: {{two: {{mu: 1.0}}}}}}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert caught == []
+        assert (code, err) == (4, f"error: {message}\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_percent_se_overflow_exits_4(self, capsys, tmp_path):
         # lognormal runs near exp(-368) ~ 1e-160: the parametric percent SE
         # squares the reciprocal of the mean gap, which overflows a float
@@ -994,6 +1027,13 @@ class TestExtremeScales:
     @example(test="sign", diff="simple", se_method="bootstrap",
              means=[(0.0, 0.0)] * 3, positive=False, sigmas=(1e200, 1.0),
              se_max=0.5, seed=3)
+    # differences of 1.6e308: their Walsh averages and resampled means overflow
+    @example(test="wilcoxon", diff="simple", se_method="parametric",
+             means=[(-8e307, 8e307), (-7e307, 9e307), (0.0, 1.0)], positive=False,
+             sigmas=(0.0, 0.0), se_max=0.5, seed=3)
+    @example(test="sign", diff="simple", se_method="parametric",
+             means=[(-8e307, 8e307), (-7e307, 9e307), (0.0, 1.0)], positive=False,
+             sigmas=(0.0, 0.0), se_max=0.5, seed=3)
     @settings(max_examples=100, deadline=None)
     def test_exit_code_contract(self, test, diff, se_method, means, positive,
                                 sigmas, se_max, seed):

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
-                                 _first_side,
+                                 _first_side, _resample_means,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
@@ -445,3 +446,40 @@ class TestBootstrapSDM:
     def test_too_small_sample_rejected(self):
         with pytest.raises(ValueError):
             bootstrap_sdm([1.0], 200, 1)
+
+
+class TestChunkedResampling:
+    """Drawing the resample indices a block of rows at a time gives the
+    draws, the means and the generator state of one (R, n) draw."""
+
+    @staticmethod
+    def assert_as_one_draw(x, resamples, seed):
+        rng, ref = oracles.reference_generator(seed), oracles.reference_generator(seed)
+        # start both mid-way through a 64-bit output, as an odd R * n leaves them
+        rng.integers(0, 3, 1)
+        ref.integers(0, 3, 1)
+        got = _resample_means(rng, x, resamples)
+        want = oracles.resample_means(ref, x, resamples)
+        assert got.tobytes() == want.tobytes()
+        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+
+    @pytest.mark.parametrize("n, resamples", [(262, 1000), (256, 1024), (263, 999)],
+                             ids=["below", "at", "above-odd"])
+    def test_chunk_edges(self, n, resamples):
+        # R * n just below, at and just above the chunk; 263 * 999 is odd
+        assert (n * resamples > estimators._DRAW_CHUNK) == (n == 263)
+        x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+        for seed in (1, 2, 3):
+            self.assert_as_one_draw(x, resamples, seed)
+        assert np.array_equal(bootstrap_sdm(x, resamples, 7),
+                              oracles.resample_means(oracles.reference_generator(7),
+                                                     x, resamples))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 301])
+    def test_any_chunk(self, monkeypatch, chunk):
+        # chunks of one row up to several rows, with n above the chunk too
+        monkeypatch.setattr(estimators, "_DRAW_CHUNK", chunk)
+        for n, resamples in [(2, 101), (3, 100), (7, 999), (40, 1000), (1101, 100)]:
+            x = np.random.default_rng(n).normal(0.0, 1.0, n)
+            self.assert_as_one_draw(x, resamples, n + chunk)
+

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from scipy import stats
 from paircomp.design import Alternative
 from paircomp.distributions import t_quantile
 from paircomp.errors import DegenerateDataError
-from paircomp.hypotests import (build_diagnostics, paired_t_test, qq_normal,
-                                sign_test, wilcoxon_signed_rank)
+from paircomp.hypotests import (_walsh_stats, build_diagnostics, paired_t_test,
+                                qq_normal, sign_test, wilcoxon_signed_rank)
 
 import oracles
 
@@ -198,6 +199,61 @@ class TestWilcoxon:
         rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
         assert rep.ci[0] <= rep.estimate <= rep.ci[1]
 
+    @pytest.mark.parametrize("values", [[1.6e308, 1.6e308, 1.0],
+                                        [1.7e308, 1.0, 2.0, 3.0]],
+                             ids=["estimate", "interval"])
+    def test_overflowing_walsh_averages_degenerate(self, values):
+        # the pseudo-median, or only the interval's upper end, is
+        # (x + x) / 2 with x + x past the float range
+        with pytest.raises(DegenerateDataError, match="Walsh average of the "
+                           "differences overflows a float"):
+            wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
+
+
+def walsh_sample(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "random":
+        return rng.normal(0.1, 1.0, n)
+    if kind == "tied":
+        # np.round leaves -0.0 for small negatives; + 0.0 makes it 0.0, since
+        # with both zeros among the averages the reference partition may put
+        # either at a rank
+        return np.round(rng.normal(0.1, 1.0, n), 1) + 0.0
+    if kind == "all-tied":
+        return np.full(n, 0.7)
+    if kind == "two-valued":
+        return rng.choice([-1.5, 2.25], n)
+    if kind == "huge":
+        return rng.uniform(-1.0, 1.0, n) * 1.7e308
+    # "huge-tied": ties at magnitudes whose sums overflow, to +inf and -inf
+    return rng.choice([-1.7e308, -1.0e308, 1.0, 1.0e308, 1.7e308], n)
+
+
+class TestWalshSelection:
+    """The selected Walsh averages are the floats the materialised
+    averages hold at the same ranks, to the last bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 31, 32, 200, 1101, 4000])
+    @pytest.mark.parametrize("kind", ["random", "tied", "all-tied", "two-valued",
+                                      "huge", "huge-tied"])
+    def test_matches_the_materialised_partition(self, kind, n):
+        rng = np.random.default_rng(n)
+        m = n * (n + 1) // 2
+        for _ in range(3 if n < 4000 else 1):
+            values = walsh_sample(kind, n, rng)
+            inner = tuple(sorted(int(r) for r in rng.integers(0, m, 2)))
+            for ranks in (inner, (0, m - 1)):
+                got = _walsh_stats(values, ranks)
+                assert repr(got) == repr(oracles.walsh_stats_partition(values, ranks))
+
+    def test_pseudo_median_interval_at_any_rank(self):
+        rng = np.random.default_rng(11)
+        values = np.round(rng.standard_cauchy(40), 2) + 0.0
+        m = 40 * 41 // 2
+        for lo in range(0, m, 7):
+            ranks = (lo, m - 1 - lo)
+            assert repr(_walsh_stats(values, ranks)) == \
+                repr(oracles.walsh_stats_partition(values, ranks))
+
 
 class TestSignTest:
     def test_perfect_balance(self):
@@ -232,6 +288,13 @@ class TestSignTest:
     def test_all_ties_degenerate(self):
         with pytest.raises(DegenerateDataError):
             sign_test([1.0, 1.0, 1.0], mu0=1.0, alpha=0.05, alternative=TWO)
+
+    def test_overflowing_median_degenerate(self):
+        # an even count averages the two middle values, whose sum overflows
+        with pytest.raises(DegenerateDataError, match="median of the differences "
+                           "overflows a float"):
+            sign_test([1.7e308, 1.6e308, 1.0, 1.5e308], mu0=0.0, alpha=0.05,
+                      alternative=TWO)
 
     def test_estimate_is_median(self):
         values = [3.0, 1.0, 2.0, 9.0, 4.0]
@@ -344,3 +407,40 @@ class TestDiagnosticsBundle:
         assert bundle.qq_points == []
         assert bundle.boot_sdm_qq == []
         assert len(bundle.boot_sdm) == 200
+
+    def test_overflowing_resampled_mean_degenerate(self):
+        # the differences are finite, but a resample holding 1.6e308 twice
+        # sums past the float range
+        with pytest.raises(DegenerateDataError, match="resampled mean of the "
+                           "differences overflows a float"):
+            build_diagnostics([1.6e308, 1.6e308, 1.0], resamples=200, seed=1)
+
+
+class TestMemoryAtLargeN:
+    """The extra memory of the Wilcoxon test and the diagnostics is O(N).
+
+    At N = 4000 the N(N+1)/2 Walsh averages alone took 256 MB, and a
+    999 x N bootstrap index array and its gather about 64 MB.
+    """
+
+    N = 4000
+    BOUND = 16 * 2 ** 20
+
+    @staticmethod
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_wilcoxon(self):
+        values = np.random.default_rng(8).normal(0.1, 1.0, self.N)
+        assert self.peak(lambda: wilcoxon_signed_rank(values, 0.0, 0.05, TWO)) \
+            < self.BOUND
+
+    def test_diagnostics(self):
+        values = np.random.default_rng(9).normal(0.1, 1.0, self.N)
+        assert self.peak(lambda: build_diagnostics(values, 999, 5)) < self.BOUND
+
