@@ -27,6 +27,10 @@ at N = 100, d = 0.6 reaches).  Two measures keep the CDF finite:
   those entries it matches a 40-digit mpmath reference to 1e-17
   absolute.
 
+  The quadrature imports ``scipy.integrate`` on first use, not at module
+  level: few queries reach it (none in a ``run``), and the import takes
+  about 0.25 s, more than a ``design`` or ``power`` query itself.
+
 Lower-tail CDF values far below machine epsilon come out as 0 rather
 than with relative accuracy; power needs only the absolute value.
 """
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 __all__ = ["t_cdf", "t_quantile", "noncentral_t_cdf"]
 
@@ -117,6 +121,8 @@ def _nct_cdf_quadrature(t: float, df: float, delta: float) -> float:
             return 0.0
         log_g = log_norm + (half - 1.0) * math.log(u) - half * u
         return float(special.ndtr(sign * (t * math.sqrt(u) - delta))) * math.exp(log_g)
+
+    from scipy import integrate  # see the module docstring
 
     # the Gamma weight has mean 1; split there for the infinite tail
     a, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)

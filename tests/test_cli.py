@@ -732,6 +732,35 @@ output_dir: out
         assert (code, err) == (4, f"error: {message}\n")
         assert not (tmp_path / "out" / "report.json").exists()
 
+    @pytest.mark.parametrize("test, statistic", [("wilcoxon", "signed-rank"),
+                                                 ("sign", "sign")],
+                             ids=["wilcoxon", "sign"])
+    def test_overflowing_difference_from_mu0_exits_4_without_a_warning(
+            self, capsys, tmp_path, test, statistic):
+        # differences of 1e308, 1 and 2: 1e308 - mu0 is past the float range
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}, mu0: -1.0e+308}}
+sampling: {{se_max: 0.5, n0: 3, n_max: 8}}
+algorithms:
+  - {{alias: one, kind: synthetic_normal, params: {{mu: 0.0, sigma: 0.0}}}}
+  - {{alias: two, kind: synthetic_normal, params: {{mu: 0.0, sigma: 0.0}}}}
+instances:
+  inline: [{{id: x, payload: {{two: {{mu: 1.0e+308}}}}}},
+           {{id: y, payload: {{two: {{mu: 1.0}}}}}},
+           {{id: z, payload: {{two: {{mu: 2.0}}}}}}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert caught == []
+        assert (code, err) == (4, f"error: a difference from the null value -1e+308 "
+                                  f"overflows a float; the {statistic} statistic "
+                                  f"is undefined\n")
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_percent_se_overflow_exits_4(self, capsys, tmp_path):
         # lognormal runs near exp(-368) ~ 1e-160: the parametric percent SE
         # squares the reciprocal of the mean gap, which overflows a float

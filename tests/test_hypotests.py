@@ -209,6 +209,13 @@ class TestWilcoxon:
                            "differences overflows a float"):
             wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
 
+    def test_overflowing_difference_from_null_degenerate(self):
+        # 1e308 - (-1e308) is past the float range
+        with pytest.raises(DegenerateDataError, match="a difference from the null "
+                           "value -1e\\+308 overflows a float; the signed-rank"):
+            wilcoxon_signed_rank([1e308, 1.5e308, 3.0], mu0=-1e308, alpha=0.05,
+                                 alternative=TWO)
+
 
 def walsh_sample(kind: str, n: int, rng) -> np.ndarray:
     if kind == "random":
@@ -295,6 +302,11 @@ class TestSignTest:
                            "overflows a float"):
             sign_test([1.7e308, 1.6e308, 1.0, 1.5e308], mu0=0.0, alpha=0.05,
                       alternative=TWO)
+
+    def test_overflowing_difference_from_null_degenerate(self):
+        with pytest.raises(DegenerateDataError, match="a difference from the null "
+                           "value -1e\\+308 overflows a float; the sign"):
+            sign_test([1e308, 1.5e308, 3.0], mu0=-1e308, alpha=0.05, alternative=TWO)
 
     def test_estimate_is_median(self):
         values = [3.0, 1.0, 2.0, 9.0, 4.0]

@@ -1,11 +1,16 @@
-"""The package's declared public names all exist.
+"""The package's declared public names all exist, and importing it stays light.
 
 A name deleted from a module but left in an ``__all__`` breaks
 ``from paircomp import *`` only when someone runs it; these tests run it.
 """
 
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,3 +34,48 @@ def test_star_import():
     namespace = {}
     exec("from paircomp import *", namespace)
     assert set(paircomp.__all__) <= set(namespace)
+
+
+LAZY_SCIPY = """
+import json, sys
+from paircomp import cli
+
+def run(test):
+    config = {
+        "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "test": test},
+        "sampling": {"se_max": 0.5, "n0": 3, "n_max": 6},
+        "algorithms": [
+            {"alias": "a", "kind": "synthetic_normal", "params": {"mu": 0.0, "sigma": 1.0}},
+            {"alias": "b", "kind": "synthetic_normal", "params": {"mu": 0.5, "sigma": 1.0}}],
+        "instances": {"inline": [{"id": i} for i in "wxyz"]},
+        "master_seed": 1, "use_all_instances": True, "output_dir": test}
+    with open(test + ".yaml", "w") as f:
+        json.dump(config, f)
+    return cli.main(["run", "--config", test + ".yaml"])
+
+def loaded():
+    return [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
+
+codes = [cli.main(["design", "--power", "0.8", "--d", "0.5", "--alpha", "0.05"]),
+         cli.main(["power", "--n", "30", "--d", "0.5", "--alpha", "0.05"]),
+         run("t_test")]
+after_t = loaded()
+codes.append(run("sign"))
+print(json.dumps({"codes": codes, "after_t": after_t, "after_sign": loaded()}))
+"""
+
+
+def test_scipy_stats_and_integrate_load_only_when_used(tmp_path):
+    # a fresh interpreter: this process has scipy.integrate loaded already,
+    # since tests/oracles.py imports it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", LAZY_SCIPY], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["codes"] == [0, 0, 0, 0]
+    assert got["after_t"] == []
+    # scipy.stats brings scipy.integrate with it
+    assert "scipy.stats" in got["after_sign"]
