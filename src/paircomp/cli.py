@@ -5,10 +5,10 @@ fixed-size experiment, single value or curve with highlights), ``reps``
 (adaptive sampling of one instance), ``run`` (full experiment) and
 ``resume`` (continue an interrupted run from its checkpoint journal).
 
-Exit codes: 0 completed, 2 usage or configuration error, 3 runner
-failure, 4 statistical-assumption violation or data on which a test is
-undefined (e.g. all differences identical).  The statistical outcome of
-a test never affects the exit code.
+Exit codes: 0 completed, 2 usage or configuration error or an unwritable
+output path, 3 runner failure, 4 statistical-assumption violation or data
+on which a test is undefined (e.g. all differences identical).  The
+statistical outcome of a test never affects the exit code.
 
 Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
 ``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
@@ -44,6 +44,7 @@ _EXIT_CODES = (
     (AssumptionViolationError, EXIT_ASSUMPTION),
     (DegenerateDataError, EXIT_ASSUMPTION),
     (RunnerError, EXIT_RUNNER),
+    (OSError, EXIT_USAGE),
     (ConfigError, EXIT_USAGE),
     (ValueError, EXIT_USAGE),
     (PaircompError, EXIT_RUNNER),
@@ -127,6 +128,9 @@ def _cmd_design(args) -> int:
 
 def _cmd_power(args) -> int:
     alternative = ALT_NAMES[args.alternative]
+    for flag in ("n", "points"):
+        if abs(getattr(args, flag) or 0) > sys.float_info.max:
+            raise ConfigError(f"--{flag} is beyond the range of a float")
     if (args.d is None) == (args.d_range is None):
         raise ConfigError("give exactly one of --d or --d-range")
     single = args.d is not None

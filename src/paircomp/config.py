@@ -51,6 +51,7 @@ A manifest file is a YAML document with a single ``instances`` list of
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import yaml
@@ -143,7 +144,10 @@ def _read(node, table: dict, where: str, required: tuple = ()) -> dict:
                 raise ConfigError(f"{where}.{key} must be one of {sorted(kind)}, "
                                   f"got {value!r}")
             value = kind[value]
-        elif not (type(value) is kind or (kind is float and type(value) is int)):
+        # an integer stays one, as journal fingerprints hold it, unless no
+        # float reaches it
+        elif not (type(value) is kind or (kind is float and type(value) is int
+                                          and abs(value) <= sys.float_info.max)):
             raise ConfigError(f"{where}.{key} must be {_KIND_NAMES[kind]}, "
                               f"got {value!r}")
         kwargs[keyword] = value

@@ -37,17 +37,13 @@ from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
 from .runners import AlgorithmSpec, InstanceRef, bind
-from .sampler import SamplingConfig, calc_nreps, first_stage
+from .sampler import SamplingConfig, calc_nreps
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
-                      derive_seed, make_generator, run_keys)
+                      derive_seed, first_stages, make_generator, run_keys)
 
 __all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
 _JOURNAL_VERSION = 2
-# runs per first-stage kernel call: a chunk of instances' n0-stage seeds
-# and keys is derived at once, so the kernel's fixed cost is shared and
-# its temporaries stay bounded
-_FIRST_STAGE_RUNS = 4096
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,7 @@ def select_instances(plan: ExperimentPlan,
         rng = make_generator(derive_seed(plan.master_seed, SELECTION_STREAM))
         idx = rng.choice(len(pool), size=count, replace=False)
         selected = [pool[int(i)] for i in idx]
-    count = len(selected)
-    seeds, _ = run_keys([plan.master_seed] * count, [INSTANCE_STREAM] * count,
-                        range(count))
+    (seeds,), _ = run_keys([(plan.master_seed, INSTANCE_STREAM)], range(len(selected)))
     return list(zip(selected, seeds.tolist()))
 
 
@@ -305,12 +299,7 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     pending = [(inst, seed) for inst, seed in selected
                if inst.id not in completed]
 
-    def first_stages():
-        n0 = plan.sampling.n0
-        step = max(1, _FIRST_STAGE_RUNS // (2 * n0))
-        for start in range(0, len(pending), step):
-            chunk = pending[start:start + step]
-            yield from zip(chunk, first_stage([seed for _, seed in chunk], n0))
+    firsts = zip(pending, first_stages([seed for _, seed in pending], plan.sampling.n0))
 
     def sample(inst: InstanceRef, seed: int, first) -> PairedDifference:
         return calc_nreps(bind(spec1, inst), bind(spec2, inst), inst,
@@ -324,14 +313,14 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     current = None  # the instance being sampled, or whose result is read
     try:
         if workers == 1 or len(pending) <= 1:
-            for (current, seed), first in first_stages():
+            for (current, seed), first in firsts:
                 record(sample(current, seed, first))
         else:
             # journal rows land as instances complete, so an interrupt
             # loses at most the in-flight instances
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 futures = {pool.submit(sample, inst, seed, first): inst
-                           for (inst, seed), first in first_stages()}
+                           for (inst, seed), first in firsts}
                 try:
                     for fut in as_completed(futures):
                         current = futures[fut]

@@ -170,7 +170,9 @@ def bind(spec: AlgorithmSpec, instance: InstanceRef):
     keys its kind reads, and raises ``ValueError`` naming the payload key
     at fault.  The run function takes a run seed and the key of that
     seed's generator (as ``seeding.run_keys`` or ``seeding.generator_key``
-    gives it) and returns the run's performance value.
+    gives it) and returns the run's performance value.  A value that is
+    not finite, such as a lognormal draw that overflows a float, raises
+    ``RunnerError`` naming the algorithm, the instance and the seed.
     """
     run = _BINDERS[spec.kind](spec, instance)
 
@@ -204,7 +206,14 @@ def _bind_normal(spec: AlgorithmSpec, instance: InstanceRef):
 
 def _bind_lognormal(spec: AlgorithmSpec, instance: InstanceRef):
     normal = _bind_normal(spec, instance)
-    return lambda seed, key: math.exp(normal(seed, key))
+
+    def run(seed: int, key) -> float:
+        try:  # math.exp: np.exp may differ in the last bit
+            return math.exp(normal(seed, key))
+        except OverflowError:  # bind refuses it, naming the run
+            return math.inf
+
+    return run
 
 
 def build_synthetic_pool(n_instances: int, delta: float = 0.0,

@@ -16,8 +16,8 @@ re-running an instance never changes earlier draws.  A run's seed does
 not depend on the allocation, so seeds and generator keys are derived in
 blocks (see :mod:`paircomp.seeding`): the ``n0`` stage of each instance in
 one block, which ``run_experiment`` derives for many instances at once,
-and each algorithm's later runs in blocks that double from ``n0``, capped
-by what is left of the ``n_max`` budget.
+and each algorithm's later runs in blocks of twice as many runs as it has
+had, capped by what is left of the ``n_max`` budget.
 """
 
 from __future__ import annotations
@@ -25,15 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AssumptionViolationError
 from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
                          PairedDifference, SEMethod, bootstrap_se,
                          phi_percent, phi_simple,
                          optimal_ratio_percent, optimal_ratio_simple,
                          se_percent, se_simple)
-from .seeding import BOOTSTRAP_STREAM, derive_seed, run_keys
+from .seeding import BOOTSTRAP_STREAM, derive_seed, first_stages, run_keys
 
 __all__ = ["SamplingConfig", "calc_nreps"]
 
@@ -74,20 +72,6 @@ class SamplingConfig:
                              f"required, got {self.resamples!r}")
 
 
-def first_stage(instance_seeds, n0: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``n0``-stage run seeds and generator keys of each instance.
-
-    One ``run_keys`` call serves them all.  Each instance's entry holds
-    algorithm 0's runs 0 to n0-1, then algorithm 1's, as ``(seeds, keys)``.
-    """
-    width, count = 2 * n0, len(instance_seeds)
-    seeds, keys = run_keys([seed for seed in instance_seeds for _ in range(width)],
-                           ([0] * n0 + [1] * n0) * count,
-                           np.tile(np.arange(n0), 2 * count))
-    return [(seeds[k:k + width], keys[k:k + width])
-            for k in range(0, width * count, width)]
-
-
 def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
                first=None) -> PairedDifference:
     """Sample two algorithms on one instance until the SE budget is met.
@@ -100,30 +84,23 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     ``cfg.se_method``'s throughout; the bootstrap's seed derives from
     ``seed``.  An SE that is not finite raises
     ``AssumptionViolationError`` at once.  ``first`` is the instance's
-    entry of ``first_stage``, when the caller derived it along with other
-    instances'; without it, it is derived here.
+    item of ``seeding.first_stages``, when the caller derived it along with
+    other instances'; without it, it is derived here.
     """
     samples = (InstanceSample(), InstanceSample())
     runs = (run1, run2)
     bootstrap = cfg.se_method is SEMethod.BOOTSTRAP
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM) if bootstrap else None
-    n0 = cfg.n0
-    seeds, keys = first if first is not None else first_stage([seed], n0)[0]
-    seeds, keys = seeds.tolist(), keys.tolist()
+    seeds, keys = first if first is not None else next(first_stages([seed], cfg.n0))
     # each algorithm's run seeds and keys derived so far, by run index
-    derived = ((seeds[:n0], keys[:n0]), (seeds[n0:], keys[n0:]))
-    block = [n0, n0]
+    derived = tuple(zip(seeds.tolist(), keys.tolist()))
 
     def do_run(algo_index: int) -> None:
         algo_seeds, algo_keys = derived[algo_index]
         r = samples[algo_index].n
         if r == len(algo_seeds):
-            # the next block doubles, but never outruns the budget
-            size = min(2 * block[algo_index],
-                       cfg.n_max - samples[0].n - samples[1].n)
-            block[algo_index] = size
-            more_seeds, more_keys = run_keys([seed] * size, [algo_index] * size,
-                                             np.arange(r, r + size))
+            size = min(2 * r, cfg.n_max - samples[0].n - samples[1].n)
+            (more_seeds,), (more_keys,) = run_keys([(seed, algo_index)], range(r, r + size))
             algo_seeds += more_seeds.tolist()
             algo_keys += more_keys.tolist()
         samples[algo_index].add(runs[algo_index](algo_seeds[r], algo_keys[r]))

@@ -26,15 +26,14 @@ starts at 0.  Philox is counter-based, so key and counter set its whole
 stream, and a generator re-keyed to that key at counter 0 draws exactly
 what a new one would.  ``generator_key(seed)`` is that key.
 
-``run_keys(roots, algos, runs)`` is the block kernel: for arrays of
-(instance seed, algorithm index, run index) it returns every run's
-``derive_seed`` value and its generator key in one numpy pass.  It
-absorbs a run index as one 32-bit word, so run indices stay below 2**32
-(``SamplingConfig`` refuses a larger budget).  A call has a fixed numpy
-overhead of tens of microseconds, whatever its size, so callers derive
-runs in blocks: the experiment derives the first stage of many instances
-at once, and the sampler the later runs of an instance in blocks that
-double.
+``run_keys(prefixes, runs)`` is the block kernel: for a list of (instance
+seed, algorithm index) prefixes and one sequence of run indices, each
+below 2**32 (``SamplingConfig`` refuses a larger budget), it returns the
+seeds and generator keys of the whole grid in one numpy pass.  A call has
+a fixed numpy overhead of tens of microseconds, so callers derive runs in
+blocks: ``first_stages(instance_seeds, n0)`` the first stage of a chunk
+of instances at once, about ``_FIRST_STAGE_RUNS`` runs, the size the
+prefix cache is held to, and the sampler the later runs of an instance.
 
 SeedSequence's ``hashmix`` and ``mix`` steps have one implementation
 here: the kernel's, on ``uint32`` arrays where products wrap mod 2**32,
@@ -86,7 +85,9 @@ def derive_seed(root: int, *path: int) -> int:
 def generator_key(seed: int) -> tuple[int, int]:
     """Key of the Philox generator ``make_generator(seed)`` builds.
 
-    Cached: the bootstrap SE asks for its one seed's key after every run.
+    Cached: the bootstrap SE asks for its one seed's key whenever its memo
+    of the first side's resamples misses, so after a run of the first
+    algorithm, not after every run.
     """
     return tuple(np.random.SeedSequence(int(seed)).generate_state(2, np.uint64).tolist())
 
@@ -138,8 +139,14 @@ def _n_words(value: int) -> int:
     return max(1, (value.bit_length() + 31) // 32)
 
 
-# sized so that the first-stage block of a whole chunk of instances fits
-@lru_cache(maxsize=4096)
+# runs per first-stage kernel call: a chunk of instances' n0-stage seeds
+# and keys is derived at once, so the kernel's fixed cost is shared and
+# its temporaries stay bounded
+_FIRST_STAGE_RUNS = 4096
+
+
+# sized so that the prefixes of a whole first-stage chunk fit
+@lru_cache(maxsize=_FIRST_STAGE_RUNS)
 def _prefix_row(root: int, algo: int) -> tuple[int, ...]:
     """Pool words 0 and 1 of ``SeedSequence(root, spawn_key=(algo,))`` and
     the three hash constants that absorbing a run index into them uses."""
@@ -165,35 +172,29 @@ def _mix_u32(x, y):
     return mixed
 
 
-def run_keys(roots, algos, runs) -> tuple[np.ndarray, np.ndarray]:
-    """Seeds and generator keys of a block of runs, in one numpy pass.
+def run_keys(prefixes, runs) -> tuple[np.ndarray, np.ndarray]:
+    """Seeds and generator keys of a grid of runs, in one numpy pass.
 
-    For equal-length sequences of instance seeds, algorithm indices and
-    run indices (each below 2**32), returns ``seeds`` with ``seeds[i] ==
-    derive_seed(roots[i], algos[i], runs[i])`` and ``keys`` of shape
-    (n, 2) with ``keys[i] == generator_key(seeds[i])``, both ``uint64``.
+    For a sequence of P (instance seed, algorithm index) prefixes and a
+    sequence of R run indices (each below 2**32), returns ``seeds`` of
+    shape (P, R) with ``seeds[p, i] == derive_seed(*prefixes[p], runs[i])``
+    and ``keys`` of shape (P, R, 2) with ``keys[p, i] ==
+    generator_key(seeds[p, i])``, both ``uint64``.
     """
-    runs = np.asarray(runs, dtype=np.uint64).reshape(-1)
+    runs = np.asarray(runs, dtype=np.uint64)
     if runs.size and int(runs.max()) > _MASK32:
         raise ValueError("a run index must be below 2**32")
-    pairs = list(zip(roots, algos))
-    if len(pairs) != runs.size:
-        raise ValueError("roots, algos and runs must have the same length")
-    # each distinct (root, algo) prefix comes from the cache once; its row
-    # holds pool words 0 and 1 and three consecutive hash constants
-    prefixes = dict.fromkeys(pairs)
-    table = [_prefix_row(operator.index(root), operator.index(algo))
-             for root, algo in prefixes]
-    table = np.array(table, dtype=np.uint32).reshape(-1, 5).T
-    if len(prefixes) > 1:
-        index = {pair: i for i, pair in enumerate(prefixes)}
-        table = table[:, list(map(index.__getitem__, pairs))]
+    # one column per prefix: pool words 0 and 1 and three consecutive hash
+    # constants, each against every run
+    table = np.array([_prefix_row(operator.index(root), operator.index(algo))
+                      for root, algo in prefixes], dtype=np.uint32)
+    table = table.reshape(-1, 5).T[..., None]
     # absorb the run index into pool words 0 and 1, then hash them out
     pool = _mix_u32(table[0:2], _hashmix_u32(runs.astype(np.uint32), table[2:4], table[3:5]))
-    halves = _hashmix_u32(pool, _OUT[0][:2], _OUT[1][:2]).astype(np.uint64)
+    halves = _hashmix_u32(pool.reshape(2, -1), _OUT[0][:2], _OUT[1][:2]).astype(np.uint64)
     seeds = halves[0] | halves[1] << _U64_32
     # SeedSequence(seed): its entropy is the seed's two words, zero-padded
-    entropy = np.zeros((_POOL_SIZE, runs.size), dtype=np.uint32)
+    entropy = np.zeros((_POOL_SIZE, seeds.size), dtype=np.uint32)
     entropy[:2] = halves
     pool = _hashmix_u32(entropy, *_FILL)
     for src, xor, mult in _PAIRS:
@@ -201,7 +202,21 @@ def run_keys(roots, algos, runs) -> tuple[np.ndarray, np.ndarray]:
         mixed[src] = pool[src]
         pool = mixed
     words = _hashmix_u32(pool, *_OUT).astype(np.uint64)
-    return seeds, (words[0::2] | words[1::2] << _U64_32).T
+    keys = (words[0::2] | words[1::2] << _U64_32).T
+    grid = table.shape[1], runs.size
+    return seeds.reshape(grid), keys.reshape(*grid, 2)
+
+
+def first_stages(instance_seeds, n0: int):
+    """Each instance's first-stage ``(seeds, keys)``, shaped (2, n0) and
+    (2, n0, 2): row ``a`` holds algorithm ``a``'s runs 0 to n0 - 1.  A
+    chunk is derived when its first instance is asked for."""
+    step = max(1, _FIRST_STAGE_RUNS // (2 * n0))
+    for start in range(0, len(instance_seeds), step):
+        chunk = instance_seeds[start:start + step]
+        seeds, keys = run_keys([(seed, algo) for seed in chunk for algo in (0, 1)],
+                               range(n0))
+        yield from zip(seeds.reshape(-1, 2, n0), keys.reshape(-1, 2, n0, 2))
 
 
 def make_generator(seed: int) -> np.random.Generator:

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import tempfile
 import textwrap
@@ -242,6 +243,18 @@ class TestPowerCommand:
         assert message in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--n", str(10 ** 400), "--d", "0.3"],
+        ["--n", str(2 ** 1024), "--d-range", "0.1:0.5"],
+        ["--n", "20", "--d-range", "0.1:0.5", "--points", str(10 ** 400)],
+    ], ids=["n", "n-with-range", "points"])
+    def test_flag_beyond_float_range_is_refused_naming_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, "power", "--alpha", "0.05", *argv)
+        flag = "--points" if "--points" in argv else "--n"
+        assert code == 2
+        assert err.splitlines() == [f"error: {flag} is beyond the range of a float"]
+        assert out == ""
 
     def test_unreached_level_is_reported(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "power", "--n", "20",
@@ -525,6 +538,29 @@ output_dir: out
         assert "launch" in err
         # a runner error names its instance itself, and only once
         assert "instance=" in err and "): instance " not in err
+
+    @pytest.mark.parametrize("command", ["run", "reps"])
+    def test_overflowing_lognormal_run_exits_3_naming_the_run(self, capsys,
+                                                              tmp_path, command):
+        # exp of a normal draw near 1000 is beyond a float
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 0.5, n0: 3, n_max: 10}
+algorithms:
+  - {alias: huge, kind: synthetic_lognormal, params: {mu: 1000.0, sigma: 1.0}}
+  - {alias: fine, kind: synthetic_normal, params: {mu: 0.0, sigma: 1.0}}
+instances:
+  inline: [{id: x}, {id: y}]
+master_seed: 7
+output_dir: out
+""")
+        argv = ["--instance", "x"] if command == "reps" else []
+        code, _, err = run_cli(capsys, command, "--config", str(cfg), *argv)
+        assert code == 3
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+        assert "non-finite value inf" in line
+        assert re.search(r"\| algorithm=huge \| instance=[xy] \| seed=\d+$", line)
 
     def test_degenerate_data_exit_code(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace(
@@ -984,6 +1020,26 @@ algorithms:
         assert code == 2
         assert message in err
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--config", "{config}", "--output-dir", "{file}"],
+    ["design", "--alpha", "0.05", "--power", "0.8", "--d", "0.5",
+     "--out", "{file}/x.json"],
+    ["power", "--n", "20", "--d-range", "0.1:0.5", "--alpha", "0.05",
+     "--curve-out", "{file}/c.csv"],
+], ids=["run-output-dir", "design-out", "power-curve-out"])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+    # a regular file where a directory must be
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
+    code, _, err = run_cli(capsys, *(arg.format(config=cfg, file=blocker)
+                                     for arg in argv))
+    assert code == 2
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and str(blocker) in line
+    assert blocker.read_text() == ""
 
 
 @pytest.fixture(scope="module")

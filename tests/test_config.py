@@ -91,6 +91,30 @@ def test_wrong_type_exits_two_naming_the_key(capsys, tmp_path, section, key, val
     assert not (tmp_path / "out").exists()
 
 
+FLOAT_KEYS = [pytest.param(section, key, id=f"{section}.{key}")
+              for section, (table, _, _, _) in SECTIONS.items()
+              for key, (_, kind) in table.items() if kind is float]
+
+
+@pytest.mark.parametrize("value", [2 ** 1024, -(10 ** 400)], ids=["2**1024", "-10**400"])
+@pytest.mark.parametrize("section, key", FLOAT_KEYS)
+def test_integer_beyond_float_range_exits_two_naming_the_key(capsys, tmp_path,
+                                                             section, key, value):
+    _, doc, path, where = SECTIONS[section]
+    cfg = _write(tmp_path, _with(doc, path, key, value))
+    code = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith(f"error: {where}.{key} must be a number, got ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_integer_in_float_range_stays_an_integer():
+    # a float would change the fingerprint of journals written before
+    for value in (3, 2 ** 1023):
+        assert type(config._read({"d": value}, config.DESIGN, "design")["mres_d"]) is int
+
+
 def _algorithm(kind, **params):
     """``INLINE`` with its second algorithm of ``kind`` with ``params``."""
     return _with(INLINE, ("algorithms",), 1,

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 import paircomp.experiment as experiment_module
+import paircomp.sampler as sampler_module
+import paircomp.seeding as seeding_module
 from paircomp.design import Alternative, ComparisonDesign, TestFamily, calc_power
 from paircomp.errors import (ConfigError, ExperimentAbortedError, RunnerError)
 from paircomp.estimators import DiffKind, SEMethod
@@ -160,6 +163,29 @@ class TestReportContents:
             runs = [bind(spec, inst) for spec in plan.algorithms]
             alone = calc_nreps(*runs, inst, plan.sampling, seed)
             assert alone == row
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_run_keys_derives_blocks_not_runs(self, monkeypatch, workers):
+        # one call for the instance seeds, one per first-stage chunk, and per
+        # instance at most ceil(log2(n_max / n0)) extensions per algorithm;
+        # a derivation per run would take n_max - 2 * n0 per instance
+        calls = []
+        kernel = seeding_module.run_keys
+
+        def counting(prefixes, runs):
+            calls.append(len(prefixes))
+            return kernel(prefixes, runs)
+
+        for module in (seeding_module, sampler_module, experiment_module):
+            monkeypatch.setattr(module, "run_keys", counting)
+        n0, n_max = 3, 40
+        plan = make_plan(pool_size=50, use_all=True, se_max=1e-6, n0=n0,
+                         n_max=n_max, workers=workers)
+        report, _ = run_experiment(plan)
+        count = len(report.per_instance)
+        assert all(d.n1 + d.n2 == n_max for d in report.per_instance)
+        chunks = math.ceil(count / (seeding_module._FIRST_STAGE_RUNS // (2 * n0)))
+        assert len(calls) <= 1 + chunks + 2 * math.ceil(math.log2(n_max / n0)) * count
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_no_run_seed_is_used_twice(self, monkeypatch, workers):

@@ -407,7 +407,7 @@ class TestBoundRuns:
     SEEDS = [derive_seed(31, algo, run) for algo in (0, 1) for run in range(40)]
 
     def keys(self):
-        return run_keys([31] * 80, [0] * 40 + [1] * 40, list(range(40)) * 2)[1].tolist()
+        return run_keys([(31, 0), (31, 1)], range(40))[1].reshape(80, 2).tolist()
 
     def test_normal_values_equal_reference_draws(self):
         run = bind(spec(AlgorithmKind.SYNTHETIC_NORMAL, mu=2.0, sigma=0.5),

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from paircomp.seeding import (derive_seed, generator_key, kept_generator,
-                              make_generator, run_keys)
+import paircomp.seeding as seeding_module
+from paircomp.seeding import (derive_seed, first_stages, generator_key,
+                              kept_generator, make_generator, run_keys)
 
 EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -122,78 +123,110 @@ EDGE_RUNS = (0, 1, 2 ** 32 - 1)
 class TestRunKeys:
     def test_matches_derive_seed_and_numpy_keys_on_random_triples(self):
         rng = random.Random(20261018)
-        roots = [random_value(rng, 2) if rng.random() < 0.9 else random_value(rng, 5)
-                 for _ in range(30_000)]
-        algos = [rng.randrange(2) if rng.random() < 0.9 else rng.getrandbits(32)
-                 for _ in roots]
+        prefixes = [(random_value(rng, 2) if rng.random() < 0.9 else random_value(rng, 5),
+                     rng.randrange(2) if rng.random() < 0.9 else rng.getrandbits(32))
+                    for _ in range(1000)]
         runs = [rng.choice(EDGE_RUNS) if rng.random() < 0.1 else rng.randrange(500)
-                for _ in roots]
-        seeds, keys = run_keys(roots, algos, runs)
+                for _ in range(30)]
+        seeds, keys = run_keys(prefixes, runs)
         assert seeds.dtype == np.uint64 and keys.dtype == np.uint64
-        assert keys.shape == (len(roots), 2)
-        for i, (root, algo, run) in enumerate(zip(roots, algos, runs)):
-            seed = int(seeds[i])
-            assert seed == derive_seed(root, algo, run), (root, algo, run)
-            assert keys[i].tolist() == oracles.reference_key(seed), (root, algo, run)
+        assert seeds.shape == (len(prefixes), len(runs))
+        assert keys.shape == (len(prefixes), len(runs), 2)
+        for p, (root, algo) in enumerate(prefixes):
+            for i, run in enumerate(runs):
+                seed = int(seeds[p, i])
+                assert seed == derive_seed(root, algo, run), (root, algo, run)
+                assert keys[p, i].tolist() == oracles.reference_key(seed), (root, algo, run)
 
     def test_edge_roots_and_run_indices(self):
         # a root wider than the pool changes the hash constant of the prefix
-        triples = [(root, algo, run) for root in EDGE_ROOTS for algo in (0, 1)
-                   for run in EDGE_RUNS]
-        seeds, keys = run_keys(*zip(*triples))
-        for (root, algo, run), seed, key in zip(triples, seeds.tolist(), keys.tolist()):
-            assert seed == oracles.seed_sequence_seed(root, algo, run)
-            assert key == oracles.reference_key(seed)
-            assert list(generator_key(seed)) == key
+        prefixes = [(root, algo) for root in EDGE_ROOTS for algo in (0, 1)]
+        seeds, keys = run_keys(prefixes, EDGE_RUNS)
+        for (root, algo), row_seeds, row_keys in zip(prefixes, seeds.tolist(), keys.tolist()):
+            for run, seed, key in zip(EDGE_RUNS, row_seeds, row_keys):
+                assert seed == oracles.seed_sequence_seed(root, algo, run)
+                assert key == oracles.reference_key(seed)
+                assert list(generator_key(seed)) == key
 
     def test_wide_roots_and_algorithm_indices(self):
         # a key word beyond the first moves the prefix's hash constant too
-        triples = [(root, algo, run) for root in (5, 2 ** 64 - 1, 2 ** 200)
-                   for algo in (2 ** 32, 2 ** 70, 2 ** 130) for run in (0, 9)]
-        seeds, _ = run_keys(*zip(*triples))
-        assert seeds.tolist() == [oracles.seed_sequence_seed(*t) for t in triples]
+        prefixes = [(root, algo) for root in (5, 2 ** 64 - 1, 2 ** 200)
+                    for algo in (2 ** 32, 2 ** 70, 2 ** 130)]
+        seeds, _ = run_keys(prefixes, (0, 9))
+        assert seeds.tolist() == [[oracles.seed_sequence_seed(root, algo, run)
+                                   for run in (0, 9)] for root, algo in prefixes]
 
-    def test_one_prefix_block_matches_a_mixed_block(self):
+    def test_each_prefix_row_equals_that_prefix_alone(self):
+        # repeated prefixes included: rows never mix
         runs = np.arange(7, 40)
-        alone = run_keys([99] * runs.size, [1] * runs.size, runs)
-        mixed = run_keys([99, 5] * runs.size, [1, 0] * runs.size, np.repeat(runs, 2))
-        assert alone[0].tolist() == mixed[0][0::2].tolist()
-        assert alone[1].tolist() == mixed[1][0::2].tolist()
+        prefixes = [(99, 1), (5, 0), (99, 1), (2 ** 70, 3)]
+        seeds, keys = run_keys(prefixes, runs)
+        for p, prefix in enumerate(prefixes):
+            alone_seeds, alone_keys = run_keys([prefix], runs)
+            assert seeds[p].tolist() == alone_seeds[0].tolist()
+            assert keys[p].tolist() == alone_keys[0].tolist()
 
     def test_empty_block(self):
-        seeds, keys = run_keys([], [], [])
-        assert seeds.shape == (0,) and keys.shape == (0, 2)
+        for prefixes, runs in (([], []), ([(1, 0)], []), ([], [0, 1])):
+            seeds, keys = run_keys(prefixes, runs)
+            assert seeds.shape == (len(prefixes), len(runs))
+            assert keys.shape == (len(prefixes), len(runs), 2)
 
     def test_refuses_a_run_index_beyond_one_word(self):
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            run_keys([1], [0], [2 ** 32])
-
-    def test_refuses_sequences_of_different_lengths(self):
-        with pytest.raises(ValueError, match="same length"):
-            run_keys([1, 2], [0, 0], [0])
+            run_keys([(1, 0)], [2 ** 32])
 
     def test_concurrent_blocks_agree(self):
         # more threads than cores and more (root, algo) prefixes than the
         # prefix cache holds, in small blocks, so lookups, inserts and
         # evictions interleave; neighbouring threads share prefixes
-        jobs = [(root, algo, run) for root in range(2100) for algo in range(2)
-                for run in range(3)]
-        expected = [oracles.seed_sequence_seed(*job) for job in jobs]
+        prefixes = [(root, algo) for root in range(2100) for algo in range(2)]
+        runs = range(3)
+        expected = [[oracles.seed_sequence_seed(*prefix, run) for run in runs]
+                    for prefix in prefixes]
 
         def derive(share):
-            return [seed for k in range(0, len(share), 50)
-                    for seed in run_keys(*zip(*share[k:k + 50]))[0].tolist()]
+            return [row for k in range(0, len(share), 17)
+                    for row in run_keys(share[k:k + 17], runs)[0].tolist()]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [pool.submit(derive, jobs[k::8]) for k in range(8)]
+                futures = [pool.submit(derive, prefixes[k::8]) for k in range(8)]
                 got = [f.result(timeout=60) for f in futures]
         finally:
             sys.setswitchinterval(interval)
         for k in range(8):
             assert got[k] == expected[k::8]
+
+
+class TestFirstStages:
+    def test_each_instance_gets_both_algorithms_first_runs(self):
+        # 600 instances at n0 = 4 span more than one kernel chunk
+        instance_seeds = [derive_seed(77, 1, k) for k in range(600)]
+        stages = list(first_stages(instance_seeds, 4))
+        assert len(stages) == len(instance_seeds)
+        for seed, (seeds, keys) in zip(instance_seeds[::37], stages[::37]):
+            assert seeds.shape == (2, 4) and keys.shape == (2, 4, 2)
+            assert seeds.tolist() == [[derive_seed(seed, algo, run) for run in range(4)]
+                                      for algo in (0, 1)]
+            assert keys.tolist() == [[list(generator_key(s)) for s in row]
+                                     for row in seeds.tolist()]
+
+    def test_a_chunk_is_derived_when_its_first_instance_is_asked_for(self, monkeypatch):
+        calls = []
+        kernel = seeding_module.run_keys
+        monkeypatch.setattr(seeding_module, "run_keys",
+                            lambda prefixes, runs: calls.append(len(prefixes))
+                            or kernel(prefixes, runs))
+        stages = first_stages(list(range(600)), 4)
+        next(stages)
+        chunk = seeding_module._FIRST_STAGE_RUNS // 8
+        assert calls == [2 * chunk]
+        for _ in range(chunk):
+            next(stages)
+        assert calls == [2 * chunk, 2 * (600 - chunk)]
 
 
 class TestKeptGenerator:
