@@ -13,11 +13,17 @@ statistical outcome of a test never affects the exit code.
 Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
 ``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
 both.
+
+The argument parser is built once per process, on the first ``main`` call,
+and reused: building it costs more than a ``design`` or ``power`` query.
+Parsing returns a fresh namespace each time and mutates no parser state,
+and the help text reads the terminal width when it is formatted.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -59,6 +65,7 @@ def _exit_code(exc: Exception) -> int:
                 EXIT_RUNNER)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="paircomp",
@@ -109,20 +116,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: Path, record: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _write_output(flag: str, path: Path, write, record) -> None:
+    """Write a command's output file before it prints anything, so that an
+    unwritable path leaves stdout empty; the error names the flag."""
+    try:
+        write(path, record)
+    except OSError as exc:
+        raise ConfigError(f"{flag}: cannot write {path}: {exc}") from None
+
+
 def _cmd_design(args) -> int:
     design = parse_design({key: getattr(args, key) for key in (
         "alpha", "power", "d", "delta", "sigma_bound", "alternative", "test")
         if getattr(args, key) is not None})
     result = calc_instances(design)
-    print(render_size_result(result))
     if args.out:
-        args.out.parent.mkdir(parents=True, exist_ok=True)
-        args.out.write_text(json.dumps({
+        _write_output("--out", args.out, _write_json, {
             "n_instances": result.n_instances,
             "achieved_power": result.achieved_power,
             "test_family": result.test_family.value,
             "ncp_at_n": result.ncp_at_n,
-        }, sort_keys=True) + "\n")
+        })
+    print(render_size_result(result))
     return EXIT_OK
 
 
@@ -141,11 +161,10 @@ def _cmd_power(args) -> int:
                           f"{'--d-range' if single else '--d'} only")
     if single:
         power = calc_power(args.n, args.d, args.alpha, alternative)
-        print(f"power: {power:.7g}")
         if args.out:
-            args.out.parent.mkdir(parents=True, exist_ok=True)
-            args.out.write_text(json.dumps(
-                {"n": args.n, "d": args.d, "power": power}, sort_keys=True) + "\n")
+            _write_output("--out", args.out, _write_json,
+                          {"n": args.n, "d": args.d, "power": power})
+        print(f"power: {power:.7g}")
         return EXIT_OK
 
     try:
@@ -163,9 +182,10 @@ def _cmd_power(args) -> int:
             raise ConfigError(f"--highlights: power level {fmt(level)} is not in (0, 1)")
     points = 300 if args.points is None else args.points
     curve = power_curve(args.n, args.alpha, alternative, d_range, points)
+    if args.curve_out:
+        _write_output("--curve-out", args.curve_out, write_power_curve, curve)
     print(f"curve points: {len(curve)}")
     if args.curve_out:
-        write_power_curve(args.curve_out, curve)
         print(f"curve records written to {args.curve_out}")
     else:
         for d, p in curve:

@@ -123,6 +123,13 @@ def _check_n_alpha(n_instances: int, alpha: float) -> int:
     return n
 
 
+def _check_ncp(n: int, d: float) -> None:
+    # a Python float product overflows to inf silently
+    if not math.isfinite(d * math.sqrt(n)):
+        raise ValueError(f"effect size d={d!r} with N={n} instances makes the "
+                         f"noncentrality d*sqrt(N) overflow a float")
+
+
 def calc_power(n_instances: int, d: float, alpha: float,
                alternative: Alternative) -> float:
     """Probability of rejecting the null at effect size ``d`` with N instances.
@@ -134,6 +141,7 @@ def calc_power(n_instances: int, d: float, alpha: float,
     d = float(d)
     if d < 0.0 or not math.isfinite(d):
         raise ValueError(f"effect size d must be a nonnegative finite real, got {d!r}")
+    _check_ncp(n, d)
     return _power(n, d, alpha, Alternative(alternative))
 
 
@@ -148,6 +156,7 @@ def calc_instances(design: ComparisonDesign) -> SampleSizeResult:
     """
     d, target = design.mres_d, design.power_target
 
+    _check_ncp(2, d)
     lo, hi = 1, 2
     while _power(hi, d, design.alpha, design.alternative) < target:
         lo = hi
@@ -167,6 +176,7 @@ def calc_instances(design: ComparisonDesign) -> SampleSizeResult:
     divisor = ARE_DIVISOR[design.test_family]
     # guard against float fuzz in the division before taking the ceiling
     n = n_t if divisor == 1.0 else math.ceil(round(n_t / divisor, 9))
+    _check_ncp(n, d)
     return SampleSizeResult(
         n_instances=n,
         achieved_power=_power(n, d, design.alpha, design.alternative),
@@ -187,15 +197,20 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
     """
     n = _check_n_alpha(n_instances, alpha)
     d_lo, d_hi = float(d_range[0]), float(d_range[1])
-    if not (0.0 < d_lo < d_hi):
-        raise ValueError(f"need 0 < d_lo < d_hi, got {d_range!r}")
+    if not (0.0 < d_lo < d_hi < math.inf):
+        raise ValueError(f"need 0 < d_lo < d_hi < inf, got {d_range!r}")
+    _check_ncp(n, d_hi)
     n_points = int(n_points)
     if n_points < 2:
         raise ValueError(f"at least 2 curve points are required, got {n_points!r}")
     alternative = Alternative(alternative)
     step = (d_hi - d_lo) / (n_points - 1)
-    ds = d_lo + np.arange(n_points) * step
-    return list(zip(ds.tolist(), _power(n, ds, alpha, alternative).tolist()))
+    # the last point may round above d_hi; an ncp that then overflows is
+    # refused by the noncentral-t CDF, without a numpy warning
+    with np.errstate(over="ignore"):
+        ds = d_lo + np.arange(n_points) * step
+        power = _power(n, ds, alpha, alternative)
+    return list(zip(ds.tolist(), power.tolist()))
 
 
 def curve_highlights(curve: list[tuple[float, float]],

@@ -21,13 +21,19 @@ and makes a reported estimate, interval or resampled mean infinite, the
 test or the diagnostics raise ``DegenerateDataError`` instead, as do the
 Wilcoxon and sign tests where a difference from ``mu0`` overflows.
 
-The sign test imports ``scipy.stats`` on first use, not at module level,
-since most processes never run it and the import is slow.  Its p-value and
-interval keep ``scipy.stats.binom``: no public ``scipy.special`` function
-reproduces ``binom.cdf(k, n, 1/2)`` bit for bit.  Over every (k, n) with
-n <= 3000, ``bdtr`` differs in 3.8M of 4.5M cases,
-``betaincc(k + 1, n - k, 1/2)`` in 1.9M and ``betainc(n - k, k + 1, 1/2)``
-in 1347, and changing the p-value's last bits would change the outputs.
+The sign test takes its Binomial(n, 1/2) tails from the Boost ufuncs
+``scipy.special._ufuncs._binom_cdf`` and ``_binom_sf``, which load with
+``scipy.special``, so no command imports ``scipy.stats``.  They are what
+``scipy.stats.binom._cdf`` and ``_sf`` call, with ``floor(k)``, and
+``_binom_half_cdf`` / ``_binom_half_sf`` add ``rv_discrete``'s boundary
+rules (the cdf is 1 at k >= n, the sf is 1 at k < 0, both clipped to
+[0, 1]), so the p-value and interval equal those from
+``binom.cdf(k, n, 1/2)`` and ``binom.sf(k, n, 1/2)`` bit for bit.  No
+public ``scipy.special`` function does: over every (k, n) with n <= 3000,
+``bdtr`` differs in 3.8M of 4.5M cases, and changing the p-value's last
+bits would change the outputs.  The ufuncs are private, so
+``test_hypotests::TestSignTest::test_binomial_tail_matches_scipy_stats``
+pins both tails against ``scipy.stats.binom``.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
+from scipy.special import _ufuncs
 
 from .design import Alternative, TestFamily
 from .distributions import t_cdf, t_quantile
@@ -345,16 +352,14 @@ def sign_test(phis, mu0: float, alpha: float,
     taken in floating point so any n works.  The estimate is the sample
     median with a conservative order-statistic interval.
     """
-    from scipy.stats import binom  # see the module docstring
-
     arr = _as_array(phis, 1, "sign_test")
     alternative = Alternative(alternative)
     d, warnings = _nonzero_differences(arr, mu0, "sign")
     n = d.size
     k = int((d > 0.0).sum())
-    lower = float(binom.cdf(k, n, 0.5))
+    lower = float(_binom_half_cdf(k, n))
     if alternative is Alternative.TWO_SIDED:
-        upper = float(binom.sf(k - 1, n, 0.5))
+        upper = float(_binom_half_sf(k - 1, n))
         p = min(1.0, 2.0 * min(lower, upper))
     else:
         p = lower
@@ -371,13 +376,21 @@ def sign_test(phis, mu0: float, alpha: float,
                       warnings=warnings)
 
 
-def _sign_interval(arr: np.ndarray, alpha: float) -> tuple[float, float]:
-    from scipy.stats import binom
+def _binom_half_cdf(k, n: int):
+    """P(X <= k) for X ~ Binomial(n, 1/2), as ``scipy.stats.binom.cdf``."""
+    return np.where(k >= n, 1.0, np.clip(_ufuncs._binom_cdf(k, n, 0.5), 0.0, 1.0))
 
+
+def _binom_half_sf(k: int, n: int):
+    """P(X > k) for X ~ Binomial(n, 1/2), as ``scipy.stats.binom.sf``."""
+    return 1.0 if k < 0 else np.clip(_ufuncs._binom_sf(k, n, 0.5), 0.0, 1.0)
+
+
+def _sign_interval(arr: np.ndarray, alpha: float) -> tuple[float, float]:
     srt = np.sort(arr)
     n = srt.size
     # largest l with P(X < l) <= alpha/2 under Binomial(n, 1/2)
-    l = int(np.searchsorted(binom.cdf(np.arange(n), n, 0.5), alpha / 2.0,
+    l = int(np.searchsorted(_binom_half_cdf(np.arange(n), n), alpha / 2.0,
                             side="right"))
     if l == 0:
         return float(srt[0]), float(srt[-1])

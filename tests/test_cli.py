@@ -3,7 +3,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import textwrap
@@ -14,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from paircomp.cli import main
+import paircomp
+from paircomp.cli import _build_parser, main
 from paircomp.reporting import fmt
 
 
@@ -108,6 +111,18 @@ class TestDesignCommand:
                                "--alpha", "0.05")
         assert code == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("d, test, n", [
+        ("1e308", "sign", 4), ("1.7e308", "t", 2)])
+    def test_overflowing_noncentrality_is_refused(self, capsys, d, test, n):
+        # the t-test count is 2 at any huge d; the sign count divides it by 0.637
+        code, out, err = run_cli(capsys, "design", "--power", "0.8", "--d", d,
+                                 "--alpha", "0.05", "--test", test)
+        assert code == 2
+        assert err.splitlines() == [
+            f"error: effect size d={float(d)!r} with N={n} instances makes the "
+            f"noncentrality d*sqrt(N) overflow a float"]
+        assert out == ""
 
     def test_delta_without_bound_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "design", "--power", "0.85",
@@ -254,6 +269,23 @@ class TestPowerCommand:
         flag = "--points" if "--points" in argv else "--n"
         assert code == 2
         assert err.splitlines() == [f"error: {flag} is beyond the range of a float"]
+        assert out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--d-range", "0.1:inf", "--points", "3"],
+         "need 0 < d_lo < d_hi < inf, got (0.1, inf)"),
+        (["--d-range", "0.1:1e308", "--points", "3"],
+         "effect size d=1e+308 with N=30 instances makes the noncentrality "
+         "d*sqrt(N) overflow a float"),
+        (["--d", "1e308"],
+         "effect size d=1e+308 with N=30 instances makes the noncentrality "
+         "d*sqrt(N) overflow a float"),
+    ], ids=["infinite-range", "overflowing-range", "overflowing-d"])
+    def test_effect_size_beyond_float_range_is_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "power", "--n", "30", "--alpha", "0.05",
+                                 *argv)
+        assert code == 2
+        assert err.splitlines() == [f"error: {message}"]
         assert out == ""
 
     def test_unreached_level_is_reported(self, capsys, tmp_path):
@@ -1022,24 +1054,90 @@ algorithms:
         assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["run", "--config", "{config}", "--output-dir", "{file}"],
-    ["design", "--alpha", "0.05", "--power", "0.8", "--d", "0.5",
-     "--out", "{file}/x.json"],
-    ["power", "--n", "20", "--d-range", "0.1:0.5", "--alpha", "0.05",
-     "--curve-out", "{file}/c.csv"],
-], ids=["run-output-dir", "design-out", "power-curve-out"])
-def test_unwritable_output_path_exits_two(capsys, tmp_path, argv):
+@pytest.mark.parametrize("argv, flag", [
+    (["run", "--config", "{config}", "--output-dir", "{file}"], None),
+    (["design", "--alpha", "0.05", "--power", "0.8", "--d", "0.5",
+      "--out", "{file}/x.json"], "--out"),
+    (["power", "--n", "20", "--d", "0.3", "--alpha", "0.05",
+      "--out", "{file}/p.json"], "--out"),
+    (["power", "--n", "20", "--d-range", "0.1:0.5", "--highlights", "0.5",
+      "--alpha", "0.05", "--curve-out", "{file}/c.csv"], "--curve-out"),
+], ids=["run-output-dir", "design-out", "power-out", "power-curve-out"])
+def test_unwritable_output_path_exits_two(capsys, tmp_path, argv, flag):
     # a regular file where a directory must be
     blocker = tmp_path / "file"
     blocker.write_text("")
     cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
-    code, _, err = run_cli(capsys, *(arg.format(config=cfg, file=blocker)
-                                     for arg in argv))
+    code, out, err = run_cli(capsys, *(arg.format(config=cfg, file=blocker)
+                                       for arg in argv))
     assert code == 2
+    # the output file is written before any result is printed
+    assert out == ""
     [line] = err.splitlines()
     assert line.startswith("error: ") and str(blocker) in line
+    if flag:
+        assert line.startswith(f"error: {flag}: cannot write {blocker}/")
     assert blocker.read_text() == ""
+
+
+def test_parser_is_built_once_per_process():
+    assert _build_parser() is _build_parser()
+
+
+# runs the command lines given as a JSON list in turn, in one process, and
+# prints each one's exit code, stdout and stderr
+CALL_IN_TURN = """
+import contextlib, io, json, sys
+from paircomp.cli import main
+
+def call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+print(json.dumps([call(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+POWER_D = ["power", "--n", "30", "--d", "0.5", "--alpha", "0.05", "--out", "p.json"]
+CALLS_IN_TURN = [
+    ["--help"], ["design", "--help"], POWER_D,
+    ["power", "--n", "30", "--d-range", "0.1:0.9", "--points", "20",
+     "--highlights", "0.5,0.8", "--alpha", "0.05", "--curve-out", "c.csv"],
+    ["design", "--alpha", "0.05", "--power", "0.8", "--d", "0.5", "--test", "sign",
+     "--out", "d.json"],
+    ["power", "--n", "many", "--alpha", "0.05"],
+    POWER_D, ["design", "--help"], ["--help"],
+]
+
+
+def test_calls_in_one_process_equal_calls_in_fresh_ones(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+
+    def call_in_turn(calls, cwd):
+        cwd.mkdir()
+        proc = subprocess.run([sys.executable, "-c", CALL_IN_TURN, json.dumps(calls)],
+                              cwd=cwd, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout), {p.name: p.read_bytes() for p in cwd.iterdir()}
+
+    together, together_files = call_in_turn(CALLS_IN_TURN, tmp_path / "together")
+    assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 2, 0, 0, 0]
+    alone_files = {}
+    for i, argv in enumerate(CALLS_IN_TURN):
+        if argv in CALLS_IN_TURN[:i]:
+            continue
+        [alone], files = call_in_turn([argv], tmp_path / f"alone-{i}")
+        assert [r for a, r in zip(CALLS_IN_TURN, together) if a == argv] == \
+            [alone] * CALLS_IN_TURN.count(argv), argv
+        alone_files.update(files)
+    assert together_files == alone_files
 
 
 @pytest.fixture(scope="module")

@@ -8,8 +8,9 @@ from scipy import stats
 from paircomp.design import Alternative
 from paircomp.distributions import t_quantile
 from paircomp.errors import DegenerateDataError
-from paircomp.hypotests import (_walsh_stats, build_diagnostics, paired_t_test,
-                                qq_normal, sign_test, wilcoxon_signed_rank)
+from paircomp.hypotests import (_binom_half_cdf, _binom_half_sf, _walsh_stats,
+                                build_diagnostics, paired_t_test, qq_normal,
+                                sign_test, wilcoxon_signed_rank)
 
 import oracles
 
@@ -319,6 +320,18 @@ class TestSignTest:
         rep = sign_test(values, mu0=0.0, alpha=0.05, alternative=ONE)
         assert rep.p_value == oracles.sign_test_enumeration(1, 8, "less")
         assert rep.p_value < 0.05
+
+    def test_binomial_tail_matches_scipy_stats(self):
+        # the tails come from private scipy.special ufuncs; they must stay
+        # the ones scipy.stats.binom calls, bit for bit, scalar and array
+        for n in [*range(1, 401), 1023, 1024, 1025, 1100, 3000]:
+            ks = np.arange(n + 1)
+            cdf = np.array([_binom_half_cdf(k, n) for k in range(n + 1)], dtype=float)
+            sf = np.array([_binom_half_sf(k - 1, n) for k in range(n + 1)], dtype=float)
+            assert cdf.tobytes() == stats.binom.cdf(ks, n, 0.5).tobytes(), n
+            assert (_binom_half_cdf(ks[:-1], n).tobytes()
+                    == stats.binom.cdf(ks[:-1], n, 0.5).tobytes()), n
+            assert sf.tobytes() == stats.binom.sf(ks - 1, n, 0.5).tobytes(), n
 
     @pytest.mark.parametrize("alternative", [TWO, ONE])
     def test_large_n_matches_big_int_oracle(self, alternative):
