@@ -1129,14 +1129,13 @@ def test_calls_in_one_process_equal_calls_in_fresh_ones(tmp_path):
 
     together, together_files = call_in_turn(CALLS_IN_TURN, tmp_path / "together")
     assert [code for code, _, _ in together] == [0, 0, 0, 0, 0, 2, 0, 0, 0]
-    alone_files = {}
-    for i, argv in enumerate(CALLS_IN_TURN):
-        if argv in CALLS_IN_TURN[:i]:
-            continue
-        [alone], files = call_in_turn([argv], tmp_path / f"alone-{i}")
-        assert [r for a, r in zip(CALLS_IN_TURN, together) if a == argv] == \
-            [alone] * CALLS_IN_TURN.count(argv), argv
-        alone_files.update(files)
+    alone, alone_files = {}, {}
+    for i, (argv, result) in enumerate(zip(CALLS_IN_TURN, together)):
+        key = json.dumps(argv)
+        if key not in alone:
+            [alone[key]], files = call_in_turn([argv], tmp_path / f"alone-{i}")
+            alone_files.update(files)
+        assert result == alone[key], argv
     assert together_files == alone_files
 
 
