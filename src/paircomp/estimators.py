@@ -15,11 +15,17 @@ The total-run-minimizing allocation keeps n1/n2 at s1/s2 (simple) or
 sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A bootstrap of
 ``resamples`` draws under an integer ``seed`` provides a nonparametric
 alternative for the standard errors and, separately, a resampled
-sampling-distribution-of-the-mean for normality diagnostics.  The
-bootstrap SE memoises its first side: the resampled baseline means
-depend only on ``seed``, ``resamples`` and the baseline observations, so
-an allocation step that adds a run to the second algorithm reuses them.
-Results are bit-identical to drawing them afresh.
+sampling-distribution-of-the-mean for normality diagnostics.
+
+The bootstrap SE draws what ``Generator.integers`` on
+``make_generator(seed)`` would draw, but from the seed's cached 32-bit
+word stream (``seeding.philox_words``, at most 2 MiB of words in all):
+every evaluation for one instance reads a prefix of the same stream, so
+its words are generated once and mapped to indices by numpy's own rule.
+It also memoises its first side: the resampled baseline means depend
+only on ``seed``, ``resamples`` and the baseline observations, so an
+allocation step that adds a run to the second algorithm reuses them.
+Results are bit-identical to drawing them afresh from a new generator.
 
 Every percent estimator (phi, the parametric SE and the bootstrap SE)
 refuses a nonpositive baseline mean with the same
@@ -40,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .seeding import generator_key, kept_generator, make_generator
+from .seeding import make_generator, philox_words
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
@@ -217,7 +223,7 @@ def _check_resamples(resamples: int) -> None:
                          f"required, got {resamples!r}")
 
 
-# index elements drawn per ``rng.integers`` call: every bootstrap SE with
+# index elements drawn per ``rng.integers`` call: every bootstrap SDM with
 # R * n <= 999 * 262 draws in one call, and a resample of N values holds
 # O(N) memory at any N
 _DRAW_CHUNK = 1 << 18
@@ -240,17 +246,66 @@ def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
     return means
 
 
-@lru_cache(maxsize=64)
-def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, dict]:
-    """Resampled means of the first side and the generator state after them.
+def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, int]:
+    """``count`` indices below ``n``, drawn from word ``pos`` on of the
+    seed's word stream, and the word position after them.
 
-    They are drawn from the thread's kept generator, which the caller goes
-    on drawing from; the state is a copy, so the memo never aliases it.
+    This is numpy's rule for ``Generator.integers(0, n)`` with n <= 2**32
+    (Lemire's): a word w gives m = w * n in 64 bits and the index m >> 32,
+    and it is rejected, and the next word tried, while m mod 2**32 <
+    2**32 mod n.  At n = 2**32 the index is the word itself, as numpy's
+    path without rejection gives.  So the indices, and the position,
+    are those of ``integers(0, n, count)`` on a generator that has drawn
+    ``pos`` words.
     """
-    rng = kept_generator(generator_key(seed))
-    m1 = _resample_means(rng, np.frombuffer(x1_bytes), resamples)
+    if not 2 <= n <= 1 << 32:
+        raise ValueError(f"indices below n need 2 <= n <= 2**32, got n={n}")
+    threshold = (1 << 32) % n
+    parts = []
+    while count:
+        m = philox_words(seed, pos, pos + count).astype(np.uint64)
+        m *= n
+        pos += count
+        if threshold:
+            keep = m.astype(np.uint32) >= threshold
+            if not keep.all():
+                m = m[keep]
+        m >>= 32
+        parts.append(m)
+        count -= m.size
+    indices = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return indices.view(np.int64), pos
+
+
+# indices gathered per block of rows, so a resample of N values holds
+# O(N) memory at any N
+_GATHER_CHUNK = 1 << 15
+
+
+def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
+    """``_resample_means`` on a generator of ``seed`` that has drawn
+    ``pos`` words, read from the word stream: the same means, and the
+    word position after them."""
+    n = x.size
+    rows = max(1, _GATHER_CHUNK // n)
+    means = np.empty(count)
+    for start in range(0, count, rows):
+        stop = min(start + rows, count)
+        indices, pos = _word_indices(seed, pos, n, (stop - start) * n)
+        means[start:stop] = x.take(indices).reshape(stop - start, n).mean(axis=1)
+    return means, pos
+
+
+@lru_cache(maxsize=64)
+def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, int]:
+    """Resampled means of the first side and the word position after them.
+
+    They are read from the seed's word stream at position 0; the second
+    side goes on from the returned position.
+    """
+    m1, pos = _word_means(seed, np.frombuffer(x1_bytes), resamples, 0)
     m1.flags.writeable = False
-    return m1, rng.bit_generator.state
+    return m1, pos
 
 
 def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> float:
@@ -265,12 +320,14 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     more than 100*R rejections abort.  Values whose resampled sums or
     squares overflow a float give an inf or nan SE, without a warning.
 
-    The first side's resampled means, and the generator state after them,
-    are memoised on ``(seed, resamples, x1)`` with the exact observation
-    bytes in the key.  A call whose first side repeats draws
-    only the second side; the result is the same to the last bit.  Both
-    sides come from the thread's kept generator (see
-    :mod:`paircomp.seeding`), restored to the memoised state.
+    The indices are those ``Generator.integers`` would draw, one call
+    after another, from ``make_generator(seed)``.  They are read from the
+    seed's cached word stream (``seeding.philox_words``), so the words
+    are generated once for all of an instance's evaluations.  The first
+    side's resampled means, and the word position after them, are
+    memoised on ``(seed, resamples, x1)`` with the exact observation bytes
+    in the key.  A call whose first side repeats draws only the second
+    side; the result is the same to the last bit.
     """
     _check_resamples(resamples)
     _require_runs(s1, 2, "bootstrap_se")
@@ -285,11 +342,8 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
 
 
 def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
-    m1, state = _first_side(seed, R, x1.tobytes())
-    rng = kept_generator()
-    rng.bit_generator.state = state
-
-    m2 = _resample_means(rng, x2, R)
+    m1, pos = _first_side(seed, R, x1.tobytes())
+    m2, pos = _word_means(seed, x2, R, pos)
     if diff_kind is DiffKind.PERCENT:
         m1 = m1.copy()  # the rejection loop redraws entries in place
         rejected = 0
@@ -302,8 +356,8 @@ def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
                     f"mean (limit {100 * R}); percent differences are not viable "
                     f"for this data")
             k = int(bad.sum())
-            m1[bad] = _resample_means(rng, x1, k)
-            m2[bad] = _resample_means(rng, x2, k)
+            m1[bad], pos = _word_means(seed, x1, k, pos)
+            m2[bad], pos = _word_means(seed, x2, k, pos)
             bad = m1 <= 0.0
         phis = (m2 - m1) / m1
     else:

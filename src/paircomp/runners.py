@@ -169,10 +169,10 @@ def bind(spec: AlgorithmSpec, instance: InstanceRef):
     Binding merges the spec's params, with their defaults, and the payload
     keys its kind reads, and raises ``ValueError`` naming the payload key
     at fault.  The run function takes a run seed and the key of that
-    seed's generator (as ``seeding.run_keys`` or ``seeding.generator_key``
-    gives it) and returns the run's performance value.  A value that is
-    not finite, such as a lognormal draw that overflows a float, raises
-    ``RunnerError`` naming the algorithm, the instance and the seed.
+    seed's generator (as ``seeding.run_keys`` gives it) and returns the
+    run's performance value.  A value that is not finite, such as a
+    lognormal draw that overflows a float, raises ``RunnerError`` naming
+    the algorithm, the instance and the seed.
     """
     run = _BINDERS[spec.kind](spec, instance)
 

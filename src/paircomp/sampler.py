@@ -26,8 +26,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import AssumptionViolationError
-from .estimators import (MIN_RESAMPLES, DiffKind, InstanceSample,
-                         PairedDifference, SEMethod, bootstrap_se,
+from .estimators import (DiffKind, InstanceSample, PairedDifference,
+                         SEMethod, _check_resamples, bootstrap_se,
                          phi_percent, phi_simple,
                          optimal_ratio_percent, optimal_ratio_simple,
                          se_percent, se_simple)
@@ -67,9 +67,7 @@ class SamplingConfig:
             raise ValueError(f"n_max={self.n_max!r} must be at least 2*n0={2 * self.n0}")
         if self.n_max >= 2 ** 32:
             raise ValueError(f"n_max must be below 2**32, got {self.n_max!r}")
-        if self.resamples < MIN_RESAMPLES:
-            raise ValueError(f"at least {MIN_RESAMPLES} bootstrap resamples are "
-                             f"required, got {self.resamples!r}")
+        _check_resamples(self.resamples)
 
 
 def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,

@@ -24,7 +24,7 @@ The key rule: ``make_generator(seed)`` is a Philox generator whose key is
 ``SeedSequence(seed).generate_state(2, np.uint64)`` and whose counter
 starts at 0.  Philox is counter-based, so key and counter set its whole
 stream, and a generator re-keyed to that key at counter 0 draws exactly
-what a new one would.  ``generator_key(seed)`` is that key.
+what a new one would.
 
 ``run_keys(prefixes, runs)`` is the block kernel: for a list of (instance
 seed, algorithm index) prefixes and one sequence of run indices, each
@@ -38,14 +38,23 @@ prefix cache is held to, and the sampler the later runs of an instance.
 SeedSequence's ``hashmix`` and ``mix`` steps have one implementation
 here: the kernel's, on ``uint32`` arrays where products wrap mod 2**32,
 vectorised over runs and over pool words.  Every scalar derivation
-(``derive_seed``, ``generator_key`` and the kernel's per-prefix state) is
-numpy's SeedSequence itself, and the tests pin the kernel to numpy.
+(``derive_seed`` and the kernel's per-prefix state) is numpy's
+SeedSequence itself, and the tests pin the kernel to numpy.
 
 ``kept_generator(key)`` re-keys the calling thread's one kept Philox
 generator and returns it, instead of building a generator.  It may be used
 only where the generator does not escape the call, since the thread's next
-call re-keys it: the synthetic and TSP runs and the bootstrap SE use it.
-Whatever keeps or returns a generator builds one with ``make_generator``.
+call re-keys it: the synthetic and TSP runs use it.  Whatever keeps or
+returns a generator builds one with ``make_generator``.
+
+``philox_words(seed, start, stop)`` is words [start, stop) of
+``make_generator(seed)``'s stream of 32-bit words, in the order numpy's
+32-bit draws read them: the low half of each 64-bit output, then the high
+half.  The bootstrap SE reads a prefix of one seed's words on every
+evaluation, so the words are generated a segment of ``_SEGMENT_WORDS`` at
+a time, the counter advanced to each segment's start, and the segments
+are cached: at most ``_WORD_CACHE_BYTES`` (2 MiB) of them, whatever the
+run budget, the resample count or the number of workers.
 """
 
 from __future__ import annotations
@@ -79,17 +88,6 @@ def derive_seed(root: int, *path: int) -> int:
     seq = np.random.SeedSequence(operator.index(root),
                                  spawn_key=tuple(map(operator.index, path)))
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-@lru_cache(maxsize=1024)
-def generator_key(seed: int) -> tuple[int, int]:
-    """Key of the Philox generator ``make_generator(seed)`` builds.
-
-    Cached: the bootstrap SE asks for its one seed's key whenever its memo
-    of the first side's resamples misses, so after a run of the first
-    algorithm, not after every run.
-    """
-    return tuple(np.random.SeedSequence(int(seed)).generate_state(2, np.uint64).tolist())
 
 
 # A hashmix step XORs a value with the running hash constant and multiplies
@@ -178,8 +176,8 @@ def run_keys(prefixes, runs) -> tuple[np.ndarray, np.ndarray]:
     For a sequence of P (instance seed, algorithm index) prefixes and a
     sequence of R run indices (each below 2**32), returns ``seeds`` of
     shape (P, R) with ``seeds[p, i] == derive_seed(*prefixes[p], runs[i])``
-    and ``keys`` of shape (P, R, 2) with ``keys[p, i] ==
-    generator_key(seeds[p, i])``, both ``uint64``.
+    and ``keys`` of shape (P, R, 2) with ``keys[p, i]`` the key of
+    ``make_generator(seeds[p, i])``, both ``uint64``.
     """
     runs = np.asarray(runs, dtype=np.uint64)
     if runs.size and int(runs.max()) > _MASK32:
@@ -228,20 +226,47 @@ _kept = threading.local()
 _ZEROS = (0, 0, 0, 0)
 
 
-def kept_generator(key=None) -> np.random.Generator:
+def kept_generator(key) -> np.random.Generator:
     """The calling thread's kept Philox generator, re-keyed to ``key``.
 
-    With a key (a pair of 64-bit words, as ``generator_key`` and
-    ``run_keys`` give), the generator restarts at counter 0 under it and
-    draws what ``make_generator`` of the key's seed would.  Without one it
-    is returned as it is, for a caller that sets its state.  The thread's
-    next call re-keys it, so it must not escape the caller.
+    ``key`` is a pair of 64-bit words, as ``run_keys`` gives it.  The
+    generator restarts at counter 0 under it and draws what
+    ``make_generator`` of the key's seed would.  The thread's next call
+    re-keys it, so it must not escape the caller.
     """
     rng = getattr(_kept, "rng", None)
     if rng is None:
         rng = _kept.rng = np.random.Generator(np.random.Philox(0))
-    if key is not None:
-        rng.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
+        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
+
+
+# 32-bit words per cached segment: 2**15 64-bit outputs, 2**13 Philox
+# counter blocks of four outputs each
+_SEGMENT_WORDS = 1 << 16
+_WORD_CACHE_BYTES = 2 << 20
+
+
+@lru_cache(maxsize=_WORD_CACHE_BYTES // (4 * _SEGMENT_WORDS))
+def _segment(seed: int, index: int) -> np.ndarray:
+    """Words [index * S, (index + 1) * S) of the seed's stream, S =
+    ``_SEGMENT_WORDS``; read-only, as every caller shares it."""
+    bits = make_generator(seed).bit_generator
+    bits.advance(index * _SEGMENT_WORDS // 8)
+    words = bits.random_raw(_SEGMENT_WORDS // 2).astype("<u8", copy=False).view("<u4")
+    words.flags.writeable = False
+    return words
+
+
+def philox_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream, in
+    the order its 32-bit draws read them; read-only."""
+    first, offset = divmod(start, _SEGMENT_WORDS)
+    last = (stop - 1) // _SEGMENT_WORDS
+    if last <= first:
+        words = _segment(seed, first)
+    else:
+        words = np.concatenate([_segment(seed, k) for k in range(first, last + 1)])
+    return words[offset:offset + stop - start]

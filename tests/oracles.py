@@ -24,7 +24,6 @@ from paircomp.distributions import t_quantile
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import InstanceSample
 from paircomp.runners import bind
-from paircomp.seeding import generator_key
 
 
 def t_density(x: float, df: float) -> float:
@@ -238,7 +237,7 @@ def instance_sample(values) -> InstanceSample:
 def run_once(spec, instance, seed: int) -> float:
     """One run of ``spec`` on ``instance``: the bound run, called with the
     seed and its generator key."""
-    return bind(spec, instance)(seed, generator_key(seed))
+    return bind(spec, instance)(seed, reference_key(seed))
 
 
 def fieller_coefficients(s1, s2) -> tuple[float, float]:

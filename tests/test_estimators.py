@@ -1,6 +1,7 @@
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,15 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paircomp.seeding as seeding_module
 from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
-                                 _first_side, _resample_means,
+                                 _first_side, _resample_means, _word_indices,
+                                 _word_means,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
                                  se_simple)
-from paircomp.sampler import SamplingConfig
+from paircomp.sampler import SamplingConfig, calc_nreps
+from paircomp.seeding import philox_words
 
 import oracles
 
@@ -450,18 +454,24 @@ class TestBootstrapSDM:
 
 class TestChunkedResampling:
     """Drawing the resample indices a block of rows at a time gives the
-    draws, the means and the generator state of one (R, n) draw."""
+    draws and the means of one (R, n) draw: ``_resample_means`` leaves the
+    generator in that draw's state, and ``_word_means`` returns the word
+    position that state has reached."""
 
     @staticmethod
     def assert_as_one_draw(x, resamples, seed):
         rng, ref = oracles.reference_generator(seed), oracles.reference_generator(seed)
         # start both mid-way through a 64-bit output, as an odd R * n leaves them
-        rng.integers(0, 3, 1)
-        ref.integers(0, 3, 1)
-        got = _resample_means(rng, x, resamples)
+        rng.integers(0, 2 ** 32, 1)
+        ref.integers(0, 2 ** 32, 1)
         want = oracles.resample_means(ref, x, resamples)
+        got = _resample_means(rng, x, resamples)
         assert got.tobytes() == want.tobytes()
         assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+        means, pos = _word_means(seed, x, resamples, 1)
+        assert means.tobytes() == want.tobytes()
+        # the generator's next word is the one at the returned position
+        assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
 
     @pytest.mark.parametrize("n, resamples", [(262, 1000), (256, 1024), (263, 999)],
                              ids=["below", "at", "above-odd"])
@@ -475,11 +485,101 @@ class TestChunkedResampling:
                               oracles.resample_means(oracles.reference_generator(7),
                                                      x, resamples))
 
+    @pytest.mark.parametrize("n, resamples", [(32, 1023), (32, 1024), (33, 993)],
+                             ids=["below", "at", "above-odd"])
+    def test_gather_chunk_edges(self, n, resamples):
+        # the same about the word stream's gather chunk; 33 * 993 is odd
+        assert (n * resamples > estimators._GATHER_CHUNK) == (n == 33)
+        x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+        for seed in (1, 2, 3):
+            self.assert_as_one_draw(x, resamples, seed)
+
     @pytest.mark.parametrize("chunk", [1, 7, 64, 301])
     def test_any_chunk(self, monkeypatch, chunk):
         # chunks of one row up to several rows, with n above the chunk too
         monkeypatch.setattr(estimators, "_DRAW_CHUNK", chunk)
+        monkeypatch.setattr(estimators, "_GATHER_CHUNK", chunk)
         for n, resamples in [(2, 101), (3, 100), (7, 999), (40, 1000), (1101, 100)]:
             x = np.random.default_rng(n).normal(0.0, 1.0, n)
             self.assert_as_one_draw(x, resamples, n + chunk)
 
+
+# bounds with no rejection (powers of two), rare rejection, a quarter
+# rejected (3 * 2**30), about half (2**31 + 1), and 2**32, numpy's path
+# without a rejection test
+BOUNDS = [2, 3, 7, 80, 3 * 2 ** 30, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32]
+
+
+def reference_after(seed, start):
+    """numpy's generator for ``seed`` after ``start`` 32-bit words."""
+    ref = oracles.reference_generator(seed)
+    ref.integers(0, 2 ** 32, start)
+    return ref
+
+
+class TestWordIndices:
+    """The word stream's indices are ``Generator.integers(0, n, count)``'s,
+    and the position after them is where that generator stands."""
+
+    @pytest.mark.parametrize("n", BOUNDS)
+    @pytest.mark.parametrize("start", [0, 1, 6, 65535])
+    def test_match_generator_integers(self, n, start):
+        for seed in (3, 2 ** 64 - 1):
+            ref = reference_after(seed, start)
+            indices, pos = _word_indices(seed, start, n, 3000)
+            assert indices.tolist() == ref.integers(0, n, 3000).tolist()
+            assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
+
+    def test_rejections_move_the_position(self):
+        # 3 * 2**30 rejects a quarter of the words; 2**32 - 1 almost none
+        assert _word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
+        assert _word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
+
+    @pytest.mark.parametrize("words", [8, 24])
+    def test_draws_across_segment_edges(self, monkeypatch, words):
+        # one segment cached at a time, so every edge regenerates a segment
+        monkeypatch.setattr(seeding_module, "_SEGMENT_WORDS", words)
+        monkeypatch.setattr(seeding_module, "_segment",
+                            lru_cache(maxsize=1)(seeding_module._segment.__wrapped__))
+        seed = 11
+        stream = reference_after(seed, 0).integers(0, 2 ** 32, 200)
+        for start in range(0, 2 * words + 2):
+            for stop in range(start + 1, start + 3 * words + 2):
+                assert philox_words(seed, start, stop).tolist() == \
+                    stream[start:stop].tolist()
+        for n in BOUNDS:
+            for start in (0, words - 1, words, words + 3):
+                ref = reference_after(seed, start)
+                indices, pos = _word_indices(seed, start, n, 5 * words + 1)
+                assert indices.tolist() == ref.integers(0, n, 5 * words + 1).tolist()
+                assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
+        x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
+        means, _ = _word_means(seed, x, 101, 3)
+        assert means.tobytes() == oracles.resample_means(
+            reference_after(seed, 3), x, 101).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2 ** 32 + 1, 2 ** 40])
+    def test_refuses_bounds_outside_32_bits(self, n):
+        with pytest.raises(ValueError, match="2 <= n <= 2\\*\\*32"):
+            _word_indices(1, 0, n, 5)
+
+    def test_words_are_shared_read_only(self):
+        words = philox_words(4, 10, 20)
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0] = 0
+
+    def test_cache_stays_within_two_mib_after_a_long_run(self):
+        # one SE at 1000 + 1000 runs reads 999 * 2000 words, about 30
+        # segments; the cache must hold no more than its 2 MiB
+        seeding_module._segment.cache_clear()
+        cfg = SamplingConfig(se_max=1e-12, n0=1000, n_max=2000,
+                             se_method="bootstrap", resamples=999)
+        result = calc_nreps(lambda seed, key: 1.0 + seed % 977,
+                            lambda seed, key: 2.0 + seed % 983,
+                            SimpleNamespace(id="i"), cfg, seed=8)
+        assert result.n1 + result.n2 == 2000
+        info = seeding_module._segment.cache_info()
+        assert info.misses > info.maxsize
+        segment_bytes = seeding_module._segment(0, 0).nbytes
+        assert info.currsize * segment_bytes <= 2 * 2 ** 20
