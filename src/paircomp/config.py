@@ -201,11 +201,10 @@ def _parse_instance(node, where: str) -> InstanceRef:
     return _call(InstanceRef, _read(node, INSTANCE, where, required=("id",)), where)
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    """YAML's safe loader, on libyaml where PyYAML was built with it, plus
-    YAML 1.2's floats that YAML 1.1 reads as strings: an exponent without
-    a dot or without a sign, as in ``1e-09``, which ``json.dumps`` writes.
-    Integers and quoted scalars are unchanged."""
+class _Loader(yaml.SafeLoader):
+    """YAML's safe loader, plus YAML 1.2's floats that YAML 1.1 reads as
+    strings: an exponent without a dot or without a sign, as in ``1e-09``,
+    which ``json.dumps`` writes.  Integers and quoted scalars are unchanged."""
 
 
 # tried after YAML 1.1's own float and int forms, so an integer stays one
@@ -215,28 +214,16 @@ _Loader.add_implicit_resolver(
     list("-+.0123456789"))
 
 
-# libyaml builds a document by recursion in C, which overflows the stack
-# at some tens of thousands of levels; a configuration needs a handful
-_MAX_DEPTH = 100
-
-
 def _load_yaml(path: Path, what: str):
     try:
-        text = path.read_text()
-        depth = 0
-        for event in yaml.parse(text, Loader=_Loader):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                if depth > _MAX_DEPTH:
-                    raise ConfigError(f"{what} {path} nests collections more "
-                                      f"than {_MAX_DEPTH} levels deep")
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-        return yaml.load(text, Loader=_Loader)
+        return yaml.load(path.read_text(), Loader=_Loader)
     except OSError as exc:
         raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from None
     except yaml.YAMLError as exc:
         raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from exc
+    except RecursionError:
+        # the loader builds nested collections by recursion
+        raise ConfigError(f"{what} {path} nests collections too deeply") from None
 
 
 def load_manifest(path: str | Path) -> list[InstanceRef]:

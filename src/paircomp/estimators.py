@@ -18,10 +18,11 @@ alternative for the standard errors and, separately, a resampled
 sampling-distribution-of-the-mean for normality diagnostics.
 
 The bootstrap SE draws what ``Generator.integers`` on
-``make_generator(seed)`` would draw, but from the seed's cached 32-bit
-word stream (``seeding.philox_words``, at most 2 MiB of words in all):
-every evaluation for one instance reads a prefix of the same stream, so
-its words are generated once and mapped to indices by numpy's own rule.
+``make_generator(seed)`` would draw, but from the seed's 32-bit word
+stream (``seeding.philox_words``): every evaluation for one instance
+reads a prefix of the same stream, so the thread keeps its first words
+(2 MiB in all threads together) and maps them to indices by numpy's own
+rule.
 It also memoises its first side: the resampled baseline means depend
 only on ``seed``, ``resamples`` and the baseline observations, so an
 allocation step that adds a run to the second algorithm reuses them.
@@ -278,8 +279,9 @@ def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, 
 
 
 # indices gathered per block of rows, so a resample of N values holds
-# O(N) memory at any N
-_GATHER_CHUNK = 1 << 15
+# O(N) memory at any N; smaller blocks mean more numpy calls, each of
+# which hands the GIL on, and that costs most when workers share cores
+_GATHER_CHUNK = 1 << 17
 
 
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
@@ -322,8 +324,9 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
 
     The indices are those ``Generator.integers`` would draw, one call
     after another, from ``make_generator(seed)``.  They are read from the
-    seed's cached word stream (``seeding.philox_words``), so the words
-    are generated once for all of an instance's evaluations.  The first
+    seed's word stream (``seeding.philox_words``), whose first words the
+    thread keeps, so they are generated once for all of an instance's
+    evaluations.  The first
     side's resampled means, and the word position after them, are
     memoised on ``(seed, resamples, x1)`` with the exact observation bytes
     in the key.  A call whose first side repeats draws only the second

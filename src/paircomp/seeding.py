@@ -51,16 +51,21 @@ returns a generator builds one with ``make_generator``.
 ``make_generator(seed)``'s stream of 32-bit words, in the order numpy's
 32-bit draws read them: the low half of each 64-bit output, then the high
 half.  The bootstrap SE reads a prefix of one seed's words on every
-evaluation, so the words are generated a segment of ``_SEGMENT_WORDS`` at
-a time, the counter advanced to each segment's start, and the segments
-are cached: at most ``_WORD_CACHE_BYTES`` (2 MiB) of them, whatever the
-run budget, the resample count or the number of workers.
+evaluation, and one thread samples one instance at a time, so each thread
+keeps the first words of the last seed it read and generates only words
+past them.  The threads together keep at most ``_KEPT_WORDS`` (2**19
+words, 2 MiB), whatever the run budget, the resample count or the number
+of workers: each keeps an equal share, cut when another thread starts
+reading.  So every word is generated once per instance while each
+thread's prefix fits its share, at one worker while resamples * n_max
+<= 2**19; words past the share are generated afresh on each read.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -226,6 +231,14 @@ _kept = threading.local()
 _ZEROS = (0, 0, 0, 0)
 
 
+def _philox_state(key, block: int) -> dict:
+    """Philox state under ``key`` whose next output is the first of
+    counter block ``block + 1``: the stream's words from ``8 * block`` on."""
+    return {"bit_generator": "Philox",
+            "state": {"counter": (block, 0, 0, 0), "key": key},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+
+
 def kept_generator(key) -> np.random.Generator:
     """The calling thread's kept Philox generator, re-keyed to ``key``.
 
@@ -237,36 +250,88 @@ def kept_generator(key) -> np.random.Generator:
     rng = getattr(_kept, "rng", None)
     if rng is None:
         rng = _kept.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
-        "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    rng.bit_generator.state = _philox_state(key, 0)
     return rng
 
 
-# 32-bit words per cached segment: 2**15 64-bit outputs, 2**13 Philox
-# counter blocks of four outputs each
-_SEGMENT_WORDS = 1 << 16
-_WORD_CACHE_BYTES = 2 << 20
+# 32-bit words kept by all threads together (2 MiB), shared equally among
+# the threads that read words; each thread's share grows in steps of
+# _GROW_WORDS, so it is copied once per about 2**15 words, not per call
+_KEPT_WORDS = 1 << 19
+_GROW_WORDS = 1 << 15
+_NO_WORDS = np.empty(0, np.uint32)
+_NO_WORDS.flags.writeable = False
 
 
-@lru_cache(maxsize=_WORD_CACHE_BYTES // (4 * _SEGMENT_WORDS))
-def _segment(seed: int, index: int) -> np.ndarray:
-    """Words [index * S, (index + 1) * S) of the seed's stream, S =
-    ``_SEGMENT_WORDS``; read-only, as every caller shares it."""
-    bits = make_generator(seed).bit_generator
-    bits.advance(index * _SEGMENT_WORDS // 8)
-    words = bits.random_raw(_SEGMENT_WORDS // 2).astype("<u8", copy=False).view("<u4")
+class _Stream:
+    """The words one thread keeps: ``words`` is [0, words.size) of the
+    stream of ``seed``, whose generator key is ``key``.  The three change
+    together, as one tuple, under ``_streams_lock``."""
+    __slots__ = ("kept", "__weakref__")
+
+    def __init__(self):
+        self.kept = (None, None, _NO_WORDS)
+
+
+_streams = weakref.WeakSet()  # every live thread's _Stream
+_streams_lock = threading.Lock()
+
+
+def _fresh_words(key, start: int, stop: int) -> np.ndarray:
+    """Words [start, stop) of the stream under ``key``, generated on the
+    thread's kept Philox; read-only."""
+    block, skip = divmod(start, 8)  # a counter block is four 64-bit outputs
+    bits = kept_generator(key).bit_generator
+    if block:
+        bits.state = _philox_state(key, block)
+    words = bits.random_raw((skip + stop - start + 1) // 2).astype("<u8", copy=False)
+    words = words.view("<u4")[skip:skip + stop - start]
     words.flags.writeable = False
     return words
 
 
+def _keep(stream: _Stream, seed: int, stop: int) -> tuple:
+    """Extend the thread's kept words of ``seed`` toward ``stop``, within
+    its share of ``_KEPT_WORDS``; every stream above the share is cut to
+    it first.  Returns the stream's (seed, key, words)."""
+    with _streams_lock:
+        share = _KEPT_WORDS // len(_streams)
+        for other in _streams:
+            s, key, words = other.kept
+            if words.size > share:
+                words = words[:share].copy()
+                words.flags.writeable = False
+                other.kept = (s, key, words)
+        s, key, words = stream.kept
+        if s != seed:
+            key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
+            words = _NO_WORDS
+        size = min(-(-stop // _GROW_WORDS) * _GROW_WORDS, share)
+        if size > words.size:
+            words = np.concatenate((words, _fresh_words(key, words.size, size)))
+            words.flags.writeable = False
+        stream.kept = (seed, key, words)
+        return stream.kept
+
+
 def philox_words(seed: int, start: int, stop: int) -> np.ndarray:
     """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream, in
-    the order its 32-bit draws read them; read-only."""
-    first, offset = divmod(start, _SEGMENT_WORDS)
-    last = (stop - 1) // _SEGMENT_WORDS
-    if last <= first:
-        words = _segment(seed, first)
-    else:
-        words = np.concatenate([_segment(seed, k) for k in range(first, last + 1)])
-    return words[offset:offset + stop - start]
+    the order its 32-bit draws read them; read-only.
+
+    The calling thread keeps the first words of the last seed it read, as
+    many as its share of ``_KEPT_WORDS`` allows; words past them are
+    generated afresh on every call.
+    """
+    stream = getattr(_kept, "stream", None)
+    if stream is None:
+        stream = _kept.stream = _Stream()
+        with _streams_lock:
+            _streams.add(stream)
+    s, key, words = stream.kept
+    if s != seed or stop > words.size:
+        s, key, words = _keep(stream, seed, stop)
+    if stop <= words.size:
+        return words[start:stop]
+    if start >= words.size:
+        return _fresh_words(key, start, stop)
+    return np.concatenate((words[start:], _fresh_words(key, words.size, stop)))

@@ -1,7 +1,7 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -485,11 +485,11 @@ class TestChunkedResampling:
                               oracles.resample_means(oracles.reference_generator(7),
                                                      x, resamples))
 
-    @pytest.mark.parametrize("n, resamples", [(32, 1023), (32, 1024), (33, 993)],
+    @pytest.mark.parametrize("n, resamples", [(128, 1023), (128, 1024), (129, 1017)],
                              ids=["below", "at", "above-odd"])
     def test_gather_chunk_edges(self, n, resamples):
-        # the same about the word stream's gather chunk; 33 * 993 is odd
-        assert (n * resamples > estimators._GATHER_CHUNK) == (n == 33)
+        # the same about the word stream's gather chunk; 129 * 1017 is odd
+        assert (n * resamples > estimators._GATHER_CHUNK) == (n == 129)
         x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
         for seed in (1, 2, 3):
             self.assert_as_one_draw(x, resamples, seed)
@@ -535,23 +535,24 @@ class TestWordIndices:
         assert _word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
         assert _word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
 
-    @pytest.mark.parametrize("words", [8, 24])
-    def test_draws_across_segment_edges(self, monkeypatch, words):
-        # one segment cached at a time, so every edge regenerates a segment
-        monkeypatch.setattr(seeding_module, "_SEGMENT_WORDS", words)
-        monkeypatch.setattr(seeding_module, "_segment",
-                            lru_cache(maxsize=1)(seeding_module._segment.__wrapped__))
+    @pytest.mark.parametrize("kept", [8, 24])
+    def test_draws_across_the_kept_edge(self, monkeypatch, kept):
+        # the thread keeps `kept` words and generates the rest on every
+        # call, from any word of any counter block
+        monkeypatch.setattr(seeding_module, "_KEPT_WORDS", kept * len(seeding_module._streams))
+        monkeypatch.setattr(seeding_module, "_GROW_WORDS", 8)
         seed = 11
         stream = reference_after(seed, 0).integers(0, 2 ** 32, 200)
-        for start in range(0, 2 * words + 2):
-            for stop in range(start + 1, start + 3 * words + 2):
+        for start in range(0, 2 * kept + 2):
+            for stop in range(start + 1, start + 3 * kept + 2):
                 assert philox_words(seed, start, stop).tolist() == \
                     stream[start:stop].tolist()
+        assert seeding_module._kept.stream.kept[2].size == kept
         for n in BOUNDS:
-            for start in (0, words - 1, words, words + 3):
+            for start in (0, kept - 1, kept, kept + 3):
                 ref = reference_after(seed, start)
-                indices, pos = _word_indices(seed, start, n, 5 * words + 1)
-                assert indices.tolist() == ref.integers(0, n, 5 * words + 1).tolist()
+                indices, pos = _word_indices(seed, start, n, 5 * kept + 1)
+                assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
                 assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
         x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
         means, _ = _word_means(seed, x, 101, 3)
@@ -569,17 +570,51 @@ class TestWordIndices:
         with pytest.raises(ValueError):
             words[0] = 0
 
-    def test_cache_stays_within_two_mib_after_a_long_run(self):
-        # one SE at 1000 + 1000 runs reads 999 * 2000 words, about 30
-        # segments; the cache must hold no more than its 2 MiB
-        seeding_module._segment.cache_clear()
+    def test_each_thread_keeps_its_own_prefix(self):
+        # four threads read 50000-word prefixes of their own seeds in turn,
+        # once all of them keep words; each rereads the words it keeps,
+        # whatever the others read
+        barrier = threading.Barrier(4)
+
+        def read(seed):
+            philox_words(seed, 0, 1)
+            barrier.wait()
+            first = philox_words(seed, 0, 50_000)
+            barrier.wait()
+            again = philox_words(seed, 0, 50_000)
+            barrier.wait()
+            return np.shares_memory(first, again), again.tolist() == \
+                reference_after(seed, 0).integers(0, 2 ** 32, 50_000).tolist()
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(read, range(20, 24))) == [(True, True)] * 4
+
+    def test_threads_keep_two_mib_in_all(self):
+        # four threads each read prefixes of 999 * 2000 words, fifteen
+        # times the budget: they keep 2 MiB together, an equal share each,
+        # and each result is the one a single thread gives
         cfg = SamplingConfig(se_max=1e-12, n0=1000, n_max=2000,
                              se_method="bootstrap", resamples=999)
-        result = calc_nreps(lambda seed, key: 1.0 + seed % 977,
-                            lambda seed, key: 2.0 + seed % 983,
-                            SimpleNamespace(id="i"), cfg, seed=8)
-        assert result.n1 + result.n2 == 2000
-        info = seeding_module._segment.cache_info()
-        assert info.misses > info.maxsize
-        segment_bytes = seeding_module._segment(0, 0).nbytes
-        assert info.currsize * segment_bytes <= 2 * 2 ** 20
+        barrier = threading.Barrier(4)
+
+        def sample(seed):
+            return calc_nreps(lambda seed, key: 1.0 + seed % 977,
+                              lambda seed, key: 2.0 + seed % 983,
+                              SimpleNamespace(id="i"), cfg, seed=seed)
+
+        def sample_and_measure(seed):
+            result = sample(seed)
+            barrier.wait()
+            with seeding_module._streams_lock:
+                sizes = [s.kept[2].size for s in seeding_module._streams]
+            barrier.wait()
+            return result, sizes
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(sample_and_measure, range(8, 12)))
+        _first_side.cache_clear()
+        for seed, (result, sizes) in zip(range(8, 12), results):
+            assert result.n1 + result.n2 == 2000
+            assert sum(sizes) <= 2 ** 19
+            assert max(sizes) <= 2 ** 19 // len(sizes)
+            assert result == sample(seed)
