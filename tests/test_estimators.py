@@ -574,7 +574,7 @@ class TestWordIndices:
         # four threads read 50000-word prefixes of their own seeds in turn,
         # once all of them keep words; each rereads the words it keeps,
         # whatever the others read
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(4, timeout=60)
 
         def read(seed):
             philox_words(seed, 0, 1)
@@ -592,10 +592,11 @@ class TestWordIndices:
     def test_threads_keep_two_mib_in_all(self):
         # four threads each read prefixes of 999 * 2000 words, fifteen
         # times the budget: they keep 2 MiB together, an equal share each,
-        # and each result is the one a single thread gives
+        # and each result is the one a single thread gives, with threads
+        # switched often, so a lost cut or a torn stream would show
         cfg = SamplingConfig(se_max=1e-12, n0=1000, n_max=2000,
                              se_method="bootstrap", resamples=999)
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(4, timeout=60)
 
         def sample(seed):
             return calc_nreps(lambda seed, key: 1.0 + seed % 977,
@@ -610,8 +611,13 @@ class TestWordIndices:
             barrier.wait()
             return result, sizes
 
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(sample_and_measure, range(8, 12)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(sample_and_measure, range(8, 12), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
         _first_side.cache_clear()
         for seed, (result, sizes) in zip(range(8, 12), results):
             assert result.n1 + result.n2 == 2000
