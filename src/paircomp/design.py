@@ -70,8 +70,7 @@ class ComparisonDesign:
     def __post_init__(self):
         object.__setattr__(self, "alternative", Alternative(self.alternative))
         object.__setattr__(self, "test_family", TestFamily(self.test_family))
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha!r}")
+        _check_alpha(self.alpha)
         if not (0.0 < self.power_target < 1.0):
             raise ValueError(f"power target must lie in (0, 1), got {self.power_target!r}")
         if not (self.mres_d > 0.0 and math.isfinite(self.mres_d)):
@@ -114,12 +113,21 @@ def _power(n: int, d, alpha: float, alternative: Alternative):
     return 1.0 - noncentral_t_cdf(t_quantile(1.0 - alpha, df), df, ncp)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (0.0 < alpha < 1.0):
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    # every test reports the two-sided interval, at the t quantile of
+    # 1 - alpha/2, whatever the alternative
+    if 1.0 - 0.5 * alpha == 1.0:
+        raise ValueError(f"alpha must exceed 2**-53, or 1 - alpha/2 rounds to 1, "
+                         f"got {alpha!r}")
+
+
 def _check_n_alpha(n_instances: int, alpha: float) -> int:
     n = int(n_instances)
     if n < 2:
         raise ValueError(f"at least 2 instances are required, got {n_instances!r}")
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+    _check_alpha(alpha)
     return n
 
 

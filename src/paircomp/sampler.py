@@ -16,8 +16,12 @@ re-running an instance never changes earlier draws.  A run's seed does
 not depend on the allocation, so seeds and generator keys are derived in
 blocks (see :mod:`paircomp.seeding`): the ``n0`` stage of each instance in
 one block, which ``run_experiment`` derives for many instances at once,
-and each algorithm's later runs in blocks of twice as many runs as it has
-had, capped by what is left of the ``n_max`` budget.
+and the later runs of both algorithms together, in joint blocks.  Both
+algorithms' derived runs share one length L; when either needs run L, one
+kernel call derives both algorithms' runs from L up to
+L + max(L, ``_MIN_BLOCK``), capped at ``n_max - n0``, the most runs one
+algorithm can have.  So the runs derived and never used number at most
+three times the runs made, plus ``2 * _MIN_BLOCK``.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ from .estimators import (DiffKind, InstanceSample, PairedDifference,
 from .seeding import BOOTSTRAP_STREAM, derive_seed, first_stages, run_keys
 
 __all__ = ["SamplingConfig", "calc_nreps"]
+
+# fewest later runs derived at once: a kernel call costs tens of
+# microseconds whatever its size, and a short instance leaves at most this
+# many derived runs of each algorithm unused
+_MIN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -90,18 +99,22 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     bootstrap = cfg.se_method is SEMethod.BOOTSTRAP
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM) if bootstrap else None
     seeds, keys = first if first is not None else next(first_stages([seed], cfg.n0))
-    # each algorithm's run seeds and keys derived so far, by run index
-    derived = tuple(zip(seeds.tolist(), keys.tolist()))
+    # both algorithms' run seeds and keys derived so far, one row each, by
+    # run index; the rows always have one length
+    algo_seeds, algo_keys = seeds.tolist(), keys.tolist()
 
     def do_run(algo_index: int) -> None:
-        algo_seeds, algo_keys = derived[algo_index]
         r = samples[algo_index].n
-        if r == len(algo_seeds):
-            size = min(2 * r, cfg.n_max - samples[0].n - samples[1].n)
-            (more_seeds,), (more_keys,) = run_keys([(seed, algo_index)], range(r, r + size))
-            algo_seeds += more_seeds.tolist()
-            algo_keys += more_keys.tolist()
-        samples[algo_index].add(runs[algo_index](algo_seeds[r], algo_keys[r]))
+        if r == len(algo_seeds[algo_index]):
+            # neither algorithm can have more than n_max - n0 runs
+            stop = min(cfg.n_max - cfg.n0, r + max(r, _MIN_BLOCK))
+            more_seeds, more_keys = run_keys([(seed, 0), (seed, 1)], range(r, stop))
+            for row, more in zip(algo_seeds, more_seeds.tolist()):
+                row += more
+            for row, more in zip(algo_keys, more_keys.tolist()):
+                row += more
+        samples[algo_index].add(runs[algo_index](algo_seeds[algo_index][r],
+                                                 algo_keys[algo_index][r]))
 
     def current_se() -> float:
         s1, s2 = samples

@@ -33,7 +33,9 @@ seeds and generator keys of the whole grid in one numpy pass.  A call has
 a fixed numpy overhead of tens of microseconds, so callers derive runs in
 blocks: ``first_stages(instance_seeds, n0)`` the first stage of a chunk
 of instances at once, about ``_FIRST_STAGE_RUNS`` runs, the size the
-prefix cache is held to, and the sampler the later runs of an instance.
+prefix cache is held to, and the sampler the later runs of both
+algorithms of an instance in one call per joint block, each block at least
+as long as the runs derived before it (see :mod:`paircomp.sampler`).
 
 SeedSequence's ``hashmix`` and ``mix`` steps have one implementation
 here: the kernel's, on ``uint32`` arrays where products wrap mod 2**32,

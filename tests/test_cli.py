@@ -299,6 +299,39 @@ class TestPowerCommand:
                    for line in out.splitlines())
 
 
+class TestAlphaBelowPrecision:
+    """An alpha at or below 2**-53 makes 1 - alpha/2 round to 1; it is
+    refused naming alpha, before the t quantile sees it."""
+
+    MESSAGE = "alpha must exceed 2**-53, or 1 - alpha/2 rounds to 1, got "
+
+    @pytest.mark.parametrize("argv", [
+        ["design", "--d", "0.5", "--power", "0.8", "--alpha", "1e-17"],
+        ["power", "--n", "20", "--d", "0.5", "--alpha", "1e-17"],
+        ["power", "--n", "20", "--d-range", "0.1:1", "--alpha", "1e-17"],
+        ["power", "--n", "20", "--d", "0.5", "--alpha", "1e-16"],
+        ["power", "--n", "20", "--d", "0.5", "--alpha", "1e-16",
+         "--alternative", "one-sided"],
+    ], ids=["design", "power", "curve", "two-sided", "one-sided"])
+    def test_command_refuses_it(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        prefix = "design: " if argv[0] == "design" else ""
+        assert code == 2
+        assert err.splitlines() == [f"error: {prefix}{self.MESSAGE}{argv[argv.index('--alpha') + 1]}"]
+        assert out == ""
+
+    @pytest.mark.parametrize("alpha, alternative", [("1e-17", "two_sided"),
+                                                    ("1e-16", "one_sided")])
+    def test_run_config_refuses_it(self, capsys, tmp_path, alpha, alternative):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace(
+            "alpha: 0.05", f"alpha: {alpha}").replace("two_sided", alternative))
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert err.splitlines() == [f"error: design: {self.MESSAGE}{alpha}"]
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+
 class TestRepsCommand:
     def test_generous_budget_stops_at_n0(self, capsys, tmp_path):
         cfg = write_config(tmp_path, """\

@@ -47,6 +47,23 @@ class TestCalcPower:
         with pytest.raises(ValueError, match="alpha"):
             calc_power(10, 0.5, alpha, Alternative.TWO_SIDED)
 
+    @pytest.mark.parametrize("alternative", list(Alternative))
+    @pytest.mark.parametrize("alpha", [1e-17, 1e-16, 2.0 ** -53])
+    def test_alpha_whose_half_vanishes_beside_one_rejected(self, alpha, alternative):
+        # 1 - alpha/2 rounds to 1, and the tests' two-sided interval needs
+        # its t quantile, whatever the alternative
+        for call in (lambda: calc_power(10, 0.5, alpha, alternative),
+                     lambda: power_curve(10, alpha, alternative, (0.1, 1.0), 3),
+                     lambda: design(alpha=alpha, alternative=alternative)):
+            with pytest.raises(ValueError, match=r"^alpha must exceed 2\*\*-53"):
+                call()
+
+    @pytest.mark.parametrize("alternative", list(Alternative))
+    def test_smallest_accepted_alpha(self, alternative):
+        alpha = 2.0 ** -52
+        assert 0.0 < calc_power(10, 0.5, alpha, alternative) < 1e-6
+        assert calc_instances(design(alpha=alpha, alternative=alternative)).n_instances > 2
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 400), d=st.floats(0.05, 1.5))
     def test_increasing_in_n_and_d(self, n, d):

@@ -167,8 +167,9 @@ class TestReportContents:
     @pytest.mark.parametrize("workers", [1, 4])
     def test_run_keys_derives_blocks_not_runs(self, monkeypatch, workers):
         # one call for the instance seeds, one per first-stage chunk, and per
-        # instance at most ceil(log2(n_max / n0)) extensions per algorithm;
-        # a derivation per run would take n_max - 2 * n0 per instance
+        # instance one joint block for both algorithms' later runs,
+        # since n_max - n0 runs fit in the first; a derivation per run would
+        # take n_max - 2 * n0 per instance
         calls = []
         kernel = seeding_module.run_keys
 
@@ -185,7 +186,7 @@ class TestReportContents:
         count = len(report.per_instance)
         assert all(d.n1 + d.n2 == n_max for d in report.per_instance)
         chunks = math.ceil(count / (seeding_module._FIRST_STAGE_RUNS // (2 * n0)))
-        assert len(calls) <= 1 + chunks + 2 * math.ceil(math.log2(n_max / n0)) * count
+        assert len(calls) == 1 + chunks + count
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_no_run_seed_is_used_twice(self, monkeypatch, workers):

@@ -296,12 +296,24 @@ class TestFailuresAndValidation:
 
 
 class TestRunSeedBlocks:
+    # the last two budgets are lopsided: one algorithm gets every run the
+    # other's n0 leaves, up to run index n_max - n0 - 1, over several blocks
     @pytest.mark.parametrize("n0, n_max, sd2", [(2, 4, 1.0), (3, 97, 3.0),
-                                                  (5, 200, 0.2), (4, 41, 1.0)])
-    def test_every_run_gets_its_seed_and_key(self, n0, n_max, sd2):
-        # blocks double from n0 and stop at the budget; whatever the
-        # allocation, run r of algorithm a has derive_seed(seed, a, r)
-        log = []
+                                                  (5, 200, 0.2), (4, 41, 1.0),
+                                                  (2, 400, 1e3), (4, 300, 1e-3)])
+    def test_every_run_gets_its_seed_and_key(self, monkeypatch, n0, n_max, sd2):
+        # both algorithms' later runs come in joint blocks that grow from n0
+        # and never pass the most runs one algorithm can have, n_max - n0;
+        # whatever the allocation, run r of algorithm a has
+        # derive_seed(seed, a, r)
+        log, blocks = [], []
+        kernel = sampler_module.run_keys
+
+        def recording_kernel(prefixes, runs):
+            blocks.append((list(prefixes), runs))
+            return kernel(prefixes, runs)
+
+        monkeypatch.setattr(sampler_module, "run_keys", recording_kernel)
         cfg = SamplingConfig(se_max=1e-6, n0=n0, n_max=n_max)
         out = calc_nreps(*recording_runs(log, 0.0, 1.0, 0.0, sd2),
                          INSTANCE, cfg, seed=8)
@@ -312,6 +324,16 @@ class TestRunSeedBlocks:
             assert key == oracles.reference_key(seed)
             counts[algo] += 1
         assert len(set(run_seeds(log))) == len(log)
+        if sd2 in (1e3, 1e-3):
+            assert max(counts) == n_max - n0 and len(blocks) > 2
+        derived = n0
+        for prefixes, runs in blocks:
+            assert prefixes == [(8, 0), (8, 1)]
+            assert list(runs) == list(range(derived, runs[-1] + 1))
+            assert runs[-1] < n_max - n0
+            assert len(runs) <= max(derived, sampler_module._MIN_BLOCK)
+            derived += len(runs)
+        assert derived >= max(counts)
 
 
 class TestAnnealingDemo:
