@@ -17,14 +17,14 @@ sqrt(c1/c2) = (s1/s2) sqrt(1 + phi^2) (percent).  A bootstrap of
 alternative for the standard errors and, separately, a resampled
 sampling-distribution-of-the-mean for normality diagnostics.
 
-The bootstrap SE draws what ``Generator.integers`` on
-``make_generator(seed)`` would draw, but from the seed's 32-bit word
-stream (``seeding.philox_words``): every evaluation for one instance
-reads a prefix of the same stream, so the thread keeps its first words
-(2 MiB in all threads together) and maps them to indices by numpy's own
-rule.
-It also memoises its first side: the resampled baseline means depend
-only on ``seed``, ``resamples`` and the baseline observations, so an
+Both bootstraps draw what ``Generator.integers`` on
+``make_generator(seed)`` would draw, through one kernel that reads the
+seed's 32-bit word stream (``seeding.philox_words``) and maps the words
+to indices by numpy's own rule.  Every SE evaluation for one instance
+reads a prefix of the same stream, so each thread keeps its first words
+(2 MiB per thread).  The seed must be an integer >= 0.  The bootstrap
+SE also memoises its first side: the resampled baseline means depend only
+on ``seed``, ``resamples`` and the baseline observations, so an
 allocation step that adds a run to the second algorithm reuses them.
 Results are bit-identical to drawing them afresh from a new generator.
 
@@ -47,7 +47,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .seeding import make_generator, philox_words
+from .seeding import philox_words
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
@@ -224,27 +224,9 @@ def _check_resamples(resamples: int) -> None:
                          f"required, got {resamples!r}")
 
 
-# index elements drawn per ``rng.integers`` call: every bootstrap SDM with
-# R * n <= 999 * 262 draws in one call, and a resample of N values holds
-# O(N) memory at any N
-_DRAW_CHUNK = 1 << 18
-
-
-def _resample_means(rng, x: np.ndarray, count: int) -> np.ndarray:
-    """Means of ``count`` with-replacement resamples of ``x``, drawn a
-    block of rows at a time.
-
-    Consecutive blocks draw the same indices, and leave the generator in
-    the same state, as one ``rng.integers(0, n, (count, n))`` call; each
-    row's mean is the same float.
-    """
-    n = x.size
-    rows = max(1, _DRAW_CHUNK // n)
-    means = np.empty(count)
-    for start in range(0, count, rows):
-        stop = min(start + rows, count)
-        means[start:stop] = x[rng.integers(0, n, size=(stop - start, n))].mean(axis=1)
-    return means
+def _check_seed(seed) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
 def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, int]:
@@ -285,9 +267,11 @@ _GATHER_CHUNK = 1 << 17
 
 
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
-    """``_resample_means`` on a generator of ``seed`` that has drawn
-    ``pos`` words, read from the word stream: the same means, and the
-    word position after them."""
+    """Means of ``count`` with-replacement resamples of ``x``, read from
+    word ``pos`` on of the seed's word stream a block of rows at a time,
+    and the word position after them: the same floats, and the position
+    where the generator stands, as one ``integers(0, n, (count, n))`` draw
+    on a generator of ``seed`` that has drawn ``pos`` words."""
     n = x.size
     rows = max(1, _GATHER_CHUNK // n)
     means = np.empty(count)
@@ -324,15 +308,15 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
 
     The indices are those ``Generator.integers`` would draw, one call
     after another, from ``make_generator(seed)``.  They are read from the
-    seed's word stream (``seeding.philox_words``), whose first words the
+    seed's word stream (``seeding.philox_words``), whose first 2 MiB the
     thread keeps, so they are generated once for all of an instance's
-    evaluations.  The first
-    side's resampled means, and the word position after them, are
-    memoised on ``(seed, resamples, x1)`` with the exact observation bytes
-    in the key.  A call whose first side repeats draws only the second
+    evaluations while they fit.  The first side's resampled means, and
+    the word position after them, are memoised on ``(seed, resamples,
+    x1)`` with the exact observation bytes in the key.  A call whose first side repeats draws only the second
     side; the result is the same to the last bit.
     """
     _check_resamples(resamples)
+    _check_seed(seed)
     _require_runs(s1, 2, "bootstrap_se")
     _require_runs(s2, 2, "bootstrap_se")
     diff_kind = DiffKind(diff_kind)
@@ -373,14 +357,16 @@ def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:
 
     Feeds normality diagnostics: if the returned means look normal on a
     Q-Q plot, mean-based inference is on safe ground even when the data
-    itself is not normal.  The indices are drawn a block of rows at a
-    time, so the extra memory is O(N) beyond the result, and the means
-    are the same floats one (R, N) draw gives.  A mean whose resampled
-    sum overflows a float is +-inf, without a warning.
+    itself is not normal.  The means are those one (R, N)
+    ``Generator.integers`` draw on ``make_generator(seed)`` gives, read
+    from the seed's word stream as in ``bootstrap_se`` a block of rows at
+    a time, so the extra memory is O(N) beyond the result.  A mean whose
+    resampled sum overflows a float is +-inf, without a warning.
     """
     _check_resamples(resamples)
+    _check_seed(seed)
     values = np.asarray(getattr(sample, "observations", sample), dtype=float)
     if values.size < 2:
         raise ValueError(f"at least 2 observations are required, got {values.size}")
     with np.errstate(over="ignore"):
-        return _resample_means(make_generator(seed), values, resamples)
+        return _word_means(seed, values, resamples, 0)[0]

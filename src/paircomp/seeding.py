@@ -52,22 +52,20 @@ returns a generator builds one with ``make_generator``.
 ``philox_words(seed, start, stop)`` is words [start, stop) of
 ``make_generator(seed)``'s stream of 32-bit words, in the order numpy's
 32-bit draws read them: the low half of each 64-bit output, then the high
-half.  The bootstrap SE reads a prefix of one seed's words on every
-evaluation, and one thread samples one instance at a time, so each thread
-keeps the first words of the last seed it read and generates only words
-past them.  The threads together keep at most ``_KEPT_WORDS`` (2**19
-words, 2 MiB), whatever the run budget, the resample count or the number
-of workers: each keeps an equal share, cut when another thread starts
-reading.  So every word is generated once per instance while each
-thread's prefix fits its share, at one worker while resamples * n_max
-<= 2**19; words past the share are generated afresh on each read.
+half.  Every bootstrap reads a prefix of one seed's words, and one thread
+samples one instance at a time, so each thread keeps the first words of
+the last seed it read, at most ``_KEPT_WORDS`` (2**19 words, 2 MiB) per
+thread, whatever the run budget or the resample count, and generates
+only words past them.  So every word is generated once per instance while
+resamples * n_max <= 2**19; words past the cap are generated afresh on
+each read.  Philox is counter-based, so no thread needs another's words:
+a thread's kept words are its own, and go when it exits.
 """
 
 from __future__ import annotations
 
 import operator
 import threading
-import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -256,27 +254,14 @@ def kept_generator(key) -> np.random.Generator:
     return rng
 
 
-# 32-bit words kept by all threads together (2 MiB), shared equally among
-# the threads that read words; each thread's share grows in steps of
-# _GROW_WORDS, so it is copied once per about 2**15 words, not per call
+# 32-bit words each thread keeps of the last seed it read (2 MiB), grown
+# in steps, not by doubling: freeing copies near 2 MiB raises glibc's trim
+# threshold above the gather's temporaries; with doubling, a process's
+# first long bootstrap faulted them in again on every block
 _KEPT_WORDS = 1 << 19
 _GROW_WORDS = 1 << 15
 _NO_WORDS = np.empty(0, np.uint32)
 _NO_WORDS.flags.writeable = False
-
-
-class _Stream:
-    """The words one thread keeps: ``words`` is [0, words.size) of the
-    stream of ``seed``, whose generator key is ``key``.  The three change
-    together, as one tuple, under ``_streams_lock``."""
-    __slots__ = ("kept", "__weakref__")
-
-    def __init__(self):
-        self.kept = (None, None, _NO_WORDS)
-
-
-_streams = weakref.WeakSet()  # every live thread's _Stream
-_streams_lock = threading.Lock()
 
 
 def _fresh_words(key, start: int, stop: int) -> np.ndarray:
@@ -292,46 +277,22 @@ def _fresh_words(key, start: int, stop: int) -> np.ndarray:
     return words
 
 
-def _keep(stream: _Stream, seed: int, stop: int) -> tuple:
-    """Extend the thread's kept words of ``seed`` toward ``stop``, within
-    its share of ``_KEPT_WORDS``; every stream above the share is cut to
-    it first.  Returns the stream's (seed, key, words)."""
-    with _streams_lock:
-        share = _KEPT_WORDS // len(_streams)
-        for other in _streams:
-            s, key, words = other.kept
-            if words.size > share:
-                words = words[:share].copy()
-                words.flags.writeable = False
-                other.kept = (s, key, words)
-        s, key, words = stream.kept
-        if s != seed:
-            key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
-            words = _NO_WORDS
-        size = min(-(-stop // _GROW_WORDS) * _GROW_WORDS, share)
-        if size > words.size:
-            words = np.concatenate((words, _fresh_words(key, words.size, size)))
-            words.flags.writeable = False
-        stream.kept = (seed, key, words)
-        return stream.kept
-
-
 def philox_words(seed: int, start: int, stop: int) -> np.ndarray:
     """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream, in
     the order its 32-bit draws read them; read-only.
 
-    The calling thread keeps the first words of the last seed it read, as
-    many as its share of ``_KEPT_WORDS`` allows; words past them are
-    generated afresh on every call.
+    The calling thread keeps the first words of the last seed it read, up
+    to ``_KEPT_WORDS``; words past them are generated afresh on every call.
     """
-    stream = getattr(_kept, "stream", None)
-    if stream is None:
-        stream = _kept.stream = _Stream()
-        with _streams_lock:
-            _streams.add(stream)
-    s, key, words = stream.kept
-    if s != seed or stop > words.size:
-        s, key, words = _keep(stream, seed, stop)
+    s, key, words = getattr(_kept, "stream", (None, None, _NO_WORDS))
+    if s != seed:
+        key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
+        words = _NO_WORDS
+    if stop > words.size < _KEPT_WORDS:
+        size = min(-(-stop // _GROW_WORDS) * _GROW_WORDS, _KEPT_WORDS)
+        words = np.concatenate((words, _fresh_words(key, words.size, size)))
+        words.flags.writeable = False
+    _kept.stream = seed, key, words
     if stop <= words.size:
         return words[start:stop]
     if start >= words.size:

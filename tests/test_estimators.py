@@ -13,14 +13,13 @@ import paircomp.seeding as seeding_module
 from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
-                                 _first_side, _resample_means, _word_indices,
-                                 _word_means,
+                                 _first_side, _word_indices, _word_means,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
                                  se_simple)
 from paircomp.sampler import SamplingConfig, calc_nreps
-from paircomp.seeding import philox_words
+from paircomp.seeding import BOOTSTRAP_STREAM, derive_seed, philox_words
 
 import oracles
 
@@ -348,6 +347,25 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
             call()
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
+    @pytest.mark.parametrize("call", [
+        lambda seed: bootstrap_se(oracles.instance_sample([1.0, 2.0, 4.0]),
+                                  oracles.instance_sample([2.0, 3.0, 5.0]),
+                                  DiffKind.SIMPLE, 100, seed),
+        lambda seed: bootstrap_sdm([1.0, 2.0, 3.0], 100, seed),
+    ], ids=["bootstrap_se", "bootstrap_sdm"])
+    def test_seed_not_a_nonnegative_integer_rejected(self, call, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            call(seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        s1 = oracles.instance_sample([1.0, 2.0, 4.0])
+        s2 = oracles.instance_sample([2.0, 3.0, 5.0])
+        assert bootstrap_se(s1, s2, DiffKind.SIMPLE, 100, np.uint64(5)) == \
+            bootstrap_se(s1, s2, DiffKind.SIMPLE, 100, 5)
+        assert bootstrap_sdm([1.0, 2.0, 3.0], 100, np.int64(5)).tobytes() == \
+            bootstrap_sdm([1.0, 2.0, 3.0], 100, 5).tobytes()
+
 
 def grow_one_side(seed, steps, base1=None):
     """Sample pairs as the allocation loop makes them: each step adds one run
@@ -454,36 +472,32 @@ class TestBootstrapSDM:
 
 class TestChunkedResampling:
     """Drawing the resample indices a block of rows at a time gives the
-    draws and the means of one (R, n) draw: ``_resample_means`` leaves the
-    generator in that draw's state, and ``_word_means`` returns the word
-    position that state has reached."""
+    draws and the means of one (R, n) draw: ``_word_means`` returns those
+    means and the word position that draw leaves the generator at."""
 
     @staticmethod
     def assert_as_one_draw(x, resamples, seed):
-        rng, ref = oracles.reference_generator(seed), oracles.reference_generator(seed)
-        # start both mid-way through a 64-bit output, as an odd R * n leaves them
-        rng.integers(0, 2 ** 32, 1)
+        ref = oracles.reference_generator(seed)
+        # start mid-way through a 64-bit output, as an odd R * n leaves it
         ref.integers(0, 2 ** 32, 1)
         want = oracles.resample_means(ref, x, resamples)
-        got = _resample_means(rng, x, resamples)
-        assert got.tobytes() == want.tobytes()
-        assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
         means, pos = _word_means(seed, x, resamples, 1)
         assert means.tobytes() == want.tobytes()
         # the generator's next word is the one at the returned position
         assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
 
-    @pytest.mark.parametrize("n, resamples", [(262, 1000), (256, 1024), (263, 999)],
-                             ids=["below", "at", "above-odd"])
+    @pytest.mark.parametrize("n, resamples", [(262, 1000), (256, 1024), (263, 999),
+                                              (1100, 999), (4000, 999)],
+                             ids=["below", "at", "above-odd", "n-1100", "n-4000"])
     def test_chunk_edges(self, n, resamples):
-        # R * n just below, at and just above the chunk; 263 * 999 is odd
-        assert (n * resamples > estimators._DRAW_CHUNK) == (n == 263)
+        # R * n just below, at and just above 2**18, two gather blocks
+        # (263 * 999 is odd); N = 1100 is large-n's, and N = 4000 the
+        # hypotests memory test's
         x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
         for seed in (1, 2, 3):
             self.assert_as_one_draw(x, resamples, seed)
-        assert np.array_equal(bootstrap_sdm(x, resamples, 7),
-                              oracles.resample_means(oracles.reference_generator(7),
-                                                     x, resamples))
+        assert bootstrap_sdm(x, resamples, 7).tobytes() == \
+            oracles.resample_means(oracles.reference_generator(7), x, resamples).tobytes()
 
     @pytest.mark.parametrize("n, resamples", [(128, 1023), (128, 1024), (129, 1017)],
                              ids=["below", "at", "above-odd"])
@@ -497,7 +511,6 @@ class TestChunkedResampling:
     @pytest.mark.parametrize("chunk", [1, 7, 64, 301])
     def test_any_chunk(self, monkeypatch, chunk):
         # chunks of one row up to several rows, with n above the chunk too
-        monkeypatch.setattr(estimators, "_DRAW_CHUNK", chunk)
         monkeypatch.setattr(estimators, "_GATHER_CHUNK", chunk)
         for n, resamples in [(2, 101), (3, 100), (7, 999), (40, 1000), (1101, 100)]:
             x = np.random.default_rng(n).normal(0.0, 1.0, n)
@@ -539,15 +552,15 @@ class TestWordIndices:
     def test_draws_across_the_kept_edge(self, monkeypatch, kept):
         # the thread keeps `kept` words and generates the rest on every
         # call, from any word of any counter block
-        monkeypatch.setattr(seeding_module, "_KEPT_WORDS", kept * len(seeding_module._streams))
-        monkeypatch.setattr(seeding_module, "_GROW_WORDS", 8)
+        monkeypatch.setattr(seeding_module, "_KEPT_WORDS", kept)
         seed = 11
+        philox_words(seed + 1, 0, 1)  # so the thread's slot starts empty
         stream = reference_after(seed, 0).integers(0, 2 ** 32, 200)
         for start in range(0, 2 * kept + 2):
             for stop in range(start + 1, start + 3 * kept + 2):
                 assert philox_words(seed, start, stop).tolist() == \
                     stream[start:stop].tolist()
-        assert seeding_module._kept.stream.kept[2].size == kept
+        assert seeding_module._kept.stream[2].size == kept
         for n in BOUNDS:
             for start in (0, kept - 1, kept, kept + 3):
                 ref = reference_after(seed, start)
@@ -589,11 +602,11 @@ class TestWordIndices:
         with ThreadPoolExecutor(max_workers=4) as pool:
             assert list(pool.map(read, range(20, 24))) == [(True, True)] * 4
 
-    def test_threads_keep_two_mib_in_all(self):
+    def test_each_thread_keeps_at_most_two_mib(self):
         # four threads each read prefixes of 999 * 2000 words, fifteen
-        # times the budget: they keep 2 MiB together, an equal share each,
-        # and each result is the one a single thread gives, with threads
-        # switched often, so a lost cut or a torn stream would show
+        # times the cap: each keeps 2 MiB of its own seed's words, and each
+        # result is the one a single thread gives, with threads switched
+        # often, so a slot torn between threads would show
         cfg = SamplingConfig(se_max=1e-12, n0=1000, n_max=2000,
                              se_method="bootstrap", resamples=999)
         barrier = threading.Barrier(4, timeout=60)
@@ -605,11 +618,10 @@ class TestWordIndices:
 
         def sample_and_measure(seed):
             result = sample(seed)
+            boot_seed, _, words = seeding_module._kept.stream
+            # the four jobs run on four threads at once
             barrier.wait()
-            with seeding_module._streams_lock:
-                sizes = [s.kept[2].size for s in seeding_module._streams]
-            barrier.wait()
-            return result, sizes
+            return result, boot_seed, words.size
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -619,8 +631,8 @@ class TestWordIndices:
         finally:
             sys.setswitchinterval(interval)
         _first_side.cache_clear()
-        for seed, (result, sizes) in zip(range(8, 12), results):
+        for seed, (result, boot_seed, size) in zip(range(8, 12), results):
             assert result.n1 + result.n2 == 2000
-            assert sum(sizes) <= 2 ** 19
-            assert max(sizes) <= 2 ** 19 // len(sizes)
+            assert boot_seed == derive_seed(seed, BOOTSTRAP_STREAM)
+            assert size == 2 ** 19
             assert result == sample(seed)
