@@ -14,11 +14,11 @@ The flow for one experiment:
 Per-instance seeds come from the master seed through a counter scheme
 (see :mod:`paircomp.seeding`), so results are bit-reproducible and the
 k-th instance's runs never depend on how many instances follow it.
-Instances may be sampled concurrently when both algorithm specs declare
-themselves safe for concurrent invocation; the journal is written by the
-calling thread only.  After each instance completes, its row is appended
-to a newline-delimited checkpoint journal so an interrupted experiment
-can resume without re-running finished instances.
+Worker threads sample the instances, more than one at a time only when
+both algorithm specs declare themselves safe for concurrent invocation.
+The worker that completes an instance appends its row to a checkpoint
+journal of newline-delimited records, so an interrupted experiment can
+resume without re-running finished instances.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor, as_completed
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -36,7 +37,7 @@ from .errors import ConfigError, ExperimentAbortedError
 from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
-from .runners import AlgorithmSpec, InstanceRef, bind
+from .runners import AlgorithmSpec, InstanceRef, _is_int, bind, kill_running
 from .sampler import SamplingConfig, calc_nreps
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, first_stages, make_generator, run_keys)
@@ -68,6 +69,9 @@ class ExperimentPlan:
         a1, a2 = self.algorithms
         if a1.alias == a2.alias:
             raise ValueError("the two algorithm aliases must be distinct")
+        for name in ("workers", "master_seed"):
+            if not _is_int(value := getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
         if self.master_seed < 0:
@@ -240,7 +244,6 @@ class _Journal:
     def append(self, diff: PairedDifference) -> None:
         self._fh.write(json.dumps(_diff_to_row(diff)) + "\n")
         self._fh.flush()
-        self.completed[diff.instance_id] = diff
 
     def close(self) -> None:
         self._fh.close()
@@ -261,11 +264,11 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     With a ``checkpoint_path``, each completed instance is journaled and
     ``resume=True`` skips instances already journaled under an identical
-    configuration.  A failing instance aborts the experiment, with an error
-    that names it; the journal keeps everything completed so far,
-    including the instances that were still running when the failure
-    came.  A pool of one instance is refused before any run: no paired
-    test applies to one difference.
+    configuration.  After an instance fails, or its row cannot be written,
+    no instance starts; those running finish and are journaled, and the
+    error names the failing one.  After an interrupt (Ctrl-C) on the calling
+    thread no run starts and the running solvers are killed; unfinished
+    instances are not journaled.  A pool of one instance is refused.
     """
     pool_size = len(plan.instance_pool)
     if pool_size < 2:
@@ -285,10 +288,7 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     selected = select_instances(plan, size_result.n_instances)
 
-    spec1, spec2 = plan.algorithms
-    workers = plan.workers
-    if not (spec1.concurrent_safe and spec2.concurrent_safe):
-        workers = 1
+    workers = plan.workers if all(a.concurrent_safe for a in plan.algorithms) else 1
 
     # nothing between opening the journal and the try below can raise,
     # so its finally closes the journal on every exit
@@ -299,49 +299,54 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     pending = [(inst, seed) for inst, seed in selected
                if inst.id not in completed]
 
-    firsts = zip(pending, first_stages([seed for _, seed in pending], plan.sampling.n0))
+    # one queue for every worker count: a worker writes each row before it
+    # takes the next instance, so with one worker the rows land in order
+    todo = zip(pending, first_stages([seed for _, seed in pending], plan.sampling.n0))
+    lock, stop, failures = threading.Lock(), threading.Event(), []
 
-    def sample(inst: InstanceRef, seed: int, first) -> PairedDifference:
-        return calc_nreps(bind(spec1, inst), bind(spec2, inst), inst,
-                          plan.sampling, seed, first)
+    def checked(run):  # a run starts only while no interrupt has come
+        def run_unless_stopped(seed: int, key) -> float:
+            if stop.is_set():
+                raise KeyboardInterrupt
+            return run(seed, key)
+        return run_unless_stopped
 
-    def record(diff: PairedDifference) -> None:
-        completed[diff.instance_id] = diff
-        if journal:
-            journal.append(diff)
+    def work() -> None:
+        while True:
+            with lock:  # after a failure no worker takes another instance
+                if failures or (item := next(todo, None)) is None:
+                    return
+            (inst, seed), first = item
+            try:
+                diff = calc_nreps(*(checked(bind(a, inst)) for a in plan.algorithms),
+                                  inst, plan.sampling, seed, first)
+                with lock:
+                    if journal:
+                        journal.append(diff)
+                    completed[inst.id] = diff  # counted once its row is written
+            except BaseException as exc:
+                failures.append((inst, exc))
+                return
 
-    current = None  # the instance being sampled, or whose result is read
     try:
-        if workers == 1 or len(pending) <= 1:
-            for (current, seed), first in firsts:
-                record(sample(current, seed, first))
-        else:
-            # journal rows land as instances complete, so an interrupt
-            # loses at most the in-flight instances
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {pool.submit(sample, inst, seed, first): inst
-                           for (inst, seed), first in firsts}
-                try:
-                    for fut in as_completed(futures):
-                        current = futures[fut]
-                        record(fut.result())
-                except BaseException:
-                    # drop the queued instances, wait for the running ones
-                    # and keep every result they return
-                    pool.shutdown(cancel_futures=True)
-                    for fut, inst in futures.items():
-                        if (inst.id not in completed and not fut.cancelled()
-                                and fut.exception() is None):
-                            record(fut.result())
-                    raise
-    except Exception as exc:
-        raise ExperimentAbortedError(
-            exc, checkpoint_path=journal.path if journal else None,
-            completed=len(completed),
-            instance_id=current.id if current is not None else None) from exc
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                for f in [pool.submit(work) for _ in range(min(workers, len(pending)))]:
+                    f.result()
+            except BaseException:  # an interrupt: no run starts, solvers die
+                stop.set()
+                kill_running()
+                raise
     finally:
         if journal:
             journal.close()
+    if failures:  # the pool has exited, so the count is final
+        inst, exc = failures[0]
+        if not isinstance(exc, Exception):
+            raise exc
+        raise ExperimentAbortedError(
+            exc, checkpoint_path=journal.path if journal else None,
+            completed=len(completed), instance_id=inst.id) from exc
 
     diffs = [completed[inst.id] for inst, _ in selected]
     phis = [d.phi_hat for d in diffs]

@@ -10,9 +10,10 @@ value as a finite float.  Four algorithm kinds are provided:
   ``{seed}`` substituted; the last nonempty line of standard output must
   parse as a decimal performance value, the exit status must be 0, and a
   per-spec timeout applies.  Each run starts in a session of its own, and
-  a timeout kills its whole process group, so a solver launched through a
-  shell wrapper leaves nothing behind.  A timed-out or failed run is an
-  error, never an observation.
+  a timeout, or ``kill_running`` on an experiment's interrupt, kills its
+  whole process group, so a solver launched through a shell wrapper leaves
+  nothing behind.  A timed-out or failed run is an error, never an
+  observation.
 * ``synthetic_normal`` / ``synthetic_lognormal`` draw deterministically
   from the declared distribution given the run seed.  Instances may carry
   per-alias parameter overrides in their payload, which is how synthetic
@@ -36,6 +37,7 @@ entirely in the experiment design's alternative hypothesis.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import shlex
@@ -52,7 +54,7 @@ from .seeding import kept_generator, make_generator
 
 __all__ = [
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "bind",
-    "build_synthetic_pool", "build_tsp_instance",
+    "build_synthetic_pool", "build_tsp_instance", "kill_running",
 ]
 
 _EXCERPT_CHARS = 400
@@ -259,6 +261,16 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
 # ---------------------------------------------------------------------------
 # subprocess runner
 
+_live: set[subprocess.Popen] = set()  # the solvers of the runs in flight
+
+
+def kill_running() -> None:
+    """Kill the process group of every solver still running."""
+    for proc in list(_live):
+        if proc.poll() is None:  # a reaped pid may be another process's now
+            with contextlib.suppress(ProcessLookupError):  # its group just ended
+                os.killpg(proc.pid, signal.SIGKILL)
+
 
 def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
     """The executable and its argument template, with ``{instance}``
@@ -290,6 +302,7 @@ def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
                                     start_new_session=True)
         except OSError as exc:
             raise failure(f"could not launch {cmd[0]!r}: {exc}") from exc
+        _live.add(proc)
         with proc:
             try:
                 stdout, stderr = proc.communicate(timeout=spec.timeout)
@@ -301,6 +314,8 @@ def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
             except BaseException:
                 os.killpg(proc.pid, signal.SIGKILL)
                 raise
+            finally:
+                _live.discard(proc)
         if proc.returncode != 0:
             raise failure(f"run exited with status {proc.returncode}", stdout, stderr)
         lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]

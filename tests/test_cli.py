@@ -5,10 +5,12 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 import warnings
 from pathlib import Path
 
@@ -1292,3 +1294,80 @@ class TestExtremeScales:
                     for row in csv.DictReader(fh):
                         assert math.isfinite(float(row["phi"])), row
                         assert math.isfinite(float(row["se"])), row
+
+
+# a solver that leaves its pid behind and, while the hold file exists,
+# sleeps 3 s before it prints its value
+HELD_SOLVER = """\
+import os, sys, time
+from pathlib import Path
+pids, hold, seed, offset = sys.argv[1:]
+(Path(pids) / str(os.getpid())).touch()
+if Path(hold).exists():
+    time.sleep(3)
+print(int(seed) % 1000 / 100 + float(offset))
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    stat = Path(f"/proc/{pid}/stat")  # a zombie has ended
+    return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigint_kills_the_solvers_and_resume_completes(capsys, tmp_path, workers):
+    solver, pids, hold = tmp_path / "solver.py", tmp_path / "pids", tmp_path / "hold"
+    solver.write_text(HELD_SOLVER)
+    pids.mkdir()
+    python = json.dumps(sys.executable)
+
+    def algorithm(alias, offset):
+        args = json.dumps([str(solver), str(pids), str(hold), "{seed}", offset])
+        return (f"  - {{alias: {alias}, kind: subprocess, "
+                f"params: {{executable: {python}, args: {args}}}}}\n")
+
+    cfg = write_config(tmp_path, (
+        "design: {alpha: 0.05, power: 0.8, d: 0.5}\n"
+        "sampling: {se_max: 0.01, n0: 2, n_max: 4}\n"
+        "algorithms:\n" + algorithm("one", "0") + algorithm("two", "0.5") +
+        "instances:\n  inline: [{id: a}, {id: b}, {id: c}, {id: d}]\n"
+        f"use_all_instances: true\nmaster_seed: 7\nworkers: {workers}\n"
+        "output_dir: out\n"))
+    whole = tmp_path / "whole"
+    assert run_cli(capsys, "run", "--config", str(cfg), "--output-dir", str(whole))[0] == 0
+    for pid in pids.iterdir():
+        pid.unlink()
+
+    hold.touch()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "paircomp", "run", "--config", str(cfg)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(pids.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert any(pids.iterdir()), "no solver started"
+        proc.send_signal(signal.SIGINT)
+        sent = time.monotonic()
+        proc.wait(timeout=30)
+        assert time.monotonic() - sent < 2.0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert [pid.name for pid in pids.iterdir() if _alive(int(pid.name))] == []
+
+    hold.unlink()
+    code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+    assert code == 0, err
+    out = tmp_path / "out"
+    for name in ("results.csv", "report.json", "summary.txt", "qq.csv",
+                 "boot_sdm.csv", "boot_sdm_qq.csv"):
+        assert (out / name).read_bytes() == (whole / name).read_bytes(), name
+    assert sorted((out / "checkpoint.jsonl").read_text().splitlines()) == \
+           sorted((whole / "checkpoint.jsonl").read_text().splitlines())

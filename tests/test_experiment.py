@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import signal
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -416,6 +418,28 @@ class TestCheckpointing:
         ids = [inst.id for inst in plan.instance_pool]
         assert set(ids[:5]) <= set(returned) and target not in returned
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_unwritten_row_is_not_counted(self, tmp_path, monkeypatch, workers):
+        plan = make_plan(pool_size=10, use_all=True, workers=workers)
+        chk = tmp_path / "chk.jsonl"
+        real = experiment_module._Journal.append
+        appended = []
+
+        def third_fails(journal, diff):
+            appended.append(diff.instance_id)
+            if len(appended) == 3:
+                raise OSError("no space left on device")
+            real(journal, diff)
+
+        monkeypatch.setattr(experiment_module._Journal, "append", third_fails)
+        with pytest.raises(ExperimentAbortedError) as err:
+            run_experiment(plan, checkpoint_path=chk)
+        assert isinstance(err.value.cause, OSError)
+        assert f"instance {appended[2]}: no space left" in str(err.value)
+        rows = chk.read_text().splitlines()[1:]
+        assert err.value.completed == len(rows)
+        assert f"aborted after {len(rows)} instance(s)" in str(err.value)
+
     def test_resume_rejects_other_configuration(self, tmp_path):
         chk = tmp_path / "chk.jsonl"
         run_experiment(make_plan(pool_size=12, use_all=True, master_seed=1),
@@ -505,3 +529,88 @@ class TestPlanValidation:
         spec = AlgorithmSpec(alias="dup", kind=AlgorithmKind.SYNTHETIC_NORMAL)
         with pytest.raises(ValueError):
             make_plan(pool=null_pool(3), specs=(spec, spec))
+
+    @pytest.mark.parametrize("field, value", [
+        ("workers", 2.5), ("workers", "2"), ("workers", True),
+        ("master_seed", 1.5), ("master_seed", True),
+    ])
+    def test_non_integer_count_or_seed_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
+            replace(make_plan(pool_size=5), **{field: value})
+
+
+def recording_bind(before_run):
+    """``bind`` whose runs call ``before_run(instance)`` as they start."""
+    def bind_recording(spec, instance):
+        run = bind(spec, instance)
+
+        def recorded(seed, key):
+            before_run(instance)
+            return run(seed, key)
+        return recorded
+    return bind_recording
+
+
+class TestInterrupt:
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_sigint_stops_every_run_and_resume_completes(self, tmp_path, monkeypatch,
+                                                         workers):
+        # instance 6's first run, as it starts, sends the calling thread
+        # SIGINT, as Ctrl-C would; each run that starts after it lasts long
+        # enough for the calling thread to take the interrupt
+        plan = make_plan(pool_size=12, use_all=True, workers=workers)
+        target = plan.instance_pool[6].id
+        chk = tmp_path / "chk.jsonl"
+        signalled = threading.Event()
+        late = []  # the thread of each run that starts after the signal
+        started_late, finished = set(), set()
+
+        def before_run(instance):
+            if signalled.is_set():
+                late.append(threading.get_ident())
+                time.sleep(0.5)
+            elif instance.id == target:
+                signalled.set()
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        real = experiment_module.calc_nreps
+
+        def tracking(*args):
+            if signalled.is_set():
+                started_late.add(args[2].id)
+            outcome = real(*args)
+            finished.add(args[2].id)
+            return outcome
+
+        monkeypatch.setattr(experiment_module, "bind", recording_bind(before_run))
+        monkeypatch.setattr(experiment_module, "calc_nreps", tracking)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(plan, checkpoint_path=chk)
+        assert len(late) == len(set(late)) <= workers  # one run per worker at most
+        journaled = {json.loads(row)["instance_id"]
+                     for row in chk.read_text().splitlines()[1:]}
+        assert journaled == finished and target not in journaled
+        assert not journaled & started_late
+        if workers == 1:
+            assert journaled == {inst.id for inst in plan.instance_pool[:6]}
+
+        monkeypatch.undo()
+        written = []
+        for out, resume in ((tmp_path, True), (tmp_path / "whole", False)):
+            out.mkdir(exist_ok=True)
+            report, _ = run_experiment(plan, checkpoint_path=out / "chk.jsonl",
+                                       resume=resume)
+            write_results_table(out / "results.csv", report.per_instance)
+            write_report_json(out / "report.json", report)
+            written.append([(out / name).read_bytes()
+                            for name in ("results.csv", "report.json")])
+        assert written[0] == written[1]
+
+    def test_no_more_threads_than_instances(self, monkeypatch):
+        plan = make_plan(pool_size=3, use_all=True, workers=64)
+        threads = set()
+        monkeypatch.setattr(experiment_module, "bind", recording_bind(
+            lambda instance: threads.add(threading.get_ident())))
+        report, _ = run_experiment(plan)
+        assert report.n_instances_used == 3
+        assert 1 <= len(threads) <= 3
