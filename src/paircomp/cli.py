@@ -6,9 +6,12 @@ fixed-size experiment, single value or curve with highlights), ``reps``
 ``resume`` (continue an interrupted run from its checkpoint journal).
 
 Exit codes: 0 completed, 2 usage or configuration error or an unwritable
-output path, 3 runner failure, 4 statistical-assumption violation or data
-on which a test is undefined (e.g. all differences identical).  The
-statistical outcome of a test never affects the exit code.
+output path, 3 runner failure or an interrupted ``run`` or ``resume``, 4
+statistical-assumption violation or data on which a test is undefined
+(e.g. all differences identical).  The statistical outcome of a test never
+affects the exit code.  ``run`` and ``resume`` take SIGTERM as they take
+Ctrl-C: no run starts, the solvers in flight are killed, and ``resume``
+goes on from the journal.
 
 Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
 ``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
@@ -23,10 +26,13 @@ and the help text reads the terminal width when it is formatted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
+import signal
 import sys
+import threading
 from pathlib import Path
 
 from .config import ALT_NAMES, TEST_NAMES, load_config, parse_design
@@ -277,6 +283,29 @@ def _cmd_run(args, resume: bool) -> int:
     return EXIT_OK
 
 
+def _interrupt_once(signum, frame):
+    # timeout(1) signals the process and then its group: a second
+    # KeyboardInterrupt would cut short the kill of the solvers in flight
+    signal.signal(signum, lambda *_: None)
+    raise KeyboardInterrupt
+
+
+@contextlib.contextmanager
+def _sigterm_interrupts():
+    """The first SIGTERM raises ``KeyboardInterrupt``, as Ctrl-C does, while
+    the block runs, and later ones are ignored.  Only the main thread may
+    install a handler; called on another thread, this changes nothing."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, _interrupt_once)
+    try:
+        yield
+    finally:
+        # None: the old handler was not installed from Python
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -286,7 +315,13 @@ def main(argv=None) -> int:
             return _cmd_power(args)
         if args.command == "reps":
             return _cmd_reps(args)
-        return _cmd_run(args, resume=args.command == "resume")
+        try:
+            with _sigterm_interrupts():
+                return _cmd_run(args, resume=args.command == "resume")
+        except KeyboardInterrupt:
+            print("error: interrupted; 'paircomp resume' continues from the "
+                  "checkpoint journal", file=sys.stderr)
+            return EXIT_RUNNER
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -96,7 +96,8 @@ class InstanceSample:
     def variance(self) -> float:
         if self.n < 2:
             raise ValueError(f"variance undefined for n={self.n} (< 2 observations)")
-        return max(self._m2, 0.0) / (self.n - 1)
+        m2 = self._m2  # a rounding-negative sum of squares counts as 0
+        return (0.0 if m2 < 0.0 else m2) / (self.n - 1)
 
     @property
     def sd(self) -> float:
@@ -122,6 +123,8 @@ class PairedDifference:
             raise ValueError("standard error cannot be negative")
 
 
+# the estimators the sampler calls once per run test both counts inline
+# and call this only when one falls short, to name the first short sample
 def _require_runs(sample, k: int, who: str) -> None:
     if sample.n < k:
         raise ValueError(f"{who} needs at least {k} observation(s), got n={sample.n}")
@@ -136,8 +139,9 @@ def _require_positive_baseline(s1) -> None:
 
 def phi_simple(s1, s2) -> float:
     """Difference of mean performance, second algorithm minus first."""
-    _require_runs(s1, 1, "phi_simple")
-    _require_runs(s2, 1, "phi_simple")
+    if s1.n < 1 or s2.n < 1:
+        _require_runs(s1, 1, "phi_simple")
+        _require_runs(s2, 1, "phi_simple")
     return s2.mean - s1.mean
 
 
@@ -147,16 +151,18 @@ def phi_percent(s1, s2) -> float:
     Requires a strictly positive baseline mean; otherwise the ratio is not
     meaningful and simple differences should be used instead.
     """
-    _require_runs(s1, 1, "phi_percent")
-    _require_runs(s2, 1, "phi_percent")
+    if s1.n < 1 or s2.n < 1:
+        _require_runs(s1, 1, "phi_percent")
+        _require_runs(s2, 1, "phi_percent")
     _require_positive_baseline(s1)
     return (s2.mean - s1.mean) / s1.mean
 
 
 def se_simple(s1, s2) -> float:
     """Standard error of the simple mean difference."""
-    _require_runs(s1, 2, "se_simple")
-    _require_runs(s2, 2, "se_simple")
+    if s1.n < 2 or s2.n < 2:
+        _require_runs(s1, 2, "se_simple")
+        _require_runs(s2, 2, "se_simple")
     return math.sqrt(s1.variance / s1.n + s2.variance / s2.n)
 
 
@@ -169,8 +175,9 @@ def se_percent(s1, s2) -> float:
     when the gap or the baseline mean is below about 1.5e-154; that is
     refused as an assumption violation.
     """
-    _require_runs(s1, 2, "se_percent")
-    _require_runs(s2, 2, "se_percent")
+    if s1.n < 2 or s2.n < 2:
+        _require_runs(s1, 2, "se_percent")
+        _require_runs(s2, 2, "se_percent")
     _require_positive_baseline(s1)
     gap = s2.mean - s1.mean
     v1, v2 = s1.variance, s2.variance
@@ -196,8 +203,9 @@ def optimal_ratio_simple(s1, s2) -> float:
     algorithm the ratio is +inf ("always sample the first next"); if both
     spreads vanish it is 1 by convention.
     """
-    _require_runs(s1, 2, "optimal_ratio_simple")
-    _require_runs(s2, 2, "optimal_ratio_simple")
+    if s1.n < 2 or s2.n < 2:
+        _require_runs(s1, 2, "optimal_ratio_simple")
+        _require_runs(s2, 2, "optimal_ratio_simple")
     sd1, sd2 = s1.sd, s2.sd
     if sd2 == 0.0:
         return 1.0 if sd1 == 0.0 else math.inf
@@ -206,8 +214,9 @@ def optimal_ratio_simple(s1, s2) -> float:
 
 def optimal_ratio_percent(s1, s2) -> float:
     """Run-allocation ratio for percent differences: (s1/s2) sqrt(1 + phi^2)."""
-    _require_runs(s1, 2, "optimal_ratio_percent")
-    _require_runs(s2, 2, "optimal_ratio_percent")
+    if s1.n < 2 or s2.n < 2:
+        _require_runs(s1, 2, "optimal_ratio_percent")
+        _require_runs(s2, 2, "optimal_ratio_percent")
     sd1, sd2 = s1.sd, s2.sd
     if sd2 == 0.0:
         return 1.0 if sd1 == 0.0 else math.inf
@@ -216,12 +225,19 @@ def optimal_ratio_percent(s1, s2) -> float:
 
 
 MIN_RESAMPLES = 100
+# the bootstrap SE memoises up to 64 first sides of 8 bytes per resample
+# (_first_side), so 100,000 resamples hold at most about 51 MB
+MAX_RESAMPLES = 100_000
 
 
 def _check_resamples(resamples: int) -> None:
     if resamples < MIN_RESAMPLES:
         raise ValueError(f"at least {MIN_RESAMPLES} bootstrap resamples are "
                          f"required, got {resamples!r}")
+    if resamples > MAX_RESAMPLES:
+        raise ValueError(f"at most {MAX_RESAMPLES} bootstrap resamples are "
+                         f"allowed, got {resamples!r}: the bootstrap SE keeps "
+                         f"up to 64 arrays of 8 bytes per resample")
 
 
 def _check_seed(seed) -> None:

@@ -311,6 +311,8 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
             return run(seed, key)
         return run_unless_stopped
 
+    a1, a2 = plan.algorithms
+
     def work() -> None:
         while True:
             with lock:  # after a failure no worker takes another instance
@@ -318,7 +320,7 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                     return
             (inst, seed), first = item
             try:
-                diff = calc_nreps(*(checked(bind(a, inst)) for a in plan.algorithms),
+                diff = calc_nreps(checked(bind(a1, inst)), checked(bind(a2, inst)),
                                   inst, plan.sampling, seed, first)
                 with lock:
                     if journal:

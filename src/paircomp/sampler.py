@@ -94,11 +94,15 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     item of ``seeding.first_stages``, when the caller derived it along with
     other instances'; without it, it is derived here.
     """
-    samples = (InstanceSample(), InstanceSample())
+    s1, s2 = samples = (InstanceSample(), InstanceSample())
     runs = (run1, run2)
+    # the settings, read once: the loop below runs once per run
+    n0, n_max, se_max = cfg.n0, cfg.n_max, cfg.se_max
+    diff_kind, resamples, force_balance = cfg.diff_kind, cfg.resamples, cfg.force_balance
+    simple = diff_kind is DiffKind.SIMPLE
     bootstrap = cfg.se_method is SEMethod.BOOTSTRAP
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM) if bootstrap else None
-    seeds, keys = first if first is not None else next(first_stages([seed], cfg.n0))
+    seeds, keys = first if first is not None else next(first_stages([seed], n0))
     # both algorithms' run seeds and keys derived so far, one row each, by
     # run index; the rows always have one length
     algo_seeds, algo_keys = seeds.tolist(), keys.tolist()
@@ -107,7 +111,7 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         r = samples[algo_index].n
         if r == len(algo_seeds[algo_index]):
             # neither algorithm can have more than n_max - n0 runs
-            stop = min(cfg.n_max - cfg.n0, r + max(r, _MIN_BLOCK))
+            stop = min(n_max - n0, r + max(r, _MIN_BLOCK))
             more_seeds, more_keys = run_keys([(seed, 0), (seed, 1)], range(r, stop))
             for row, more in zip(algo_seeds, more_seeds.tolist()):
                 row += more
@@ -117,10 +121,9 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
                                                  algo_keys[algo_index][r]))
 
     def current_se() -> float:
-        s1, s2 = samples
         if bootstrap:
-            se = bootstrap_se(s1, s2, cfg.diff_kind, cfg.resamples, boot_seed)
-        elif cfg.diff_kind is DiffKind.SIMPLE:
+            se = bootstrap_se(s1, s2, diff_kind, resamples, boot_seed)
+        elif simple:
             se = se_simple(s1, s2)
         else:
             se = se_percent(s1, s2)
@@ -132,37 +135,30 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
                 f"scale; rescale them")
         return se
 
-    def allocation_ratio() -> float:
-        s1, s2 = samples
-        if cfg.diff_kind is DiffKind.SIMPLE:
-            return optimal_ratio_simple(s1, s2)
-        return optimal_ratio_percent(s1, s2)
-
-    for _ in range(cfg.n0):
+    for _ in range(n0):
         do_run(0)
-    for _ in range(cfg.n0):
+    for _ in range(n0):
         do_run(1)
 
     se = current_se()
 
-    while se > cfg.se_max and samples[0].n + samples[1].n < cfg.n_max:
-        if cfg.force_balance:
-            chosen = 0 if samples[0].n <= samples[1].n else 1
+    while se > se_max and s1.n + s2.n < n_max:
+        if force_balance:
+            chosen = 0 if s1.n <= s2.n else 1
         else:
+            ratio = optimal_ratio_simple(s1, s2) if simple else optimal_ratio_percent(s1, s2)
             # tie goes to the second algorithm
-            chosen = 0 if samples[0].n / samples[1].n < allocation_ratio() else 1
+            chosen = 0 if s1.n / s2.n < ratio else 1
         do_run(chosen)
         se = current_se()
 
-    s1, s2 = samples
-    phi = phi_simple(s1, s2) if cfg.diff_kind is DiffKind.SIMPLE else phi_percent(s1, s2)
     return PairedDifference(
         instance_id=instance.id,
-        phi_hat=phi,
+        phi_hat=phi_simple(s1, s2) if simple else phi_percent(s1, s2),
         se_hat=se,
         n1=s1.n,
         n2=s2.n,
-        diff_kind=cfg.diff_kind,
+        diff_kind=diff_kind,
         se_method=cfg.se_method,
-        budget_exhausted=se > cfg.se_max,
+        budget_exhausted=se > se_max,
     )

@@ -47,7 +47,11 @@ SeedSequence itself, and the tests pin the kernel to numpy.
 generator and returns it, instead of building a generator.  It may be used
 only where the generator does not escape the call, since the thread's next
 call re-keys it: the synthetic and TSP runs use it.  Whatever keeps or
-returns a generator builds one with ``make_generator``.
+returns a generator builds one with ``make_generator``.  The thread keeps
+one counter-0 state template with its generator, so a re-key writes the
+key into that template and assigns it, and builds no state of its own;
+``philox_words`` builds its own state for a stream's later counter blocks
+and never touches the template.
 
 ``philox_words(seed, start, stop)`` is words [start, stop) of
 ``make_generator(seed)``'s stream of 32-bit words, in the order numpy's
@@ -246,11 +250,20 @@ def kept_generator(key) -> np.random.Generator:
     generator restarts at counter 0 under it and draws what
     ``make_generator`` of the key's seed would.  The thread's next call
     re-keys it, so it must not escape the caller.
+
+    The thread keeps, beside the generator, one counter-0 state template
+    built once; a call writes ``key`` into it and assigns it.  The setter
+    copies every field, and nothing else writes the template, so it never
+    holds a nonzero counter or a used buffer.
     """
-    rng = getattr(_kept, "rng", None)
-    if rng is None:
-        rng = _kept.rng = np.random.Generator(np.random.Philox(0))
-    rng.bit_generator.state = _philox_state(key, 0)
+    try:
+        rng, bits, template = _kept.rng
+    except AttributeError:
+        rng = np.random.Generator(np.random.Philox(0))
+        _kept.rng = rng, rng.bit_generator, _philox_state((0, 0), 0)
+        rng, bits, template = _kept.rng
+    template["state"]["key"] = key
+    bits.state = template
     return rng
 
 

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paircomp
-from paircomp.cli import _build_parser, main
+from paircomp.cli import _build_parser, _sigterm_interrupts, main
 from paircomp.reporting import fmt
 
 
@@ -1065,6 +1065,19 @@ algorithms:
         code, _, err = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
 
+    def test_too_many_resamples_exit_2_before_any_run(self, capsys, tmp_path):
+        # with a parametric SE only the diagnostics read resamples: a run
+        # spent every run, then died allocating 2**32 means
+        bad = SYNTH_RUN_CONFIG.replace(
+            "diff: simple}", "diff: simple, bootstrap: {resamples: 4294967296}}")
+        cfg = write_config(tmp_path, bad)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: sampling: at most 100000 bootstrap resamples "
+                               "are allowed, got 4294967296")
+        assert not (tmp_path / "out").exists()
+
     # the pool has no seed of its own, so a negative master seed would
     # reach its seed derivation before the plan is built
     @pytest.mark.parametrize("command, how, message", [
@@ -1113,6 +1126,22 @@ def test_unwritable_output_path_exits_two(capsys, tmp_path, argv, flag):
     if flag:
         assert line.startswith(f"error: {flag}: cannot write {blocker}/")
     assert blocker.read_text() == ""
+
+
+def test_only_the_first_sigterm_interrupts_and_the_handler_is_restored():
+    # a second SIGTERM must not raise into the kill of the solvers that
+    # the first one started
+    previous = signal.getsignal(signal.SIGTERM)
+    caught = 0
+    with _sigterm_interrupts():
+        for _ in range(2):
+            try:
+                signal.raise_signal(signal.SIGTERM)
+                time.sleep(0.05)
+            except KeyboardInterrupt:
+                caught += 1
+    assert caught == 1
+    assert signal.getsignal(signal.SIGTERM) is previous
 
 
 def test_parser_is_built_once_per_process():
@@ -1318,8 +1347,14 @@ def _alive(pid):
     return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_sigint_kills_the_solvers_and_resume_completes(capsys, tmp_path, workers):
+@pytest.mark.parametrize("signum, workers", [
+    pytest.param(signal.SIGINT, 1, id="1"),
+    pytest.param(signal.SIGINT, 2, id="2"),
+    # as `timeout` or a batch scheduler sends it: it stops a run as Ctrl-C does
+    pytest.param(signal.SIGTERM, 1, id="sigterm-1"),
+    pytest.param(signal.SIGTERM, 2, id="sigterm-2"),
+])
+def test_sigint_kills_the_solvers_and_resume_completes(capsys, tmp_path, signum, workers):
     solver, pids, hold = tmp_path / "solver.py", tmp_path / "pids", tmp_path / "hold"
     solver.write_text(HELD_SOLVER)
     pids.mkdir()
@@ -1347,20 +1382,27 @@ def test_sigint_kills_the_solvers_and_resume_completes(capsys, tmp_path, workers
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
     proc = subprocess.Popen([sys.executable, "-m", "paircomp", "run", "--config", str(cfg)],
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
     try:
         deadline = time.monotonic() + 60
         while not any(pids.iterdir()) and time.monotonic() < deadline:
             time.sleep(0.02)
         assert any(pids.iterdir()), "no solver started"
-        proc.send_signal(signal.SIGINT)
+        # timeout(1) sends SIGTERM twice: to the process, then to its group
+        for _ in range(2 if signum == signal.SIGTERM else 1):
+            proc.send_signal(signum)
         sent = time.monotonic()
-        proc.wait(timeout=30)
+        _, err = proc.communicate(timeout=30)
         assert time.monotonic() - sent < 2.0
     finally:
         proc.kill()
         proc.wait()
     assert [pid.name for pid in pids.iterdir() if _alive(int(pid.name))] == []
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: interrupted") and "paircomp resume" in line
 
     hold.unlink()
     code, _, err = run_cli(capsys, "resume", "--config", str(cfg))

@@ -347,6 +347,23 @@ class TestBootstrap:
         with pytest.raises(ValueError, match="at least 100 bootstrap resamples"):
             call()
 
+    @pytest.mark.parametrize("call", [
+        lambda: SamplingConfig(se_max=1.0, resamples=100_001),
+        # a config that asks for this is refused before any run; the
+        # diagnostics would have allocated 32 GiB after the last one
+        lambda: SamplingConfig(se_max=1.0, resamples=2 ** 32),
+        lambda: bootstrap_se(oracles.instance_sample([1.0, 2.0, 4.0]),
+                             oracles.instance_sample([2.0, 3.0, 5.0]),
+                             DiffKind.SIMPLE, 100_001, 5),
+        lambda: bootstrap_sdm([1.0, 2.0, 3.0], 100_001, 5),
+    ], ids=["sampling-config", "sampling-config-2**32", "bootstrap_se", "bootstrap_sdm"])
+    def test_too_many_resamples_rejected(self, call):
+        with pytest.raises(ValueError, match="at most 100000 bootstrap resamples"):
+            call()
+
+    def test_most_resamples_accepted(self):
+        assert SamplingConfig(se_max=1.0, resamples=100_000).resamples == 100_000
+
     @pytest.mark.parametrize("seed", [1.5, -1, True], ids=["float", "negative", "bool"])
     @pytest.mark.parametrize("call", [
         lambda seed: bootstrap_se(oracles.instance_sample([1.0, 2.0, 4.0]),

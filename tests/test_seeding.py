@@ -8,7 +8,7 @@ import pytest
 import oracles
 import paircomp.seeding as seeding_module
 from paircomp.seeding import (derive_seed, first_stages, kept_generator,
-                              make_generator, run_keys)
+                              make_generator, philox_words, run_keys)
 
 EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -248,6 +248,38 @@ class TestKeptGenerator:
         assert rng.integers(0, 2 ** 32, 5, dtype=np.uint32).tolist() == \
             ref.integers(0, 2 ** 32, 5, dtype=np.uint32).tolist()
         assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_word_reads_between_rekeys_leave_no_state(self, threads):
+        # philox_words moves the thread's kept generator to later counter
+        # blocks; the re-key that follows starts from the thread's counter-0
+        # template, which must still hold counter 0 and an empty buffer
+        cap, grow = seeding_module._KEPT_WORDS, seeding_module._GROW_WORDS
+        reads = [(0, 5), (grow + 3, grow + 11), (cap + 9, cap + 14), (17, 21)]
+
+        def interleave(share):
+            got = []
+            for i, seed in enumerate(share):
+                rng = kept_generator(oracles.reference_key(seed))
+                got.append((rng.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist(),
+                            rng.standard_normal(2).tolist()))
+                # the word seed changes every other step, so both a fresh
+                # stream and a grown one come between two re-keys
+                start, stop = reads[i % len(reads)]
+                assert philox_words(10 ** 6 + i // 2, start, stop).size == stop - start
+            return got
+
+        seeds = list(range(3000, 3000 + 12 * threads))
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            futures = [pool.submit(interleave, seeds[k::threads]) for k in range(threads)]
+            got = [f.result(timeout=120) for f in futures]
+        for k in range(threads):
+            want = []
+            for seed in seeds[k::threads]:
+                ref = make_generator(seed)
+                want.append((ref.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist(),
+                             ref.standard_normal(2).tolist()))
+            assert got[k] == want
 
     def test_each_thread_keeps_its_own(self):
         seeds = list(range(1000, 1400))
