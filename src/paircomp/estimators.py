@@ -22,10 +22,15 @@ Both bootstraps draw what ``Generator.integers`` on
 seed's 32-bit word stream (``seeding.philox_words``) and maps the words
 to indices by numpy's own rule.  Every SE evaluation for one instance
 reads a prefix of the same stream, so each thread keeps its first words
-(2 MiB per thread).  The seed must be an integer >= 0.  The bootstrap
-SE also memoises its first side: the resampled baseline means depend only
-on ``seed``, ``resamples`` and the baseline observations, so an
-allocation step that adds a run to the second algorithm reuses them.
+(2 MiB per thread).  The kernel draws a block of at most
+max(2**17, n) indices at a time into two buffers the thread keeps and
+reuses, one of indices and one of gathered values, so a block without a
+rejected word allocates nothing; that is 16 bytes per index, 2 MiB per
+thread for n <= 2**17, on top of the kept words.  The seed must be an
+integer >= 0.  The bootstrap SE also memoises its first side: the
+resampled baseline means depend only on ``seed``, ``resamples`` and the
+baseline observations, so an allocation step that adds a run to the
+second algorithm reuses them.
 Results are bit-identical to drawing them afresh from a new generator.
 
 Every percent estimator (phi, the parametric SE and the bootstrap SE)
@@ -40,6 +45,7 @@ Functions are duck-typed over any object exposing ``n``, ``mean``,
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -245,7 +251,8 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
 
 
-def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, int]:
+def _word_indices(seed: int, pos: int, n: int, count: int,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
     """``count`` indices below ``n``, drawn from word ``pos`` on of the
     seed's word stream, and the word position after them.
 
@@ -256,23 +263,36 @@ def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, 
     path without rejection gives.  So the indices, and the position,
     are those of ``integers(0, n, count)`` on a generator that has drawn
     ``pos`` words.
+
+    The indices go into ``out``, a uint64 array of at least ``count``
+    entries (a new one when not given), and the result is an int64 view
+    of its first ``count``.  Each read of words is checked by writing
+    the low halves of w * n as uint32 into the unfilled part of ``out``
+    and taking their minimum; only a read with a rejected word (a word's
+    chance is below n / 2**32) is masked, and the next read draws just
+    the words it lacks.  So every word is read once and nothing else is
+    allocated on a read without rejection.  Lemire's rule lives here
+    alone.
     """
     if not 2 <= n <= 1 << 32:
         raise ValueError(f"indices below n need 2 <= n <= 2**32, got n={n}")
     threshold = (1 << 32) % n
-    parts = []
-    while count:
-        m = philox_words(seed, pos, pos + count).astype(np.uint64)
-        m *= n
-        pos += count
+    if out is None:
+        out = np.empty(count, np.uint64)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        words = philox_words(seed, pos, pos + need)
+        pos += need
         if threshold:
-            keep = m.astype(np.uint32) >= threshold
-            if not keep.all():
-                m = m[keep]
-        m >>= 32
-        parts.append(m)
-        count -= m.size
-    indices = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            low = np.multiply(words, np.uint32(n), out=out[filled:].view(np.uint32)[:need])
+            if np.minimum.reduce(low) < threshold:
+                words = words[low >= threshold]
+        out[filled:filled + words.size] = words
+        filled += words.size
+    indices = out[:count]
+    indices *= n
+    indices >>= 32
     return indices.view(np.int64), pos
 
 
@@ -281,20 +301,46 @@ def _word_indices(seed: int, pos: int, n: int, count: int) -> tuple[np.ndarray, 
 # which hands the GIL on, and that costs most when workers share cores
 _GATHER_CHUNK = 1 << 17
 
+# each thread's uint64 index and float64 gather buffers, reused by every
+# block it draws
+_per_thread = threading.local()
+_NO_BUFFER = np.empty(0)
+
 
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
     """Means of ``count`` with-replacement resamples of ``x``, read from
     word ``pos`` on of the seed's word stream a block of rows at a time,
     and the word position after them: the same floats, and the position
     where the generator stands, as one ``integers(0, n, (count, n))`` draw
-    on a generator of ``seed`` that has drawn ``pos`` words."""
+    on a generator of ``seed`` that has drawn ``pos`` words.
+
+    A block's indices and gathered values go into the calling thread's
+    two buffers, 16 bytes per index; they hold max(2**17, n) indices,
+    the largest block of any n up to that size, and are replaced only
+    when a larger n comes, so a block without a rejected word allocates
+    nothing.  Its row sums go straight into the result, which is divided
+    by n once, as ``ndarray.mean`` does.  The result is always a new
+    array, never a view of a buffer: ``_first_side`` memoises it and
+    ``bootstrap_sdm`` returns it.
+    """
     n = x.size
     rows = max(1, _GATHER_CHUNK // n)
+    index_buffer, gather_buffer = getattr(_per_thread, "buffers", (_NO_BUFFER, _NO_BUFFER))
+    if index_buffer.size < rows * n:
+        size = max(_GATHER_CHUNK, n)
+        index_buffer, gather_buffer = np.empty(size, np.uint64), np.empty(size)
+        _per_thread.buffers = index_buffer, gather_buffer
     means = np.empty(count)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
-        indices, pos = _word_indices(seed, pos, n, (stop - start) * n)
-        means[start:stop] = x.take(indices).reshape(stop - start, n).mean(axis=1)
+        size = (stop - start) * n
+        indices, pos = _word_indices(seed, pos, n, size, index_buffer)
+        # the indices are below n, so "clip" never clips; unlike "raise",
+        # it writes straight into the buffer, and unlike "wrap", which
+        # steps a bad index down by n at a time, it cannot stall on one
+        gather = x.take(indices, out=gather_buffer[:size], mode="clip")
+        np.add.reduce(gather.reshape(stop - start, n), axis=1, out=means[start:stop])
+    means /= n
     return means, pos
 
 
@@ -365,7 +411,15 @@ def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
         phis = (m2 - m1) / m1
     else:
         phis = m2 - m1
-    return float(np.std(phis, ddof=1))
+    return _sample_sd(phis)
+
+
+def _sample_sd(values: np.ndarray) -> float:
+    """``np.std(values, ddof=1)`` to the last bit, by the same two
+    reductions numpy makes, without its Python wrapper."""
+    dev = values - np.add.reduce(values) / values.size
+    dev *= dev
+    return math.sqrt(np.add.reduce(dev) / (values.size - 1))
 
 
 def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:

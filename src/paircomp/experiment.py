@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
@@ -173,9 +174,11 @@ def _row_to_diff(row: dict) -> PairedDifference:
 class _Journal:
     """Append-only newline-delimited record file keyed by instance id.
 
-    The file stays open from construction to :meth:`close`; each row is
-    flushed as it is written, so the OS holds every finished row, as it
-    would if the file were closed after each one.
+    The header is written to a file beside it and renamed into place, so
+    the journal exists only with its whole header.  The file stays open
+    from construction to :meth:`close`; each row is flushed as it is
+    written, so the OS holds every finished row, as it would if the file
+    were closed after each one.
     """
 
     def __init__(self, path: Path, fingerprint: str, resume: bool):
@@ -188,7 +191,9 @@ class _Journal:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             header = {"kind": "header", "version": _JOURNAL_VERSION,
                       "fingerprint": fingerprint}
-            self.path.write_text(json.dumps(header) + "\n")
+            part = self.path.with_name(self.path.name + ".part")
+            part.write_text(json.dumps(header) + "\n")
+            os.replace(part, self.path)
         self._fh = self.path.open("a")
 
     def _load(self) -> None:
@@ -267,8 +272,9 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     configuration.  After an instance fails, or its row cannot be written,
     no instance starts; those running finish and are journaled, and the
     error names the failing one.  After an interrupt (Ctrl-C) on the calling
-    thread no run starts and the running solvers are killed; unfinished
-    instances are not journaled.  A pool of one instance is refused.
+    thread no run starts and the running solvers are killed, also when a
+    second interrupt comes during the kill; unfinished instances are not
+    journaled.  A pool of one instance is refused.
     """
     pool_size = len(plan.instance_pool)
     if pool_size < 2:
@@ -337,7 +343,12 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                     f.result()
             except BaseException:  # an interrupt: no run starts, solvers die
                 stop.set()
-                kill_running()
+                while True:  # a second interrupt inside the kill starts it again
+                    try:
+                        kill_running()
+                        break
+                    except KeyboardInterrupt:
+                        pass
                 raise
     finally:
         if journal:

@@ -1078,6 +1078,33 @@ algorithms:
                                "are allowed, got 4294967296")
         assert not (tmp_path / "out").exists()
 
+    def test_too_many_pool_instances_exit_2_before_any_run(self, capsys, tmp_path):
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 1000001"))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: instances.synthetic_pool: at most 1000000 "
+                               "instances are allowed, got 1000001")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_kill_while_the_journal_header_is_written_leaves_no_journal(
+            self, capsys, tmp_path, monkeypatch):
+        # the header is renamed into place whole: a run that ends at the
+        # rename leaves no journal, and resume says there is nothing to
+        # resume instead of refusing a partial header
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("count: 50", "count: 5"))
+        monkeypatch.setattr(os, "replace", interrupted)
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        monkeypatch.undo()
+        assert code == 3, err
+        assert not (tmp_path / "out" / "checkpoint.jsonl").exists()
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: nothing to resume")
+
     # the pool has no seed of its own, so a negative master seed would
     # reach its seed derivation before the plan is built
     @pytest.mark.parametrize("command, how, message", [

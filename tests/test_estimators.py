@@ -653,3 +653,99 @@ class TestWordIndices:
             assert boot_seed == derive_seed(seed, BOOTSTRAP_STREAM)
             assert size == 2 ** 19
             assert result == sample(seed)
+
+
+def planted_rejections(every):
+    """``philox_words`` with each word at a position divisible by ``every``
+    set to 0, a word Lemire's rule rejects for any n not a power of two."""
+    def words(seed, start, stop):
+        planted = philox_words(seed, start, stop).copy()
+        planted[-start % every::every] = 0
+        planted.flags.writeable = False
+        return planted
+    return words
+
+
+class TestBlockBuffers:
+    """Each thread reuses one index and one gather buffer for every block
+    it draws; no result may be a view of them, and no thread may see
+    another's."""
+
+    def test_memoised_first_side_outlives_later_draws(self):
+        x1 = np.random.default_rng(3).lognormal(0.0, 1.0, 7)
+        m1, _ = _first_side(31, 500, x1.tobytes())
+        sdm = bootstrap_sdm(x1, 300, 31)
+        kept = m1.tobytes(), sdm.tobytes()
+        # other n on the same thread, the last larger than a block, so
+        # the buffers are written over and then replaced
+        for n in (7, 5, 300, estimators._GATHER_CHUNK + 3):
+            _word_means(32, np.random.default_rng(n).normal(0.0, 1.0, n), 3, 0)
+        assert (m1.tobytes(), sdm.tobytes()) == kept
+        assert not m1.flags.writeable
+        assert _first_side(31, 500, x1.tobytes())[0] is m1
+
+    @pytest.mark.parametrize("n, count", [(3, 100_000), (1100, 300), (64, 5000)],
+                             ids=["n-3", "n-1100", "no-rejection"])
+    def test_planted_rejections_match_one_draw(self, monkeypatch, n, count):
+        # a rejected word in every block moves the rest of the draw on;
+        # the blocks must still give the indices of one draw, reading
+        # each word once, and n = 64 takes the zeros as index 0
+        planted, reads = planted_rejections(1000), []
+
+        def read(seed, start, stop):
+            reads.append((start, stop))
+            return planted(seed, start, stop)
+
+        monkeypatch.setattr(estimators, "philox_words", read)
+        x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+        indices, want_pos = _word_indices(13, 5, n, count * n)
+        want = x.take(indices).reshape(count, n).mean(axis=1)
+        reads.clear()
+        means, pos = _word_means(13, x, count, 5)
+        assert means.tobytes() == want.tobytes()
+        assert pos == want_pos
+        assert (pos > count * n + 5) == (n != 64)
+        assert count * n > estimators._GATHER_CHUNK  # more than one block
+        assert [start for start, _ in reads] == [5] + [stop for _, stop in reads[:-1]]
+        assert reads[-1][1] == pos
+
+    @pytest.mark.parametrize("values", [
+        *(np.random.default_rng(seed).normal(0.0, 1.0, size) * scale
+          for seed, size, scale in [(1, 999, 1.0), (2, 2, 3.0), (3, 100_000, 1e-3),
+                                    (4, 3000, 1e300), (5, 50, 1e-310)]),
+        np.array([5e-324, 0.0]), np.array([2.0, 2.0, 2.0]),
+        np.array([1e308, -1e308, 1e308]), np.array([1.7e308, 1.7e308]),
+        np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
+    ], ids=["random", "two", "large-n", "huge", "subnormal", "tiny", "constant",
+            "sum-overflows", "square-overflows", "inf", "nan"])
+    def test_spread_is_np_std_to_the_bit(self, values):
+        with np.errstate(all="ignore"):
+            want = np.std(values, ddof=1)
+            got = estimators._sample_sd(values)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_threads_with_different_n_match_one_thread(self):
+        # four threads draw at once, each with its own n and three blocks
+        # a call, with threads switched often: a buffer one thread wrote
+        # while another read it would change a mean
+        barrier = threading.Barrier(4, timeout=60)
+
+        def draw(n, together=False):
+            x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
+            if together:
+                barrier.wait()
+            return [(means.tobytes(), end) for means, end in
+                    (_word_means(40 + n, x, 3 * estimators._GATHER_CHUNK // n, pos)
+                     for pos in range(0, 80, 8))]
+
+        sizes = [3, 40, 263, 1100]
+        expected = [draw(n) for n in sizes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                got = list(pool.map(lambda n: draw(n, together=True), sizes, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected

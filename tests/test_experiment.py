@@ -1,7 +1,9 @@
 import dataclasses
 import json
 import math
+import os
 import signal
+import sys
 import threading
 import time
 from dataclasses import replace
@@ -10,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import paircomp.experiment as experiment_module
+import paircomp.runners as runners_module
 import paircomp.sampler as sampler_module
 import paircomp.seeding as seeding_module
 from paircomp.design import Alternative, ComparisonDesign, TestFamily, calc_power
@@ -605,6 +608,55 @@ class TestInterrupt:
             written.append([(out / name).read_bytes()
                             for name in ("results.csv", "report.json")])
         assert written[0] == written[1]
+
+    def test_an_interrupt_inside_the_kill_still_kills_every_solver(self, tmp_path,
+                                                                   monkeypatch):
+        # two solvers run; the kill that an interrupt starts is itself
+        # interrupted right after its first kill, as a second Ctrl-C can
+        # be, and the other solver must still die at once
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        solver = tmp_path / "solver.py"
+        solver.write_text("import os, sys, time\nfrom pathlib import Path\n"
+                          "(Path(sys.argv[1]) / str(os.getpid())).touch()\n"
+                          "time.sleep(20)\nprint(1.0)\n")
+        specs = tuple(AlgorithmSpec(alias=alias, kind=AlgorithmKind.SUBPROCESS,
+                                    concurrent_safe=True,
+                                    params={"executable": sys.executable,
+                                            "args": [str(solver), str(pids)]})
+                      for alias in ("one", "two"))
+        plan = make_plan(pool=null_pool(4), specs=specs, use_all=True, workers=2,
+                         n0=2, n_max=4)
+        real_killpg, killed = os.killpg, []
+
+        def killpg_then_interrupted(pgid, sig):
+            real_killpg(pgid, sig)
+            killed.append(pgid)
+            if len(killed) == 1:
+                raise KeyboardInterrupt
+
+        sent = []
+
+        def interrupt_once_both_run():
+            deadline = time.monotonic() + 60
+            while len(list(pids.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.02)
+            sent.append(time.monotonic())
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+
+        monkeypatch.setattr(runners_module.os, "killpg", killpg_then_interrupted)
+        interrupter = threading.Thread(target=interrupt_once_both_run)
+        interrupter.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_experiment(plan)
+            ended = time.monotonic()
+        finally:
+            interrupter.join(timeout=60)
+        assert not interrupter.is_alive()
+        started = {int(pid.name) for pid in pids.iterdir()}
+        assert len(started) == 2 and set(killed) == started
+        assert ended - sent[0] < 5.0  # no solver ran out its 20 s
 
     def test_no_more_threads_than_instances(self, monkeypatch):
         plan = make_plan(pool_size=3, use_all=True, workers=64)

@@ -115,6 +115,13 @@ class TestSyntheticPool:
         with pytest.raises(ValueError):
             build_synthetic_pool(0, delta=0.0, sigma_phi=1.0, noise_sd=1.0, seed=1)
 
+    @pytest.mark.parametrize("extra", [1, 10 ** 400])
+    def test_oversized_pool_rejected_before_any_draw(self, extra):
+        count = runners_module.MAX_POOL_INSTANCES + extra
+        with pytest.raises(ValueError, match=f"at most 1000000 instances are allowed, "
+                                             f"got {count}: .* 1.2 kB per instance"):
+            build_synthetic_pool(count, seed=1)
+
 
 @pytest.fixture
 def echo_stub(tmp_path):
