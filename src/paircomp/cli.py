@@ -263,7 +263,8 @@ def _cmd_run(args, resume: bool) -> int:
     if out_dir is None:
         raise ConfigError("an output directory is required: set 'output_dir' in "
                           "the config or pass --output-dir")
-    checkpoint = out_dir / "checkpoint.jsonl"
+    # main reads it on an interrupt: only a journal on disk can be resumed
+    args.checkpoint = checkpoint = out_dir / "checkpoint.jsonl"
     if resume and not checkpoint.exists():
         raise ConfigError(f"nothing to resume: {checkpoint} does not exist")
 
@@ -285,7 +286,8 @@ def _cmd_run(args, resume: bool) -> int:
 
 def _interrupt_once(signum, frame):
     # timeout(1) signals the process and then its group: a second
-    # KeyboardInterrupt would cut short the kill of the solvers in flight
+    # KeyboardInterrupt could land while main reports the first, and end
+    # the command with a traceback instead of exit code 3
     signal.signal(signum, lambda *_: None)
     raise KeyboardInterrupt
 
@@ -319,8 +321,10 @@ def main(argv=None) -> int:
             with _sigterm_interrupts():
                 return _cmd_run(args, resume=args.command == "resume")
         except KeyboardInterrupt:
-            print("error: interrupted; 'paircomp resume' continues from the "
-                  "checkpoint journal", file=sys.stderr)
+            journal = getattr(args, "checkpoint", None)
+            hint = ("; 'paircomp resume' continues from the checkpoint journal"
+                    if journal and journal.exists() else "")
+            print(f"error: interrupted{hint}", file=sys.stderr)
             return EXIT_RUNNER
     except _HANDLED as exc:
         print(f"error: {exc}", file=sys.stderr)

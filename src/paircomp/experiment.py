@@ -18,7 +18,9 @@ Worker threads sample the instances, more than one at a time only when
 both algorithm specs declare themselves safe for concurrent invocation.
 The worker that completes an instance appends its row to a checkpoint
 journal of newline-delimited records, so an interrupted experiment can
-resume without re-running finished instances.
+resume without re-running finished instances.  Every run is bound with
+the experiment's stop event: on an interrupt the calling thread only sets
+it, and each run then refuses to start or kills its own solver.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .errors import ConfigError, ExperimentAbortedError
 from .estimators import DiffKind, PairedDifference, SEMethod
 from .hypotests import (DiagnosticsBundle, TestReport, build_diagnostics,
                         paired_t_test, sign_test, wilcoxon_signed_rank)
-from .runners import AlgorithmSpec, InstanceRef, _is_int, bind, kill_running
+from .runners import AlgorithmSpec, InstanceRef, _is_int, bind
 from .sampler import SamplingConfig, calc_nreps
 from .seeding import (DIAGNOSTICS_STREAM, INSTANCE_STREAM, SELECTION_STREAM,
                       derive_seed, first_stages, make_generator, run_keys)
@@ -175,10 +177,11 @@ class _Journal:
     """Append-only newline-delimited record file keyed by instance id.
 
     The header is written to a file beside it and renamed into place, so
-    the journal exists only with its whole header.  The file stays open
-    from construction to :meth:`close`; each row is flushed as it is
-    written, so the OS holds every finished row, as it would if the file
-    were closed after each one.
+    the journal exists only with its whole header; a write or rename that
+    raises removes that file, and only a kill can leave it.  The file
+    stays open from construction to :meth:`close`; each row is flushed as
+    it is written, so the OS holds every finished row, as it would if the
+    file were closed after each one.
     """
 
     def __init__(self, path: Path, fingerprint: str, resume: bool):
@@ -192,8 +195,11 @@ class _Journal:
             header = {"kind": "header", "version": _JOURNAL_VERSION,
                       "fingerprint": fingerprint}
             part = self.path.with_name(self.path.name + ".part")
-            part.write_text(json.dumps(header) + "\n")
-            os.replace(part, self.path)
+            try:
+                part.write_text(json.dumps(header) + "\n")
+                os.replace(part, self.path)
+            finally:  # once renamed, it is gone already
+                part.unlink(missing_ok=True)
         self._fh = self.path.open("a")
 
     def _load(self) -> None:
@@ -272,8 +278,9 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     configuration.  After an instance fails, or its row cannot be written,
     no instance starts; those running finish and are journaled, and the
     error names the failing one.  After an interrupt (Ctrl-C) on the calling
-    thread no run starts and the running solvers are killed, also when a
-    second interrupt comes during the kill; unfinished instances are not
+    thread no run starts, and each running solver is killed by its own run
+    within one 0.1 s slice (``runners._POLL_S``), also when a second
+    interrupt ends the wait for the workers; unfinished instances are not
     journaled.  A pool of one instance is refused.
     """
     pool_size = len(plan.instance_pool)
@@ -309,14 +316,6 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     # takes the next instance, so with one worker the rows land in order
     todo = zip(pending, first_stages([seed for _, seed in pending], plan.sampling.n0))
     lock, stop, failures = threading.Lock(), threading.Event(), []
-
-    def checked(run):  # a run starts only while no interrupt has come
-        def run_unless_stopped(seed: int, key) -> float:
-            if stop.is_set():
-                raise KeyboardInterrupt
-            return run(seed, key)
-        return run_unless_stopped
-
     a1, a2 = plan.algorithms
 
     def work() -> None:
@@ -326,7 +325,7 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
                     return
             (inst, seed), first = item
             try:
-                diff = calc_nreps(checked(bind(a1, inst)), checked(bind(a2, inst)),
+                diff = calc_nreps(bind(a1, inst, stop), bind(a2, inst, stop),
                                   inst, plan.sampling, seed, first)
                 with lock:
                     if journal:
@@ -341,15 +340,8 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
             try:
                 for f in [pool.submit(work) for _ in range(min(workers, len(pending)))]:
                     f.result()
-            except BaseException:  # an interrupt: no run starts, solvers die
+            finally:  # after an interrupt each run stops itself
                 stop.set()
-                while True:  # a second interrupt inside the kill starts it again
-                    try:
-                        kill_running()
-                        break
-                    except KeyboardInterrupt:
-                        pass
-                raise
     finally:
         if journal:
             journal.close()

@@ -1,19 +1,21 @@
 """Algorithm and instance abstractions: one run -> one performance value.
 
-``bind(spec, instance)`` reads the instance's inputs once and returns the
-run function: called with a run seed and the Philox key of its generator
-(see :mod:`paircomp.seeding`), it performs a single run and returns its
-value as a finite float.  Four algorithm kinds are provided:
+``bind(spec, instance, stop)`` reads the instance's inputs once and
+returns the run function: called with a run seed and the Philox key of its
+generator (see :mod:`paircomp.seeding`), it performs a single run and
+returns its value as a finite float.  Once the optional ``stop`` event is
+set, a run refuses to start.  Four algorithm kinds are provided:
 
 * ``subprocess`` wraps an external solver.  The command line is the
   executable followed by its argument template with ``{instance}`` and
   ``{seed}`` substituted; the last nonempty line of standard output must
   parse as a decimal performance value, the exit status must be 0, and a
-  per-spec timeout applies.  Each run starts in a session of its own, and
-  a timeout, or ``kill_running`` on an experiment's interrupt, kills its
-  whole process group, so a solver launched through a shell wrapper leaves
-  nothing behind.  A timed-out or failed run is an error, never an
-  observation.
+  per-spec timeout applies.  Each run starts in a session of its own.  It
+  waits for its solver in slices of ``_POLL_S`` seconds, and a timeout, a
+  ``stop`` seen between two slices, or an interrupt of the waiting thread
+  kills its whole process group, so a solver launched through a shell
+  wrapper leaves nothing behind.  A timed-out or failed run is an error,
+  never an observation.
 * ``synthetic_normal`` / ``synthetic_lognormal`` draw deterministically
   from the declared distribution given the run seed.  Instances may carry
   per-alias parameter overrides in their payload, which is how synthetic
@@ -44,6 +46,8 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -54,7 +58,7 @@ from .seeding import kept_generator, make_generator
 
 __all__ = [
     "AlgorithmKind", "AlgorithmSpec", "InstanceRef", "bind",
-    "build_synthetic_pool", "build_tsp_instance", "kill_running",
+    "build_synthetic_pool", "build_tsp_instance",
 ]
 
 _EXCERPT_CHARS = 400
@@ -165,7 +169,8 @@ class InstanceRef:
             raise ValueError("instance id must be nonempty")
 
 
-def bind(spec: AlgorithmSpec, instance: InstanceRef):
+def bind(spec: AlgorithmSpec, instance: InstanceRef,
+         stop: threading.Event | None = None):
     """The algorithm's run function on the instance, its inputs read once.
 
     Binding merges the spec's params, with their defaults, and the payload
@@ -175,10 +180,16 @@ def bind(spec: AlgorithmSpec, instance: InstanceRef):
     run's performance value.  A value that is not finite, such as a
     lognormal draw that overflows a float, raises ``RunnerError`` naming
     the algorithm, the instance and the seed.
+
+    Once ``stop`` is set, the run function raises ``KeyboardInterrupt``
+    instead of starting a run, and a subprocess run in flight kills its
+    solver and raises it within one ``_POLL_S`` slice.
     """
-    run = _BINDERS[spec.kind](spec, instance)
+    run = _BINDERS[spec.kind](spec, instance, stop)
 
     def run_once(seed: int, key) -> float:
+        if stop is not None and stop.is_set():
+            raise KeyboardInterrupt
         value = run(seed, key)
         if not math.isfinite(value):
             raise RunnerError(f"run produced a non-finite value {value!r}",
@@ -192,7 +203,7 @@ def bind(spec: AlgorithmSpec, instance: InstanceRef):
 # synthetic runners
 
 
-def _bind_normal(spec: AlgorithmSpec, instance: InstanceRef):
+def _bind_normal(spec: AlgorithmSpec, instance: InstanceRef, stop):
     """A normal draw at ``mu`` and ``sigma``: the spec's params, overridden
     by ``payload[alias]``."""
     override = instance.payload.get(spec.alias, {})
@@ -206,8 +217,8 @@ def _bind_normal(spec: AlgorithmSpec, instance: InstanceRef):
     return lambda seed, key: mu + sigma * kept_generator(key).standard_normal()
 
 
-def _bind_lognormal(spec: AlgorithmSpec, instance: InstanceRef):
-    normal = _bind_normal(spec, instance)
+def _bind_lognormal(spec: AlgorithmSpec, instance: InstanceRef, stop):
+    normal = _bind_normal(spec, instance, stop)
 
     def run(seed: int, key) -> float:
         try:  # math.exp: np.exp may differ in the last bit
@@ -271,21 +282,14 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
 # ---------------------------------------------------------------------------
 # subprocess runner
 
-_live: set[subprocess.Popen] = set()  # the solvers of the runs in flight
+_POLL_S = 0.1  # how long a solver may outlive its run's stop, in seconds
 
 
-def kill_running() -> None:
-    """Kill the process group of every solver still running."""
-    for proc in list(_live):
-        if proc.poll() is None:  # a reaped pid may be another process's now
-            with contextlib.suppress(ProcessLookupError):  # its group just ended
-                os.killpg(proc.pid, signal.SIGKILL)
-
-
-def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
+def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef, stop):
     """The executable and its argument template, with ``{instance}``
     replaced by ``payload.path``, else the instance id; a run then
-    replaces ``{seed}``.  Neither is replaced in the executable."""
+    replaces ``{seed}``.  Neither is replaced in the executable.  A run
+    looks at ``stop`` after each ``_POLL_S`` slice of its wait."""
     params = {**_DEFAULTS[spec.kind], **spec.params}
     path = instance.payload.get("path", instance.id)
     if not isinstance(path, str):
@@ -312,20 +316,28 @@ def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef):
                                     start_new_session=True)
         except OSError as exc:
             raise failure(f"could not launch {cmd[0]!r}: {exc}") from exc
-        _live.add(proc)
+        deadline = time.monotonic() + spec.timeout
         with proc:
             try:
-                stdout, stderr = proc.communicate(timeout=spec.timeout)
+                while True:  # communicate may be called again after a timeout
+                    with contextlib.suppress(subprocess.TimeoutExpired):
+                        stdout, stderr = proc.communicate(
+                            timeout=min(_POLL_S, deadline - time.monotonic()))
+                        break
+                    if stop is not None and stop.is_set():
+                        raise KeyboardInterrupt
+                    if time.monotonic() >= deadline:
+                        raise subprocess.TimeoutExpired(cmd, spec.timeout)
             except subprocess.TimeoutExpired as exc:
                 os.killpg(proc.pid, signal.SIGKILL)
                 stdout, stderr = proc.communicate()
                 raise failure(f"run timed out after {spec.timeout:g}s",
                               stdout, stderr) from exc
             except BaseException:
-                os.killpg(proc.pid, signal.SIGKILL)
+                # also once the leader is reaped: a wrapper's children may live on
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
                 raise
-            finally:
-                _live.discard(proc)
         if proc.returncode != 0:
             raise failure(f"run exited with status {proc.returncode}", stdout, stderr)
         lines = [ln.strip() for ln in stdout.splitlines() if ln.strip()]
@@ -363,7 +375,7 @@ def _tour_length(tour: list[int], d) -> float:
     return total + d[tour[-1]][tour[0]]
 
 
-def _bind_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef):
+def _bind_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, stop):
     """One annealing run on the distance matrix: ``payload.distance_matrix``,
     or one generated from ``payload.cities`` and ``payload.layout_seed``."""
     params = {**_DEFAULTS[spec.kind], **spec.params}
@@ -420,7 +432,9 @@ def _bind_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef):
 
 
 # each kind's binder: it reads and checks what a run of the spec on the
-# instance reads, and returns the run function of (seed, key)
+# instance reads, and returns the run function of (seed, key); only the
+# subprocess binder reads the stop, since an in-process run cannot be cut
+# short, and bind looks at it before each run starts
 _BINDERS = {
     AlgorithmKind.SUBPROCESS: _bind_subprocess,
     AlgorithmKind.SYNTHETIC_NORMAL: _bind_normal,

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import paircomp
+import paircomp.cli as cli_module
 from paircomp.cli import _build_parser, _sigterm_interrupts, main
 from paircomp.reporting import fmt
 
@@ -1100,10 +1101,24 @@ algorithms:
         monkeypatch.undo()
         assert code == 3, err
         assert not (tmp_path / "out" / "checkpoint.jsonl").exists()
+        assert not (tmp_path / "out" / "checkpoint.jsonl.part").exists()
+        assert err.splitlines() == ["error: interrupted"]  # nothing to resume
         code, _, err = run_cli(capsys, "resume", "--config", str(cfg))
         assert code == 2
         [line] = err.splitlines()
         assert line.startswith("error: nothing to resume")
+
+    def test_an_interrupt_while_the_config_is_read_exits_3(self, capsys, tmp_path,
+                                                            monkeypatch):
+        def interrupted(*args):
+            raise KeyboardInterrupt
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
+        monkeypatch.setattr(cli_module, "load_config", interrupted)
+        for command in ("run", "resume"):
+            code, _, err = run_cli(capsys, command, "--config", str(cfg))
+            assert code == 3, err
+            assert err.splitlines() == ["error: interrupted"]
+        assert not (tmp_path / "out").exists()
 
     # the pool has no seed of its own, so a negative master seed would
     # reach its seed derivation before the plan is built

@@ -199,8 +199,8 @@ class TestReportContents:
         # first-stage blocks and the sampler's later ones
         seeds = []
 
-        def recording_bind(spec, instance):
-            run = bind(spec, instance)
+        def recording_bind(spec, instance, stop=None):
+            run = bind(spec, instance, stop)
 
             def record(seed, key):
                 seeds.append(seed)
@@ -392,8 +392,8 @@ class TestCheckpointing:
                 opened.append(fh)
             return fh
 
-        def failing_bind(spec, instance):
-            run = bind(spec, instance)
+        def failing_bind(spec, instance, stop=None):
+            run = bind(spec, instance, stop)
             if instance.id != target:
                 return run
 
@@ -544,8 +544,8 @@ class TestPlanValidation:
 
 def recording_bind(before_run):
     """``bind`` whose runs call ``before_run(instance)`` as they start."""
-    def bind_recording(spec, instance):
-        run = bind(spec, instance)
+    def bind_recording(spec, instance, stop=None):
+        run = bind(spec, instance, stop)
 
         def recorded(seed, key):
             before_run(instance)
@@ -657,6 +657,46 @@ class TestInterrupt:
         started = {int(pid.name) for pid in pids.iterdir()}
         assert len(started) == 2 and set(killed) == started
         assert ended - sent[0] < 5.0  # no solver ran out its 20 s
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_solver_spawned_as_the_interrupt_lands_dies(self, tmp_path, monkeypatch,
+                                                          workers):
+        # the third spawn sends the calling thread SIGINT while its run is
+        # inside Popen, past its look at the stop, and only then starts a
+        # solver that sleeps 20 s; that solver must die within a slice
+        hold = tmp_path / "hold"
+        solver = tmp_path / "solver.py"
+        solver.write_text("import sys, time\nfrom pathlib import Path\n"
+                          "if Path(sys.argv[1]).exists():\n    time.sleep(20)\n"
+                          "print(1.0)\n")
+        specs = tuple(AlgorithmSpec(alias=alias, kind=AlgorithmKind.SUBPROCESS,
+                                    params={"executable": sys.executable,
+                                            "args": [str(solver), str(hold)]})
+                      for alias in ("one", "two"))
+        plan = make_plan(pool=null_pool(4), specs=specs, use_all=True,
+                         workers=workers, n0=2, n_max=4)
+        real_popen, lock = runners_module.subprocess.Popen, threading.Lock()
+        spawns, held, sent = [], [], []
+
+        def popen_past_the_interrupt(*args, **kwargs):
+            with lock:
+                spawns.append(None)
+                third = len(spawns) == 3
+            if third:
+                hold.touch()
+                sent.append(time.monotonic())
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.3)  # the calling thread takes the interrupt
+            proc = real_popen(*args, **kwargs)
+            if hold.exists():
+                held.append(proc)
+            return proc
+
+        monkeypatch.setattr(runners_module.subprocess, "Popen", popen_past_the_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(plan)
+        assert time.monotonic() - sent[0] < 2.0
+        assert held and all(proc.returncode == -signal.SIGKILL for proc in held)
 
     def test_no_more_threads_than_instances(self, monkeypatch):
         plan = make_plan(pool_size=3, use_all=True, workers=64)

@@ -3,6 +3,7 @@ import shlex
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -240,6 +241,58 @@ class TestSubprocessRunner:
         time.sleep(3.0)
         assert not marker.exists()
 
+    def test_a_stop_set_mid_wait_kills_the_whole_process_group(self, tmp_path):
+        # the stop comes from another thread, as an experiment's interrupt
+        # sets it; the waiting run must see it within a slice
+        marker = tmp_path / "MARKER"
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": "/bin/sh",
+                                  "args": ["-c", f"(sleep 2; touch {marker}) & wait"]})
+        stop, set_at = threading.Event(), []
+
+        def set_stop():
+            set_at.append(time.monotonic())
+            stop.set()
+
+        setter = threading.Timer(0.5, set_stop)  # the background job has started
+        setter.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                bind(s, InstanceRef(id="i"), stop)(1, oracles.reference_key(1))
+            raised = time.monotonic()
+        finally:
+            setter.join(timeout=5)
+        assert not setter.is_alive()
+        assert raised - set_at[0] < 1.0
+        time.sleep(3.0)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("kind", [AlgorithmKind.SUBPROCESS,
+                                      AlgorithmKind.SYNTHETIC_NORMAL])
+    def test_a_set_stop_starts_no_run(self, tmp_path, kind):
+        marker = tmp_path / "MARKER"
+        params = ({"executable": "/bin/sh", "args": ["-c", f"touch {marker}; echo 1"]}
+                  if kind is AlgorithmKind.SUBPROCESS else {})
+        stop = threading.Event()
+        stop.set()
+        run = bind(AlgorithmSpec(alias="ext", kind=kind, params=params),
+                   InstanceRef(id="i"), stop)
+        with pytest.raises(KeyboardInterrupt):
+            run(1, oracles.reference_key(1))
+        assert not marker.exists()
+
+    def test_the_timeout_is_not_stretched_by_the_slices(self, tmp_path):
+        slow = tmp_path / "slow.py"
+        slow.write_text("import time; time.sleep(5); print(1.0)")
+        s = AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS,
+                          params={"executable": sys.executable, "args": [str(slow)]},
+                          timeout=0.25)
+        run = bind(s, InstanceRef(id="i"), threading.Event())
+        started = time.monotonic()
+        with pytest.raises(RunnerError, match="timed out after 0.25s"):
+            run(1, oracles.reference_key(1))
+        assert time.monotonic() - started < 0.6
+
     def test_no_executable_parameter_is_config_error(self):
         with pytest.raises(ValueError, match=r"params\.executable is required"):
             AlgorithmSpec(alias="ext", kind=AlgorithmKind.SUBPROCESS, params={})
@@ -446,9 +499,9 @@ class TestBoundRuns:
         binds, reads = [], []
         binder = runners_module._BINDERS[AlgorithmKind.SYNTHETIC_NORMAL]
 
-        def counting(spec_, instance):
+        def counting(spec_, instance, stop):
             binds.append(instance.id)
-            return binder(spec_, instance)
+            return binder(spec_, instance, stop)
 
         class Payload(dict):
             def get(self, *args):
