@@ -33,6 +33,23 @@ baseline observations, so an allocation step that adds a run to the
 second algorithm reuses them.
 Results are bit-identical to drawing them afresh from a new generator.
 
+An SE evaluation that only has to decide "is the SE above se_max?" may
+stop early (``bootstrap_se``'s ``stop_above``).  For any k of the R
+resampled differences phi_r, with their own mean, the sum of squares
+SS_k about that mean is at most the sum over all R about theirs, so the
+SE is at least sqrt(SS_k / (R - 1)).  The evaluation reads the second
+side's first k rows, the very rows the full evaluation reads first, and
+returns that bound when it certifies the SE above ``stop_above``;
+otherwise it reads the other R - k rows from where the first k stopped
+and finishes as the full evaluation does.  It stops early only where
+the full evaluation could not raise: no resampled baseline mean is
+nonpositive (under the percent kind, the redraw loop would run), and
+every |phi_r| is at most 1e150 by a bound from the first side's extreme
+means and the largest |x2| (so the SE is finite).  k is set from the
+parametric SE so that the bound is likely to certify; when the
+parametric SE is not finite or not above ``stop_above``, or k would pass
+R / 2, the evaluation is a full one.
+
 Every percent estimator (phi, the parametric SE and the bootstrap SE)
 refuses a nonpositive baseline mean with the same
 ``AssumptionViolationError``.  An SE is inf or nan where the variance of
@@ -356,7 +373,8 @@ def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray,
     return m1, pos
 
 
-def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> float:
+def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
+                 stop_above: float | None = None) -> float:
     """Bootstrap standard error of the paired difference.
 
     Draws ``resamples`` with-replacement resamples of each side (sizes
@@ -374,8 +392,16 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     thread keeps, so they are generated once for all of an instance's
     evaluations while they fit.  The first side's resampled means, and
     the word position after them, are memoised on ``(seed, resamples,
-    x1)`` with the exact observation bytes in the key.  A call whose first side repeats draws only the second
-    side; the result is the same to the last bit.
+    x1)`` with the exact observation bytes in the key.  A call whose
+    first side repeats draws only the second side; the result is the
+    same to the last bit.
+
+    Without ``stop_above`` the result is always that SE.  With it, the
+    call may instead return a certified lower bound v with
+    ``stop_above < v <= SE``, read from the first k resamples of the
+    second side (see the module docstring); it never does so where the
+    SE could be at or below ``stop_above``, nor where the full
+    evaluation would raise or give an SE that is not finite.
     """
     _check_resamples(resamples)
     _check_seed(seed)
@@ -384,16 +410,103 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int) -> floa
     diff_kind = DiffKind(diff_kind)
     if diff_kind is DiffKind.PERCENT:
         _require_positive_baseline(s1)
+    head = 0 if stop_above is None else _head_rows(s1, s2, diff_kind, resamples, stop_above)
     x1 = np.asarray(s1.observations, dtype=float)
     x2 = np.asarray(s2.observations, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _bootstrap_se(x1, x2, diff_kind, resamples, seed)
+        return _bootstrap_se(x1, x2, diff_kind, resamples, seed, head, stop_above)
 
 
-def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
+# the largest |phi| an early exit allows: R <= 10**5 squared deviations of
+# at most 2e150 sum to at most 4e305, so every sum the SE takes is finite
+_PHI_CAP = 1e150
+# the smallest se_max**2 * (R - 1) an early exit compares against, so that
+# the rounding margins below stay far above the subnormal floats
+_MIN_THRESHOLD = 1e-290
+
+
+def _head_rows(s1, s2, diff_kind: DiffKind, R: int, se_max: float) -> int:
+    """Rows of the second side to read before trying to certify the SE
+    above ``se_max``, or 0 for a full evaluation.
+
+    If the SE is near the parametric SE g, the first k rows give SS_k
+    near (k - 1) g**2, so k = 1.5 (R - 1)(se_max / g)**2 + 2 rows are
+    likely to certify; at least 32.  Where g cannot be had (the
+    parametric percent SE overflows), is not finite or is not above
+    ``se_max``, or k would pass R / 2, a head is more likely to cost a
+    second read than to save one.  This only sets speed: the result is
+    the same for any k.
+    """
+    try:
+        guess = se_simple(s1, s2) if diff_kind is DiffKind.SIMPLE else se_percent(s1, s2)
+    except (AssumptionViolationError, ArithmeticError):
+        return 0
+    if not (math.isfinite(guess) and guess > se_max
+            and se_max * se_max * (R - 1) > _MIN_THRESHOLD):
+        return 0
+    ratio = se_max / guess
+    k = max(32, math.ceil(1.5 * (R - 1) * ratio * ratio) + 2)
+    return k if 2 * k <= R else 0
+
+
+def _phi_bounded(m1: np.ndarray, x2: np.ndarray, percent: bool) -> bool:
+    """Whether every resampled difference against the first side's means
+    ``m1`` is at most ``_PHI_CAP`` in size, and, for the percent kind,
+    no mean in ``m1`` is nonpositive.  A resampled mean of x2 is at most
+    max|x2| in size, to rounding; a nan anywhere gives False."""
+    low, high = m1.min(), m1.max()
+    top2 = max(x2.max(), -x2.min())
+    if percent:
+        return low > 0.0 and (top2 + high) / low <= _PHI_CAP
+    return top2 + max(high, -low) <= _PHI_CAP
+
+
+def _certified_sd(phis: np.ndarray, R: int, se_max: float) -> float | None:
+    """A lower bound above ``se_max`` on the sample SD of R values whose
+    first k are ``phis``, or None where the first k cannot certify one.
+
+    SS_k is computed about the computed mean c of ``phis``.  Exactly,
+    sum (phi - c)**2 = SS_k + k (c - mean)**2, and the rounding of a
+    k-term sum and one division leaves |c - mean| <= k 2**-52 max|phi|.
+    The computed sum of squares is within a relative (k + 2) 2**-53 <
+    1e-11 of the exact sum about c (k <= R / 2 <= 50000), so the
+    computed sum times (1 - 1e-6), less k (k 2**-52 max|phi|)**2, is at
+    most SS_k.  It certifies when it exceeds se_max**2 (R - 1)(1 + 1e-6),
+    whose margin covers the rounding of that threshold and of the
+    returned sqrt(bound / (R - 1)); the full SE's own rounding is far
+    below the 1e-6 taken off the bound.
+    """
+    k = phis.size
+    dev = phis - np.add.reduce(phis) / k
+    dev *= dev
+    top = float(max(phis.max(), -phis.min()))
+    ss = float(np.add.reduce(dev)) * (1 - 1e-6) - k * (k * 2.0 ** -52 * top) ** 2
+    if ss > se_max * se_max * (R - 1) * (1 + 1e-6):
+        return math.sqrt(ss / (R - 1))
+    return None
+
+
+def _diffs(m1: np.ndarray, m2: np.ndarray, percent: bool) -> np.ndarray:
+    phis = m2 - m1
+    if percent:
+        phis /= m1
+    return phis
+
+
+def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int,
+                  head: int, se_max: float | None) -> float:
     m1, pos = _first_side(seed, R, x1.tobytes())
-    m2, pos = _word_means(seed, x2, R, pos)
-    if diff_kind is DiffKind.PERCENT:
+    percent = diff_kind is DiffKind.PERCENT
+    if head and _phi_bounded(m1, x2, percent):
+        m2, pos = _word_means(seed, x2, head, pos)
+        bound = _certified_sd(_diffs(m1[:head], m2, percent), R, se_max)
+        if bound is not None:
+            return bound
+        rest, pos = _word_means(seed, x2, R - head, pos)
+        m2 = np.concatenate((m2, rest))
+    else:
+        m2, pos = _word_means(seed, x2, R, pos)
+    if percent:
         m1 = m1.copy()  # the rejection loop redraws entries in place
         rejected = 0
         bad = m1 <= 0.0
@@ -408,10 +521,7 @@ def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int) -> float:
             m1[bad], pos = _word_means(seed, x1, k, pos)
             m2[bad], pos = _word_means(seed, x2, k, pos)
             bad = m1 <= 0.0
-        phis = (m2 - m1) / m1
-    else:
-        phis = m2 - m1
-    return _sample_sd(phis)
+    return _sample_sd(_diffs(m1, m2, percent))
 
 
 def _sample_sd(values: np.ndarray) -> float:

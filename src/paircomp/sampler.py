@@ -22,6 +22,14 @@ kernel call derives both algorithms' runs from L up to
 L + max(L, ``_MIN_BLOCK``), capped at ``n_max - n0``, the most runs one
 algorithm can have.  So the runs derived and never used number at most
 three times the runs made, plus ``2 * _MIN_BLOCK``.
+
+Only the last SE evaluation of an instance is reported.  Every earlier
+one decides "SE > se_max?" and nothing else, so a bootstrap evaluation
+made while runs remain in the budget may stop at a certified lower bound
+above ``se_max`` (see :mod:`paircomp.estimators`).  The reported SE is
+always exact: the evaluation after the run that spends the budget is a
+full one, and an SE at or below ``se_max`` is never certified by a bound,
+so the evaluation that finds it runs to all its resamples.
 """
 
 from __future__ import annotations
@@ -122,7 +130,10 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
 
     def current_se() -> float:
         if bootstrap:
-            se = bootstrap_se(s1, s2, diff_kind, resamples, boot_seed)
+            # below the budget, the loop reads this SE only as "se >
+            # se_max", so the evaluation may stop at a bound above se_max
+            se = bootstrap_se(s1, s2, diff_kind, resamples, boot_seed,
+                              se_max if s1.n + s2.n < n_max else None)
         elif simple:
             se = se_simple(s1, s2)
         else:

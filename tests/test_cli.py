@@ -777,6 +777,53 @@ output_dir: out
                 "baseline mean, got ") in line
         assert line.count("instance y") == 1
 
+    def test_an_overflowing_parametric_guess_changes_no_output(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # runs near 1e-150 with a mean gap near 1e-157: the parametric
+        # percent SE overflows and refuses ("use se_method: bootstrap"); the
+        # bootstrap, which sizes its early exit from that SE, must finish
+        # as the full bootstrap SE does
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 1.0e-8, n0: 4, n_max: 30, diff: percent, se_method: bootstrap,
+           bootstrap: {resamples: 200}}
+algorithms:
+  - {alias: one, kind: synthetic_normal, params: {mu: 1.0e-150, sigma: 1.0e-156}}
+  - {alias: two, kind: synthetic_normal, params: {mu: 1.0e-150, sigma: 1.0e-156}}
+instances:
+  inline: [{id: x}, {id: y}, {id: z}]
+master_seed: 5
+use_all_instances: true
+output_dir: out
+""")
+        overflows = []
+
+        def se_percent(s1, s2):
+            try:
+                return parametric(s1, s2)
+            except paircomp.errors.AssumptionViolationError as exc:
+                overflows.append(str(exc))
+                raise
+
+        def full_bootstrap_se(s1, s2, diff_kind, resamples, seed, stop_above=None):
+            return bootstrap_se(s1, s2, diff_kind, resamples, seed)
+
+        parametric = paircomp.estimators.se_percent
+        bootstrap_se = paircomp.estimators.bootstrap_se
+        outputs = []
+        for sampler_se in (bootstrap_se, full_bootstrap_se):
+            with monkeypatch.context() as mp:
+                mp.setattr(paircomp.estimators, "se_percent", se_percent)
+                mp.setattr(paircomp.sampler, "bootstrap_se", sampler_se)
+                code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+            files = sorted((tmp_path / "out").iterdir())
+            outputs.append((code, out, err, [(f.name, f.read_bytes()) for f in files]))
+            for f in files:
+                f.unlink()
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == 0
+        assert overflows and all("use se_method: bootstrap" in m for m in overflows)
+
     def test_overflowing_differences_exit_4_without_a_warning(self, capsys, tmp_path):
         # per-instance means of +-1e200 make the differences' spread overflow
         # a float: the t-test is undefined, and numpy's overflow warning must

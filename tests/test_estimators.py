@@ -1,3 +1,4 @@
+import contextlib
 import math
 import sys
 import threading
@@ -749,3 +750,164 @@ class TestBlockBuffers:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
+
+
+def check_se_or_bound(s1, s2, kind, resamples, seed, se_max):
+    """The early-exit contract: ``bootstrap_se`` with ``stop_above`` raises
+    what the full SE raises, or gives the full SE to the bit, or gives a
+    v with se_max < v <= the full SE, which must be finite.  Says
+    whether the call stopped early."""
+    try:
+        full = bootstrap_se(s1, s2, kind, resamples, seed)
+    except AssumptionViolationError as exc:
+        with pytest.raises(AssumptionViolationError) as early:
+            bootstrap_se(s1, s2, kind, resamples, seed, se_max)
+        assert str(early.value) == str(exc)
+        return False
+    got = bootstrap_se(s1, s2, kind, resamples, seed, se_max)
+    assert type(got) is float
+    if np.float64(got).tobytes() == np.float64(full).tobytes():
+        return False
+    assert math.isfinite(full)
+    assert se_max < got <= full
+    return True
+
+
+@contextlib.contextmanager
+def head_rows(k):
+    """Every early-exit evaluation reads ``k`` head rows, whatever the
+    parametric SE says (None keeps the rule)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if k is not None:
+            mp.setattr(estimators, "_head_rows",
+                       lambda s1, s2, kind, R, se_max: min(k, R - 1))
+        yield
+
+
+# inputs at the edges of the bound's guards and rounding margins
+EDGE_CASES = {
+    # phi near 1e12 with a spread of about 1e-3, a few ulps of 1e12
+    "huge-offset": (DiffKind.SIMPLE, lambda rng: (
+        1e-3 * rng.normal(0.0, 1.0, 8), 1e12 + 1e-3 * rng.normal(0.0, 1.0, 9)), 999),
+    # |phi| bounded just inside and just outside 1e150
+    "inside-the-cap": (DiffKind.SIMPLE, lambda rng: (
+        rng.uniform(-2e149, 2e149, 6), rng.uniform(-2e149, 2e149, 7)), 999),
+    "outside-the-cap": (DiffKind.SIMPLE, lambda rng: (
+        rng.uniform(-6e149, 6e149, 6), rng.uniform(-6e149, 6e149, 7)), 999),
+    # squared deviations overflow: the SE is inf, so nothing may stop early
+    "squares-overflow": (DiffKind.SIMPLE, lambda rng: (
+        rng.uniform(-1e154, 1e154, 6), rng.uniform(-1e154, 1e154, 7)), 999),
+    "percent-near-cap": (DiffKind.PERCENT, lambda rng: (
+        rng.uniform(1e-140, 2e-140, 5), rng.uniform(0.0, 1e10, 6)), 999),
+    # resampled baseline means at or below 0 are redrawn by the full SE
+    "percent-near-zero": (DiffKind.PERCENT, lambda rng: (
+        np.array([-1.0, -1.0, 3.5, 0.1, 0.2]), rng.lognormal(2.0, 0.5, 6)), 999),
+    "percent-zero-means": (DiffKind.PERCENT, lambda rng: (
+        np.array([-1.0, 1.0, 1.5]), rng.lognormal(0.0, 0.5, 4)), 999),
+    "fewest-resamples": (DiffKind.PERCENT, lambda rng: (
+        rng.lognormal(0.0, 0.5, 9), rng.lognormal(0.3, 0.8, 7)), 100),
+    "most-resamples": (DiffKind.SIMPLE, lambda rng: (
+        rng.normal(0.0, 1.0, 5), rng.normal(1.0, 2.0, 6)), 100_000),
+}
+
+
+class TestEarlyExit:
+    """A non-final bootstrap SE evaluation may stop at a certified lower
+    bound above se_max, and must otherwise give the full SE to the bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(list(DiffKind)),
+           n1=st.integers(2, 12), n2=st.integers(2, 12),
+           loc1=st.sampled_from([0.05, 0.5, 3.0]), sd2=st.floats(0.01, 5.0),
+           scale=st.sampled_from([1e-9, 1.0, 1e9]),
+           resamples=st.sampled_from([100, 999]),
+           fraction=st.floats(0.01, 1.2), head=st.none() | st.integers(1, 999))
+    @settings(max_examples=300, deadline=None)
+    def test_se_or_a_bound_above_se_max(self, seed, kind, n1, n2, loc1, sd2, scale,
+                                        resamples, fraction, head):
+        rng = np.random.default_rng(seed)
+        x1 = scale * rng.normal(loc1, 1.0, n1)
+        x1[0] += scale * max(0.0, 1e-3 - x1.mean() / scale) * n1  # a positive mean
+        x2 = scale * rng.normal(1.0, sd2, n2)
+        s1, s2 = oracles.instance_sample(x1), oracles.instance_sample(x2)
+        assert s1.mean > 0.0
+        full = bootstrap_se(s1, s2, kind, resamples, seed)
+        se_max = fraction * full if full > 0.0 else fraction
+        with head_rows(head):
+            check_se_or_bound(s1, s2, kind, resamples, seed, se_max)
+
+    @pytest.mark.parametrize("case", EDGE_CASES, ids=list(EDGE_CASES))
+    def test_edge_inputs(self, case):
+        kind, make, resamples = EDGE_CASES[case]
+        x1, x2 = make(np.random.default_rng(len(case)))
+        s1, s2 = oracles.instance_sample(x1), oracles.instance_sample(x2)
+        full = bootstrap_se(s1, s2, kind, resamples, 17)
+        early = 0
+        for head in (None, 32, resamples // 2, resamples - 1):
+            for fraction in (1e-3, 0.1, 0.5, 0.9):
+                with head_rows(head):
+                    early += check_se_or_bound(s1, s2, kind, resamples, 17,
+                                               fraction * full)
+        if case in ("outside-the-cap", "squares-overflow", "percent-near-zero",
+                    "percent-zero-means"):
+            assert early == 0  # a guard holds every evaluation to the full SE
+        elif case != "huge-offset":
+            assert early > 0
+
+    @pytest.mark.parametrize("kind", list(DiffKind))
+    def test_se_max_within_a_few_ulps_of_the_se(self, kind):
+        rng = np.random.default_rng(29)
+        s1 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 9))
+        s2 = oracles.instance_sample(rng.lognormal(0.4, 0.9, 8))
+        full = bootstrap_se(s1, s2, kind, 999, 5)
+        for head in (None, 32, 499, 998):
+            for ulps in range(-4, 5):
+                se_max = float(np.float64(full) + ulps * np.spacing(full))
+                with head_rows(head):
+                    assert bootstrap_se(s1, s2, kind, 999, 5, se_max) == full
+        with head_rows(998):
+            # a bound from all but one row certifies well below the SE
+            assert check_se_or_bound(s1, s2, kind, 999, 5, 0.99 * full)
+
+    def test_the_rule_stops_early_where_the_se_is_far_over_budget(self):
+        rng = np.random.default_rng(30)
+        s1 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 20))
+        s2 = oracles.instance_sample(rng.lognormal(0.4, 0.9, 20))
+        full = bootstrap_se(s1, s2, DiffKind.PERCENT, 999, 6)
+        assert check_se_or_bound(s1, s2, DiffKind.PERCENT, 999, 6, full / 4)
+        # at or below the SE no bound can certify, so the call runs to R rows
+        assert bootstrap_se(s1, s2, DiffKind.PERCENT, 999, 6, full) == full
+
+    @pytest.mark.parametrize("kind", list(DiffKind))
+    def test_a_fallback_reads_each_word_once(self, monkeypatch, kind):
+        # a head that cannot certify is followed by the rest of the rows
+        # from where it stopped: the same words as the full SE, each once
+        rng = np.random.default_rng(31)
+        s1 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 7))
+        s2 = oracles.instance_sample(rng.lognormal(0.4, 0.9, 6))
+        reads = []
+
+        def read(seed, start, stop):
+            reads.append((start, stop))
+            return philox_words(seed, start, stop)
+
+        full = bootstrap_se(s1, s2, kind, 999, 8)  # the first side is memoised
+        monkeypatch.setattr(estimators, "philox_words", read)
+        assert bootstrap_se(s1, s2, kind, 999, 8) == full
+        full_reads, reads[:] = list(reads), []
+        with head_rows(499):
+            assert bootstrap_se(s1, s2, kind, 999, 8, 0.99 * full) == full
+        assert len(reads) > len(full_reads)  # the head and the rest
+        assert [start for start, _ in reads] == \
+            [full_reads[0][0]] + [stop for _, stop in reads[:-1]]
+        assert reads[-1][1] == full_reads[-1][1]
+
+    def test_an_overflowing_parametric_guess_changes_nothing(self):
+        # a mean gap near 1e-157: the parametric percent SE overflows and
+        # refuses, which the bootstrap must not
+        rng = np.random.default_rng(32)
+        s1 = oracles.instance_sample(1e-150 + 1e-156 * rng.normal(0.0, 1.0, 8))
+        s2 = oracles.instance_sample(1e-150 + 1e-156 * rng.normal(0.0, 1.0, 8))
+        with pytest.raises(AssumptionViolationError, match="se_method: bootstrap"):
+            se_percent(s1, s2)
+        full = bootstrap_se(s1, s2, DiffKind.PERCENT, 999, 9)
+        assert bootstrap_se(s1, s2, DiffKind.PERCENT, 999, 9, full / 10) == full

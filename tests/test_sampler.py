@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from paircomp import estimators
 from paircomp.errors import AssumptionViolationError, RunnerError
 from paircomp.estimators import DiffKind, SEMethod
 from paircomp.runners import (AlgorithmKind, AlgorithmSpec, InstanceRef,
@@ -263,6 +264,51 @@ class TestPercentKind:
         out = calc_nreps(r1, r2, INSTANCE, cfg, seed=2)
         assert out.se_method is SEMethod.BOOTSTRAP
         assert out.se_hat <= 0.02 or out.budget_exhausted
+
+
+def full_bootstrap_se(s1, s2, diff_kind, resamples, seed, stop_above=None):
+    """The bootstrap SE run to all its resamples, whatever the sampler asks."""
+    return estimators.bootstrap_se(s1, s2, diff_kind, resamples, seed)
+
+
+class TestBootstrapEarlyExit:
+    """A non-final bootstrap SE may stop at a bound above se_max; the
+    sampler must still make every decision and report every number the
+    full SE gives."""
+
+    @pytest.mark.parametrize("kind, runs, se_max, n_max", [
+        (DiffKind.SIMPLE, (0.0, 1.0, 0.5, 2.0), 0.25, 400),
+        (DiffKind.SIMPLE, (0.0, 1.0, 0.5, 2.0), 0.05, 60),
+        (DiffKind.PERCENT, (10.0, 3.0, 12.0, 4.0), 0.05, 500),
+        (DiffKind.PERCENT, (10.0, 3.0, 12.0, 4.0), 0.005, 60),
+    ], ids=["simple-converges", "simple-exhausts", "percent-converges",
+            "percent-exhausts"])
+    def test_matches_the_full_se_sampler(self, monkeypatch, kind, runs, se_max, n_max):
+        certified = []
+
+        def counting(phis, R, limit):
+            bound = certify(phis, R, limit)
+            certified.append(bound is not None)
+            return bound
+
+        certify = estimators._certified_sd
+        monkeypatch.setattr(estimators, "_certified_sd", counting)
+        cfg = SamplingConfig(se_max=se_max, n0=5, n_max=n_max, diff_kind=kind,
+                             se_method=SEMethod.BOOTSTRAP, resamples=200)
+        exhausted = []
+        for seed in range(10):
+            early = calc_nreps(*normal_runs(*runs), INSTANCE, cfg, seed=seed)
+            with monkeypatch.context() as mp:
+                mp.setattr(sampler_module, "bootstrap_se", full_bootstrap_se)
+                full = calc_nreps(*normal_runs(*runs), INSTANCE, cfg, seed=seed)
+            assert early == full
+            exhausted.append(full.budget_exhausted)
+        assert all(exhausted) == (n_max == 60) and any(exhausted) == (n_max == 60)
+        assert any(certified)
+        if n_max != 60:
+            # as the SE nears se_max, some heads cannot certify, and the
+            # evaluation reads the rest of the rows
+            assert not all(certified)
 
 
 class TestFailuresAndValidation:
