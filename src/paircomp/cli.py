@@ -6,12 +6,12 @@ fixed-size experiment, single value or curve with highlights), ``reps``
 ``resume`` (continue an interrupted run from its checkpoint journal).
 
 Exit codes: 0 completed, 2 usage or configuration error or an unwritable
-output path, 3 runner failure or an interrupted ``run`` or ``resume``, 4
-statistical-assumption violation or data on which a test is undefined
-(e.g. all differences identical).  The statistical outcome of a test never
-affects the exit code.  ``run`` and ``resume`` take SIGTERM as they take
-Ctrl-C: no run starts, the solvers in flight are killed, and ``resume``
-goes on from the journal.
+output path, 3 runner failure or an interrupted ``reps``, ``run`` or
+``resume``, 4 statistical-assumption violation or data on which a test is
+undefined (e.g. all differences identical).  The statistical outcome of a
+test never affects the exit code.  ``reps``, ``run`` and ``resume`` take
+SIGTERM as they take Ctrl-C: no run starts, the solvers in flight are
+killed, and ``resume`` goes on from the journal.
 
 Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
 ``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
@@ -315,10 +315,10 @@ def main(argv=None) -> int:
             return _cmd_design(args)
         if args.command == "power":
             return _cmd_power(args)
-        if args.command == "reps":
-            return _cmd_reps(args)
         try:
             with _sigterm_interrupts():
+                if args.command == "reps":
+                    return _cmd_reps(args)
                 return _cmd_run(args, resume=args.command == "resume")
         except KeyboardInterrupt:
             journal = getattr(args, "checkpoint", None)

@@ -19,19 +19,17 @@ sampling-distribution-of-the-mean for normality diagnostics.
 
 Both bootstraps draw what ``Generator.integers`` on
 ``make_generator(seed)`` would draw, through one kernel that reads the
-seed's 32-bit word stream (``seeding.philox_words``) and maps the words
-to indices by numpy's own rule.  Every SE evaluation for one instance
-reads a prefix of the same stream, so each thread keeps its first words
-(2 MiB per thread).  The kernel draws a block of at most
-max(2**17, n) indices at a time into two buffers the thread keeps and
-reuses, one of indices and one of gathered values, so a block without a
-rejected word allocates nothing; that is 16 bytes per index, 2 MiB per
-thread for n <= 2**17, on top of the kept words.  The seed must be an
-integer >= 0.  The bootstrap SE also memoises its first side: the
-resampled baseline means depend only on ``seed``, ``resamples`` and the
-baseline observations, so an allocation step that adds a run to the
-second algorithm reuses them.
-Results are bit-identical to drawing them afresh from a new generator.
+seed's 32-bit Philox word stream and maps the words to indices by
+numpy's own rule; the seed must be an integer >= 0.  Every SE
+evaluation for one instance reads a prefix of that stream, and one
+thread samples one instance at a time, so each thread keeps one
+``_Slot``, allocated once: the first 2**19 words (2 MiB) of the last
+seed it read, the kernel's index and gather buffers (16 bytes per index
+of a block of max(2**17, n), 2 MiB), and the last first side the SE
+drew (8 bytes per resample), which an allocation step that adds a run
+to the second algorithm reuses.  A block without a rejected word
+allocates nothing.  Results are bit-identical to drawing them afresh
+from a new generator.
 
 An SE evaluation that only has to decide "is the SE above se_max?" may
 stop early (``bootstrap_se``'s ``stop_above``).  For any k of the R
@@ -65,12 +63,11 @@ import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
 from .errors import AssumptionViolationError
-from .seeding import philox_words
+from .seeding import generator_key, philox_words
 
 __all__ = [
     "DiffKind", "SEMethod", "InstanceSample", "PairedDifference",
@@ -248,8 +245,8 @@ def optimal_ratio_percent(s1, s2) -> float:
 
 
 MIN_RESAMPLES = 100
-# the bootstrap SE memoises up to 64 first sides of 8 bytes per resample
-# (_first_side), so 100,000 resamples hold at most about 51 MB
+# a bootstrap evaluation holds a few arrays of 8 bytes per resample, under
+# 1 MB each here; a larger count is refused before any run is spent
 MAX_RESAMPLES = 100_000
 
 
@@ -259,13 +256,63 @@ def _check_resamples(resamples: int) -> None:
                          f"required, got {resamples!r}")
     if resamples > MAX_RESAMPLES:
         raise ValueError(f"at most {MAX_RESAMPLES} bootstrap resamples are "
-                         f"allowed, got {resamples!r}: the bootstrap SE keeps "
-                         f"up to 64 arrays of 8 bytes per resample")
+                         f"allowed, got {resamples!r}: every bootstrap "
+                         f"evaluation holds arrays of 8 bytes per resample")
 
 
 def _check_seed(seed) -> None:
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+
+
+# indices gathered per block of rows, so a resample of N values holds
+# O(N) memory at any N; smaller blocks mean more numpy calls, each of
+# which hands the GIL on, and that costs most when workers share cores
+_GATHER_CHUNK = 1 << 17
+# 32-bit words of its instance's stream a thread keeps (2 MiB)
+_KEPT_WORDS = 1 << 19
+# the fewest words a fill generates: a Philox call costs about 8 µs even
+# for 1,000 words, so a fill of just the words a read lacks costs more
+_MIN_FILL = 1 << 15
+
+
+class _Slot(threading.local):
+    """One thread's bootstrap state, allocated on its first use: the
+    ``seed`` last read and its ``key``; ``filled`` words of its stream in
+    ``store``, read through the read-only view ``words``; the kernel's
+    ``indices`` and ``gather`` buffers; and ``first``, the last first
+    side, as (resamples, x1 bytes, read-only means, word position)."""
+
+    def __init__(self):
+        self.seed = self.key = self.first = None
+        self.filled = 0
+        self.store = np.empty(_KEPT_WORDS, np.uint32)
+        self.words = self.store[:]
+        self.words.flags.writeable = False
+        self.indices, self.gather = np.empty(_GATHER_CHUNK, np.uint64), np.empty(_GATHER_CHUNK)
+
+
+_slot = _Slot()
+
+
+def _words(seed: int, start: int, stop: int) -> np.ndarray:
+    """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream;
+    read-only.  A new seed empties the thread's slot; a read past its kept
+    words fills them to ``stop``, by at least ``_MIN_FILL`` and at most to
+    the slot's size; words past that are generated afresh."""
+    slot = _slot
+    if seed != slot.seed:
+        slot.seed, slot.key, slot.filled, slot.first = seed, generator_key(seed), 0, None
+    filled = slot.filled
+    if stop > filled < slot.store.size:
+        end = min(max(stop, filled + _MIN_FILL), slot.store.size)
+        slot.store[filled:end] = philox_words(slot.key, filled, end)
+        slot.filled = filled = end
+    if stop <= filled:
+        return slot.words[start:stop]
+    if start >= filled:
+        return philox_words(slot.key, start, stop)
+    return np.concatenate((slot.words[start:filled], philox_words(slot.key, filled, stop)))
 
 
 def _word_indices(seed: int, pos: int, n: int, count: int,
@@ -299,7 +346,7 @@ def _word_indices(seed: int, pos: int, n: int, count: int,
     filled = 0
     while filled < count:
         need = count - filled
-        words = philox_words(seed, pos, pos + need)
+        words = _words(seed, pos, pos + need)
         pos += need
         if threshold:
             low = np.multiply(words, np.uint32(n), out=out[filled:].view(np.uint32)[:need])
@@ -313,17 +360,6 @@ def _word_indices(seed: int, pos: int, n: int, count: int,
     return indices.view(np.int64), pos
 
 
-# indices gathered per block of rows, so a resample of N values holds
-# O(N) memory at any N; smaller blocks mean more numpy calls, each of
-# which hands the GIL on, and that costs most when workers share cores
-_GATHER_CHUNK = 1 << 17
-
-# each thread's uint64 index and float64 gather buffers, reused by every
-# block it draws
-_per_thread = threading.local()
-_NO_BUFFER = np.empty(0)
-
-
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
     """Means of ``count`` with-replacement resamples of ``x``, read from
     word ``pos`` on of the seed's word stream a block of rows at a time,
@@ -331,22 +367,20 @@ def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndar
     where the generator stands, as one ``integers(0, n, (count, n))`` draw
     on a generator of ``seed`` that has drawn ``pos`` words.
 
-    A block's indices and gathered values go into the calling thread's
-    two buffers, 16 bytes per index; they hold max(2**17, n) indices,
-    the largest block of any n up to that size, and are replaced only
-    when a larger n comes, so a block without a rejected word allocates
-    nothing.  Its row sums go straight into the result, which is divided
-    by n once, as ``ndarray.mean`` does.  The result is always a new
-    array, never a view of a buffer: ``_first_side`` memoises it and
-    ``bootstrap_sdm`` returns it.
+    A block's indices and gathered values go into the slot's two
+    buffers; they hold 2**17 indices, the largest block of any n up to
+    that size, and are replaced only when a larger n comes.  A block's
+    row sums go straight into the result, which is divided by n once, as
+    ``ndarray.mean`` does.  The result is always a new array, never a
+    view of a buffer: ``_first_side`` keeps it and ``bootstrap_sdm``
+    returns it.
     """
+    slot = _slot
     n = x.size
     rows = max(1, _GATHER_CHUNK // n)
-    index_buffer, gather_buffer = getattr(_per_thread, "buffers", (_NO_BUFFER, _NO_BUFFER))
-    if index_buffer.size < rows * n:
-        size = max(_GATHER_CHUNK, n)
-        index_buffer, gather_buffer = np.empty(size, np.uint64), np.empty(size)
-        _per_thread.buffers = index_buffer, gather_buffer
+    if slot.indices.size < rows * n:
+        slot.indices, slot.gather = np.empty(rows * n, np.uint64), np.empty(rows * n)
+    index_buffer, gather_buffer = slot.indices, slot.gather
     means = np.empty(count)
     for start in range(0, count, rows):
         stop = min(start + rows, count)
@@ -361,15 +395,16 @@ def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndar
     return means, pos
 
 
-@lru_cache(maxsize=64)
 def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, int]:
-    """Resampled means of the first side and the word position after them.
-
-    They are read from the seed's word stream at position 0; the second
-    side goes on from the returned position.
-    """
+    """Resampled means of the first side, read-only, and the word
+    position after them, where the second side goes on; the thread's
+    last, while the seed, ``resamples`` and the bytes repeat."""
+    slot = _slot
+    if seed == slot.seed and slot.first and slot.first[:2] == (resamples, x1_bytes):
+        return slot.first[2:]
     m1, pos = _word_means(seed, np.frombuffer(x1_bytes), resamples, 0)
     m1.flags.writeable = False
+    slot.first = resamples, x1_bytes, m1, pos
     return m1, pos
 
 
@@ -387,14 +422,10 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
     squares overflow a float give an inf or nan SE, without a warning.
 
     The indices are those ``Generator.integers`` would draw, one call
-    after another, from ``make_generator(seed)``.  They are read from the
-    seed's word stream (``seeding.philox_words``), whose first 2 MiB the
-    thread keeps, so they are generated once for all of an instance's
-    evaluations while they fit.  The first side's resampled means, and
-    the word position after them, are memoised on ``(seed, resamples,
-    x1)`` with the exact observation bytes in the key.  A call whose
-    first side repeats draws only the second side; the result is the
-    same to the last bit.
+    after another, from ``make_generator(seed)``.  The thread keeps what
+    an instance's evaluations reuse (see the module docstring): a call
+    whose first side repeats the thread's last draws only the second
+    side, and the result is the same to the last bit.
 
     Without ``stop_above`` the result is always that SE.  With it, the
     call may instead return a certified lower bound v with

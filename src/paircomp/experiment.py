@@ -49,6 +49,11 @@ __all__ = ["ExperimentPlan", "run_experiment", "select_instances"]
 
 _JOURNAL_VERSION = 2
 
+# a worker is a thread started after runs have begun, which the system may
+# refuse (a per-user process limit) and so end the command midway; 1024 is
+# far above the solvers a machine runs at once and below the usual limits
+MAX_WORKERS = 1024
+
 
 @dataclass(frozen=True)
 class ExperimentPlan:
@@ -77,6 +82,8 @@ class ExperimentPlan:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers!r}")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}, got {self.workers!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
         # every run input is checked here, so a bad one stops nothing midway;

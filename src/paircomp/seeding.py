@@ -53,17 +53,12 @@ key into that template and assigns it, and builds no state of its own;
 ``philox_words`` builds its own state for a stream's later counter blocks
 and never touches the template.
 
-``philox_words(seed, start, stop)`` is words [start, stop) of
-``make_generator(seed)``'s stream of 32-bit words, in the order numpy's
-32-bit draws read them: the low half of each 64-bit output, then the high
-half.  Every bootstrap reads a prefix of one seed's words, and one thread
-samples one instance at a time, so each thread keeps the first words of
-the last seed it read, at most ``_KEPT_WORDS`` (2**19 words, 2 MiB) per
-thread, whatever the run budget or the resample count, and generates
-only words past them.  So every word is generated once per instance while
-resamples * n_max <= 2**19; words past the cap are generated afresh on
-each read.  Philox is counter-based, so no thread needs another's words:
-a thread's kept words are its own, and go when it exits.
+``philox_words(key, start, stop)`` is words [start, stop) of the 32-bit
+word stream under a Philox key, in the order numpy's 32-bit draws read
+them: the low half of each 64-bit output, then the high half; under
+``generator_key(seed)`` that is ``make_generator(seed)``'s stream.  It
+keeps no words: what the bootstrap reuses, :mod:`paircomp.estimators`
+keeps.
 """
 
 from __future__ import annotations
@@ -267,19 +262,14 @@ def kept_generator(key) -> np.random.Generator:
     return rng
 
 
-# 32-bit words each thread keeps of the last seed it read (2 MiB), grown
-# in steps, not by doubling: freeing copies near 2 MiB raises glibc's trim
-# threshold above the gather's temporaries; with doubling, a process's
-# first long bootstrap faulted them in again on every block
-_KEPT_WORDS = 1 << 19
-_GROW_WORDS = 1 << 15
-_NO_WORDS = np.empty(0, np.uint32)
-_NO_WORDS.flags.writeable = False
+def generator_key(seed: int) -> tuple[int, int]:
+    """The Philox key of ``make_generator(seed)``."""
+    return tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
 
 
-def _fresh_words(key, start: int, stop: int) -> np.ndarray:
-    """Words [start, stop) of the stream under ``key``, generated on the
-    thread's kept Philox; read-only."""
+def philox_words(key, start: int, stop: int) -> np.ndarray:
+    """Words [start, stop) of the 32-bit stream under ``key``, generated
+    on the thread's kept Philox; read-only."""
     block, skip = divmod(start, 8)  # a counter block is four 64-bit outputs
     bits = kept_generator(key).bit_generator
     if block:
@@ -288,26 +278,3 @@ def _fresh_words(key, start: int, stop: int) -> np.ndarray:
     words = words.view("<u4")[skip:skip + stop - start]
     words.flags.writeable = False
     return words
-
-
-def philox_words(seed: int, start: int, stop: int) -> np.ndarray:
-    """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream, in
-    the order its 32-bit draws read them; read-only.
-
-    The calling thread keeps the first words of the last seed it read, up
-    to ``_KEPT_WORDS``; words past them are generated afresh on every call.
-    """
-    s, key, words = getattr(_kept, "stream", (None, None, _NO_WORDS))
-    if s != seed:
-        key = tuple(np.random.SeedSequence(seed).generate_state(2, np.uint64).tolist())
-        words = _NO_WORDS
-    if stop > words.size < _KEPT_WORDS:
-        size = min(-(-stop // _GROW_WORDS) * _GROW_WORDS, _KEPT_WORDS)
-        words = np.concatenate((words, _fresh_words(key, words.size, size)))
-        words.flags.writeable = False
-    _kept.stream = seed, key, words
-    if stop <= words.size:
-        return words[start:stop]
-    if start >= words.size:
-        return _fresh_words(key, start, stop)
-    return np.concatenate((words[start:], _fresh_words(key, words.size, stop)))

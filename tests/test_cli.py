@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -531,6 +532,30 @@ class TestRunCommand:
         assert code == 0
         assert (tmp_path / "a" / "results.csv").read_bytes() == \
                (tmp_path / "b" / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("how", ["config", "flag", "env"])
+    def test_too_many_workers_exit_2_before_any_run(self, capsys, tmp_path, monkeypatch,
+                                                    how):
+        # a worker is a thread, which the system may refuse once runs began
+        text, argv = SYNTH_RUN_CONFIG, []
+        if how == "config":
+            text += "workers: 1025\n"
+        elif how == "flag":
+            argv = ["--workers", "1025"]
+        else:
+            monkeypatch.setenv("PAIRCOMP_WORKERS", "1025")
+        cfg = write_config(tmp_path, text)
+
+        def refuse(thread):
+            raise AssertionError("a worker thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg), *argv)
+        assert code == 2
+        [line] = err.splitlines()
+        assert line.startswith("error: ") and "workers must be at most 1024, got 1025" in line
+        assert out == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["PAIRCOMP_WORKERS", "PAIRCOMP_SEED"])
     def test_bad_env_value_names_the_variable(self, capsys, tmp_path, monkeypatch,
@@ -1436,6 +1461,58 @@ def _alive(pid):
     return not (stat.exists() and stat.read_text().rsplit(")", 1)[1].split()[0] == "Z")
 
 
+def _interrupt_cli(pids, signum, *argv):
+    """Start ``python -m paircomp`` with ``argv`` and send it ``signum`` once
+    a held solver has left its pid in ``pids``.  The command must end
+    within 2 s with exit code 3, no traceback and no solver alive; returns
+    its stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "paircomp", *argv],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not any(pids.iterdir()) and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert any(pids.iterdir()), "no solver started"
+        # timeout(1) sends SIGTERM twice: to the process, then to its group
+        for _ in range(2 if signum == signal.SIGTERM else 1):
+            proc.send_signal(signum)
+        sent = time.monotonic()
+        _, err = proc.communicate(timeout=30)
+        assert time.monotonic() - sent < 2.0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert [pid.name for pid in pids.iterdir() if _alive(int(pid.name))] == []
+    assert proc.returncode == 3, err
+    assert "Traceback" not in err
+    return err
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+def test_an_interrupted_reps_kills_its_solver_and_exits_3(tmp_path, signum):
+    solver, pids, hold = tmp_path / "solver.py", tmp_path / "pids", tmp_path / "hold"
+    solver.write_text(HELD_SOLVER)
+    pids.mkdir()
+    hold.touch()
+    python = json.dumps(sys.executable)
+    algorithms = "".join(
+        f"  - {{alias: {alias}, kind: subprocess, params: {{executable: {python}, "
+        f"args: {json.dumps([str(solver), str(pids), str(hold), '{seed}', '0'])}}}}}\n"
+        for alias in ("one", "two"))
+    cfg = write_config(tmp_path, (
+        "design: {alpha: 0.05, power: 0.8, d: 0.5}\n"
+        "sampling: {se_max: 0.01, n0: 2, n_max: 4}\n"
+        "algorithms:\n" + algorithms + "instances:\n  inline: [{id: a}]\n"
+        "master_seed: 7\n"))
+    err = _interrupt_cli(pids, signum, "reps", "--config", str(cfg),
+                         "--instance", "a", "--seed", "1")
+    assert err.splitlines() == ["error: interrupted"]
+
+
 @pytest.mark.parametrize("signum, workers", [
     pytest.param(signal.SIGINT, 1, id="1"),
     pytest.param(signal.SIGINT, 2, id="2"),
@@ -1467,29 +1544,7 @@ def test_sigint_kills_the_solvers_and_resume_completes(capsys, tmp_path, signum,
         pid.unlink()
 
     hold.touch()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-m", "paircomp", "run", "--config", str(cfg)],
-                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                            text=True)
-    try:
-        deadline = time.monotonic() + 60
-        while not any(pids.iterdir()) and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert any(pids.iterdir()), "no solver started"
-        # timeout(1) sends SIGTERM twice: to the process, then to its group
-        for _ in range(2 if signum == signal.SIGTERM else 1):
-            proc.send_signal(signum)
-        sent = time.monotonic()
-        _, err = proc.communicate(timeout=30)
-        assert time.monotonic() - sent < 2.0
-    finally:
-        proc.kill()
-        proc.wait()
-    assert [pid.name for pid in pids.iterdir() if _alive(int(pid.name))] == []
-    assert proc.returncode == 3, err
-    assert "Traceback" not in err
+    err = _interrupt_cli(pids, signum, "run", "--config", str(cfg))
     [line] = err.splitlines()
     assert line.startswith("error: interrupted") and "paircomp resume" in line
 

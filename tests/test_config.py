@@ -129,6 +129,8 @@ REFUSED = {
     "no-master-seed": ({k: v for k, v in INLINE.items() if k != "master_seed"},
                        "missing required key 'master_seed' in config"),
     "zero-workers": (dict(INLINE, workers=0), "config: workers must be at least 1"),
+    "too-many-workers": (dict(INLINE, workers=1025),
+                         "config: workers must be at most 1024, got 1025"),
     "infinite-mu0": (_with(INLINE, ("design",), "mu0", float("inf")),
                      "design: mu0 must be finite"),
     "zero-timeout": (_with(INLINE, ("algorithms", 1), "timeout", 0),

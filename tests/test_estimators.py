@@ -2,6 +2,7 @@ import contextlib
 import math
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import paircomp.seeding as seeding_module
 from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
@@ -20,7 +20,8 @@ from paircomp.estimators import (DiffKind, InstanceSample,
                                  phi_percent, phi_simple, se_percent,
                                  se_simple)
 from paircomp.sampler import SamplingConfig, calc_nreps
-from paircomp.seeding import BOOTSTRAP_STREAM, derive_seed, philox_words
+from paircomp.seeding import (BOOTSTRAP_STREAM, derive_seed, generator_key,
+                              philox_words)
 
 import oracles
 
@@ -397,6 +398,27 @@ def grow_one_side(seed, steps, base1=None):
         yield oracles.instance_sample(x1), oracles.instance_sample(x2)
 
 
+def word_at(seed, pos):
+    """Word ``pos`` of the seed's stream, read without the thread's slot."""
+    return philox_words(generator_key(seed), pos, pos + 1)[0]
+
+
+@contextlib.contextmanager
+def first_side_draws():
+    """Counts the first sides drawn (``_word_means`` calls from word 0):
+    a first side the thread's slot returns again is not drawn."""
+    draws = []
+    draw = estimators._word_means
+
+    def counting(seed, x, count, pos):
+        draws.append(pos == 0)
+        return draw(seed, x, count, pos)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimators, "_word_means", counting)
+        yield draws
+
+
 def unmemoised(s1, s2, kind, resamples, seed):
     return oracles.bootstrap_se_unmemoised(s1, s2, DiffKind(kind).value,
                                            resamples, seed)
@@ -408,15 +430,17 @@ class TestBootstrapMemo:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_grow_one_side_matches_unmemoised(self, seed):
         boot = 200, 1000 + seed
-        hits = _first_side.cache_info().hits
         repeats, previous = 0, None
-        for s1, s2 in grow_one_side(seed, 40):
-            repeats += s1.observations == previous
-            previous = list(s1.observations)
-            for kind in (DiffKind.SIMPLE, DiffKind.PERCENT):
-                assert bootstrap_se(s1, s2, kind, *boot) == unmemoised(s1, s2, kind, *boot)
+        with first_side_draws() as draws:
+            for s1, s2 in grow_one_side(seed, 40):
+                repeats += s1.observations == previous
+                previous = list(s1.observations)
+                for kind in (DiffKind.SIMPLE, DiffKind.PERCENT):
+                    assert bootstrap_se(s1, s2, kind, *boot) == \
+                        unmemoised(s1, s2, kind, *boot)
         # every repeated first side, and the second kind of every step, hit
-        assert _first_side.cache_info().hits - hits >= repeats + 40
+        assert repeats > 0
+        assert sum(draws) <= 40 - repeats
 
     def test_percent_rejection_loop_matches_unmemoised(self):
         base = [-1.0, -1.0, 3.5, 0.1, 0.2]
@@ -438,7 +462,6 @@ class TestBootstrapMemo:
                 for kind in (DiffKind.SIMPLE, DiffKind.PERCENT)]
         expected = [unmemoised(*job) for job in jobs]
         assert [bootstrap_se(*job) for job in jobs] == expected
-        _first_side.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -448,17 +471,22 @@ class TestBootstrapMemo:
             sys.setswitchinterval(interval)
         assert got == expected * 4
 
-    def test_more_first_sides_than_the_memo_holds(self):
-        size = _first_side.cache_info().maxsize
+    def test_many_first_sides_retain_one_slot(self):
+        # 64 distinct first sides at the largest resample count: the
+        # thread keeps its slot and the last first side, not all of them
         rng = np.random.default_rng(6)
-        s2 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 8))
-        firsts = [oracles.instance_sample(rng.lognormal(0.0, 0.5, 6))
-                  for _ in range(3 * size)]
-        for _ in range(2):
-            for s1 in firsts:
-                assert bootstrap_se(s1, s2, DiffKind.PERCENT, 100, 5) == \
-                    unmemoised(s1, s2, "percent", 100, 5)
-        assert _first_side.cache_info().currsize <= size
+        s2 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 4))
+        firsts = [oracles.instance_sample(rng.lognormal(0.0, 0.5, 3)) for _ in range(64)]
+        boot = estimators.MAX_RESAMPLES, 5
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = [bootstrap_se(s1, s2, DiffKind.SIMPLE, *boot) for s1 in firsts]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 16e6
+        assert got == [unmemoised(s1, s2, "simple", *boot) for s1 in firsts]
 
 
 class TestBootstrapSDM:
@@ -502,7 +530,7 @@ class TestChunkedResampling:
         means, pos = _word_means(seed, x, resamples, 1)
         assert means.tobytes() == want.tobytes()
         # the generator's next word is the one at the returned position
-        assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
+        assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
 
     @pytest.mark.parametrize("n, resamples", [(262, 1000), (256, 1024), (263, 999),
                                               (1100, 999), (4000, 999)],
@@ -559,7 +587,7 @@ class TestWordIndices:
             ref = reference_after(seed, start)
             indices, pos = _word_indices(seed, start, n, 3000)
             assert indices.tolist() == ref.integers(0, n, 3000).tolist()
-            assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
+            assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
 
     def test_rejections_move_the_position(self):
         # 3 * 2**30 rejects a quarter of the words; 2**32 - 1 almost none
@@ -569,26 +597,31 @@ class TestWordIndices:
     @pytest.mark.parametrize("kept", [8, 24])
     def test_draws_across_the_kept_edge(self, monkeypatch, kept):
         # the thread keeps `kept` words and generates the rest on every
-        # call, from any word of any counter block
-        monkeypatch.setattr(seeding_module, "_KEPT_WORDS", kept)
+        # call, from any word of any counter block; a new thread, so its
+        # slot is allocated at that size
+        monkeypatch.setattr(estimators, "_KEPT_WORDS", kept)
         seed = 11
-        philox_words(seed + 1, 0, 1)  # so the thread's slot starts empty
-        stream = reference_after(seed, 0).integers(0, 2 ** 32, 200)
-        for start in range(0, 2 * kept + 2):
-            for stop in range(start + 1, start + 3 * kept + 2):
-                assert philox_words(seed, start, stop).tolist() == \
-                    stream[start:stop].tolist()
-        assert seeding_module._kept.stream[2].size == kept
-        for n in BOUNDS:
-            for start in (0, kept - 1, kept, kept + 3):
-                ref = reference_after(seed, start)
-                indices, pos = _word_indices(seed, start, n, 5 * kept + 1)
-                assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
-                assert philox_words(seed, pos, pos + 1)[0] == ref.integers(0, 2 ** 32)
-        x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
-        means, _ = _word_means(seed, x, 101, 3)
-        assert means.tobytes() == oracles.resample_means(
-            reference_after(seed, 3), x, 101).tobytes()
+
+        def draw():
+            stream = reference_after(seed, 0).integers(0, 2 ** 32, 200)
+            for start in range(0, 2 * kept + 2):
+                for stop in range(start + 1, start + 3 * kept + 2):
+                    assert estimators._words(seed, start, stop).tolist() == \
+                        stream[start:stop].tolist()
+            assert (estimators._slot.filled, estimators._slot.words.size) == (kept, kept)
+            for n in BOUNDS:
+                for start in (0, kept - 1, kept, kept + 3):
+                    ref = reference_after(seed, start)
+                    indices, pos = _word_indices(seed, start, n, 5 * kept + 1)
+                    assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
+                    assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
+            x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
+            means, _ = _word_means(seed, x, 101, 3)
+            assert means.tobytes() == oracles.resample_means(
+                reference_after(seed, 3), x, 101).tobytes()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(draw).result(timeout=60)
 
     @pytest.mark.parametrize("n", [0, 1, 2 ** 32 + 1, 2 ** 40])
     def test_refuses_bounds_outside_32_bits(self, n):
@@ -596,10 +629,10 @@ class TestWordIndices:
             _word_indices(1, 0, n, 5)
 
     def test_words_are_shared_read_only(self):
-        words = philox_words(4, 10, 20)
-        assert not words.flags.writeable
-        with pytest.raises(ValueError):
-            words[0] = 0
+        for words in (estimators._words(4, 10, 20), philox_words(generator_key(4), 10, 20)):
+            assert not words.flags.writeable
+            with pytest.raises(ValueError):
+                words[0] = 0
 
     def test_each_thread_keeps_its_own_prefix(self):
         # four threads read 50000-word prefixes of their own seeds in turn,
@@ -608,11 +641,11 @@ class TestWordIndices:
         barrier = threading.Barrier(4, timeout=60)
 
         def read(seed):
-            philox_words(seed, 0, 1)
+            estimators._words(seed, 0, 1)
             barrier.wait()
-            first = philox_words(seed, 0, 50_000)
+            first = estimators._words(seed, 0, 50_000)
             barrier.wait()
-            again = philox_words(seed, 0, 50_000)
+            again = estimators._words(seed, 0, 50_000)
             barrier.wait()
             return np.shares_memory(first, again), again.tolist() == \
                 reference_after(seed, 0).integers(0, 2 ** 32, 50_000).tolist()
@@ -636,10 +669,10 @@ class TestWordIndices:
 
         def sample_and_measure(seed):
             result = sample(seed)
-            boot_seed, _, words = seeding_module._kept.stream
+            slot = estimators._slot
             # the four jobs run on four threads at once
             barrier.wait()
-            return result, boot_seed, words.size
+            return result, slot.seed, slot.filled, slot.words.size
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -648,19 +681,21 @@ class TestWordIndices:
                 results = list(pool.map(sample_and_measure, range(8, 12), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        _first_side.cache_clear()
-        for seed, (result, boot_seed, size) in zip(range(8, 12), results):
+        for seed, (result, boot_seed, filled, size) in zip(range(8, 12), results):
             assert result.n1 + result.n2 == 2000
             assert boot_seed == derive_seed(seed, BOOTSTRAP_STREAM)
-            assert size == 2 ** 19
+            assert filled == size == 2 ** 19
             assert result == sample(seed)
 
 
 def planted_rejections(every):
-    """``philox_words`` with each word at a position divisible by ``every``
-    set to 0, a word Lemire's rule rejects for any n not a power of two."""
+    """``estimators._words`` with each word at a position divisible by
+    ``every`` set to 0, a word Lemire's rule rejects for any n not a power
+    of two."""
+    read = estimators._words
+
     def words(seed, start, stop):
-        planted = philox_words(seed, start, stop).copy()
+        planted = read(seed, start, stop).copy()
         planted[-start % every::every] = 0
         planted.flags.writeable = False
         return planted
@@ -677,13 +712,15 @@ class TestBlockBuffers:
         m1, _ = _first_side(31, 500, x1.tobytes())
         sdm = bootstrap_sdm(x1, 300, 31)
         kept = m1.tobytes(), sdm.tobytes()
-        # other n on the same thread, the last larger than a block, so
-        # the buffers are written over and then replaced
+        # other n on the same thread and seed, the last larger than a
+        # block, so the buffers are written over and then replaced
         for n in (7, 5, 300, estimators._GATHER_CHUNK + 3):
-            _word_means(32, np.random.default_rng(n).normal(0.0, 1.0, n), 3, 0)
+            _word_means(31, np.random.default_rng(n).normal(0.0, 1.0, n), 3, 0)
         assert (m1.tobytes(), sdm.tobytes()) == kept
         assert not m1.flags.writeable
-        assert _first_side(31, 500, x1.tobytes())[0] is m1
+        with first_side_draws() as draws:
+            assert _first_side(31, 500, x1.tobytes())[0] is m1
+        assert draws == []
 
     @pytest.mark.parametrize("n, count", [(3, 100_000), (1100, 300), (64, 5000)],
                              ids=["n-3", "n-1100", "no-rejection"])
@@ -697,7 +734,7 @@ class TestBlockBuffers:
             reads.append((start, stop))
             return planted(seed, start, stop)
 
-        monkeypatch.setattr(estimators, "philox_words", read)
+        monkeypatch.setattr(estimators, "_words", read)
         x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
         indices, want_pos = _word_indices(13, 5, n, count * n)
         want = x.take(indices).reshape(count, n).mean(axis=1)
@@ -884,14 +921,14 @@ class TestEarlyExit:
         rng = np.random.default_rng(31)
         s1 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 7))
         s2 = oracles.instance_sample(rng.lognormal(0.4, 0.9, 6))
-        reads = []
+        reads, words = [], estimators._words
 
         def read(seed, start, stop):
             reads.append((start, stop))
-            return philox_words(seed, start, stop)
+            return words(seed, start, stop)
 
         full = bootstrap_se(s1, s2, kind, 999, 8)  # the first side is memoised
-        monkeypatch.setattr(estimators, "philox_words", read)
+        monkeypatch.setattr(estimators, "_words", read)
         assert bootstrap_se(s1, s2, kind, 999, 8) == full
         full_reads, reads[:] = list(reads), []
         with head_rows(499):

@@ -1,9 +1,11 @@
-"""The package's declared public names all exist, and importing it stays light.
+"""The package's declared public names all exist, importing it stays
+light, and it imports itself only by relative imports.
 
 A name deleted from a module but left in an ``__all__`` breaks
 ``from paircomp import *`` only when someone runs it; these tests run it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -79,3 +81,20 @@ def test_scipy_stats_and_integrate_load_only_when_used(tmp_path):
     assert got["after_t"] == []
     # the sign test's binomial tails come from scipy.special
     assert got["after_sign"] == []
+
+
+def test_the_package_imports_itself_relatively():
+    # so that two revisions' packages can be loaded side by side under
+    # other names in one interpreter, to compare them call by call
+    absolute = []
+    for path in sorted(Path(paircomp.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno}" for name in names
+                         if name == "paircomp" or name.startswith("paircomp.")]
+    assert absolute == []

@@ -7,8 +7,9 @@ import pytest
 
 import oracles
 import paircomp.seeding as seeding_module
-from paircomp.seeding import (derive_seed, first_stages, kept_generator,
-                              make_generator, philox_words, run_keys)
+from paircomp.seeding import (derive_seed, first_stages, generator_key,
+                              kept_generator, make_generator, philox_words,
+                              run_keys)
 
 EDGE_VALUES = (0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1)
 
@@ -254,8 +255,7 @@ class TestKeptGenerator:
         # philox_words moves the thread's kept generator to later counter
         # blocks; the re-key that follows starts from the thread's counter-0
         # template, which must still hold counter 0 and an empty buffer
-        cap, grow = seeding_module._KEPT_WORDS, seeding_module._GROW_WORDS
-        reads = [(0, 5), (grow + 3, grow + 11), (cap + 9, cap + 14), (17, 21)]
+        reads = [(0, 5), (2 ** 15 + 3, 2 ** 15 + 11), (2 ** 19 + 9, 2 ** 19 + 14), (17, 21)]
 
         def interleave(share):
             got = []
@@ -263,10 +263,12 @@ class TestKeptGenerator:
                 rng = kept_generator(oracles.reference_key(seed))
                 got.append((rng.integers(0, 2 ** 32, 3, dtype=np.uint32).tolist(),
                             rng.standard_normal(2).tolist()))
-                # the word seed changes every other step, so both a fresh
-                # stream and a grown one come between two re-keys
+                # words from the first counter block and from later ones
+                # come between two re-keys
                 start, stop = reads[i % len(reads)]
-                assert philox_words(10 ** 6 + i // 2, start, stop).size == stop - start
+                key = generator_key(10 ** 6 + i // 2)
+                assert philox_words(key, start, stop).tolist() == \
+                    make_generator(10 ** 6 + i // 2).integers(0, 2 ** 32, stop)[start:].tolist()
             return got
 
         seeds = list(range(3000, 3000 + 12 * threads))
