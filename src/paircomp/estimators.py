@@ -94,7 +94,8 @@ class InstanceSample:
     Mean and spread are maintained incrementally (Welford update) so the
     adaptive sampler pays O(1) per appended run; the raw observations are
     kept for bootstrap resampling.  The spread uses the n-1 denominator
-    and is defined only for n >= 2.
+    and is defined only for n >= 2; it is not finite once the running mean
+    has overflowed a float.
     """
 
     observations: list[float] = field(default_factory=list)
@@ -116,8 +117,12 @@ class InstanceSample:
     def variance(self) -> float:
         if self.n < 2:
             raise ValueError(f"variance undefined for n={self.n} (< 2 observations)")
-        m2 = self._m2  # a rounding-negative sum of squares counts as 0
-        return (0.0 if m2 < 0.0 else m2) / (self.n - 1)
+        m2 = self._m2
+        if m2 < 0.0:
+            # a rounding-negative sum of squares counts as 0; one that is
+            # -inf, as the mean overflows, as inf (later ones are nan)
+            m2 = 0.0 if m2 > -math.inf else math.inf
+        return m2 / (self.n - 1)
 
     @property
     def sd(self) -> float:

@@ -16,10 +16,39 @@ report the two-sided interval at level 1-alpha, plus the one-sided bound.
 Every test and the diagnostics take O(N) extra memory: the Wilcoxon
 estimate and interval are selected from the N(N+1)/2 Walsh averages
 without building them, and the bootstrap of the mean draws its indices a
-block of rows at a time.  Where a sum of differences overflows a float
-and makes a reported estimate, interval or resampled mean infinite, the
-test or the diagnostics raise ``DegenerateDataError`` instead, as do the
-Wilcoxon and sign tests where a difference from ``mu0`` overflows.
+block of rows at a time.
+
+Every test and the diagnostics compute on the differences divided by a
+power of two, and multiply back only the locations they report.
+Dividing and multiplying by a power of two is exact while no value
+leaves the normal float range, so each number equals the unscaled
+computation's to the bit wherever that does not overflow, and equals the
+unscaled computation done without overflow where it would.
+
+* The t-test and the Q-Q points, which sum squares of many deviations,
+  divide by 2**k, the least power that brings every |difference| below
+  2**500 (``_scaled``), and the t-test divides ``mu0`` by the same power,
+  which never enters k (a huge ``mu0`` would flush the squared
+  deviations of small differences to 0).  So k is 0 below 2**500 (about
+  3.3e150), and the squares of fewer than 2**20 values sum to a finite
+  number.  Once k > 0, a difference below 2**(k - 1022), some 458
+  decades under the largest, loses bits, and one below 2**(k - 1074)
+  counts as 0; in a sum with the largest it is lost anyway, unless the
+  larger ones cancel.
+* The bootstrap of the mean sums N differences at a time, so it divides
+  by the least power that brings them below 2**(1023 - b), b the bit
+  length of N, and k is 0 below 2**1012 at N = 1100.
+* The Wilcoxon and sign tests sum no more than two values: the Walsh
+  averages, the median of an even count and each difference from
+  ``mu0``.  So they divide the differences and ``mu0`` by the least power
+  that brings all of them below 2**1023, which is 1 below about 9e307
+  and 2 above; a sum or difference of two such values stays finite.
+  Halving loses at most the last bit of a subnormal value.
+
+The reported locations lie within the range of the data, so they stay
+finite.  Only the t statistic, (mean - mu0) / se, and the t interval and
+bound, mean +- q * se, can truly exceed the float range; the t-test
+refuses them with ``DegenerateDataError`` before its p-value.
 
 The sign test takes its Binomial(n, 1/2) tails from the Boost ufuncs
 ``scipy.special._ufuncs._binom_cdf`` and ``_binom_sf``, which load with
@@ -96,21 +125,18 @@ def _as_array(phis, min_len: int, who: str) -> np.ndarray:
     return arr
 
 
-def _mean_sd(arr: np.ndarray) -> tuple[float, float]:
-    """Mean and sample sd, +-inf or nan where a sum or square overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(arr.mean()), float(arr.std(ddof=1))
+def _scaled(arr: np.ndarray, top: int = 500) -> tuple[np.ndarray, float]:
+    """``arr / 2**k`` and ``2**k``, k = max(0, e - top) for e the binary
+    exponent of the largest magnitude, so the scaled values lie below 2**top."""
+    k = max(0, math.frexp(float(np.abs(arr).max()))[1] - top)
+    scale = math.ldexp(1.0, k)
+    return arr / scale, scale
 
 
-def _nonzero_differences(arr: np.ndarray, mu0: float,
+def _nonzero_differences(d: np.ndarray, mu0: float,
                          statistic: str) -> tuple[np.ndarray, list[str]]:
-    """The differences from ``mu0`` without exact zeros, and a warning if any went."""
-    with np.errstate(over="ignore"):
-        d = arr - mu0
-    if not np.isfinite(d).all():
-        raise DegenerateDataError(f"a difference from the null value {mu0:g} "
-                                  f"overflows a float; the {statistic} statistic "
-                                  f"is undefined")
+    """The differences ``d`` from ``mu0``, scaled, without exact zeros, and
+    a warning if any went."""
     n_zero = int((d == 0.0).sum())
     warnings: list[str] = []
     if n_zero:
@@ -126,30 +152,30 @@ def _nonzero_differences(arr: np.ndarray, mu0: float,
 def paired_t_test(phis, mu0: float, alpha: float,
                   alternative: Alternative) -> TestReport:
     """t statistic (mean - mu0) / (sd / sqrt(N)) with N-1 degrees of freedom."""
-    arr = _as_array(phis, 2, "paired_t_test")
+    arr, scale = _scaled(_as_array(phis, 2, "paired_t_test"))
     alternative = Alternative(alternative)
     n = arr.size
     df = n - 1
-    mean, sd = _mean_sd(arr)
+    mean, sd = float(arr.mean()), float(arr.std(ddof=1))
     if sd == 0.0:
         raise DegenerateDataError("all differences are identical; the t statistic "
                                   "is undefined (zero spread)")
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise DegenerateDataError("the mean or spread of the differences "
-                                  "overflows a float; the t statistic is undefined")
     se = sd / math.sqrt(n)
-    t0 = (mean - mu0) / se
+    t0 = (mean - mu0 / scale) / se
+    half = t_quantile(1.0 - 0.5 * alpha, df) * se
+    ci = ((mean - half) * scale, (mean + half) * scale)
+    bound = None
+    if alternative is Alternative.ONE_SIDED:
+        bound = (mean + t_quantile(1.0 - alpha, df) * se) * scale
+    if not all(map(math.isfinite, (t0, *ci, bound or 0.0))):
+        raise DegenerateDataError("the t statistic or its interval overflows a "
+                                  "float; the t-test is undefined at this scale")
     if alternative is Alternative.TWO_SIDED:
         p = 2.0 * (1.0 - t_cdf(abs(t0), df))
     else:
         p = t_cdf(t0, df)
-    half = t_quantile(1.0 - 0.5 * alpha, df) * se
-    ci = (mean - half, mean + half)
-    bound = None
-    if alternative is Alternative.ONE_SIDED:
-        bound = mean + t_quantile(1.0 - alpha, df) * se
     return TestReport(test_family=TestFamily.T_TEST, statistic=t0, df=df,
-                      p_value=min(1.0, p), estimate=mean, ci=ci, alpha=alpha,
+                      p_value=min(1.0, p), estimate=mean * scale, ci=ci, alpha=alpha,
                       alternative=alternative, n_instances_used=n,
                       one_sided_bound=bound)
 
@@ -273,7 +299,9 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
     """
     arr = _as_array(phis, 2, "wilcoxon_signed_rank")
     alternative = Alternative(alternative)
-    d, warnings = _nonzero_differences(arr, mu0, "signed-rank")
+    # with mu0 last; a sum or difference of two stays finite
+    x, scale = _scaled(np.append(arr, mu0), 1023)
+    d, warnings = _nonzero_differences(x[:-1] - x[-1], mu0, "signed-rank")
     n = d.size
     # average ranks for ties, from the one sort that also counts them
     _, tie_index, tie_counts = np.unique(np.abs(d), return_inverse=True,
@@ -309,13 +337,10 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
             p = float(special.ndtr(z))
 
     ci_ranks = _walsh_interval_ranks(arr.size, n, alpha, cum)
-    estimate, ci = _walsh_stats(arr, ci_ranks)
-    if not all(map(math.isfinite, (estimate, *ci))):
-        raise DegenerateDataError("a Walsh average of the differences overflows "
-                                  "a float; the pseudo-median or its interval "
-                                  "is undefined")
+    estimate, (lo, hi) = _walsh_stats(x[:-1], ci_ranks)
     return TestReport(test_family=TestFamily.WILCOXON, statistic=w, df=None,
-                      p_value=p, estimate=estimate, ci=ci, alpha=alpha,
+                      p_value=p, estimate=estimate * scale,
+                      ci=(lo * scale, hi * scale), alpha=alpha,
                       alternative=alternative, n_instances_used=arr.size,
                       warnings=warnings)
 
@@ -354,7 +379,8 @@ def sign_test(phis, mu0: float, alpha: float,
     """
     arr = _as_array(phis, 1, "sign_test")
     alternative = Alternative(alternative)
-    d, warnings = _nonzero_differences(arr, mu0, "sign")
+    x, scale = _scaled(np.append(arr, mu0), 1023)  # as in the signed-rank test
+    d, warnings = _nonzero_differences(x[:-1] - x[-1], mu0, "sign")
     n = d.size
     k = int((d > 0.0).sum())
     lower = float(_binom_half_cdf(k, n))
@@ -364,14 +390,9 @@ def sign_test(phis, mu0: float, alpha: float,
     else:
         p = lower
 
-    with np.errstate(over="ignore"):
-        estimate = float(np.median(arr))
-    if not math.isfinite(estimate):
-        raise DegenerateDataError("the median of the differences overflows a "
-                                  "float; the sign-test estimate is undefined")
-    ci = _sign_interval(arr, alpha)
     return TestReport(test_family=TestFamily.SIGN, statistic=float(k), df=None,
-                      p_value=p, estimate=estimate, ci=ci, alpha=alpha,
+                      p_value=p, estimate=float(np.median(x[:-1])) * scale,
+                      ci=_sign_interval(arr, alpha), alpha=alpha,
                       alternative=alternative, n_instances_used=arr.size,
                       warnings=warnings)
 
@@ -407,14 +428,11 @@ def qq_normal(sample) -> list[tuple[float, float]]:
     The sample is first centered and scaled by its own mean and spread,
     so deviations from the identity line are directly interpretable.
     """
-    arr = _as_array(sample, 3, "qq_normal")
+    arr, _ = _scaled(_as_array(sample, 3, "qq_normal"))
     n = arr.size
-    mean, sd = _mean_sd(arr)
+    mean, sd = float(arr.mean()), float(arr.std(ddof=1))
     if sd == 0.0:
         raise DegenerateDataError("cannot standardize a zero-spread sample")
-    if not (math.isfinite(mean) and math.isfinite(sd)):
-        raise DegenerateDataError("cannot standardize a sample whose mean or "
-                                  "spread overflows a float")
     srt = (np.sort(arr) - mean) / sd
     theo = special.ndtri((np.arange(1, n + 1) - 0.5) / n)
     return list(zip(theo.tolist(), srt.tolist()))
@@ -423,10 +441,8 @@ def qq_normal(sample) -> list[tuple[float, float]]:
 def build_diagnostics(phis, resamples: int, seed: int) -> DiagnosticsBundle:
     """Q-Q points for the differences plus a bootstrap of their mean."""
     arr = _as_array(phis, 2, "build_diagnostics")
-    boot = bootstrap_sdm(arr, resamples, seed)
-    if not np.isfinite(boot).all():
-        raise DegenerateDataError("a resampled mean of the differences overflows "
-                                  "a float; the bootstrap diagnostics are undefined")
+    scaled, scale = _scaled(arr, 1023 - arr.size.bit_length())
+    boot = bootstrap_sdm(scaled, resamples, seed) * scale
     try:
         qq = qq_normal(arr) if arr.size >= 3 else []
     except DegenerateDataError:

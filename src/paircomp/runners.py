@@ -356,11 +356,21 @@ def _bind_subprocess(spec: AlgorithmSpec, instance: InstanceRef, stop):
 # simulated-annealing TSP demo
 
 
+# a binding holds the n x n distance matrix as nested lists: one of 1000
+# cities peaked at 56 MB (tracemalloc), one of 2000 at 214 MB, and an
+# instance in flight binds both algorithms
+MAX_TSP_CITIES = 1000
+
+
 def build_tsp_instance(instance_id: str, n_cities: int = 21,
                        layout_seed: int = 0) -> InstanceRef:
-    """Random Euclidean TSP instance with the full distance matrix inlined."""
+    """Random Euclidean TSP instance with the full distance matrix inlined,
+    of 4 to ``MAX_TSP_CITIES`` cities."""
     if n_cities < 4:
         raise ValueError(f"need at least 4 cities, got {n_cities!r}")
+    if n_cities > MAX_TSP_CITIES:
+        raise ValueError(f"at most {MAX_TSP_CITIES} cities are allowed, got "
+                         f"{n_cities!r}: the distance matrix grows as their square")
     rng = make_generator(layout_seed)
     pts = rng.uniform(0.0, 100.0, size=(n_cities, 2))
     diff = pts[:, None, :] - pts[None, :, :]
@@ -394,6 +404,9 @@ def _bind_sann_tsp(spec: AlgorithmSpec, instance: InstanceRef, stop):
         cities, layout_seed = payload["cities"], payload.get("layout_seed", 0)
         if not (_is_int(cities) and cities >= 4):
             raise ValueError(f"payload.cities must be an integer >= 4, got {cities!r}")
+        if cities > MAX_TSP_CITIES:
+            raise ValueError(f"payload.cities must be at most {MAX_TSP_CITIES}, "
+                             f"got {cities!r}")
         if not (_is_int(layout_seed) and layout_seed >= 0):
             raise ValueError(f"payload.layout_seed must be an integer >= 0, "
                              f"got {layout_seed!r}")

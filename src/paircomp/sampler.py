@@ -52,6 +52,10 @@ __all__ = ["SamplingConfig", "calc_nreps"]
 # many derived runs of each algorithm unused
 _MIN_BLOCK = 64
 
+# an instance in flight holds its first stage's seeds and keys as lists,
+# which peaked at 44 MB at n0 = 10**5 (tracemalloc) and grow linearly
+MAX_N0 = 10 ** 5
+
 
 @dataclass(frozen=True)
 class SamplingConfig:
@@ -61,8 +65,9 @@ class SamplingConfig:
     the bootstrap's draw count, for the bootstrap SE and for the
     diagnostics; the bootstrap's seeds derive from each instance's seed.
     ``force_balance`` alternates the two algorithms regardless of the
-    ratio, for experimenters who want equal sample sizes.  ``n_max`` must
-    stay below 2**32: a run index enters its seed as one 32-bit word.
+    ratio, for experimenters who want equal sample sizes.  ``n0`` is 2 to
+    ``MAX_N0``.  ``n_max`` must stay below 2**32: a run index enters its
+    seed as one 32-bit word.
     """
 
     se_max: float
@@ -80,6 +85,9 @@ class SamplingConfig:
             raise ValueError(f"se_max must be a positive finite real, got {self.se_max!r}")
         if self.n0 < 2:
             raise ValueError(f"n0 must be at least 2, got {self.n0!r}")
+        if self.n0 > MAX_N0:
+            raise ValueError(f"n0 must be at most {MAX_N0}, got {self.n0!r}: each "
+                             f"instance in flight holds 2 * n0 run seeds and keys")
         if self.n_max < 2 * self.n0:
             raise ValueError(f"n_max={self.n_max!r} must be at least 2*n0={2 * self.n0}")
         if self.n_max >= 2 ** 32:
@@ -98,7 +106,8 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     ``cfg.n_max`` is exhausted (flagged on the result).  The SE is
     ``cfg.se_method``'s throughout; the bootstrap's seed derives from
     ``seed``.  An SE that is not finite raises
-    ``AssumptionViolationError`` at once.  ``first`` is the instance's
+    ``AssumptionViolationError`` at once, and so does an estimate that is
+    not finite once sampling stops.  ``first`` is the instance's
     item of ``seeding.first_stages``, when the caller derived it along with
     other instances'; without it, it is derived here.
     """
@@ -163,9 +172,14 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         do_run(chosen)
         se = current_se()
 
+    phi = phi_simple(s1, s2) if simple else phi_percent(s1, s2)
+    if not math.isfinite(phi):
+        raise AssumptionViolationError(
+            f"the estimate of the difference is {phi} after {s1.n} + {s2.n} "
+            f"runs: the values overflow a float at this scale; rescale them")
     return PairedDifference(
         instance_id=instance.id,
-        phi_hat=phi_simple(s1, s2) if simple else phi_percent(s1, s2),
+        phi_hat=phi,
         se_hat=se,
         n1=s1.n,
         n2=s2.n,

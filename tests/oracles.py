@@ -5,8 +5,9 @@ implementation it checks: quadrature instead of closed forms, exhaustive
 enumeration instead of recursions, grid search instead of analytic
 optima.  The last section holds quantities that only tests need (the
 noncentral-t quantile, the Hodges-Lehmann estimate, the Walsh-average
-order statistics by partition, the effect-size decomposition and the
-percent-SE coefficients), plus a sample builder and a single run.
+order statistics by partition and in exact arithmetic, the effect-size
+decomposition and the percent-SE coefficients), plus a sample builder and
+a single run.
 """
 
 from __future__ import annotations
@@ -287,6 +288,30 @@ def walsh_stats_partition(arr: np.ndarray, ranks) -> tuple[float, tuple[float, .
         picked = np.partition(walsh, sorted(set(wanted)))[wanted]
         median = (picked[0] + picked[1]) / 2.0
     return float(median), tuple(float(v) for v in picked[2:])
+
+
+def exact_average(a: float, b: float) -> float:
+    """(a + b) / 2 in exact rational arithmetic, rounded once to a float:
+    what ``(a + b) / 2.0`` gives wherever the sum is a normal float."""
+    return float((Fraction(a) + Fraction(b)) / 2)
+
+
+def walsh_stats_exact(values, ranks) -> tuple[float, tuple[float, ...]]:
+    """Median of the Walsh averages and the averages at 0-based ``ranks``,
+    each average ``exact_average`` and the median that of the two middle
+    ones, so no sum can overflow.  O(N^2) time and memory."""
+    x = [float(v) for v in values]
+    walsh = sorted(exact_average(x[i], x[j])
+                   for i in range(len(x)) for j in range(i, len(x)))
+    m = len(walsh)
+    return (exact_average(walsh[(m - 1) // 2], walsh[m // 2]),
+            tuple(walsh[r] for r in ranks))
+
+
+def median_exact(values) -> float:
+    """The sample median as ``np.median`` forms it, by ``exact_average``."""
+    x = sorted(float(v) for v in values)
+    return exact_average(x[(len(x) - 1) // 2], x[len(x) // 2])
 
 
 @dataclass(frozen=True)

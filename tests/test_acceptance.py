@@ -4,8 +4,10 @@ PASS/FAIL line with the measured quantities.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import importlib.util
 import math
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +19,6 @@ from paircomp.distributions import t_cdf, t_quantile
 from paircomp.estimators import (DiffKind, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, se_percent, se_simple)
-from paircomp.experiment import ExperimentPlan, run_experiment
 from paircomp.hypotests import sign_test, wilcoxon_signed_rank
 from paircomp.runners import bind, build_synthetic_pool
 from paircomp.sampler import SamplingConfig, calc_nreps
@@ -173,22 +174,16 @@ def test_criterion_6_monte_carlo_calibration(capsys):
     target_power = calc_power(n_star, d_star, alpha, design.alternative)
     sampling = SamplingConfig(se_max=0.45, n0=n0, n_max=4 * n0, resamples=100)
 
-    def rejection_rate(true_delta, seed_base):
-        rejections = 0
-        for rep in range(500):
-            pool, specs = build_synthetic_pool(
-                n_star, delta=true_delta, sigma_phi=sigma_phi,
-                noise_sd=noise_sd, seed=seed_base + 2 * rep)
-            plan = ExperimentPlan(design=design, sampling=sampling,
-                                  instance_pool=pool, algorithms=specs,
-                                  master_seed=seed_base + 2 * rep + 1,
-                                  use_all_instances=True)
-            report, _ = run_experiment(plan)
-            rejections += report.p_value < alpha
-        return rejections / 500
-
-    effect_rate = rejection_rate(delta, seed_base=3_000_000)
-    null_rate = rejection_rate(0.0, seed_base=6_000_000)
+    # the calibration script's own harness, so the two cannot drift apart
+    path = Path(__file__).resolve().parent.parent / "scripts" / "calibration_experiment.py"
+    spec = importlib.util.spec_from_file_location("calibration_experiment", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    common = dict(sigma_phi=sigma_phi, noise_sd=noise_sd, replications=500)
+    effect_rate = script.rejection_rate(n_star, design, sampling, delta=delta,
+                                        seed_base=3_000_000, **common)
+    null_rate = script.rejection_rate(n_star, design, sampling, delta=0.0,
+                                      seed_base=6_000_000, **common)
     elapsed = time.perf_counter() - t0
     ok = (abs(effect_rate - target_power) < 0.05
           and abs(null_rate - alpha) < 0.015

@@ -22,7 +22,10 @@ from hypothesis import strategies as st
 import paircomp
 import paircomp.cli as cli_module
 from paircomp.cli import _build_parser, _sigterm_interrupts, main
+from paircomp.hypotests import paired_t_test, sign_test, wilcoxon_signed_rank
 from paircomp.reporting import fmt
+
+import oracles
 
 
 def run_cli(capsys, *argv):
@@ -460,6 +463,27 @@ master_seed: 1234
         assert se <= 0.01 or flag_line.endswith("true")
 
 
+TESTS = {"t_test": paired_t_test, "wilcoxon": wilcoxon_signed_rank, "sign": sign_test}
+
+
+def assert_report_of_scaled(out: Path, test: str, mu0: float = 0.0) -> dict:
+    """The run in ``out`` reports what ``test`` reports on its per-instance
+    differences and ``mu0`` divided by 2**600, into float range: the same
+    statistic and p-value, and locations 2**600 times as large, to the
+    bit; its resampled means lie within the range of the differences."""
+    report = json.loads((out / "report.json").read_text())
+    phis = [row["phi_hat"] for row in report["per_instance"]]
+    s = 2.0 ** 600
+    ref = TESTS[test]([phi / s for phi in phis], mu0 / s, report["alpha"],
+                      report["alternative"])
+    assert (report["statistic"], report["p_value"]) == (ref.statistic, ref.p_value)
+    assert [report["estimate"], *report["ci"]] == \
+        [ref.estimate * s, ref.ci[0] * s, ref.ci[1] * s]
+    boot = [float(v) for v in (out / "boot_sdm.csv").read_text().split()[1:]]
+    assert len(boot) == 999 and all(min(phis) <= v <= max(phis) for v in boot)
+    return report
+
+
 class TestRunCommand:
     def test_results_table_rows(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
@@ -850,9 +874,10 @@ output_dir: out
         assert overflows and all("use se_method: bootstrap" in m for m in overflows)
 
     def test_overflowing_differences_exit_4_without_a_warning(self, capsys, tmp_path):
-        # per-instance means of +-1e200 make the differences' spread overflow
-        # a float: the t-test is undefined, and numpy's overflow warning must
-        # not escape
+        # per-instance means of +-1e200 make the squares of the differences'
+        # deviations overflow a float; the t-test computes on the
+        # differences scaled by a power of two, and numpy's overflow
+        # warning must not escape
         cfg = write_config(tmp_path, """\
 design: {alpha: 0.05, power: 0.8, d: 0.5, test: t_test}
 sampling: {se_max: 0.5, n0: 3, n_max: 8}
@@ -869,24 +894,23 @@ output_dir: out
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 4
+        assert (code, err) == (0, "")
         assert caught == []
-        assert err == ("error: the mean or spread of the differences overflows "
-                       "a float; the t statistic is undefined\n")
-        assert not (tmp_path / "out" / "report.json").exists()
+        report = assert_report_of_scaled(tmp_path / "out", "t_test")
+        assert max(abs(row["phi_hat"]) for row in report["per_instance"]) > 1e199
 
     @pytest.mark.parametrize("test, message", [
-        ("t_test", "the mean or spread of the differences overflows a float; "
-                   "the t statistic is undefined"),
-        ("wilcoxon", "a Walsh average of the differences overflows a float; the "
-                     "pseudo-median or its interval is undefined"),
-        ("sign", "a resampled mean of the differences overflows a float; the "
-                 "bootstrap diagnostics are undefined"),
+        ("t_test", "the t statistic or its interval overflows a float; the "
+                   "t-test is undefined at this scale"),
+        ("wilcoxon", None),
+        ("sign", None),
     ], ids=["t_test", "wilcoxon", "sign"])
     def test_overflowing_sums_exit_4_without_a_warning(self, capsys, tmp_path,
                                                        test, message):
         # two differences of 1.6e308 and one of 1: every difference is finite,
-        # but the mean, the Walsh averages and a resampled mean overflow
+        # and their sums pass the float range.  Only the t interval, about
+        # 1.07e308 +- 2.3e308, truly does: the t-test exits 4; the others
+        # report what they report on the differences scaled into range
         cfg = write_config(tmp_path, f"""\
 design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}}}
 sampling: {{se_max: 0.5, n0: 3, n_max: 8}}
@@ -905,15 +929,30 @@ output_dir: out
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "run", "--config", str(cfg))
         assert caught == []
-        assert (code, err) == (4, f"error: {message}\n")
-        assert not (tmp_path / "out" / "report.json").exists()
+        if message:
+            assert (code, err) == (4, f"error: {message}\n")
+            assert not (tmp_path / "out" / "report.json").exists()
+            return
+        assert (code, err) == (0, "")
+        report = assert_report_of_scaled(tmp_path / "out", test)
+        phis = [row["phi_hat"] for row in report["per_instance"]]
+        assert sorted(phis)[:2] == [1.0, 1.6e308]
+        if test == "wilcoxon":
+            # the interval of 3 differences spans every Walsh average
+            assert (report["estimate"], tuple(report["ci"])) == \
+                oracles.walsh_stats_exact(phis, (0, 5))
+        else:
+            assert report["estimate"] == oracles.median_exact(phis) == 1.6e308
+            assert report["ci"] == [1.0, max(phis)]
 
     @pytest.mark.parametrize("test, statistic", [("wilcoxon", "signed-rank"),
                                                  ("sign", "sign")],
                              ids=["wilcoxon", "sign"])
     def test_overflowing_difference_from_mu0_exits_4_without_a_warning(
             self, capsys, tmp_path, test, statistic):
-        # differences of 1e308, 1 and 2: 1e308 - mu0 is past the float range
+        # differences of 1e308, 1 and 2: 1e308 - mu0 is past the float
+        # range, but its sign and rank are not, and the test reports what
+        # it reports on the differences and mu0 scaled into range
         cfg = write_config(tmp_path, f"""\
 design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}, mu0: -1.0e+308}}
 sampling: {{se_max: 0.5, n0: 3, n_max: 8}}
@@ -932,10 +971,64 @@ output_dir: out
             warnings.simplefilter("always")
             code, out, err = run_cli(capsys, "run", "--config", str(cfg))
         assert caught == []
-        assert (code, err) == (4, f"error: a difference from the null value -1e+308 "
-                                  f"overflows a float; the {statistic} statistic "
-                                  f"is undefined\n")
+        assert (code, err) == (0, "")
+        report = assert_report_of_scaled(tmp_path / "out", test, mu0=-1e308)
+        # every difference lies above mu0
+        assert report["statistic"] == {"wilcoxon": 6.0, "sign": 3.0}[test]
+
+    def test_a_t_statistic_beyond_float_range_exits_4(self, capsys, tmp_path):
+        # differences of 1, 1 + 2**-52 and 1 against mu0 = -1e308: the t
+        # statistic, about 1e308 / 7e-17, is past the float range
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5, test: t_test, mu0: -1.0e+308}
+sampling: {se_max: 0.5, n0: 3, n_max: 8}
+algorithms:
+  - {alias: one, kind: synthetic_normal, params: {mu: 0.0, sigma: 0.0}}
+  - {alias: two, kind: synthetic_normal, params: {mu: 1.0, sigma: 0.0}}
+instances:
+  inline: [{id: x}, {id: y, payload: {two: {mu: 1.0000000000000002}}}, {id: z}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert caught == []
+        assert (code, err) == (4, "error: the t statistic or its interval overflows "
+                                  "a float; the t-test is undefined at this scale\n")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("test", ["t_test", "wilcoxon"])
+    def test_an_overflowing_estimate_exits_4_and_journals_nothing(self, capsys,
+                                                                  tmp_path, test):
+        # runs of 1e308 and -1e308 on instance x: each is finite and their
+        # spread is 0, but the difference of their means is -inf
+        cfg = write_config(tmp_path, f"""\
+design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}}}
+sampling: {{se_max: 0.5, n0: 3, n_max: 8}}
+algorithms:
+  - {{alias: one, kind: synthetic_normal, params: {{mu: 0.0, sigma: 0.0}}}}
+  - {{alias: two, kind: synthetic_normal, params: {{mu: 1.0, sigma: 0.0}}}}
+instances:
+  inline: [{{id: x, payload: {{one: {{mu: 1.0e+308}}, two: {{mu: -1.0e+308}}}}}},
+           {{id: y}}, {{id: z}}]
+master_seed: 3
+use_all_instances: true
+output_dir: out
+""")
+        cause = ("instance x: the estimate of the difference is -inf after 3 + 3 "
+                 "runs: the values overflow a float at this scale; rescale them")
+        journal = tmp_path / "out" / "checkpoint.jsonl"
+        for command in ("run", "resume"):
+            code, out, err = run_cli(capsys, command, "--config", str(cfg))
+            [line] = err.splitlines()
+            assert code == 4
+            assert line.startswith("error: experiment aborted after ")
+            assert line.endswith(cause)
+            assert '"x"' not in journal.read_text()
+        code, out, err = run_cli(capsys, "reps", "--config", str(cfg), "--instance", "x")
+        assert (code, err) == (4, f"error: {cause.split(': ', 1)[1]}\n")
 
     def test_percent_se_overflow_exits_4(self, capsys, tmp_path):
         # lognormal runs near exp(-368) ~ 1e-160: the parametric percent SE
@@ -1087,6 +1180,58 @@ output_dir: out
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace("output_dir: out\n", ""))
         code, _, _ = run_cli(capsys, "run", "--config", str(cfg))
         assert code == 2
+
+
+class TestSizeBounds:
+    """A size knob beyond its bound exits 2, naming it, before anything of
+    that size is allocated; each test fails if the allocation is reached."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the allocation was reached")
+
+    def test_curve_points(self, capsys, monkeypatch):
+        monkeypatch.setattr(paircomp.design.np, "arange", self.refuse)
+        code, out, err = run_cli(capsys, "power", "--n", "20", "--alpha", "0.05",
+                                 "--d-range", "0.1:0.5", "--points", str(10 ** 10))
+        assert code == 2
+        assert err.splitlines() == ["error: at most 100000 curve points are allowed, "
+                                    "got 10000000000: each point is one noncentral "
+                                    "t CDF"]
+        assert out == ""
+
+    def test_tsp_cities(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(paircomp.runners, "build_tsp_instance", self.refuse)
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 0.5, n0: 3, n_max: 8}
+algorithms:
+  - {alias: cool, kind: demo_sann_tsp}
+  - {alias: hot, kind: demo_sann_tsp}
+instances:
+  inline: [{id: a, payload: {cities: 1000000}}, {id: b, payload: {cities: 8}}]
+master_seed: 3
+output_dir: out
+""")
+        code, out, err = run_cli(capsys, "run", "--config", str(cfg))
+        assert code == 2
+        assert err.splitlines() == ["error: config: instance 'a', algorithm 'cool': "
+                                    "payload.cities must be at most 1000, got 1000000"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["run", "reps"])
+    def test_first_stage_runs(self, capsys, tmp_path, monkeypatch, command):
+        monkeypatch.setattr(paircomp.experiment, "first_stages", self.refuse)
+        monkeypatch.setattr(paircomp.sampler, "first_stages", self.refuse)
+        cfg = write_config(tmp_path, SYNTH_RUN_CONFIG.replace(
+            "n0: 4, n_max: 40", "n0: 100000000, n_max: 200000000"))
+        argv = ["--instance", "synth-0000"] if command == "reps" else []
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), *argv)
+        assert code == 2
+        assert err.splitlines() == ["error: sampling: n0 must be at most 100000, got "
+                                    "100000000: each instance in flight holds "
+                                    "2 * n0 run seeds and keys"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestConfigValidation:
@@ -1369,7 +1514,9 @@ def signed(values):
 
 
 class TestExtremeScales:
-    """The exit-code contract holds for means and spreads across the float range."""
+    """The exit-code contract holds for means, spreads and null values across
+    the float range.  Every config drawn is valid, so none may exit 2, and
+    exit 3 comes only from a run whose value overflows."""
 
     @given(test=st.sampled_from(["t_test", "wilcoxon", "sign"]),
            diff=st.sampled_from(["simple", "percent"]),
@@ -1379,31 +1526,42 @@ class TestExtremeScales:
            positive=st.booleans(),
            sigmas=st.tuples(magnitudes(), magnitudes()),
            se_max=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+           mu0=signed(magnitudes()),
            seed=st.integers(0, 2 ** 32 - 1))
     # the spread of one algorithm's runs overflows a float
     @example(test="wilcoxon", diff="simple", se_method="parametric",
              means=[(0.0, 0.0)] * 3, positive=False, sigmas=(1e200, 1.0),
-             se_max=0.5, seed=3)
+             se_max=0.5, mu0=0.0, seed=3)
     @example(test="sign", diff="simple", se_method="bootstrap",
              means=[(0.0, 0.0)] * 3, positive=False, sigmas=(1e200, 1.0),
-             se_max=0.5, seed=3)
-    # differences of 1.6e308: their Walsh averages and resampled means overflow
+             se_max=0.5, mu0=0.0, seed=3)
+    # differences of 1.6e308: their Walsh averages and resampled means
+    # overflow unless scaled
     @example(test="wilcoxon", diff="simple", se_method="parametric",
              means=[(-8e307, 8e307), (-7e307, 9e307), (0.0, 1.0)], positive=False,
-             sigmas=(0.0, 0.0), se_max=0.5, seed=3)
+             sigmas=(0.0, 0.0), se_max=0.5, mu0=0.0, seed=3)
     @example(test="sign", diff="simple", se_method="parametric",
              means=[(-8e307, 8e307), (-7e307, 9e307), (0.0, 1.0)], positive=False,
-             sigmas=(0.0, 0.0), se_max=0.5, seed=3)
+             sigmas=(0.0, 0.0), se_max=0.5, mu0=0.0, seed=3)
+    # means of 1e308 and -1e308: the difference of the means is -inf
+    @example(test="wilcoxon", diff="simple", se_method="parametric",
+             means=[(1e308, -1e308), (0.0, 0.0), (0.0, 1.0)], positive=False,
+             sigmas=(0.0, 0.0), se_max=0.5, mu0=0.0, seed=3)
+    # near-constant differences against mu0 = -1e308: t is past the float range
+    @example(test="t_test", diff="simple", se_method="parametric",
+             means=[(0.0, 1.0), (0.0, 1.0000000000000002), (0.0, 1.0)],
+             positive=False, sigmas=(0.0, 0.0), se_max=0.5, mu0=-1e308, seed=3)
     @settings(max_examples=100, deadline=None)
     def test_exit_code_contract(self, test, diff, se_method, means, positive,
-                                sigmas, se_max, seed):
+                                sigmas, se_max, mu0, seed):
         if positive:
             # positive means, and a baseline spread that keeps them so, for
             # percent differences to get past the baseline check
             means = [(abs(mu1), abs(mu2)) for mu1, mu2 in means]
             sigmas = (min(sigmas[0], min(mu1 for mu1, _ in means) / 4), sigmas[1])
         config = {
-            "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "test": test},
+            "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "test": test,
+                       "mu0": mu0},
             "sampling": {"se_max": se_max, "n0": 3, "n_max": 8, "diff": diff,
                          "se_method": se_method, "bootstrap": {"resamples": 100}},
             "algorithms": [
@@ -1428,10 +1586,11 @@ class TestExtremeScales:
                 warnings.simplefilter("always")
                 code = main(["run", "--config", str(cfg), "--output-dir", str(out)])
             assert caught == []
-            assert code in (0, 2, 3, 4)
+            assert code in (0, 3, 4)
             if code:
                 [line] = err.getvalue().splitlines()
                 assert line.startswith("error: ")
+                assert code == 4 or "run produced a non-finite value" in line, line
             else:
                 with (out / "results.csv").open() as fh:
                     for row in csv.DictReader(fh):

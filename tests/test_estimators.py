@@ -58,6 +58,13 @@ class TestInstanceSample:
         with pytest.raises(ValueError):
             _ = s.sd
 
+    def test_variance_after_the_mean_overflows(self):
+        # 1e308 - (-1e308) overflows the running mean to -inf, and the sum of
+        # squares to -inf, which is no rounding error to clamp to 0
+        s = oracles.instance_sample([1e308, -1e308])
+        assert s.mean == -math.inf
+        assert s.variance == math.inf
+
     def test_nonfinite_observation_rejected(self):
         s = InstanceSample()
         with pytest.raises(ValueError):

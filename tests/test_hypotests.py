@@ -3,12 +3,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from paircomp.design import Alternative
 from paircomp.distributions import t_quantile
 from paircomp.errors import DegenerateDataError
-from paircomp.hypotests import (_binom_half_cdf, _binom_half_sf, _walsh_stats,
+from paircomp.hypotests import (_binom_half_cdf, _binom_half_sf,
+                                _walsh_interval_ranks, _walsh_stats,
                                 build_diagnostics, paired_t_test, qq_normal,
                                 sign_test, wilcoxon_signed_rank)
 
@@ -16,6 +19,40 @@ import oracles
 
 TWO = Alternative.TWO_SIDED
 ONE = Alternative.ONE_SIDED
+
+# a power of two that brings differences near 1.7e308 down to about 4e127
+IN_RANGE = 2.0 ** -600
+
+
+def outcome(call):
+    try:
+        return call()
+    except DegenerateDataError as exc:
+        return exc
+
+
+def assert_scales(test, values, mu0: float, j: int, alternative=TWO) -> None:
+    """``test`` on ``values`` and ``mu0`` times 2**j reports what it reports
+    on them as given: the same statistic, p-value, df, counts and refusal,
+    and locations 2**j times as large, to the bit.  Where a location that
+    large is beyond float range, the scaled call must refuse instead."""
+    s = math.ldexp(1.0, j)
+    ref = outcome(lambda: test(values, mu0, 0.05, alternative))
+    got = outcome(lambda: test([v * s for v in values], mu0 * s, 0.05, alternative))
+    if isinstance(ref, Exception):
+        assert (type(got), str(got)) == (type(ref), str(ref))
+        return
+    bound = [] if ref.one_sided_bound is None else [ref.one_sided_bound * s]
+    locations = [ref.estimate * s, ref.ci[0] * s, ref.ci[1] * s, *bound]
+    if not all(map(math.isfinite, locations)):
+        assert isinstance(got, DegenerateDataError)
+        assert "overflows a float" in str(got)
+        return
+    assert isinstance(got, type(ref)), got
+    assert (got.statistic, got.p_value, got.df, got.n_instances_used, len(got.warnings)) \
+        == (ref.statistic, ref.p_value, ref.df, ref.n_instances_used, len(ref.warnings))
+    got_bound = [] if got.one_sided_bound is None else [got.one_sided_bound]
+    assert [got.estimate, *got.ci, *got_bound] == locations
 
 
 class TestPairedT:
@@ -94,9 +131,23 @@ class TestPairedT:
     @pytest.mark.parametrize("phis", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308]],
                              ids=["spread", "mean"])
     def test_overflowing_differences_degenerate(self, phis):
-        # numpy's overflow warning is an error under pytest: none may escape
-        with pytest.raises(DegenerateDataError, match="overflows a float"):
-            paired_t_test(phis, mu0=0.0, alpha=0.05, alternative=TWO)
+        # the spread's squares and the mean's sum pass the float range, but
+        # the test reports what it reports on the data scaled into range;
+        # only the "mean" case's interval, about 1.33e308 +- 7.2e307, truly
+        # passes it, and is refused (numpy's overflow warning is an error
+        # under pytest: none may escape)
+        for alternative in (TWO, ONE):
+            assert_scales(paired_t_test, [v * IN_RANGE for v in phis], 0.0, 600,
+                          alternative)
+
+    @pytest.mark.parametrize("mu0", [-1e308, 1e308])
+    def test_statistic_beyond_float_range_refused(self, mu0):
+        # near-constant differences far from mu0: t = (mean - mu0) / se is
+        # past the float range, and is refused before its p-value
+        phis = [1.0, 1.0 + 2.0 ** -52, 1.0]
+        with pytest.raises(DegenerateDataError, match="the t statistic or its "
+                           "interval overflows a float"):
+            paired_t_test(phis, mu0=mu0, alpha=0.05, alternative=TWO)
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -205,17 +256,20 @@ class TestWilcoxon:
                              ids=["estimate", "interval"])
     def test_overflowing_walsh_averages_degenerate(self, values):
         # the pseudo-median, or only the interval's upper end, is
-        # (x + x) / 2 with x + x past the float range
-        with pytest.raises(DegenerateDataError, match="Walsh average of the "
-                           "differences overflows a float"):
-            wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
+        # (x + x) / 2 with x + x past the float range; both are the exact
+        # averages rounded once.  At 3 and 4 values and alpha 0.05 the
+        # interval spans every Walsh average
+        rep = wilcoxon_signed_rank(values, mu0=0.0, alpha=0.05, alternative=TWO)
+        m = len(values) * (len(values) + 1) // 2
+        estimate, ci = oracles.walsh_stats_exact(values, (0, m - 1))
+        assert (rep.estimate, rep.ci) == (estimate, ci)
+        assert_scales(wilcoxon_signed_rank, [v * IN_RANGE for v in values], 0.0, 600)
 
     def test_overflowing_difference_from_null_degenerate(self):
-        # 1e308 - (-1e308) is past the float range
-        with pytest.raises(DegenerateDataError, match="a difference from the null "
-                           "value -1e\\+308 overflows a float; the signed-rank"):
-            wilcoxon_signed_rank([1e308, 1.5e308, 3.0], mu0=-1e308, alpha=0.05,
-                                 alternative=TWO)
+        # 1e308 - (-1e308) is past the float range, but the ranks, the
+        # statistic and the p-value are those of the data scaled into range
+        assert_scales(wilcoxon_signed_rank, [v * IN_RANGE for v in (1e308, 1.5e308, 3.0)],
+                      -1e308 * IN_RANGE, 600)
 
 
 def walsh_sample(kind: str, n: int, rng) -> np.ndarray:
@@ -298,16 +352,18 @@ class TestSignTest:
             sign_test([1.0, 1.0, 1.0], mu0=1.0, alpha=0.05, alternative=TWO)
 
     def test_overflowing_median_degenerate(self):
-        # an even count averages the two middle values, whose sum overflows
-        with pytest.raises(DegenerateDataError, match="median of the differences "
-                           "overflows a float"):
-            sign_test([1.7e308, 1.6e308, 1.0, 1.5e308], mu0=0.0, alpha=0.05,
-                      alternative=TWO)
+        # an even count averages the two middle values, whose sum overflows;
+        # the median is their exact average rounded once
+        values = [1.7e308, 1.6e308, 1.0, 1.5e308]
+        rep = sign_test(values, mu0=0.0, alpha=0.05, alternative=TWO)
+        assert rep.estimate == oracles.median_exact(values)
+        assert rep.ci == (1.0, 1.7e308)
+        assert_scales(sign_test, [v * IN_RANGE for v in values], 0.0, 600)
 
     def test_overflowing_difference_from_null_degenerate(self):
-        with pytest.raises(DegenerateDataError, match="a difference from the null "
-                           "value -1e\\+308 overflows a float; the sign"):
-            sign_test([1e308, 1.5e308, 3.0], mu0=-1e308, alpha=0.05, alternative=TWO)
+        # 1e308 - (-1e308) is past the float range; the signs are not
+        assert_scales(sign_test, [v * IN_RANGE for v in (1e308, 1.5e308, 3.0)],
+                      -1e308 * IN_RANGE, 600)
 
     def test_estimate_is_median(self):
         values = [3.0, 1.0, 2.0, 9.0, 4.0]
@@ -397,8 +453,9 @@ class TestQQNormal:
     @pytest.mark.parametrize("sample", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308]],
                              ids=["spread", "mean"])
     def test_overflowing_sample_degenerate(self, sample):
-        with pytest.raises(DegenerateDataError, match="overflows a float"):
-            qq_normal(sample)
+        # the spread's squares or the mean's sum pass the float range; the
+        # standardised points are those of the sample scaled into range
+        assert qq_normal(sample) == qq_normal([v * IN_RANGE for v in sample])
 
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
@@ -427,18 +484,121 @@ class TestDiagnosticsBundle:
         assert bundle.qq_points == []
         assert bundle.boot_sdm_qq == []
 
+    @staticmethod
+    def assert_bundle_of_scaled(phis):
+        bundle = build_diagnostics(phis, resamples=200, seed=1)
+        ref = build_diagnostics([v * IN_RANGE for v in phis], resamples=200, seed=1)
+        assert bundle.qq_points == ref.qq_points
+        assert bundle.boot_sdm == [v / IN_RANGE for v in ref.boot_sdm]
+        assert bundle.boot_sdm_qq == ref.boot_sdm_qq
+        return bundle
+
     def test_overflowing_spread_gives_no_points(self):
-        bundle = build_diagnostics([1e200, -1e200, 3e200, 2e200], resamples=200, seed=1)
-        assert bundle.qq_points == []
-        assert bundle.boot_sdm_qq == []
-        assert len(bundle.boot_sdm) == 200
+        # the spread's squares pass the float range; the points are those
+        # of the differences scaled into range
+        bundle = self.assert_bundle_of_scaled([1e200, -1e200, 3e200, 2e200])
+        assert len(bundle.qq_points) == 4
+        assert len(bundle.boot_sdm) == len(bundle.boot_sdm_qq) == 200
 
     def test_overflowing_resampled_mean_degenerate(self):
-        # the differences are finite, but a resample holding 1.6e308 twice
-        # sums past the float range
-        with pytest.raises(DegenerateDataError, match="resampled mean of the "
-                           "differences overflows a float"):
-            build_diagnostics([1.6e308, 1.6e308, 1.0], resamples=200, seed=1)
+        # the differences are finite, and a resample holding 1.6e308 twice
+        # sums past the float range; its mean does not
+        bundle = self.assert_bundle_of_scaled([1.6e308, 1.6e308, 1.0])
+        assert 1.6e308 in bundle.boot_sdm
+        assert all(1.0 <= v <= 1.6e308 for v in bundle.boot_sdm)
+
+    def test_resampled_means_far_below_the_largest_are_kept(self):
+        # every difference is positive, so is every resampled mean; divided
+        # by 2**520, as the t-test's sums are, those of resamples without
+        # 1e307 would be 0 (81 of 200 here)
+        values = [1e307, *(k * 1e-300 for k in range(1, 40))]
+        boot = build_diagnostics(values, resamples=200, seed=1).boot_sdm
+        assert min(boot) > 0.0 and max(boot) < 1e307
+
+
+def signed(values):
+    return st.tuples(values, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+NEAR_ONE = signed(st.floats(2.0 ** -300, 2.0 ** 300))
+NEAR_MAX = signed(st.floats(1e307, 1.7976931348623157e308))
+
+
+class TestScaling:
+    """Every test computes on the differences divided by a power of two,
+    and multiplies back only the locations it reports."""
+
+    # up to 2**723 every value stays finite, and from 2**501 on the sums
+    # overflow unscaled; down to 2**-600 every difference of two values
+    # and every Walsh sum is a normal float, but the t-test's squared
+    # deviations are only from 2**-100 on (below about 2**-511 they lose
+    # bits or vanish)
+    @pytest.mark.parametrize("test, lowest", [(paired_t_test, -100),
+                                              (wilcoxon_signed_rank, -600),
+                                              (sign_test, -600)],
+                             ids=["t_test", "wilcoxon", "sign"])
+    @given(values=st.lists(NEAR_ONE, min_size=2, max_size=30),
+           null=st.one_of(st.just(0.0), NEAR_ONE, st.integers(0, 29)),
+           alternative=st.sampled_from([TWO, ONE]), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_numbers_scale_with_the_data(self, test, lowest, values, null,
+                                         alternative, data):
+        # an integer null is one of the values, so that a difference is zero
+        mu0 = values[null % len(values)] if isinstance(null, int) else null
+        j = data.draw(st.integers(lowest, 723), label="j")
+        assert_scales(test, values, mu0, j, alternative)
+
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
+                             ids=["wilcoxon", "sign"])
+    def test_differences_far_below_the_largest_keep_their_signs(self, test):
+        # divided by 2**520, as the t-test's sums are, the small values
+        # would be 0: dropped as equal to mu0, and a pseudo-median or median
+        # of 0.  Their signs and ranks are those of the sample with 1e307
+        # replaced by 1, the same largest, and the locations are exact
+        values = [1e307, *(k * 1e-300 for k in range(-9, 30) if k)]
+        got = test(values, 0.0, 0.05, TWO)
+        ref = test([1.0, *values[1:]], 0.0, 0.05, TWO)
+        assert (got.statistic, got.p_value, got.warnings) == \
+            (ref.statistic, ref.p_value, [])
+        assert got.estimate == (oracles.walsh_stats_exact(values, ())[0]
+                                if test is wilcoxon_signed_rank
+                                else oracles.median_exact(values))
+        assert 0.0 < got.estimate < 3e-299
+
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
+                             ids=["wilcoxon", "sign"])
+    def test_mu0_is_halved_with_the_differences(self, test):
+        # 1.7e308 is past 2**1023, so the differences are halved, and mu0
+        # with them: 1 and 3 lie on either side of mu0 = 2.  The signs and
+        # ranks are those of the sample with 1.7e308 replaced by 1e3
+        values = [1.7e308, 1.0, 3.0, -2.0]
+        got = test(values, 2.0, 0.05, TWO)
+        ref = test([1e3, *values[1:]], 2.0, 0.05, TWO)
+        assert (got.statistic, got.p_value) == (ref.statistic, ref.p_value)
+
+    # above 2**1023 the values are halved, which is exact for magnitudes
+    # from 2**-1019 on; below it nothing is scaled, and a subnormal
+    # average comes out as unscaled arithmetic gives it
+    @given(values=st.lists(st.one_of(NEAR_MAX, signed(st.floats(2.0 ** -1019, 1e3)),
+                                     st.just(0.0)),
+                           min_size=2, max_size=40))
+    @example(values=[1e307, -1e307, 4.450147717014404e-308])
+    @settings(max_examples=60, deadline=None)
+    def test_medians_match_exact_arithmetic(self, values):
+        # near 1.7e308 a sum of two values overflows; each Walsh average
+        # and each median of two values is their exact average rounded once
+        nonzero = sum(v != 0.0 for v in values)
+        if nonzero:
+            rep = wilcoxon_signed_rank(values, 0.0, 0.05, TWO)
+            ranks = ()
+            if nonzero > 25:  # the normal approximation's interval ranks
+                ranks = _walsh_interval_ranks(len(values), nonzero, 0.05, None)
+            estimate, ci = oracles.walsh_stats_exact(values, ranks)
+            assert rep.estimate == estimate
+            assert not ranks or rep.ci == ci
+            rep = sign_test(values, 0.0, 0.05, TWO)
+            assert rep.estimate == oracles.median_exact(values)
+            assert min(values) <= rep.ci[0] <= rep.ci[1] <= max(values)
 
 
 class TestMemoryAtLargeN:

@@ -339,6 +339,19 @@ class TestAnnealingDemoRunner:
         with pytest.raises(ValueError, match="at least 4 cities, got 3"):
             build_tsp_instance("t", n_cities=3)
 
+    def test_builder_refuses_more_cities_than_the_bound(self, monkeypatch):
+        # the refusal comes before the layout draw, let alone the matrix
+        def refuse(seed):
+            raise AssertionError("the layout was drawn")
+
+        monkeypatch.setattr(runners_module, "make_generator", refuse)
+        with pytest.raises(ValueError, match="at most 1000 cities are allowed, "
+                                             "got 1000000"):
+            build_tsp_instance("t", n_cities=10 ** 6)
+        monkeypatch.undo()
+        assert len(build_tsp_instance("t", n_cities=1000).payload["distance_matrix"]) \
+            == 1000
+
     def test_bad_payload_rejected(self):
         s = spec(AlgorithmKind.DEMO_SANN_TSP)
         with pytest.raises(ValueError, match="instance 'nothing', algorithm "

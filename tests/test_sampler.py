@@ -154,6 +154,28 @@ class TestSEBudgetContract:
         assert trace[-1] == (n1, n2, out.se_hat)
 
 
+class TestOverflowingEstimate:
+    """A finite SE does not make a finite estimate: the sampler refuses
+    either one that is not finite, so no such row is journaled."""
+
+    def test_means_whose_difference_overflows(self):
+        # runs of 1e308 and -1e308: no spread, so a parametric SE of 0, and
+        # 2e308 between the means (the bootstrap SE of these runs is nan)
+        cfg = SamplingConfig(se_max=0.5, n0=3, n_max=8)
+        with pytest.raises(AssumptionViolationError, match="the estimate of the "
+                           "difference is -inf after 3 \\+ 3 runs"):
+            calc_nreps(scripted([1e308]), scripted([-1e308]), INSTANCE, cfg, seed=1)
+
+    def test_runs_whose_mean_overflows(self):
+        # 1e308 then -1e308 on one side: the running mean is -inf, and so
+        # is the spread, which the SE check refuses
+        cfg = SamplingConfig(se_max=0.5, n0=2, n_max=4)
+        with pytest.raises(AssumptionViolationError, match="the standard error "
+                           "of the difference is inf after 2 \\+ 2 runs"):
+            calc_nreps(scripted([1e308, -1e308]), scripted([0.0]), INSTANCE, cfg,
+                       seed=1)
+
+
 class TestAllocation:
     def test_ratio_tracks_spread_ratio(self):
         # spread ratio 2: terminal allocation should sit near n1/n2 = 2
