@@ -6,12 +6,14 @@ fixed-size experiment, single value or curve with highlights), ``reps``
 ``resume`` (continue an interrupted run from its checkpoint journal).
 
 Exit codes: 0 completed, 2 usage or configuration error or an unwritable
-output path, 3 runner failure or an interrupted ``reps``, ``run`` or
-``resume``, 4 statistical-assumption violation or data on which a test is
-undefined (e.g. all differences identical).  The statistical outcome of a
-test never affects the exit code.  ``reps``, ``run`` and ``resume`` take
-SIGTERM as they take Ctrl-C: no run starts, the solvers in flight are
-killed, and ``resume`` goes on from the journal.
+output path, 3 runner failure or an interrupted command of any kind, 4
+statistical-assumption violation or data on which a test is undefined
+(e.g. all differences identical).  The statistical outcome of a test
+never affects the exit code.  ``_EXIT_CODES`` is the one table from
+error to exit code.  Every command takes SIGTERM as it takes Ctrl-C and
+ends with exit 3 and one ``error: interrupted`` line; under ``reps``,
+``run`` and ``resume`` no run starts, the solvers in flight are killed,
+and ``resume`` goes on from the journal.
 
 Environment: ``PAIRCOMP_WORKERS`` overrides the config's worker count and
 ``PAIRCOMP_SEED`` its master seed, for ``reps`` too; explicit flags beat
@@ -60,15 +62,15 @@ _EXIT_CODES = (
     (ConfigError, EXIT_USAGE),
     (ValueError, EXIT_USAGE),
     (PaircompError, EXIT_RUNNER),
+    (KeyboardInterrupt, EXIT_RUNNER),  # Ctrl-C, or SIGTERM (_sigterm_interrupts)
 )
 _HANDLED = tuple(cls for cls, _ in _EXIT_CODES)
 
 
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, ExperimentAbortedError):
-        exc = exc.cause
-    return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),
-                EXIT_RUNNER)
+def _exit_code(exc: BaseException) -> int:
+    # a cause outside the table exits as the abort itself does
+    tried = (exc.cause, exc) if isinstance(exc, ExperimentAbortedError) else (exc,)
+    return next(code for e in tried for cls, code in _EXIT_CODES if isinstance(e, cls))
 
 
 @functools.cache
@@ -257,13 +259,14 @@ def _cmd_reps(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args, resume: bool) -> int:
+def _cmd_run(args) -> int:
+    resume = args.command == "resume"
     plan, out_dir = _load_plan(args.config, args.seed, args.workers)
     out_dir = args.output_dir or out_dir
     if out_dir is None:
         raise ConfigError("an output directory is required: set 'output_dir' in "
                           "the config or pass --output-dir")
-    # main reads it on an interrupt: only a journal on disk can be resumed
+    # main reads it on an interrupt
     args.checkpoint = checkpoint = out_dir / "checkpoint.jsonl"
     if resume and not checkpoint.exists():
         raise ConfigError(f"nothing to resume: {checkpoint} does not exist")
@@ -308,26 +311,25 @@ def _sigterm_interrupts():
         signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
 
 
+def _interrupted(args) -> str:
+    journal = getattr(args, "checkpoint", None)
+    if journal and journal.exists():  # only a journal on disk can be resumed
+        return "interrupted; 'paircomp resume' continues from the checkpoint journal"
+    return "interrupted"
+
+
+_COMMANDS = {"design": _cmd_design, "power": _cmd_power, "reps": _cmd_reps,
+             "run": _cmd_run, "resume": _cmd_run}
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "design":
-            return _cmd_design(args)
-        if args.command == "power":
-            return _cmd_power(args)
-        try:
-            with _sigterm_interrupts():
-                if args.command == "reps":
-                    return _cmd_reps(args)
-                return _cmd_run(args, resume=args.command == "resume")
-        except KeyboardInterrupt:
-            journal = getattr(args, "checkpoint", None)
-            hint = ("; 'paircomp resume' continues from the checkpoint journal"
-                    if journal and journal.exists() else "")
-            print(f"error: interrupted{hint}", file=sys.stderr)
-            return EXIT_RUNNER
+        with _sigterm_interrupts():
+            return _COMMANDS[args.command](args)
     except _HANDLED as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        text = _interrupted(args) if isinstance(exc, KeyboardInterrupt) else exc
+        print(f"error: {text}", file=sys.stderr)
         return _exit_code(exc)
 
 

@@ -34,7 +34,7 @@ runs.  A full document looks like::
     workers: 1
     use_all_instances: false
     output_dir: results
-    sigma_phi_bound: 1.0     # optional, enables the se* sanity warning
+    sigma_phi_bound: 1.0     # optional, positive and finite; enables the se* warning
 
 Each section is read through one table of ``key -> (constructor keyword,
 kind)``.  A kind is an exact type (a number takes an int or a float; an
@@ -110,7 +110,6 @@ SYNTHETIC_POOL = {
     "count": ("n_instances", int), "delta": ("delta", float),
     "sigma_phi": ("sigma_phi", float), "noise_sd": ("noise_sd", float),
     "base_mean": ("base_mean", float), "seed": ("seed", int),
-    "aliases": ("aliases", list),
 }
 TOP = {
     "design": ("design", dict), "sampling": ("sampling", dict),
@@ -254,10 +253,6 @@ def _parse_instances(node, master_seed: int, base_dir: Path):
     where = "instances.synthetic_pool"
     kwargs = _read(forms["synthetic_pool"], SYNTHETIC_POOL, where,
                    required=("count",))
-    if "aliases" in kwargs:
-        aliases = kwargs["aliases"] = tuple(kwargs["aliases"])
-        if len(aliases) != 2 or not all(isinstance(a, str) for a in aliases):
-            raise ConfigError(f"{where}.aliases must be two distinct names")
     if "seed" not in kwargs:
         if master_seed < 0:  # the plan's rule, needed before the plan exists
             raise ConfigError(f"config: master_seed must be non-negative, "

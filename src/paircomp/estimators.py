@@ -150,9 +150,10 @@ class PairedDifference:
 
 # the estimators the sampler calls once per run test both counts inline
 # and call this only when one falls short, to name the first short sample
-def _require_runs(sample, k: int, who: str) -> None:
-    if sample.n < k:
-        raise ValueError(f"{who} needs at least {k} observation(s), got n={sample.n}")
+def _require_runs(k: int, who: str, *samples) -> None:
+    for sample in samples:
+        if sample.n < k:
+            raise ValueError(f"{who} needs at least {k} observation(s), got n={sample.n}")
 
 
 def _require_positive_baseline(s1) -> None:
@@ -165,8 +166,7 @@ def _require_positive_baseline(s1) -> None:
 def phi_simple(s1, s2) -> float:
     """Difference of mean performance, second algorithm minus first."""
     if s1.n < 1 or s2.n < 1:
-        _require_runs(s1, 1, "phi_simple")
-        _require_runs(s2, 1, "phi_simple")
+        _require_runs(1, "phi_simple", s1, s2)
     return s2.mean - s1.mean
 
 
@@ -177,8 +177,7 @@ def phi_percent(s1, s2) -> float:
     meaningful and simple differences should be used instead.
     """
     if s1.n < 1 or s2.n < 1:
-        _require_runs(s1, 1, "phi_percent")
-        _require_runs(s2, 1, "phi_percent")
+        _require_runs(1, "phi_percent", s1, s2)
     _require_positive_baseline(s1)
     return (s2.mean - s1.mean) / s1.mean
 
@@ -186,8 +185,7 @@ def phi_percent(s1, s2) -> float:
 def se_simple(s1, s2) -> float:
     """Standard error of the simple mean difference."""
     if s1.n < 2 or s2.n < 2:
-        _require_runs(s1, 2, "se_simple")
-        _require_runs(s2, 2, "se_simple")
+        _require_runs(2, "se_simple", s1, s2)
     return math.sqrt(s1.variance / s1.n + s2.variance / s2.n)
 
 
@@ -201,8 +199,7 @@ def se_percent(s1, s2) -> float:
     refused as an assumption violation.
     """
     if s1.n < 2 or s2.n < 2:
-        _require_runs(s1, 2, "se_percent")
-        _require_runs(s2, 2, "se_percent")
+        _require_runs(2, "se_percent", s1, s2)
     _require_positive_baseline(s1)
     gap = s2.mean - s1.mean
     v1, v2 = s1.variance, s2.variance
@@ -229,8 +226,7 @@ def optimal_ratio_simple(s1, s2) -> float:
     spreads vanish it is 1 by convention.
     """
     if s1.n < 2 or s2.n < 2:
-        _require_runs(s1, 2, "optimal_ratio_simple")
-        _require_runs(s2, 2, "optimal_ratio_simple")
+        _require_runs(2, "optimal_ratio_simple", s1, s2)
     sd1, sd2 = s1.sd, s2.sd
     if sd2 == 0.0:
         return 1.0 if sd1 == 0.0 else math.inf
@@ -240,8 +236,7 @@ def optimal_ratio_simple(s1, s2) -> float:
 def optimal_ratio_percent(s1, s2) -> float:
     """Run-allocation ratio for percent differences: (s1/s2) sqrt(1 + phi^2)."""
     if s1.n < 2 or s2.n < 2:
-        _require_runs(s1, 2, "optimal_ratio_percent")
-        _require_runs(s2, 2, "optimal_ratio_percent")
+        _require_runs(2, "optimal_ratio_percent", s1, s2)
     sd1, sd2 = s1.sd, s2.sd
     if sd2 == 0.0:
         return 1.0 if sd1 == 0.0 else math.inf
@@ -321,7 +316,7 @@ def _words(seed: int, start: int, stop: int) -> np.ndarray:
 
 
 def _word_indices(seed: int, pos: int, n: int, count: int,
-                  out: np.ndarray | None = None) -> tuple[np.ndarray, int]:
+                  out: np.ndarray) -> tuple[np.ndarray, int]:
     """``count`` indices below ``n``, drawn from word ``pos`` on of the
     seed's word stream, and the word position after them.
 
@@ -334,20 +329,17 @@ def _word_indices(seed: int, pos: int, n: int, count: int,
     ``pos`` words.
 
     The indices go into ``out``, a uint64 array of at least ``count``
-    entries (a new one when not given), and the result is an int64 view
-    of its first ``count``.  Each read of words is checked by writing
-    the low halves of w * n as uint32 into the unfilled part of ``out``
-    and taking their minimum; only a read with a rejected word (a word's
-    chance is below n / 2**32) is masked, and the next read draws just
-    the words it lacks.  So every word is read once and nothing else is
-    allocated on a read without rejection.  Lemire's rule lives here
-    alone.
+    entries, and the result is an int64 view of its first ``count``.
+    Each read of words is checked by writing the low halves of w * n as
+    uint32 into the unfilled part of ``out`` and taking their minimum;
+    only a read with a rejected word (a word's chance is below n / 2**32)
+    is masked, and the next read draws just the words it lacks.  So every
+    word is read once and nothing else is allocated on a read without
+    rejection.  Lemire's rule lives here alone.
     """
     if not 2 <= n <= 1 << 32:
         raise ValueError(f"indices below n need 2 <= n <= 2**32, got n={n}")
     threshold = (1 << 32) % n
-    if out is None:
-        out = np.empty(count, np.uint64)
     filled = 0
     while filled < count:
         need = count - filled
@@ -441,8 +433,7 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
     """
     _check_resamples(resamples)
     _check_seed(seed)
-    _require_runs(s1, 2, "bootstrap_se")
-    _require_runs(s2, 2, "bootstrap_se")
+    _require_runs(2, "bootstrap_se", s1, s2)
     diff_kind = DiffKind(diff_kind)
     if diff_kind is DiffKind.PERCENT:
         _require_positive_baseline(s1)

@@ -86,6 +86,10 @@ class ExperimentPlan:
             raise ValueError(f"workers must be at most {MAX_WORKERS}, got {self.workers!r}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be non-negative, got {self.master_seed!r}")
+        # any other bound is read by nothing, and would silently turn off the se* warning
+        if self.sigma_phi_bound is not None and not 0.0 < self.sigma_phi_bound < math.inf:
+            raise ValueError(f"sigma_phi_bound must be a positive finite number, "
+                             f"got {self.sigma_phi_bound!r}")
         # every run input is checked here, so a bad one stops nothing midway;
         # the bound runs are dropped, and sampling binds each instance again
         for inst in self.instance_pool:
@@ -267,15 +271,6 @@ class _Journal:
         self._fh.close()
 
 
-def _run_test(family: TestFamily, phis, design: ComparisonDesign) -> TestReport:
-    if family is TestFamily.T_TEST:
-        return paired_t_test(phis, design.mu0, design.alpha, design.alternative)
-    if family is TestFamily.WILCOXON:
-        return wilcoxon_signed_rank(phis, design.mu0, design.alpha,
-                                    design.alternative)
-    return sign_test(phis, design.mu0, design.alpha, design.alternative)
-
-
 def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = None,
                    resume: bool = False) -> tuple[TestReport, DiagnosticsBundle]:
     """Execute the full comparison described by ``plan``.
@@ -294,10 +289,10 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
     if pool_size < 2:
         raise ValueError(f"an experiment needs at least 2 instances, the pool "
                          f"has {pool_size}; 'reps' samples a single instance")
-    warnings = validate_design(plan.design, plan.sampling, plan.sigma_phi_bound)
-    size_result = calc_instances(plan.design)
+    design = plan.design
+    warnings = validate_design(design, plan.sampling, plan.sigma_phi_bound)
+    size_result = calc_instances(design)
     if size_result.n_instances > pool_size:
-        design = plan.design
         achievable = calc_power(pool_size, design.mres_d, design.alpha,
                                 design.alternative)
         warnings.append(
@@ -362,7 +357,10 @@ def run_experiment(plan: ExperimentPlan, checkpoint_path: str | Path | None = No
 
     diffs = [completed[inst.id] for inst, _ in selected]
     phis = [d.phi_hat for d in diffs]
-    report = _run_test(plan.design.test_family, phis, plan.design)
+    # the names are read per call, so the benchmark tracer's wrappers are seen
+    test = {TestFamily.T_TEST: paired_t_test, TestFamily.WILCOXON: wilcoxon_signed_rank,
+            TestFamily.SIGN: sign_test}[design.test_family]
+    report = test(phis, design.mu0, design.alpha, design.alternative)
     report.per_instance = diffs
     report.warnings = warnings + report.warnings
     diagnostics = build_diagnostics(

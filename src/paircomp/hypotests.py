@@ -34,7 +34,9 @@ unscaled computation done without overflow where it would.
   number.  Once k > 0, a difference below 2**(k - 1022), some 458
   decades under the largest, loses bits, and one below 2**(k - 1074)
   counts as 0; in a sum with the largest it is lost anyway, unless the
-  larger ones cancel.
+  larger ones cancel.  Their spread squares each deviation divided by
+  the power of two above the largest (``_mean_spread``), so a spread
+  below about 1e-154 does not underflow either.
 * The bootstrap of the mean sums N differences at a time, so it divides
   by the least power that brings them below 2**(1023 - b), b the bit
   length of N, and k is 0 below 2**1012 at N = 1100.
@@ -133,6 +135,20 @@ def _scaled(arr: np.ndarray, top: int = 500) -> tuple[np.ndarray, float]:
     return arr / scale, scale
 
 
+def _mean_spread(arr: np.ndarray) -> tuple[float, float]:
+    """The mean and ``std(ddof=1)`` of ``arr``.  The spread squares the
+    deviations divided by the power of two above the largest, so that
+    deviations below about 1e-154 do not underflow; a power of two scales
+    exactly, so it is numpy's spread to the bit wherever numpy's squares
+    stay normal."""
+    mean = np.add.reduce(arr) / arr.size
+    dev = arr - mean
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(dev).max()))[1])
+    dev /= unit
+    dev *= dev
+    return float(mean), math.sqrt(np.add.reduce(dev) / (arr.size - 1)) * unit
+
+
 def _nonzero_differences(d: np.ndarray, mu0: float,
                          statistic: str) -> tuple[np.ndarray, list[str]]:
     """The differences ``d`` from ``mu0``, scaled, without exact zeros, and
@@ -156,7 +172,7 @@ def paired_t_test(phis, mu0: float, alpha: float,
     alternative = Alternative(alternative)
     n = arr.size
     df = n - 1
-    mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+    mean, sd = _mean_spread(arr)
     if sd == 0.0:
         raise DegenerateDataError("all differences are identical; the t statistic "
                                   "is undefined (zero spread)")
@@ -430,7 +446,7 @@ def qq_normal(sample) -> list[tuple[float, float]]:
     """
     arr, _ = _scaled(_as_array(sample, 3, "qq_normal"))
     n = arr.size
-    mean, sd = float(arr.mean()), float(arr.std(ddof=1))
+    mean, sd = _mean_spread(arr)
     if sd == 0.0:
         raise DegenerateDataError("cannot standardize a zero-spread sample")
     srt = (np.sort(arr) - mean) / sd

@@ -237,8 +237,7 @@ MAX_POOL_INSTANCES = 10 ** 6
 
 def build_synthetic_pool(n_instances: int, delta: float = 0.0,
                          sigma_phi: float = 0.0, noise_sd: float = 1.0, *,
-                         seed: int, base_mean: float = 0.0,
-                         aliases: tuple[str, str] = ("algo1", "algo2"),
+                         seed: int, base_mean: float = 0.0
                          ) -> tuple[list[InstanceRef], tuple[AlgorithmSpec, AlgorithmSpec]]:
     """Instance pool with latent per-instance differences, plus paired runners.
 
@@ -259,11 +258,10 @@ def build_synthetic_pool(n_instances: int, delta: float = 0.0,
         raise ValueError(f"seed must be non-negative, got {seed!r}")
     if sigma_phi < 0.0 or noise_sd < 0.0:
         raise ValueError("spread parameters must be nonnegative")
-    a1, a2 = aliases
-    if a1 == a2:
-        raise ValueError("aliases must be distinct")
+    a1, a2 = "algo1", "algo2"
     rng = make_generator(seed)
-    phis = delta + sigma_phi * rng.standard_normal(n_instances)
+    with np.errstate(over="ignore", invalid="ignore"):  # the plan refuses a non-finite mu
+        phis = delta + sigma_phi * rng.standard_normal(n_instances)
     width = max(5, len(str(n_instances)))
     pool = [
         InstanceRef(

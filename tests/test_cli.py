@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import csv
 import io
 import json
@@ -16,6 +17,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1598,6 +1600,111 @@ class TestExtremeScales:
                         assert math.isfinite(float(row["se"])), row
 
 
+# two valid configs, each of which ends well under a second
+CONTRACT_BASES = {
+    "pool": {
+        "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "alternative": "two_sided",
+                   "test": "t_test", "mu0": 0.0},
+        "sampling": {"se_max": 0.5, "n0": 3, "n_max": 20, "diff": "simple",
+                     "se_method": "parametric", "bootstrap": {"resamples": 100},
+                     "force_balance": False},
+        "instances": {"synthetic_pool": {"count": 6, "delta": 0.3, "sigma_phi": 1.0,
+                                         "noise_sd": 0.5, "base_mean": 0.0, "seed": 3}},
+        "master_seed": 5, "workers": 1, "use_all_instances": False,
+        "output_dir": "out", "sigma_phi_bound": 1.0,
+    },
+    "inline": {
+        "design": {"alpha": 0.05, "power": 0.8, "d": 0.5, "test": "wilcoxon"},
+        "sampling": {"se_max": 0.3, "n0": 3, "n_max": 20, "diff": "percent",
+                     "se_method": "bootstrap", "bootstrap": {"resamples": 100}},
+        "algorithms": [
+            {"alias": "one", "kind": "synthetic_lognormal",
+             "params": {"mu": 0.0, "sigma": 0.5}, "timeout": 10.0,
+             "concurrent_safe": True},
+            {"alias": "two", "kind": "synthetic_lognormal",
+             "params": {"mu": 0.1, "sigma": 0.8}}],
+        "instances": {"inline": [{"id": f"i{k}", "payload": {"two": {"mu": 0.1 * k}}}
+                                 for k in range(5)]},
+        "master_seed": 7, "workers": 2, "use_all_instances": True, "output_dir": "out",
+    },
+}
+CONTRACT_FIRST_IDS = {"pool": "synth-00000", "inline": "i0"}
+
+
+def _leaves(node, path=()):
+    """The path to every value of ``node`` that is not a nonempty container."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(value, (dict, list)) and value:
+            yield from _leaves(value, (*path, key))
+        else:
+            yield (*path, key)
+
+
+_DELETE = "<deleted>"
+CONTRACT_LEAVES = [(base, path) for base, doc in CONTRACT_BASES.items()
+                   for path in _leaves(doc)]
+CONTRACT_VALUES = ["x", None, 0.0, -0.0, 5e-324, 1e308, -1e308, math.nan, math.inf,
+                   -math.inf, 2 ** 31, 2 ** 63, 2 ** 64, 10 ** 400, True, False, [], {},
+                   _DELETE]
+
+
+class TestConfigContract:
+    """One leaf of a valid config replaced by an extreme or ill-typed value,
+    or deleted: ``run`` and ``reps`` each end with 0, 2, 3 or 4, a failure
+    with the one line ``error: ...``, no warning, and in bounded time."""
+
+    @pytest.mark.parametrize("base", list(CONTRACT_BASES))
+    def test_the_bases_run(self, capsys, tmp_path, base):
+        cfg = write_config(tmp_path, yaml.safe_dump(CONTRACT_BASES[base]))
+        for argv in (["run", "--config", str(cfg)],
+                     ["reps", "--config", str(cfg), "--instance", CONTRACT_FIRST_IDS[base]]):
+            code, _, err = run_cli(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+
+    def test_an_overflowing_latent_difference_exits_2(self, capsys, tmp_path):
+        # found with two leaves changed at once: delta + sigma_phi * z
+        # overflowed, and numpy's warning went to stderr beside the error
+        doc = copy.deepcopy(CONTRACT_BASES["pool"])
+        doc["instances"]["synthetic_pool"].update(delta=1e308, sigma_phi=1e308)
+        cfg = write_config(tmp_path, yaml.safe_dump(doc))
+        code, _, err = run_cli(capsys, "run", "--config", str(cfg))
+        [line] = err.splitlines()
+        assert code == 2
+        assert line.startswith("error: config: instance ") and "got inf" in line
+
+    @given(leaf=st.sampled_from(CONTRACT_LEAVES), value=st.sampled_from(CONTRACT_VALUES))
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_contract(self, leaf, value):
+        base, path = leaf
+        doc = copy.deepcopy(CONTRACT_BASES[base])
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "config.yaml"
+            cfg.write_text(yaml.safe_dump(doc))
+            for argv in (["run", "--config", str(cfg)],
+                         ["reps", "--config", str(cfg), "--instance",
+                          CONTRACT_FIRST_IDS[base]]):
+                err = io.StringIO()
+                started = time.monotonic()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                assert time.monotonic() - started < 10.0, argv
+                assert caught == [], [str(w.message) for w in caught]
+                assert code in (0, 2, 3, 4), argv
+                if code:
+                    [line] = err.getvalue().splitlines()
+                    assert line.startswith("error: "), line
+
+
 # a solver that leaves its pid behind and, while the hold file exists,
 # sleeps 3 s before it prints its value
 HELD_SOLVER = """\
@@ -1649,6 +1756,61 @@ def _interrupt_cli(pids, signum, *argv):
     assert proc.returncode == 3, err
     assert "Traceback" not in err
     return err
+
+
+DESIGN_ARGV = ["design", "--alpha", "0.05", "--power", "0.8", "--d", "0.5"]
+POWER_ARGV = ["power", "--n", "30", "--d", "0.5", "--alpha", "0.05"]
+
+
+@pytest.mark.parametrize("argv, step", [(DESIGN_ARGV, "calc_instances"),
+                                        (POWER_ARGV, "calc_power")],
+                         ids=["design", "power"])
+def test_an_interrupted_query_exits_3(capsys, monkeypatch, argv, step):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli_module, step, interrupted)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", "error: interrupted\n")
+
+
+# runs paircomp with its power computation slowed: it touches the file
+# named first and sleeps, so that a signal lands inside the command
+SLOW_POWER = """
+import sys, time
+from pathlib import Path
+import paircomp.cli as cli
+
+started = Path(sys.argv.pop(1))
+
+def slow(*args):
+    started.touch()
+    time.sleep(30)
+
+cli.calc_power = slow
+cli.entrypoint()
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])
+def test_a_signalled_power_query_exits_3(tmp_path, signum):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+    started = tmp_path / "started"
+    proc = subprocess.Popen([sys.executable, "-c", SLOW_POWER, str(started), *POWER_ARGV],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert started.exists(), "power did not start"
+        proc.send_signal(signum)
+        out, err = proc.communicate(timeout=30)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, out, err) == (3, "", "error: interrupted\n")
 
 
 @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["sigint", "sigterm"])

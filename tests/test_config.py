@@ -141,19 +141,15 @@ REFUSED = {
                        "the 'instances' list is empty"),
     "negative-spread": (_with(POOL, ("instances", "synthetic_pool"), "sigma_phi", -1.0),
                         "instances.synthetic_pool: spread parameters must be nonnegative"),
-    "same-aliases": (_with(POOL, ("instances", "synthetic_pool"), "aliases", ["x", "x"]),
-                     "instances.synthetic_pool: aliases must be distinct"),
+    # a pool's algorithms are always algo1 and algo2
+    "aliases": (_with(POOL, ("instances", "synthetic_pool"), "aliases", ["x", "y"]),
+                "unknown key(s) ['aliases'] in instances.synthetic_pool"),
     "no-instance-form": (dict(INLINE, instances={}),
                          "instances: give exactly one of"),
     "two-instance-forms": (_with(INLINE, ("instances",), "manifest", "pool.yaml"),
                            "instances: give exactly one of"),
     "empty-inline": (dict(INLINE, instances={"inline": []}),
                      "instances.inline is empty"),
-    "one-alias": (_with(POOL, ("instances", "synthetic_pool"), "aliases", ["x"]),
-                  "instances.synthetic_pool.aliases must be two"),
-    "alias-not-a-string": (_with(POOL, ("instances", "synthetic_pool"),
-                                 "aliases", ["x", 2]),
-                           "instances.synthetic_pool.aliases must be two"),
     "one-algorithm": (dict(INLINE, algorithms=INLINE["algorithms"][:1]),
                       "config.algorithms must list exactly two"),
     # bootstrap seeds derive from each instance's seed, so a fixed one is refused
@@ -306,4 +302,16 @@ def test_budget_beyond_one_run_index_word_exits_two(capsys, tmp_path, command):
         argv = argv[:3] + ["--instance", "synth-00000"]
     assert main(argv) == 2
     assert "sampling: n_max must be below 2**32" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [-1.0, 0.0, float("nan"), float("inf")])
+def test_sigma_phi_bound_must_be_positive_and_finite(capsys, tmp_path, value):
+    # nothing read such a bound, so a run went on without the se* warning
+    cfg = _write(tmp_path, dict(POOL, sigma_phi_bound=value))
+    code = main(["run", "--config", str(cfg), "--output-dir", str(tmp_path / "out")])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith("error: config: sigma_phi_bound must be a positive "
+                           "finite number, got ")
     assert not (tmp_path / "out").exists()

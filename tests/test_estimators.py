@@ -213,6 +213,20 @@ class TestStandardErrors:
             oracles.se_percent_with_covariance([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("short", ["first", "second"])
+@pytest.mark.parametrize("estimator, k", [
+    (phi_simple, 1), (phi_percent, 1), (se_simple, 2), (se_percent, 2),
+    (optimal_ratio_simple, 2), (optimal_ratio_percent, 2), (bootstrap_se, 2),
+], ids=lambda param: getattr(param, "__name__", None))
+def test_a_short_sample_is_refused_naming_the_estimator(estimator, k, short):
+    full, few = oracles.instance_sample([1.0, 2.0, 4.0]), oracles.instance_sample([3.0] * (k - 1))
+    s1, s2 = (few, full) if short == "first" else (full, few)
+    extra = (DiffKind.SIMPLE, 100, 1) if estimator is bootstrap_se else ()
+    with pytest.raises(ValueError, match=f"^{estimator.__name__} needs at least {k} "
+                                         f"observation\\(s\\), got n={k - 1}$"):
+        estimator(s1, s2, *extra)
+
+
 class TestOptimalRatios:
     def test_simple_equal_spreads(self):
         assert optimal_ratio_simple(stats_stub(0, 1, 5), stats_stub(0, 1, 5)) == 1.0
@@ -583,6 +597,11 @@ def reference_after(seed, start):
     return ref
 
 
+def word_indices(seed, pos, n, count):
+    """``_word_indices`` into a new buffer of ``count`` entries."""
+    return _word_indices(seed, pos, n, count, np.empty(count, np.uint64))
+
+
 class TestWordIndices:
     """The word stream's indices are ``Generator.integers(0, n, count)``'s,
     and the position after them is where that generator stands."""
@@ -592,14 +611,14 @@ class TestWordIndices:
     def test_match_generator_integers(self, n, start):
         for seed in (3, 2 ** 64 - 1):
             ref = reference_after(seed, start)
-            indices, pos = _word_indices(seed, start, n, 3000)
+            indices, pos = word_indices(seed, start, n, 3000)
             assert indices.tolist() == ref.integers(0, n, 3000).tolist()
             assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
 
     def test_rejections_move_the_position(self):
         # 3 * 2**30 rejects a quarter of the words; 2**32 - 1 almost none
-        assert _word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
-        assert _word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
+        assert word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
+        assert word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
 
     @pytest.mark.parametrize("kept", [8, 24])
     def test_draws_across_the_kept_edge(self, monkeypatch, kept):
@@ -619,7 +638,7 @@ class TestWordIndices:
             for n in BOUNDS:
                 for start in (0, kept - 1, kept, kept + 3):
                     ref = reference_after(seed, start)
-                    indices, pos = _word_indices(seed, start, n, 5 * kept + 1)
+                    indices, pos = word_indices(seed, start, n, 5 * kept + 1)
                     assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
                     assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
             x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
@@ -633,7 +652,7 @@ class TestWordIndices:
     @pytest.mark.parametrize("n", [0, 1, 2 ** 32 + 1, 2 ** 40])
     def test_refuses_bounds_outside_32_bits(self, n):
         with pytest.raises(ValueError, match="2 <= n <= 2\\*\\*32"):
-            _word_indices(1, 0, n, 5)
+            word_indices(1, 0, n, 5)
 
     def test_words_are_shared_read_only(self):
         for words in (estimators._words(4, 10, 20), philox_words(generator_key(4), 10, 20)):
@@ -743,7 +762,7 @@ class TestBlockBuffers:
 
         monkeypatch.setattr(estimators, "_words", read)
         x = np.random.default_rng(n).lognormal(0.0, 1.0, n)
-        indices, want_pos = _word_indices(13, 5, n, count * n)
+        indices, want_pos = word_indices(13, 5, n, count * n)
         want = x.take(indices).reshape(count, n).mean(axis=1)
         reads.clear()
         means, pos = _word_means(13, x, count, 5)

@@ -46,8 +46,7 @@ def make_plan(pool_size=50, d=0.5, power=0.85, alpha=0.05, family=TestFamily.T_T
     sampling = SamplingConfig(se_max=se_max, n0=n0, n_max=n_max, resamples=200)
     if pool is None:
         pool, built = build_synthetic_pool(pool_size, delta=0.3, sigma_phi=1.0,
-                                           noise_sd=0.5, seed=11,
-                                           aliases=("a1", "a2"))
+                                           noise_sd=0.5, seed=11)
         specs = specs or built
     return ExperimentPlan(design=design, sampling=sampling,
                           instance_pool=tuple(pool), algorithms=tuple(specs),
@@ -248,8 +247,7 @@ class TestCalibration:
         hits = 0
         for rep in range(50):
             pool, specs = build_synthetic_pool(15, delta=1.5, sigma_phi=0.5,
-                                               noise_sd=0.2, seed=rep,
-                                               aliases=("a1", "a2"))
+                                               noise_sd=0.2, seed=rep)
             plan = make_plan(pool=pool, specs=specs, use_all=True, d=0.8,
                              power=0.8, master_seed=900_000 + rep)
             report, _ = run_experiment(plan)
@@ -540,6 +538,13 @@ class TestPlanValidation:
     def test_non_integer_count_or_seed_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be an integer, got"):
             replace(make_plan(pool_size=5), **{field: value})
+
+    # such a bound would silence the se* warning that it is there to enable
+    @pytest.mark.parametrize("value", [-1.0, 0.0, math.nan, math.inf])
+    def test_sigma_phi_bound_not_positive_and_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="sigma_phi_bound must be a positive "
+                                             "finite number"):
+            replace(make_plan(pool_size=5), sigma_phi_bound=value)
 
 
 def recording_bind(before_run):

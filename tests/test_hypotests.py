@@ -548,6 +548,29 @@ class TestScaling:
         j = data.draw(st.integers(lowest, 723), label="j")
         assert_scales(test, values, mu0, j, alternative)
 
+    # the t-test and the Q-Q points square each deviation divided by the
+    # power of two above the largest, so a spread far below 1e-154, whose
+    # squares underflow, scales as any other
+    @given(values=st.lists(signed(st.floats(2.0 ** -60, 2.0 ** 60)), min_size=3,
+                           max_size=30),
+           null=st.one_of(st.just(0.0), st.integers(0, 29)),
+           alternative=st.sampled_from([TWO, ONE]), j=st.integers(-600, 600))
+    @example(values=[1.0, 1.0 + 2.0 ** -40, 1.0 + 2.0 ** -39, 1.0 + 3 * 2.0 ** -40],
+             null=0.0, alternative=TWO, j=-500)
+    @example(values=np.random.default_rng(1).normal(0.3, 1.0, 30).tolist(),
+             null=0.0, alternative=TWO, j=-548)
+    @settings(max_examples=150, deadline=None)
+    def test_small_spreads_scale_with_the_data(self, values, null, alternative, j):
+        mu0 = values[null % len(values)] if isinstance(null, int) else null
+        assert_scales(paired_t_test, values, mu0, j, alternative)
+        s = math.ldexp(1.0, j)
+        ref = outcome(lambda: qq_normal(values))
+        got = outcome(lambda: qq_normal([v * s for v in values]))
+        if isinstance(ref, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref))
+        else:
+            assert got == ref
+
     @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
                              ids=["wilcoxon", "sign"])
     def test_differences_far_below_the_largest_keep_their_signs(self, test):

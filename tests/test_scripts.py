@@ -36,3 +36,25 @@ def test_calibration_experiment(tmp_path):
     assert "observed rejection rate under the null:" in proc.stdout
     assert "6 experiments in" in proc.stdout
     assert list(tmp_path.iterdir()) == []  # it prints, and writes nothing
+
+
+def test_code_lines(tmp_path):
+    package = ROOT / "src" / "paircomp"
+    proc = run_script("code_lines.py", str(package), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    *rows, total = [line.split() for line in proc.stdout.splitlines()]
+    assert [name for _, name in rows] == sorted(
+        str(path.relative_to(package)) for path in package.rglob("*.py"))
+    assert total == [str(sum(int(count) for count, _ in rows)), "total"]
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(tmp_path):
+    (tmp_path / "mod.py").write_text(
+        '"""Module\ndocstring."""\n\n# a comment\nimport os  # counted\n\n'
+        'class A:\n    """Class docstring."""\n\n    def f(self):\n'
+        '        """Function\n        docstring."""\n        x = """not a\n'
+        '        docstring"""\n        return x\n')
+    proc = run_script("code_lines.py", str(tmp_path), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    # import, class, def, the two lines of the assigned string, return
+    assert proc.stdout.splitlines() == ["     6  mod.py", "     6  total"]
