@@ -156,9 +156,6 @@ def _cmd_design(args) -> int:
 
 def _cmd_power(args) -> int:
     alternative = ALT_NAMES[args.alternative]
-    for flag in ("n", "points"):
-        if abs(getattr(args, flag) or 0) > sys.float_info.max:
-            raise ConfigError(f"--{flag} is beyond the range of a float")
     if (args.d is None) == (args.d_range is None):
         raise ConfigError("give exactly one of --d or --d-range")
     single = args.d is not None

@@ -12,6 +12,7 @@ relative efficiency divisors (0.86 Wilcoxon, 0.637 sign), rounded up.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -123,10 +124,20 @@ def _check_alpha(alpha: float) -> None:
                          f"got {alpha!r}")
 
 
-def _check_n_alpha(n_instances: int, alpha: float) -> int:
-    n = int(n_instances)
+def _count(value, name: str, what: str) -> int:
+    """``value`` as an integer of at least 2 ``what``.  One past the float
+    range, such as 10**400, would overflow the first float product, and
+    its digits would make no message readable."""
+    n = int(value)
+    if abs(n) > sys.float_info.max:
+        raise ValueError(f"{name} is beyond the range of a float")
     if n < 2:
-        raise ValueError(f"at least 2 instances are required, got {n_instances!r}")
+        raise ValueError(f"at least 2 {what} are required, got {value!r}")
+    return n
+
+
+def _check_n_alpha(n_instances: int, alpha: float) -> int:
+    n = _count(n_instances, "n_instances", "instances")
     _check_alpha(alpha)
     return n
 
@@ -215,9 +226,7 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
     if not (0.0 < d_lo < d_hi < math.inf):
         raise ValueError(f"need 0 < d_lo < d_hi < inf, got {d_range!r}")
     _check_ncp(n, d_hi)
-    n_points = int(n_points)
-    if n_points < 2:
-        raise ValueError(f"at least 2 curve points are required, got {n_points!r}")
+    n_points = _count(n_points, "n_points", "curve points")
     if n_points > MAX_CURVE_POINTS:
         raise ValueError(f"at most {MAX_CURVE_POINTS} curve points are allowed, "
                          f"got {n_points!r}: each point is one noncentral t CDF")

@@ -50,8 +50,11 @@ R / 2, the evaluation is a full one.
 
 Every percent estimator (phi, the parametric SE and the bootstrap SE)
 refuses a nonpositive baseline mean with the same
-``AssumptionViolationError``.  An SE is inf or nan where the variance of
-the values overflows a float; the sampler refuses such an SE.
+``AssumptionViolationError``.  The parametric SE is inf or nan where the
+variance of the values overflows a float.  The bootstrap SE squares its
+deviations scaled by a power of two (``_mean_spread``), so it is inf or
+nan only where a resampled mean, a resampled difference or the sum of
+the R differences overflows a float.  The sampler refuses such an SE.
 
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
@@ -415,8 +418,9 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
     values.  Deterministic for a fixed ``seed``.  Under the percent kind,
     a nonpositive baseline mean is refused as in ``phi_percent``, and
     resamples with a nonpositive baseline mean are rejected and redrawn;
-    more than 100*R rejections abort.  Values whose resampled sums or
-    squares overflow a float give an inf or nan SE, without a warning.
+    more than 100*R rejections abort.  Where a resampled mean, a resampled
+    difference or their sum overflows a float, the SE is inf or nan,
+    without a warning.
 
     The indices are those ``Generator.integers`` would draw, one call
     after another, from ``make_generator(seed)``.  The thread keeps what
@@ -548,15 +552,22 @@ def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int,
             m1[bad], pos = _word_means(seed, x1, k, pos)
             m2[bad], pos = _word_means(seed, x2, k, pos)
             bad = m1 <= 0.0
-    return _sample_sd(_diffs(m1, m2, percent))
+    return _mean_spread(_diffs(m1, m2, percent))[1]
 
 
-def _sample_sd(values: np.ndarray) -> float:
-    """``np.std(values, ddof=1)`` to the last bit, by the same two
-    reductions numpy makes, without its Python wrapper."""
-    dev = values - np.add.reduce(values) / values.size
+def _mean_spread(values: np.ndarray) -> tuple[float, float]:
+    """The mean and ``std(ddof=1)`` of ``values``, by the reductions numpy
+    makes, without its Python wrapper.  The spread squares each deviation
+    divided by the power of two at or below the largest, so the squares
+    neither overflow nor, for a spread below about 1e-154, underflow; a
+    power of two scales exactly, so it is numpy's spread to the bit
+    wherever numpy's squares stay normal."""
+    mean = np.add.reduce(values) / values.size
+    dev = values - mean
+    unit = math.ldexp(1.0, math.frexp(float(np.abs(dev).max()))[1] - 1)
+    dev /= unit
     dev *= dev
-    return math.sqrt(np.add.reduce(dev) / (values.size - 1))
+    return float(mean), math.sqrt(np.add.reduce(dev) / (values.size - 1)) * unit
 
 
 def bootstrap_sdm(sample, resamples: int, seed: int) -> np.ndarray:

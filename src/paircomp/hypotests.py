@@ -25,27 +25,26 @@ leaves the normal float range, so each number equals the unscaled
 computation's to the bit wherever that does not overflow, and equals the
 unscaled computation done without overflow where it would.
 
-* The t-test and the Q-Q points, which sum squares of many deviations,
-  divide by 2**k, the least power that brings every |difference| below
-  2**500 (``_scaled``), and the t-test divides ``mu0`` by the same power,
-  which never enters k (a huge ``mu0`` would flush the squared
-  deviations of small differences to 0).  So k is 0 below 2**500 (about
-  3.3e150), and the squares of fewer than 2**20 values sum to a finite
-  number.  Once k > 0, a difference below 2**(k - 1022), some 458
-  decades under the largest, loses bits, and one below 2**(k - 1074)
-  counts as 0; in a sum with the largest it is lost anyway, unless the
-  larger ones cancel.  Their spread squares each deviation divided by
-  the power of two above the largest (``_mean_spread``), so a spread
-  below about 1e-154 does not underflow either.
-* The bootstrap of the mean sums N differences at a time, so it divides
-  by the least power that brings them below 2**(1023 - b), b the bit
-  length of N, and k is 0 below 2**1012 at N = 1100.
+One rule sets the power (``_scaled``): values of which a computation
+sums ``count`` are divided by the least power of two that brings every
+|value| below 2**(1024 - b), b the bit length of ``count``, so any
+``count`` of them sum to a finite float.
+
+* The t-test, the Q-Q points and the bootstrap of the mean sum N values,
+  so k is 0 below about 2**1018 at N = 34.  The t-test divides ``mu0``
+  by the same power, which never enters k (a huge ``mu0`` would flush
+  the deviations of small differences to 0).  The t-test and the Q-Q
+  points take their spread from ``estimators._mean_spread``, which
+  squares each deviation divided by the power of two at or below the
+  largest, so it neither overflows nor, below about 1e-154, underflows.
 * The Wilcoxon and sign tests sum no more than two values: the Walsh
   averages, the median of an even count and each difference from
-  ``mu0``.  So they divide the differences and ``mu0`` by the least power
-  that brings all of them below 2**1023, which is 1 below about 9e307
-  and 2 above; a sum or difference of two such values stays finite.
-  Halving loses at most the last bit of a subnormal value.
+  ``mu0``.  So they divide the differences and ``mu0`` together, with
+  ``count`` 2: by 1 below 2**1022 (about 4.5e307), else by 2 or 4.
+
+Once k > 0, a difference below 2**(k - 1022), some 600 decades under
+the largest, loses bits, and one below 2**(k - 1074) counts as 0; at
+k <= 2 that is at most the last two bits of a subnormal value.
 
 The reported locations lie within the range of the data, so they stay
 finite.  Only the t statistic, (mean - mu0) / se, and the t interval and
@@ -79,7 +78,7 @@ from scipy.special import _ufuncs
 from .design import Alternative, TestFamily
 from .distributions import t_cdf, t_quantile
 from .errors import DegenerateDataError
-from .estimators import PairedDifference, bootstrap_sdm
+from .estimators import PairedDifference, _mean_spread, bootstrap_sdm
 
 __all__ = [
     "TestReport", "DiagnosticsBundle", "paired_t_test", "wilcoxon_signed_rank",
@@ -127,26 +126,13 @@ def _as_array(phis, min_len: int, who: str) -> np.ndarray:
     return arr
 
 
-def _scaled(arr: np.ndarray, top: int = 500) -> tuple[np.ndarray, float]:
-    """``arr / 2**k`` and ``2**k``, k = max(0, e - top) for e the binary
-    exponent of the largest magnitude, so the scaled values lie below 2**top."""
-    k = max(0, math.frexp(float(np.abs(arr).max()))[1] - top)
+def _scaled(arr: np.ndarray, count: int) -> tuple[np.ndarray, float]:
+    """``arr / 2**k`` and ``2**k``, for the least k >= 0 that brings every
+    |value| below 2**(1024 - b), b the bit length of ``count``: any
+    ``count`` of the scaled values sum to a finite float."""
+    k = max(0, math.frexp(float(np.abs(arr).max()))[1] - 1024 + count.bit_length())
     scale = math.ldexp(1.0, k)
     return arr / scale, scale
-
-
-def _mean_spread(arr: np.ndarray) -> tuple[float, float]:
-    """The mean and ``std(ddof=1)`` of ``arr``.  The spread squares the
-    deviations divided by the power of two above the largest, so that
-    deviations below about 1e-154 do not underflow; a power of two scales
-    exactly, so it is numpy's spread to the bit wherever numpy's squares
-    stay normal."""
-    mean = np.add.reduce(arr) / arr.size
-    dev = arr - mean
-    unit = math.ldexp(1.0, math.frexp(float(np.abs(dev).max()))[1])
-    dev /= unit
-    dev *= dev
-    return float(mean), math.sqrt(np.add.reduce(dev) / (arr.size - 1)) * unit
 
 
 def _nonzero_differences(d: np.ndarray, mu0: float,
@@ -168,7 +154,8 @@ def _nonzero_differences(d: np.ndarray, mu0: float,
 def paired_t_test(phis, mu0: float, alpha: float,
                   alternative: Alternative) -> TestReport:
     """t statistic (mean - mu0) / (sd / sqrt(N)) with N-1 degrees of freedom."""
-    arr, scale = _scaled(_as_array(phis, 2, "paired_t_test"))
+    arr = _as_array(phis, 2, "paired_t_test")
+    arr, scale = _scaled(arr, arr.size)
     alternative = Alternative(alternative)
     n = arr.size
     df = n - 1
@@ -316,7 +303,7 @@ def wilcoxon_signed_rank(phis, mu0: float, alpha: float,
     arr = _as_array(phis, 2, "wilcoxon_signed_rank")
     alternative = Alternative(alternative)
     # with mu0 last; a sum or difference of two stays finite
-    x, scale = _scaled(np.append(arr, mu0), 1023)
+    x, scale = _scaled(np.append(arr, mu0), 2)
     d, warnings = _nonzero_differences(x[:-1] - x[-1], mu0, "signed-rank")
     n = d.size
     # average ranks for ties, from the one sort that also counts them
@@ -395,7 +382,7 @@ def sign_test(phis, mu0: float, alpha: float,
     """
     arr = _as_array(phis, 1, "sign_test")
     alternative = Alternative(alternative)
-    x, scale = _scaled(np.append(arr, mu0), 1023)  # as in the signed-rank test
+    x, scale = _scaled(np.append(arr, mu0), 2)  # as in the signed-rank test
     d, warnings = _nonzero_differences(x[:-1] - x[-1], mu0, "sign")
     n = d.size
     k = int((d > 0.0).sum())
@@ -444,7 +431,8 @@ def qq_normal(sample) -> list[tuple[float, float]]:
     The sample is first centered and scaled by its own mean and spread,
     so deviations from the identity line are directly interpretable.
     """
-    arr, _ = _scaled(_as_array(sample, 3, "qq_normal"))
+    arr = _as_array(sample, 3, "qq_normal")
+    arr, _ = _scaled(arr, arr.size)
     n = arr.size
     mean, sd = _mean_spread(arr)
     if sd == 0.0:
@@ -457,7 +445,7 @@ def qq_normal(sample) -> list[tuple[float, float]]:
 def build_diagnostics(phis, resamples: int, seed: int) -> DiagnosticsBundle:
     """Q-Q points for the differences plus a bootstrap of their mean."""
     arr = _as_array(phis, 2, "build_diagnostics")
-    scaled, scale = _scaled(arr, 1023 - arr.size.bit_length())
+    scaled, scale = _scaled(arr, arr.size)
     boot = bootstrap_sdm(scaled, resamples, seed) * scale
     try:
         qq = qq_normal(arr) if arr.size >= 3 else []

@@ -275,9 +275,9 @@ class TestPowerCommand:
     ], ids=["n", "n-with-range", "points"])
     def test_flag_beyond_float_range_is_refused_naming_it(self, capsys, argv):
         code, out, err = run_cli(capsys, "power", "--alpha", "0.05", *argv)
-        flag = "--points" if "--points" in argv else "--n"
+        name = "n_points" if "--points" in argv else "n_instances"
         assert code == 2
-        assert err.splitlines() == [f"error: {flag} is beyond the range of a float"]
+        assert err.splitlines() == [f"error: {name} is beyond the range of a float"]
         assert out == ""
 
     @pytest.mark.parametrize("argv, message", [
@@ -358,6 +358,29 @@ master_seed: 4
         assert code == 0
         assert "n1: 6" in out and "n2: 6" in out
         assert "budget exhausted: false" in out
+
+    def test_a_spread_squaring_below_the_float_range_keeps_the_bootstrap_se(
+            self, capsys, tmp_path):
+        # runs near 1e-165 with sigma 1e-166: the squared deviations of the
+        # resampled differences, near 1e-333, were 0, so the SE read 0 and
+        # sampling stopped after n0 runs, with the budget reported as met
+        cfg = write_config(tmp_path, """\
+design: {alpha: 0.05, power: 0.8, d: 0.5}
+sampling: {se_max: 1.0e-168, n0: 5, n_max: 40, se_method: bootstrap}
+algorithms:
+  - {alias: one, kind: synthetic_normal, params: {mu: 1.0e-165, sigma: 1.0e-166}}
+  - {alias: two, kind: synthetic_normal, params: {mu: 1.2e-165, sigma: 1.0e-166}}
+instances:
+  inline: [{id: only}]
+master_seed: 4
+""")
+        code, out, _ = run_cli(capsys, "reps", "--config", str(cfg),
+                               "--instance", "only")
+        assert code == 0
+        lines = out.splitlines()
+        assert "budget exhausted: true" in lines
+        se = float(next(line for line in lines if line.startswith("se: "))[4:])
+        assert 1e-168 < se < 1e-165
 
     def test_unknown_instance_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)
@@ -773,12 +796,9 @@ output_dir: out
         assert code == 2
         assert f"checkpoint.jsonl: line {line} is not a valid record" in err
 
-    @pytest.mark.parametrize("se_method", ["parametric", "bootstrap"])
-    @pytest.mark.parametrize("test", ["t_test", "wilcoxon", "sign"])
-    def test_infinite_se_exits_4_at_the_first_se(self, capsys, tmp_path, test,
-                                                 se_method):
-        # sigma 1e200: the variance of the runs overflows a float, so no
-        # number of runs could meet the budget, and no numpy warning escapes
+    @staticmethod
+    def run_wide_runs(capsys, tmp_path, test, se_method):
+        # sigma 1e200: the squares of the runs' deviations overflow a float
         cfg = write_config(tmp_path, f"""\
 design: {{alpha: 0.05, power: 0.8, d: 0.5, test: {test}}}
 sampling: {{se_max: 0.5, n0: 3, n_max: 8, se_method: {se_method},
@@ -795,14 +815,36 @@ output_dir: out
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, _, err = run_cli(capsys, "run", "--config", str(cfg))
-        assert code == 4
         assert caught == []
+        return code, err
+
+    @pytest.mark.parametrize("se_method", ["parametric"])
+    @pytest.mark.parametrize("test", ["t_test", "wilcoxon", "sign"])
+    def test_infinite_se_exits_4_at_the_first_se(self, capsys, tmp_path, test,
+                                                 se_method):
+        # the running variance overflows, so no number of runs could meet
+        # the budget
+        code, err = self.run_wide_runs(capsys, tmp_path, test, se_method)
+        assert code == 4
         [line] = err.splitlines()
         assert line.startswith("error: experiment aborted after 0 instance(s)")
         assert line.endswith("): instance x: the standard error of the difference "
                              "is inf after 3 + 3 runs: the values overflow a "
                              "float at this scale; rescale them")
         assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("test", ["t_test", "wilcoxon", "sign"])
+    def test_wide_runs_keep_a_finite_bootstrap_se(self, capsys, tmp_path, test):
+        # the bootstrap SE squares scaled deviations, so it stays finite,
+        # and above the budget: every instance spends all its runs
+        code, err = self.run_wide_runs(capsys, tmp_path, test, "bootstrap")
+        assert (code, err) == (0, "")
+        with (tmp_path / "out" / "results.csv").open() as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for row in rows:
+            assert math.isfinite(float(row["se"])) and float(row["se"]) > 0.5, row
+            assert (row["budget_exhausted"], int(row["n1"]) + int(row["n2"])) == ("true", 8)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_aborting_error_names_its_instance(self, capsys, tmp_path, workers):

@@ -58,6 +58,22 @@ class TestCalcPower:
             with pytest.raises(ValueError, match=r"^alpha must exceed 2\*\*-53"):
                 call()
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: calc_power(10 ** 400, 0.5, 0.05, Alternative.TWO_SIDED), "n_instances"),
+        (lambda: calc_power(-(2 ** 1024), 0.5, 0.05, Alternative.TWO_SIDED),
+         "n_instances"),
+        (lambda: power_curve(10 ** 400, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), 3),
+         "n_instances"),
+        (lambda: power_curve(10, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), 10 ** 400),
+         "n_points"),
+    ], ids=["power", "power-negative", "curve", "curve-points"])
+    def test_count_beyond_float_range_rejected_naming_it(self, call, name):
+        # it overflowed the first float product, and no message may echo
+        # its hundreds of digits
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == f"{name} is beyond the range of a float"
+
     @pytest.mark.parametrize("alternative", list(Alternative))
     def test_smallest_accepted_alpha(self, alternative):
         alpha = 2.0 ** -52

@@ -4,11 +4,12 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paircomp import estimators
@@ -322,6 +323,24 @@ class TestBootstrap:
         s = oracles.instance_sample([4.0] * 10)
         assert bootstrap_se(s, s, DiffKind.SIMPLE, 200, 1) == 0.0
         assert bootstrap_se(s, s, DiffKind.PERCENT, 200, 1) == 0.0
+
+    # the resampled differences' squared deviations would overflow from
+    # about 2**510 and lose bits or vanish below about 2**-510; their
+    # spread squares them divided by a power of two, so the SE scales
+    @given(x1=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=30),
+           x2=st.lists(st.floats(1.0, 100.0), min_size=2, max_size=30),
+           seed=st.integers(0, 2 ** 32 - 1), j=st.integers(-600, 600))
+    @example(x1=[1.0, 2.0, 3.0], x2=[2.0, 4.0, 5.0], seed=1, j=-540)
+    @settings(max_examples=100, deadline=None)
+    def test_se_scales_with_the_data(self, x1, x2, seed, j):
+        s = math.ldexp(1.0, j)
+        for kind, factor in ((DiffKind.SIMPLE, s), (DiffKind.PERCENT, 1.0)):
+            ref = bootstrap_se(oracles.instance_sample(x1), oracles.instance_sample(x2),
+                               kind, 200, seed)
+            got = bootstrap_se(oracles.instance_sample([v * s for v in x1]),
+                               oracles.instance_sample([v * s for v in x2]),
+                               kind, 200, seed)
+            assert got == ref * factor, kind
 
     def test_deterministic_given_seed(self):
         s1 = normal_sample(0, 1, 30, seed=1)
@@ -773,21 +792,36 @@ class TestBlockBuffers:
         assert [start for start, _ in reads] == [5] + [stop for _, stop in reads[:-1]]
         assert reads[-1][1] == pos
 
-    @pytest.mark.parametrize("values", [
-        *(np.random.default_rng(seed).normal(0.0, 1.0, size) * scale
-          for seed, size, scale in [(1, 999, 1.0), (2, 2, 3.0), (3, 100_000, 1e-3),
-                                    (4, 3000, 1e300), (5, 50, 1e-310)]),
-        np.array([5e-324, 0.0]), np.array([2.0, 2.0, 2.0]),
-        np.array([1e308, -1e308, 1e308]), np.array([1.7e308, 1.7e308]),
-        np.array([np.inf, 1.0]), np.array([np.nan, 1.0]),
+    # "exact": numpy's squared deviations overflow or are subnormal, while
+    # the mean is finite, so the spread is checked against exact arithmetic
+    @pytest.mark.parametrize("values, exact", [
+        *((np.random.default_rng(seed).normal(0.0, 1.0, size) * scale, exact)
+          for seed, size, scale, exact in [(1, 999, 1.0, False), (2, 2, 3.0, False),
+                                           (3, 100_000, 1e-3, False),
+                                           (4, 3000, 1e300, True), (5, 50, 1e-310, True)]),
+        (np.array([5e-324, 0.0]), True), (np.array([2.0, 2.0, 2.0]), False),
+        (np.array([1e308, -1e308, 1e308]), True), (np.array([1.7e308, 1.7e308]), False),
+        (np.array([np.inf, 1.0]), False), (np.array([np.nan, 1.0]), False),
     ], ids=["random", "two", "large-n", "huge", "subnormal", "tiny", "constant",
             "sum-overflows", "square-overflows", "inf", "nan"])
-    def test_spread_is_np_std_to_the_bit(self, values):
+    def test_spread_is_np_std_to_the_bit(self, values, exact):
         with np.errstate(all="ignore"):
-            want = np.std(values, ddof=1)
-            got = estimators._sample_sd(values)
-        assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            want_mean, want = np.mean(values), np.std(values, ddof=1)
+            mean, got = estimators._mean_spread(values)
+        assert type(mean) is float and type(got) is float
+        assert np.float64(mean).tobytes() == np.float64(want_mean).tobytes()
+        if not exact:
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+            return
+        # the SD about the computed mean in exact arithmetic; the computed
+        # SD rounds the deviations and a sum of at most 3000 squares, under
+        # a relative 1e-12, and a subnormal result by half a step
+        variance = sum((Fraction(v) - Fraction(mean)) ** 2
+                       for v in values.tolist()) / (values.size - 1)
+        step = Fraction(2) ** -1075
+        low = max(Fraction(got) * (1 - Fraction(1, 10 ** 12)) - step, Fraction(0))
+        high = Fraction(got) * (1 + Fraction(1, 10 ** 12)) + step
+        assert low ** 2 <= variance <= high ** 2
 
     def test_threads_with_different_n_match_one_thread(self):
         # four threads draw at once, each with its own n and three blocks

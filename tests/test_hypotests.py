@@ -128,17 +128,25 @@ class TestPairedT:
         with pytest.raises(DegenerateDataError):
             paired_t_test([2.0, 2.0, 2.0], mu0=0.0, alpha=0.05, alternative=TWO)
 
-    @pytest.mark.parametrize("phis", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308]],
-                             ids=["spread", "mean"])
+    @pytest.mark.parametrize("phis", [[1e200, -1e200, 3e200], [1.5e308, 1.5e308, 1e308],
+                                      [k * 1e307 for k in range(10, 18)]],
+                             ids=["spread", "mean", "sum-of-eight"])
     def test_overflowing_differences_degenerate(self, phis):
         # the spread's squares and the mean's sum pass the float range, but
         # the test reports what it reports on the data scaled into range;
         # only the "mean" case's interval, about 1.33e308 +- 7.2e307, truly
         # passes it, and is refused (numpy's overflow warning is an error
-        # under pytest: none may escape)
+        # under pytest: none may escape).  Eight values a quarter of theirs
+        # still sum past the float range, so they are divided by 16
         for alternative in (TWO, ONE):
             assert_scales(paired_t_test, [v * IN_RANGE for v in phis], 0.0, 600,
                           alternative)
+
+    def test_small_differences_count_where_large_ones_cancel(self):
+        # the sum is finite unscaled, so nothing is scaled: divided by 2**k
+        # for k > 0, 1e-300 and 2e-300 would lose bits, and the mean was 0.0
+        rep = paired_t_test([2.0 ** 600, -2.0 ** 600, 1e-300, 2e-300], 0.0, 0.05, TWO)
+        assert rep.estimate == 7.5e-301
 
     @pytest.mark.parametrize("mu0", [-1e308, 1e308])
     def test_statistic_beyond_float_range_refused(self, mu0):
@@ -507,6 +515,12 @@ class TestDiagnosticsBundle:
         assert 1.6e308 in bundle.boot_sdm
         assert all(1.0 <= v <= 1.6e308 for v in bundle.boot_sdm)
 
+    def test_resampled_sums_of_eight_values_near_the_float_max_stay_finite(self):
+        # divided by 4, as two values would be, a resample's sum passes the
+        # float range; divided by 16, any eight of them sum to a float
+        bundle = self.assert_bundle_of_scaled([k * 1e307 for k in range(10, 18)])
+        assert all(1e308 <= v <= 1.7e308 for v in bundle.boot_sdm)
+
     def test_resampled_means_far_below_the_largest_are_kept(self):
         # every difference is positive, so is every resampled mean; divided
         # by 2**520, as the t-test's sums are, those of resamples without
@@ -591,17 +605,17 @@ class TestScaling:
     @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
                              ids=["wilcoxon", "sign"])
     def test_mu0_is_halved_with_the_differences(self, test):
-        # 1.7e308 is past 2**1023, so the differences are halved, and mu0
-        # with them: 1 and 3 lie on either side of mu0 = 2.  The signs and
+        # 1.7e308 is past 2**1023, so the differences are quartered, and
+        # mu0 with them: 1 and 3 lie on either side of mu0 = 2.  The signs and
         # ranks are those of the sample with 1.7e308 replaced by 1e3
         values = [1.7e308, 1.0, 3.0, -2.0]
         got = test(values, 2.0, 0.05, TWO)
         ref = test([1e3, *values[1:]], 2.0, 0.05, TWO)
         assert (got.statistic, got.p_value) == (ref.statistic, ref.p_value)
 
-    # above 2**1023 the values are halved, which is exact for magnitudes
-    # from 2**-1019 on; below it nothing is scaled, and a subnormal
-    # average comes out as unscaled arithmetic gives it
+    # from 2**1022 on the values are divided by 2 or 4, which is exact for
+    # magnitudes from 2**-1020 on; below it nothing is scaled, and a
+    # subnormal average comes out as unscaled arithmetic gives it
     @given(values=st.lists(st.one_of(NEAR_MAX, signed(st.floats(2.0 ** -1019, 1e3)),
                                      st.just(0.0)),
                            min_size=2, max_size=40))

@@ -1,5 +1,6 @@
 """The package's declared public names all exist, importing it stays
-light, and it imports itself only by relative imports.
+light, it imports itself only by relative imports, and it takes every
+sample spread and every power-of-two scaling from one function each.
 
 A name deleted from a module but left in an ``__all__`` breaks
 ``from paircomp import *`` only when someone runs it; these tests run it.
@@ -83,12 +84,17 @@ def test_scipy_stats_and_integrate_load_only_when_used(tmp_path):
     assert got["after_sign"] == []
 
 
+def package_trees():
+    for path in sorted(Path(paircomp.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def test_the_package_imports_itself_relatively():
     # so that two revisions' packages can be loaded side by side under
     # other names in one interpreter, to compare them call by call
     absolute = []
-    for path in sorted(Path(paircomp.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -98,3 +104,20 @@ def test_the_package_imports_itself_relatively():
             absolute += [f"{path.name}:{node.lineno}" for name in names
                          if name == "paircomp" or name.startswith("paircomp.")]
     assert absolute == []
+
+
+def test_one_spread_and_one_scale_rule():
+    # every sample spread comes from estimators._mean_spread, whose squares
+    # cannot under- or overflow, and every scaling from hypotests._scaled
+    stray, defined = [], []
+    for path, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("std", "var"):
+                stray.append(f"{path.name}:{node.lineno} .{node.attr}")
+            elif isinstance(node, ast.keyword) and node.arg == "ddof":
+                stray.append(f"{path.name}:{node.lineno} ddof=")
+            elif isinstance(node, ast.FunctionDef) and \
+                    node.name in ("_mean_spread", "_scaled"):
+                defined.append(f"{path.stem}.{node.name}")
+    assert stray == []
+    assert sorted(defined) == ["estimators._mean_spread", "hypotests._scaled"]
