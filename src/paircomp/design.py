@@ -128,9 +128,9 @@ def _count(value, name: str, what: str) -> int:
     """``value`` as an integer of at least 2 ``what``.  One past the float
     range, such as 10**400, would overflow the first float product, and
     its digits would make no message readable."""
-    n = int(value)
-    if abs(n) > sys.float_info.max:
+    if not abs(value) <= sys.float_info.max:  # also refuses nan
         raise ValueError(f"{name} is beyond the range of a float")
+    n = int(value)
     if n < 2:
         raise ValueError(f"at least 2 {what} are required, got {value!r}")
     return n
@@ -228,8 +228,8 @@ def power_curve(n_instances: int, alpha: float, alternative: Alternative,
     _check_ncp(n, d_hi)
     n_points = _count(n_points, "n_points", "curve points")
     if n_points > MAX_CURVE_POINTS:
-        raise ValueError(f"at most {MAX_CURVE_POINTS} curve points are allowed, "
-                         f"got {n_points!r}: each point is one noncentral t CDF")
+        raise ValueError(f"at most {MAX_CURVE_POINTS} curve points are allowed: "
+                         f"each point is one noncentral t CDF")
     alternative = Alternative(alternative)
     step = (d_hi - d_lo) / (n_points - 1)
     # the last point may round above d_hi; an ncp that then overflows is

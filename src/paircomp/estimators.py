@@ -53,8 +53,9 @@ refuses a nonpositive baseline mean with the same
 ``AssumptionViolationError``.  The parametric SE is inf or nan where the
 variance of the values overflows a float.  The bootstrap SE squares its
 deviations scaled by a power of two (``_mean_spread``), so it is inf or
-nan only where a resampled mean, a resampled difference or the sum of
-the R differences overflows a float.  The sampler refuses such an SE.
+nan only where a resampled mean, a resampled difference, the sum of the
+R differences or a deviation from their mean overflows a float.  The
+sampler refuses such an SE.
 
 Functions are duck-typed over any object exposing ``n``, ``mean``,
 ``variance`` and ``sd`` so tests can drive them with frozen statistics.
@@ -419,8 +420,8 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
     a nonpositive baseline mean is refused as in ``phi_percent``, and
     resamples with a nonpositive baseline mean are rejected and redrawn;
     more than 100*R rejections abort.  Where a resampled mean, a resampled
-    difference or their sum overflows a float, the SE is inf or nan,
-    without a warning.
+    difference, their sum or a deviation from their mean overflows a
+    float, the SE is inf or nan, without a warning.
 
     The indices are those ``Generator.integers`` would draw, one call
     after another, from ``make_generator(seed)``.  The thread keeps what
@@ -496,22 +497,23 @@ def _certified_sd(phis: np.ndarray, R: int, se_max: float) -> float | None:
     """A lower bound above ``se_max`` on the sample SD of R values whose
     first k are ``phis``, or None where the first k cannot certify one.
 
-    SS_k is computed about the computed mean c of ``phis``.  Exactly,
-    sum (phi - c)**2 = SS_k + k (c - mean)**2, and the rounding of a
-    k-term sum and one division leaves |c - mean| <= k 2**-52 max|phi|.
-    The computed sum of squares is within a relative (k + 2) 2**-53 <
-    1e-11 of the exact sum about c (k <= R / 2 <= 50000), so the
-    computed sum times (1 - 1e-6), less k (k 2**-52 max|phi|)**2, is at
-    most SS_k.  It certifies when it exceeds se_max**2 (R - 1)(1 + 1e-6),
+    SS_k is computed as (k - 1) sd**2, sd from ``_mean_spread`` about
+    the computed mean c of ``phis``.  Exactly, sum (phi - c)**2 = SS_k +
+    k (c - mean)**2, and the rounding of a k-term sum and one division
+    leaves |c - mean| <= k 2**-52 max|phi|.  The computed (k - 1) sd**2
+    is within a relative (k + 10) 2**-53 < 1e-11 of the exact sum about
+    c (k <= R / 2 <= 50000; the squares' power-of-two unit is exact, and
+    a square that underflows errs by at most 2**-1075 of the largest),
+    so it times (1 - 1e-6), less k (k 2**-52 max|phi|)**2, is at most
+    SS_k.  It certifies when it exceeds se_max**2 (R - 1)(1 + 1e-6),
     whose margin covers the rounding of that threshold and of the
     returned sqrt(bound / (R - 1)); the full SE's own rounding is far
     below the 1e-6 taken off the bound.
     """
     k = phis.size
-    dev = phis - np.add.reduce(phis) / k
-    dev *= dev
+    sd = _mean_spread(phis)[1]
     top = float(max(phis.max(), -phis.min()))
-    ss = float(np.add.reduce(dev)) * (1 - 1e-6) - k * (k * 2.0 ** -52 * top) ** 2
+    ss = (k - 1) * sd * sd * (1 - 1e-6) - k * (k * 2.0 ** -52 * top) ** 2
     if ss > se_max * se_max * (R - 1) * (1 + 1e-6):
         return math.sqrt(ss / (R - 1))
     return None

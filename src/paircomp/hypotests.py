@@ -27,7 +27,7 @@ unscaled computation done without overflow where it would.
 
 One rule sets the power (``_scaled``): values of which a computation
 sums ``count`` are divided by the least power of two that brings every
-|value| below 2**(1024 - b), b the bit length of ``count``, so any
+|value| below 2**(1024 - b), b the bit length of ``count - 1``, so any
 ``count`` of them sum to a finite float.
 
 * The t-test, the Q-Q points and the bootstrap of the mean sum N values,
@@ -40,16 +40,18 @@ sums ``count`` are divided by the least power of two that brings every
 * The Wilcoxon and sign tests sum no more than two values: the Walsh
   averages, the median of an even count and each difference from
   ``mu0``.  So they divide the differences and ``mu0`` together, with
-  ``count`` 2: by 1 below 2**1022 (about 4.5e307), else by 2 or 4.
+  ``count`` 2: by 1 below 2**1023 (about 9e307), else by 2.
 
 Once k > 0, a difference below 2**(k - 1022), some 600 decades under
-the largest, loses bits, and one below 2**(k - 1074) counts as 0; at
-k <= 2 that is at most the last two bits of a subnormal value.
+the largest, loses bits, and one below 2**(k - 1074) counts as 0; in
+the rank tests, whose k is at most 1, that is at most the last bit of
+a subnormal value.
 
 The reported locations lie within the range of the data, so they stay
 finite.  Only the t statistic, (mean - mu0) / se, and the t interval and
 bound, mean +- q * se, can truly exceed the float range; the t-test
-refuses them with ``DegenerateDataError`` before its p-value.
+refuses them with ``DegenerateDataError`` before its p-value.  Where
+mean - mu0 alone overflows, the t statistic is taken from their halves.
 
 The sign test takes its Binomial(n, 1/2) tails from the Boost ufuncs
 ``scipy.special._ufuncs._binom_cdf`` and ``_binom_sf``, which load with
@@ -128,9 +130,9 @@ def _as_array(phis, min_len: int, who: str) -> np.ndarray:
 
 def _scaled(arr: np.ndarray, count: int) -> tuple[np.ndarray, float]:
     """``arr / 2**k`` and ``2**k``, for the least k >= 0 that brings every
-    |value| below 2**(1024 - b), b the bit length of ``count``: any
+    |value| below 2**(1024 - b), b the bit length of ``count - 1``: any
     ``count`` of the scaled values sum to a finite float."""
-    k = max(0, math.frexp(float(np.abs(arr).max()))[1] - 1024 + count.bit_length())
+    k = max(0, math.frexp(float(np.abs(arr).max()))[1] - 1024 + (count - 1).bit_length())
     scale = math.ldexp(1.0, k)
     return arr / scale, scale
 
@@ -164,7 +166,9 @@ def paired_t_test(phis, mu0: float, alpha: float,
         raise DegenerateDataError("all differences are identical; the t statistic "
                                   "is undefined (zero spread)")
     se = sd / math.sqrt(n)
-    t0 = (mean - mu0 / scale) / se
+    # where mean - mu0 overflows, their halves' difference does not
+    shift = mean - mu0 / scale
+    t0 = shift / se if math.isfinite(shift) else (0.5 * mean - 0.5 * mu0 / scale) / se * 2
     half = t_quantile(1.0 - 0.5 * alpha, df) * se
     ci = ((mean - half) * scale, (mean + half) * scale)
     bound = None

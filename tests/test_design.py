@@ -66,10 +66,14 @@ class TestCalcPower:
          "n_instances"),
         (lambda: power_curve(10, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), 10 ** 400),
          "n_points"),
-    ], ids=["power", "power-negative", "curve", "curve-points"])
+        (lambda: calc_power(math.inf, 0.5, 0.05, Alternative.TWO_SIDED), "n_instances"),
+        (lambda: power_curve(10, 0.05, Alternative.TWO_SIDED, (0.1, 1.0), math.nan),
+         "n_points"),
+    ], ids=["power", "power-negative", "curve", "curve-points", "power-inf",
+            "curve-points-nan"])
     def test_count_beyond_float_range_rejected_naming_it(self, call, name):
-        # it overflowed the first float product, and no message may echo
-        # its hundreds of digits
+        # int() or the first float product refused it without naming it,
+        # and no message may echo its hundreds of digits
         with pytest.raises(ValueError) as caught:
             call()
         assert str(caught.value) == f"{name} is beyond the range of a float"

@@ -137,7 +137,7 @@ class TestPairedT:
         # only the "mean" case's interval, about 1.33e308 +- 7.2e307, truly
         # passes it, and is refused (numpy's overflow warning is an error
         # under pytest: none may escape).  Eight values a quarter of theirs
-        # still sum past the float range, so they are divided by 16
+        # still sum past the float range, so they are divided by 8
         for alternative in (TWO, ONE):
             assert_scales(paired_t_test, [v * IN_RANGE for v in phis], 0.0, 600,
                           alternative)
@@ -147,6 +147,16 @@ class TestPairedT:
         # for k > 0, 1e-300 and 2e-300 would lose bits, and the mean was 0.0
         rep = paired_t_test([2.0 ** 600, -2.0 ** 600, 1e-300, 2e-300], 0.0, 0.05, TWO)
         assert rep.estimate == 7.5e-301
+
+    def test_statistic_in_range_where_mean_minus_mu0_overflows(self):
+        # nothing is scaled, and 2e306 + 1.79e308 passes the float range,
+        # but t is about 313: it equals t on the data and mu0 scaled down
+        s = 2.0 ** -600
+        phis, mu0 = [1e306, 2e306, 3e306], -1.79e308
+        got = paired_t_test(phis, mu0, 0.05, TWO)
+        ref = paired_t_test([v * s for v in phis], mu0 * s, 0.05, TWO)
+        assert 300.0 < got.statistic < 320.0
+        assert (got.statistic, got.p_value) == (ref.statistic, ref.p_value)
 
     @pytest.mark.parametrize("mu0", [-1e308, 1e308])
     def test_statistic_beyond_float_range_refused(self, mu0):
@@ -516,8 +526,8 @@ class TestDiagnosticsBundle:
         assert all(1.0 <= v <= 1.6e308 for v in bundle.boot_sdm)
 
     def test_resampled_sums_of_eight_values_near_the_float_max_stay_finite(self):
-        # divided by 4, as two values would be, a resample's sum passes the
-        # float range; divided by 16, any eight of them sum to a float
+        # divided by 2, as two values would be, a resample's sum passes the
+        # float range; divided by 8, any eight of them sum to a float
         bundle = self.assert_bundle_of_scaled([k * 1e307 for k in range(10, 18)])
         assert all(1e308 <= v <= 1.7e308 for v in bundle.boot_sdm)
 
@@ -604,18 +614,27 @@ class TestScaling:
 
     @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
                              ids=["wilcoxon", "sign"])
+    def test_subnormal_differences_kept_below_2_to_the_1023(self, test):
+        # 5e307 lies below 2**1023, so nothing is scaled: halved, the
+        # subnormal differences would round to 0 and be dropped as equal
+        # to mu0
+        rep = test([5e307, 5e-324, 5e-324, 5e-324], 0.0, 0.05, TWO)
+        assert (rep.n_instances_used, rep.warnings) == (4, [])
+
+    @pytest.mark.parametrize("test", [wilcoxon_signed_rank, sign_test],
+                             ids=["wilcoxon", "sign"])
     def test_mu0_is_halved_with_the_differences(self, test):
-        # 1.7e308 is past 2**1023, so the differences are quartered, and
-        # mu0 with them: 1 and 3 lie on either side of mu0 = 2.  The signs and
+        # 1.7e308 is past 2**1023, so the differences are halved, and mu0
+        # with them: 1 and 3 lie on either side of mu0 = 2.  The signs and
         # ranks are those of the sample with 1.7e308 replaced by 1e3
         values = [1.7e308, 1.0, 3.0, -2.0]
         got = test(values, 2.0, 0.05, TWO)
         ref = test([1e3, *values[1:]], 2.0, 0.05, TWO)
         assert (got.statistic, got.p_value) == (ref.statistic, ref.p_value)
 
-    # from 2**1022 on the values are divided by 2 or 4, which is exact for
-    # magnitudes from 2**-1020 on; below it nothing is scaled, and a
-    # subnormal average comes out as unscaled arithmetic gives it
+    # above 2**1023 the values are halved, which is exact for magnitudes
+    # from 2**-1019 on; below it nothing is scaled, and a subnormal
+    # average comes out as unscaled arithmetic gives it
     @given(values=st.lists(st.one_of(NEAR_MAX, signed(st.floats(2.0 ** -1019, 1e3)),
                                      st.just(0.0)),
                            min_size=2, max_size=40))
