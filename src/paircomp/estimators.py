@@ -26,8 +26,12 @@ thread samples one instance at a time, so each thread keeps one
 ``_Slot``, allocated once: the first 2**19 words (2 MiB) of the last
 seed it read, the kernel's index and gather buffers (16 bytes per index
 of a block of max(2**17, n), 2 MiB), and the last first side the SE
-drew (8 bytes per resample), which an allocation step that adds a run
-to the second algorithm reuses.  A block without a rejected word
+read (8 bytes per resample).  The first side is kept as far as it has
+been read: its resampled means, the word position after them and, once
+found, the position where its R rows end; a later evaluation with the
+same seed, R and first-side runs reads on from there, so no row is read
+twice, and an allocation step that adds a run to the second algorithm
+reads no first-side row at all.  A block without a rejected word
 allocates nothing.  Results are bit-identical to drawing them afresh
 from a new generator.
 
@@ -35,23 +39,32 @@ An SE evaluation that only has to decide "is the SE above se_max?" may
 stop early (``bootstrap_se``'s ``stop_above``).  For any k of the R
 resampled differences phi_r, with their own mean, the sum of squares
 SS_k about that mean is at most the sum over all R about theirs, so the
-SE is at least sqrt(SS_k / (R - 1)).  The evaluation reads the second
-side's first k rows, the very rows the full evaluation reads first, and
-returns that bound when it certifies the SE above ``stop_above``;
-otherwise it reads the other R - k rows from where the first k stopped
-and finishes as the full evaluation does.  It stops early only where
-the full evaluation could not raise: no resampled baseline mean is
-nonpositive (under the percent kind, the redraw loop would run), and
-every |phi_r| is at most 1e150 by a bound from the first side's extreme
-means and the largest |x2| (so the SE is finite).  k is set from the
-parametric SE so that the bound is likely to certify; when the
-parametric SE is not finite or not above ``stop_above``, or k would pass
-R / 2, the evaluation is a full one.
+SE is at least sqrt(SS_k / (R - 1)).  The evaluation reads both sides'
+first k rows, the very rows the full evaluation reads first, and
+returns that bound when it certifies the SE above ``stop_above``.  The
+second side starts where the first side's R rows end, so where fewer
+of them have been read, that position is found by counting the words
+Lemire's rule keeps among the first side's unread words, without their
+indices, gather or sums.  When the bound does not certify, the first
+side is read on to R rows and the second from where its head stopped,
+and the evaluation finishes as the full one does; so a failed head
+costs one such scan of the first side's unread words, and each word of
+the second side is read once.  It stops early only where the full
+evaluation could not raise, by the extremes of the runs alone: every
+first-side run is at least 2**-1022 under the percent kind (so no
+resampled baseline mean is nonpositive, and the redraw loop would not
+run), and every |phi_r| is at most 1e150 (so the SE is finite).  k is
+set from the parametric SE so that the bound is likely to certify; when
+the parametric SE is not finite or not above ``stop_above``, or k would
+pass R / 2, the evaluation is a full one.
 
 Every percent estimator (phi, the parametric SE and the bootstrap SE)
 refuses a nonpositive baseline mean with the same
 ``AssumptionViolationError``.  The parametric SE is inf or nan where the
-variance of the values overflows a float.  The bootstrap SE squares its
+variance of the values overflows a float, and refuses runs that differ
+while their running sum of squares is below the smallest normal float,
+where it has lost their spread (an ``AssumptionViolationError`` too;
+runs that are all equal keep SE 0).  The bootstrap SE squares its
 deviations scaled by a power of two (``_mean_spread``), so it is inf or
 nan only where a resampled mean, a resampled difference, the sum of the
 R differences or a deviation from their mean overflows a float.  The
@@ -64,6 +77,7 @@ Functions are duck-typed over any object exposing ``n``, ``mean``,
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -167,6 +181,30 @@ def _require_positive_baseline(s1) -> None:
             f"{s1.mean:g}; use simple differences for this data")
 
 
+# the smallest normal float.  A running sum of squares below it was summed
+# from subnormal terms, each rounded to a multiple of 2**-1074, so the
+# spread of runs that differ is lost; at or above it, those roundings add
+# at most n 2**-1075, within the sum's own rounding of n 2**-53 of itself.
+# The SEs test the variances against it first: a sum of squares below it
+# has a variance below it too
+_MIN_SQUARES = sys.float_info.min
+
+
+def _require_kept_spread(*samples) -> None:
+    """Refuse a sample whose runs differ while its running sum of squares
+    is below ``_MIN_SQUARES``: its parametric SE would read near 0, and the
+    budget would count as met.  Runs that are all equal keep SE 0."""
+    for sample in samples:
+        runs = getattr(sample, "observations", ())
+        squares = sample.variance * (sample.n - 1)
+        if runs and squares < _MIN_SQUARES and runs.count(runs[0]) != len(runs):
+            raise AssumptionViolationError(
+                f"the runs differ, but their running sum of squares is "
+                f"{squares:g}, below the smallest normal float, so the "
+                f"parametric standard error has lost their spread; rescale "
+                f"them or use se_method: bootstrap")
+
+
 def phi_simple(s1, s2) -> float:
     """Difference of mean performance, second algorithm minus first."""
     if s1.n < 1 or s2.n < 1:
@@ -190,7 +228,10 @@ def se_simple(s1, s2) -> float:
     """Standard error of the simple mean difference."""
     if s1.n < 2 or s2.n < 2:
         _require_runs(2, "se_simple", s1, s2)
-    return math.sqrt(s1.variance / s1.n + s2.variance / s2.n)
+    v1, v2 = s1.variance, s2.variance
+    if v1 < _MIN_SQUARES or v2 < _MIN_SQUARES:
+        _require_kept_spread(s1, s2)
+    return math.sqrt(v1 / s1.n + v2 / s2.n)
 
 
 def se_percent(s1, s2) -> float:
@@ -208,18 +249,21 @@ def se_percent(s1, s2) -> float:
     gap = s2.mean - s1.mean
     v1, v2 = s1.variance, s2.variance
     if gap == 0.0:
-        return math.sqrt(v1 / s1.n + v2 / s2.n) / s1.mean
-    try:
-        c1 = v1 * (gap ** -2 + s1.mean ** -2)
-        c2 = v2 * gap ** -2
-    except OverflowError:
-        raise AssumptionViolationError(
-            f"the parametric percent-difference standard error overflows a "
-            f"float at this scale (mean gap {gap:g}, baseline mean "
-            f"{s1.mean:g}); rescale the values or use se_method: "
-            f"bootstrap") from None
-    phi = gap / s1.mean
-    return abs(phi) * math.sqrt(c1 / s1.n + c2 / s2.n)
+        se = math.sqrt(v1 / s1.n + v2 / s2.n) / s1.mean
+    else:
+        try:
+            c1 = v1 * (gap ** -2 + s1.mean ** -2)
+            c2 = v2 * gap ** -2
+        except OverflowError:
+            raise AssumptionViolationError(
+                f"the parametric percent-difference standard error overflows a "
+                f"float at this scale (mean gap {gap:g}, baseline mean "
+                f"{s1.mean:g}); rescale the values or use se_method: "
+                f"bootstrap") from None
+        se = abs(gap / s1.mean) * math.sqrt(c1 / s1.n + c2 / s2.n)
+    if v1 < _MIN_SQUARES or v2 < _MIN_SQUARES:
+        _require_kept_spread(s1, s2)
+    return se
 
 
 def optimal_ratio_simple(s1, s2) -> float:
@@ -285,7 +329,7 @@ class _Slot(threading.local):
     ``seed`` last read and its ``key``; ``filled`` words of its stream in
     ``store``, read through the read-only view ``words``; the kernel's
     ``indices`` and ``gather`` buffers; and ``first``, the last first
-    side, as (resamples, x1 bytes, read-only means, word position)."""
+    side's ``_FirstSide``."""
 
     def __init__(self):
         self.seed = self.key = self.first = None
@@ -319,46 +363,68 @@ def _words(seed: int, start: int, stop: int) -> np.ndarray:
     return np.concatenate((slot.words[start:filled], philox_words(slot.key, filled, stop)))
 
 
+def _kept_words(seed: int, pos: int, n: int, need: int, low: np.ndarray) -> np.ndarray:
+    """The words among [pos, pos + need) of the seed's stream that numpy's
+    rule for ``Generator.integers(0, n)`` with n <= 2**32 (Lemire's)
+    keeps: a word w gives m = w * n in 64 bits, and it is rejected, and
+    the next word tried, while m mod 2**32 < 2**32 mod n.  At n = 2**32
+    no word is rejected, as on numpy's path without a rejection test.
+
+    The low halves of w * n go into ``low``, a uint32 array of ``need``
+    entries, and their minimum decides; only a read with a rejected word
+    (a word's chance is below n / 2**32) is masked, so a read without one
+    allocates nothing.  The rejection test lives here alone.
+    """
+    words = _words(seed, pos, pos + need)
+    threshold = (1 << 32) % n
+    if threshold:
+        np.multiply(words, np.uint32(n), out=low)
+        if np.minimum.reduce(low) < threshold:
+            return words[low >= threshold]
+    return words
+
+
 def _word_indices(seed: int, pos: int, n: int, count: int,
                   out: np.ndarray) -> tuple[np.ndarray, int]:
     """``count`` indices below ``n``, drawn from word ``pos`` on of the
     seed's word stream, and the word position after them.
 
-    This is numpy's rule for ``Generator.integers(0, n)`` with n <= 2**32
-    (Lemire's): a word w gives m = w * n in 64 bits and the index m >> 32,
-    and it is rejected, and the next word tried, while m mod 2**32 <
-    2**32 mod n.  At n = 2**32 the index is the word itself, as numpy's
-    path without rejection gives.  So the indices, and the position,
-    are those of ``integers(0, n, count)`` on a generator that has drawn
-    ``pos`` words.
+    A kept word w (``_kept_words``) gives the index (w * n) >> 32, so the
+    indices, and the position, are those of ``integers(0, n, count)`` on
+    a generator that has drawn ``pos`` words.
 
     The indices go into ``out``, a uint64 array of at least ``count``
-    entries, and the result is an int64 view of its first ``count``.
-    Each read of words is checked by writing the low halves of w * n as
-    uint32 into the unfilled part of ``out`` and taking their minimum;
-    only a read with a rejected word (a word's chance is below n / 2**32)
-    is masked, and the next read draws just the words it lacks.  So every
+    entries, and the result is an int64 view of its first ``count``.  The
+    low halves of each read's w * n go into the unfilled part of ``out``,
+    and the next read draws just the words the last one lacked, so every
     word is read once and nothing else is allocated on a read without
-    rejection.  Lemire's rule lives here alone.
+    rejection.
     """
     if not 2 <= n <= 1 << 32:
         raise ValueError(f"indices below n need 2 <= n <= 2**32, got n={n}")
-    threshold = (1 << 32) % n
     filled = 0
     while filled < count:
         need = count - filled
-        words = _words(seed, pos, pos + need)
+        words = _kept_words(seed, pos, n, need, out[filled:].view(np.uint32)[:need])
         pos += need
-        if threshold:
-            low = np.multiply(words, np.uint32(n), out=out[filled:].view(np.uint32)[:need])
-            if np.minimum.reduce(low) < threshold:
-                words = words[low >= threshold]
         out[filled:filled + words.size] = words
         filled += words.size
     indices = out[:count]
     indices *= n
     indices >>= 32
     return indices.view(np.int64), pos
+
+
+def _position_after(seed: int, pos: int, n: int, count: int, low: np.ndarray) -> int:
+    """The word position ``_word_indices(seed, pos, n, count, ...)`` gives,
+    found without the indices: each read of at most ``low.size`` words
+    only counts the words ``_kept_words`` keeps, and the next read draws
+    just the words still lacking, so no word past the position is read."""
+    while count:
+        need = min(count, low.size)
+        count -= _kept_words(seed, pos, n, need, low[:need]).size
+        pos += need
+    return pos
 
 
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
@@ -373,8 +439,7 @@ def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndar
     that size, and are replaced only when a larger n comes.  A block's
     row sums go straight into the result, which is divided by n once, as
     ``ndarray.mean`` does.  The result is always a new array, never a
-    view of a buffer: ``_first_side`` keeps it and ``bootstrap_sdm``
-    returns it.
+    view of a buffer: ``bootstrap_sdm`` returns it.
     """
     slot = _slot
     n = x.size
@@ -396,17 +461,60 @@ def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndar
     return means, pos
 
 
-def _first_side(seed: int, resamples: int, x1_bytes: bytes) -> tuple[np.ndarray, int]:
-    """Resampled means of the first side, read-only, and the word
-    position after them, where the second side goes on; the thread's
-    last, while the seed, ``resamples`` and the bytes repeat."""
-    slot = _slot
-    if seed == slot.seed and slot.first and slot.first[:2] == (resamples, x1_bytes):
-        return slot.first[2:]
-    m1, pos = _word_means(seed, np.frombuffer(x1_bytes), resamples, 0)
-    m1.flags.writeable = False
-    slot.first = resamples, x1_bytes, m1, pos
-    return m1, pos
+class _FirstSide:
+    """The first side's resampled means for one seed, R and x1, as far as
+    they have been read: the first ``rows`` of the R entries of
+    ``means``, the word position ``pos`` after them, and ``end``, the
+    position after all R rows, where the second side starts, once found
+    (None before)."""
+
+    __slots__ = ("resamples", "x1", "x1_bytes", "means", "rows", "pos", "end")
+
+    def __init__(self, resamples: int, x1: np.ndarray, x1_bytes: bytes):
+        self.resamples, self.x1, self.x1_bytes = resamples, x1, x1_bytes
+        self.means = np.empty(resamples)
+        self.rows = self.pos = 0
+        self.end = None
+
+
+def _first_side(seed: int, resamples: int, x1: np.ndarray) -> _FirstSide:
+    """The thread's first side for the seed, ``resamples`` and the bytes
+    of ``x1``: the last one while they repeat, else a new one with no row
+    read.  ``_first_rows`` keeps a new one in the slot once it has read
+    words of the seed, as a new seed's first read empties the slot."""
+    slot, x1_bytes = _slot, x1.tobytes()
+    first = slot.first
+    if (seed == slot.seed and first is not None and first.resamples == resamples
+            and first.x1_bytes == x1_bytes):
+        return first
+    return _FirstSide(resamples, x1, x1_bytes)
+
+
+def _first_rows(seed: int, first: _FirstSide, rows: int) -> np.ndarray:
+    """The first side's first ``rows`` resampled means, read-only.  Only
+    the rows not read before are drawn, from the word where the last read
+    stopped, so no row is read twice."""
+    if first.rows < rows:
+        first.means[first.rows:rows], first.pos = _word_means(
+            seed, first.x1, rows - first.rows, first.pos)
+        first.rows = rows
+        _slot.first = first
+    means = first.means[:rows]
+    means.flags.writeable = False
+    return means
+
+
+def _first_end(seed: int, first: _FirstSide) -> int:
+    """The word position after all R rows of the first side, where the
+    second side goes on.  Where fewer rows have been read, it is found
+    once, by counting the words Lemire's rule keeps from where they stop:
+    one multiply and one minimum a word, about a tenth of what a row's
+    indices, gather and sums cost."""
+    if first.end is None:
+        n = first.x1.size
+        first.end = _position_after(seed, first.pos, n, (first.resamples - first.rows) * n,
+                                    _slot.indices.view(np.uint32))
+    return first.end
 
 
 def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
@@ -426,15 +534,15 @@ def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
     The indices are those ``Generator.integers`` would draw, one call
     after another, from ``make_generator(seed)``.  The thread keeps what
     an instance's evaluations reuse (see the module docstring): a call
-    whose first side repeats the thread's last draws only the second
-    side, and the result is the same to the last bit.
+    whose first side repeats the thread's last reads on from the rows
+    read before, and the result is the same to the last bit.
 
     Without ``stop_above`` the result is always that SE.  With it, the
     call may instead return a certified lower bound v with
-    ``stop_above < v <= SE``, read from the first k resamples of the
-    second side (see the module docstring); it never does so where the
-    SE could be at or below ``stop_above``, nor where the full
-    evaluation would raise or give an SE that is not finite.
+    ``stop_above < v <= SE``, read from the first k resamples of both
+    sides (see the module docstring); it never does so where the SE
+    could be at or below ``stop_above``, nor where the full evaluation
+    would raise or give an SE that is not finite.
     """
     _check_resamples(resamples)
     _check_seed(seed)
@@ -481,16 +589,32 @@ def _head_rows(s1, s2, diff_kind: DiffKind, R: int, se_max: float) -> int:
     return k if 2 * k <= R else 0
 
 
-def _phi_bounded(m1: np.ndarray, x2: np.ndarray, percent: bool) -> bool:
-    """Whether every resampled difference against the first side's means
-    ``m1`` is at most ``_PHI_CAP`` in size, and, for the percent kind,
-    no mean in ``m1`` is nonpositive.  A resampled mean of x2 is at most
-    max|x2| in size, to rounding; a nan anywhere gives False."""
-    low, high = m1.min(), m1.max()
-    top2 = max(x2.max(), -x2.min())
+def _phi_bounded(x1: np.ndarray, x2: np.ndarray, percent: bool) -> bool:
+    """Whether every resampled difference is at most ``_PHI_CAP`` in size
+    and, for the percent kind, every resampled baseline mean is positive,
+    by the extremes of x1 and x2 alone; a nan or inf gives False.
+
+    Let t_i = max|x_i|, u = 2**-53 and N = max(n1, n2) < 2**40 (an x of
+    2**40 floats takes 8 TiB).  A resampled mean of x_i is a sum of n_i
+    terms and one division, so it is at most t_i (1 + g) in size, g =
+    N u / (1 - N u) <= 2 N u, and, where every value is at least lo >=
+    2**-1022, at least lo (1 - g): a sum of positive terms does not
+    underflow, and a quotient below 2**-1022 errs by at most 2**-1075 <=
+    u lo.  (A mean below 2**-1022 in size is far below the cap.)  So the
+    simple |phi| is at most (t1 + t2)(1 + g)(1 + u), and the percent one
+    (t1 + t2)(1 + g)(1 + u)**2 / (lo (1 - g)).  The test passes where the
+    computed (t1 + t2) s is at most the computed cap (times lo), so where
+    the exact one is at most (1 + u) / (1 - u)**2 times that; with the
+    factors above, at most (1 + g)(1 + u)**3 / ((1 - g)(1 - u)**2) <= 1 +
+    14 N u, below the slack s = 1 + N 2**-40 = 1 + 2**13 N u the test
+    takes.  Every sum is then at most 2**40 * 1e150, far from overflow.
+    """
+    slack = 1.0 + max(x1.size, x2.size) * 2.0 ** -40
+    top = (max(x1.max(), -x1.min()) + max(x2.max(), -x2.min())) * slack
     if percent:
-        return low > 0.0 and (top2 + high) / low <= _PHI_CAP
-    return top2 + max(high, -low) <= _PHI_CAP
+        low = x1.min()
+        return low >= 2.0 ** -1022 and top <= _PHI_CAP * low
+    return top <= _PHI_CAP
 
 
 def _certified_sd(phis: np.ndarray, R: int, se_max: float) -> float | None:
@@ -528,17 +652,20 @@ def _diffs(m1: np.ndarray, m2: np.ndarray, percent: bool) -> np.ndarray:
 
 def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int,
                   head: int, se_max: float | None) -> float:
-    m1, pos = _first_side(seed, R, x1.tobytes())
     percent = diff_kind is DiffKind.PERCENT
-    if head and _phi_bounded(m1, x2, percent):
-        m2, pos = _word_means(seed, x2, head, pos)
-        bound = _certified_sd(_diffs(m1[:head], m2, percent), R, se_max)
+    first = _first_side(seed, R, x1)
+    if head and _phi_bounded(x1, x2, percent):
+        m1 = _first_rows(seed, first, head)
+        m2, pos = _word_means(seed, x2, head, _first_end(seed, first))
+        bound = _certified_sd(_diffs(m1, m2, percent), R, se_max)
         if bound is not None:
             return bound
+        m1 = _first_rows(seed, first, R)
         rest, pos = _word_means(seed, x2, R - head, pos)
         m2 = np.concatenate((m2, rest))
     else:
-        m2, pos = _word_means(seed, x2, R, pos)
+        m1 = _first_rows(seed, first, R)
+        m2, pos = _word_means(seed, x2, R, _first_end(seed, first))
     if percent:
         m1 = m1.copy()  # the rejection loop redraws entries in place
         rejected = 0

@@ -359,21 +359,23 @@ master_seed: 4
         assert "n1: 6" in out and "n2: 6" in out
         assert "budget exhausted: false" in out
 
+    TINY_SPREAD = """\
+design: {{alpha: 0.05, power: 0.8, d: 0.5}}
+sampling: {{se_max: 1.0e-168, n0: 5, n_max: 40, se_method: {se_method}}}
+algorithms:
+  - {{alias: one, kind: synthetic_normal, params: {{mu: 1.0e-165, sigma: 1.0e-166}}}}
+  - {{alias: two, kind: synthetic_normal, params: {{mu: 1.2e-165, sigma: 1.0e-166}}}}
+instances:
+  inline: [{{id: only}}]
+master_seed: 4
+"""
+
     def test_a_spread_squaring_below_the_float_range_keeps_the_bootstrap_se(
             self, capsys, tmp_path):
         # runs near 1e-165 with sigma 1e-166: the squared deviations of the
         # resampled differences, near 1e-333, were 0, so the SE read 0 and
         # sampling stopped after n0 runs, with the budget reported as met
-        cfg = write_config(tmp_path, """\
-design: {alpha: 0.05, power: 0.8, d: 0.5}
-sampling: {se_max: 1.0e-168, n0: 5, n_max: 40, se_method: bootstrap}
-algorithms:
-  - {alias: one, kind: synthetic_normal, params: {mu: 1.0e-165, sigma: 1.0e-166}}
-  - {alias: two, kind: synthetic_normal, params: {mu: 1.2e-165, sigma: 1.0e-166}}
-instances:
-  inline: [{id: only}]
-master_seed: 4
-""")
+        cfg = write_config(tmp_path, self.TINY_SPREAD.format(se_method="bootstrap"))
         code, out, _ = run_cli(capsys, "reps", "--config", str(cfg),
                                "--instance", "only")
         assert code == 0
@@ -381,6 +383,18 @@ master_seed: 4
         assert "budget exhausted: true" in lines
         se = float(next(line for line in lines if line.startswith("se: "))[4:])
         assert 1e-168 < se < 1e-165
+
+    def test_a_spread_lost_by_the_running_sum_of_squares_exits_4(self, capsys, tmp_path):
+        # the same runs under the parametric SE: the terms of Welford's
+        # running sum of squares, near 1e-333, were 0, so the SE read 0 and
+        # sampling stopped after n0 runs, with the budget reported as met
+        cfg = write_config(tmp_path, self.TINY_SPREAD.format(se_method="parametric"))
+        code, out, err = run_cli(capsys, "reps", "--config", str(cfg),
+                                 "--instance", "only")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: the runs differ, but their running sum of squares")
+        assert "rescale them or use se_method: bootstrap" in err
 
     def test_unknown_instance_is_usage_error(self, capsys, tmp_path):
         cfg = write_config(tmp_path, SYNTH_RUN_CONFIG)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
 from paircomp.estimators import (DiffKind, InstanceSample,
-                                 _first_side, _word_indices, _word_means,
+                                 _first_end, _first_rows, _first_side,
+                                 _position_after, _word_indices, _word_means,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
@@ -106,6 +107,27 @@ class TestStandardErrors:
 
     def test_simple_degenerate_constants(self):
         assert se_simple(stats_stub(0, 0, 5), stats_stub(0, 0, 5)) == 0.0
+
+    @pytest.mark.parametrize("se", [se_simple, se_percent], ids=["simple", "percent"])
+    def test_a_spread_lost_below_the_float_range_is_refused(self, se):
+        # runs near 1e-150 that differ by about 1e-160: the terms of
+        # Welford's running sum of squares, near 1e-320, are subnormal, so
+        # the SE lost their spread (and below about 1e-162 read 0, and the
+        # budget counted as met)
+        spread = 1.0 + 1e-10 * np.array([0.0, 1.0, -1.0, 0.5])
+        low = oracles.instance_sample(1e-150 * spread)
+        high = oracles.instance_sample(2e-150 * spread)
+        with pytest.raises(AssumptionViolationError, match="rescale them"):
+            se(low, high)
+        with pytest.raises(AssumptionViolationError, match="rescale them"):
+            se(oracles.instance_sample([2.0, 2.0, 3.0]), high)
+        # runs that are all equal keep SE 0 at any scale, and give none of it
+        # to the other side
+        same = oracles.instance_sample([1e-165] * 4)
+        assert se(same, same) == 0.0
+        wide = oracles.instance_sample([1.0, 2.0, 4.0])
+        assert se(oracles.instance_sample([3.0] * 5), wide) == \
+            se(stats_stub(3.0, 0.0, 5), wide) > 0.0
 
     def test_simple_equal_spreads(self):
         se = se_simple(stats_stub(0, 1, 100), stats_stub(0, 1, 100))
@@ -444,14 +466,18 @@ def word_at(seed, pos):
 
 
 @contextlib.contextmanager
-def first_side_draws():
+def first_side_draws(rows=None):
     """Counts the first sides drawn (``_word_means`` calls from word 0):
-    a first side the thread's slot returns again is not drawn."""
+    a first side the thread's slot returns again is not drawn.  With a
+    list ``rows``, also appends the rows of every call on the bytes in
+    ``rows[0]``."""
     draws = []
     draw = estimators._word_means
 
     def counting(seed, x, count, pos):
         draws.append(pos == 0)
+        if rows is not None and x.tobytes() == rows[0]:
+            rows.append(count)
         return draw(seed, x, count, pos)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -485,8 +511,8 @@ class TestBootstrapMemo:
     def test_percent_rejection_loop_matches_unmemoised(self):
         base = [-1.0, -1.0, 3.5, 0.1, 0.2]
         resamples, seed = 300, 9
-        m1, _ = _first_side(seed, resamples,
-                            np.asarray(base, dtype=float).tobytes())
+        m1 = _first_rows(seed, _first_side(seed, resamples, np.asarray(base, dtype=float)),
+                         resamples)
         assert (m1 <= 0.0).any()  # so the rejection loop runs
         assert not m1.flags.writeable
         for s1, s2 in grow_one_side(4, 30, base1=base):
@@ -495,6 +521,25 @@ class TestBootstrapMemo:
             # a second call hits the memo, which the loop must have left intact
             assert bootstrap_se(s1, s2, DiffKind.PERCENT, resamples, seed) == expected
         assert (m1 <= 0.0).any()
+
+    @pytest.mark.parametrize("kind", list(DiffKind))
+    def test_a_run_of_the_first_algorithm_reads_it_to_the_head(self, kind):
+        # algorithm 1 gets a run, so the first side is new: a certifying
+        # non-final evaluation reads its first k rows and no more, and the
+        # final one reads the rest from where they stopped
+        rng = np.random.default_rng(33)
+        x1, x2 = list(rng.lognormal(0.0, 0.5, 8)), list(rng.lognormal(0.4, 0.9, 8))
+        s2 = oracles.instance_sample(x2)
+        bootstrap_se(oracles.instance_sample(x1), s2, kind, 999, 10)
+        s1 = oracles.instance_sample(x1 + [float(rng.lognormal(0.0, 0.5))])
+        full = unmemoised(s1, s2, kind, 999, 10)
+        rows = [np.asarray(s1.observations).tobytes()]
+        with head_rows(64), first_side_draws(rows):
+            got = bootstrap_se(s1, s2, kind, 999, 10, full / 8)
+            assert full / 8 < got < full
+            assert rows[1:] == [64]
+            assert bootstrap_se(s1, s2, kind, 999, 10) == full
+        assert rows[1:] == [64, 999 - 64]
 
     def test_interleaved_seeds_and_threads(self):
         pairs = list(grow_one_side(5, 30))
@@ -639,6 +684,31 @@ class TestWordIndices:
         assert word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
         assert word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
 
+    @pytest.mark.parametrize("n", BOUNDS)
+    def test_the_scan_ends_where_the_indices_do(self, n):
+        # the position after count indices, counted without them, with
+        # reads of any size
+        for seed in (3, 2 ** 64 - 1):
+            for start, count in [(0, 3000), (6, 1), (65535, 2999)]:
+                want = word_indices(seed, start, n, count)[1]
+                for size in (count, 7, 1):
+                    assert _position_after(seed, start, n, count,
+                                           np.empty(size, np.uint32)) == want
+
+    @pytest.mark.parametrize("n1", [2, 3, 7, 80])
+    def test_the_first_side_ends_after_its_resamples(self, n1):
+        # from any number of rows read, the end is where the R * n1 indices
+        # of the whole first side end, and reading the rest stops there
+        x1 = np.random.default_rng(n1).lognormal(0.0, 1.0, n1)
+        want = word_indices(12, 0, n1, 999 * n1)[1]
+        for rows in (1, 32, 998, 999):
+            first = _first_side(12, 999, x1.copy())
+            _first_rows(12, first, rows)
+            assert _first_end(12, first) == want
+            assert _first_rows(12, first, 999).tobytes() == \
+                _word_means(12, x1, 999, 0)[0].tobytes()
+            assert first.pos == want
+
     @pytest.mark.parametrize("kept", [8, 24])
     def test_draws_across_the_kept_edge(self, monkeypatch, kept):
         # the thread keeps `kept` words and generates the rest on every
@@ -660,6 +730,9 @@ class TestWordIndices:
                     indices, pos = word_indices(seed, start, n, 5 * kept + 1)
                     assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
                     assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
+                    for size in (kept - 1, 5 * kept + 1):
+                        assert _position_after(seed, start, n, 5 * kept + 1,
+                                               np.empty(size, np.uint32)) == pos
             x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
             means, _ = _word_means(seed, x, 101, 3)
             assert means.tobytes() == oracles.resample_means(
@@ -754,7 +827,8 @@ class TestBlockBuffers:
 
     def test_memoised_first_side_outlives_later_draws(self):
         x1 = np.random.default_rng(3).lognormal(0.0, 1.0, 7)
-        m1, _ = _first_side(31, 500, x1.tobytes())
+        first = _first_side(31, 500, x1)
+        m1 = _first_rows(31, first, 500)
         sdm = bootstrap_sdm(x1, 300, 31)
         kept = m1.tobytes(), sdm.tobytes()
         # other n on the same thread and seed, the last larger than a
@@ -764,8 +838,10 @@ class TestBlockBuffers:
         assert (m1.tobytes(), sdm.tobytes()) == kept
         assert not m1.flags.writeable
         with first_side_draws() as draws:
-            assert _first_side(31, 500, x1.tobytes())[0] is m1
+            assert _first_side(31, 500, x1) is first
+            again = _first_rows(31, first, 500)
         assert draws == []
+        assert np.shares_memory(again, m1) and again.tobytes() == m1.tobytes()
 
     @pytest.mark.parametrize("n, count", [(3, 100_000), (1100, 300), (64, 5000)],
                              ids=["n-3", "n-1100", "no-rejection"])
@@ -881,6 +957,11 @@ def head_rows(k):
         yield
 
 
+def at_the_cap(x1, x2):
+    x1[0] = (x1.max() + x2.max()) / estimators._PHI_CAP
+    return x1, x2
+
+
 # inputs at the edges of the bound's guards and rounding margins
 EDGE_CASES = {
     # phi near 1e12 with a spread of about 1e-3, a few ulps of 1e12
@@ -901,6 +982,14 @@ EDGE_CASES = {
         np.array([-1.0, -1.0, 3.5, 0.1, 0.2]), rng.lognormal(2.0, 0.5, 6)), 999),
     "percent-zero-means": (DiffKind.PERCENT, lambda rng: (
         np.array([-1.0, 1.0, 1.5]), rng.lognormal(0.0, 0.5, 4)), 999),
+    # a negative run, though every resampled baseline mean is positive:
+    # only all R of them could show it, so no head may stop early
+    "percent-negative-run": (DiffKind.PERCENT, lambda rng: (
+        np.array([-0.5, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]), rng.lognormal(2.0, 0.5, 6)), 999),
+    # (max x1 + max x2) / min x1 at the cap, to rounding: the guard's
+    # slack refuses it
+    "percent-at-the-cap": (DiffKind.PERCENT, lambda rng: at_the_cap(
+        rng.uniform(1.5e-140, 2e-140, 5), rng.uniform(0.0, 1e10, 6)), 999),
     "fewest-resamples": (DiffKind.PERCENT, lambda rng: (
         rng.lognormal(0.0, 0.5, 9), rng.lognormal(0.3, 0.8, 7)), 100),
     "most-resamples": (DiffKind.SIMPLE, lambda rng: (
@@ -944,8 +1033,11 @@ class TestEarlyExit:
                 with head_rows(head):
                     early += check_se_or_bound(s1, s2, kind, resamples, 17,
                                                fraction * full)
+        if case == "percent-negative-run":
+            assert (oracles.resample_means(oracles.reference_generator(17), x1,
+                                           resamples) > 0.0).all()
         if case in ("outside-the-cap", "squares-overflow", "percent-near-zero",
-                    "percent-zero-means"):
+                    "percent-zero-means", "percent-negative-run", "percent-at-the-cap"):
             assert early == 0  # a guard holds every evaluation to the full SE
         elif case != "huge-offset":
             assert early > 0
@@ -974,10 +1066,14 @@ class TestEarlyExit:
         # at or below the SE no bound can certify, so the call runs to R rows
         assert bootstrap_se(s1, s2, DiffKind.PERCENT, 999, 6, full) == full
 
-    @pytest.mark.parametrize("kind", list(DiffKind))
-    def test_a_fallback_reads_each_word_once(self, monkeypatch, kind):
+    @pytest.mark.parametrize("kind, cold", [(kind, cold) for cold in (False, True)
+                                            for kind in DiffKind],
+                             ids=["simple", "percent", "simple-cold", "percent-cold"])
+    def test_a_fallback_reads_each_word_once(self, monkeypatch, kind, cold):
         # a head that cannot certify is followed by the rest of the rows
-        # from where it stopped: the same words as the full SE, each once
+        # from where it stopped: the same words as the full SE, each once;
+        # a cold first side is read to the head, its other words scanned
+        # for its end, then read as rows
         rng = np.random.default_rng(31)
         s1 = oracles.instance_sample(rng.lognormal(0.0, 0.5, 7))
         s2 = oracles.instance_sample(rng.lognormal(0.4, 0.9, 6))
@@ -991,12 +1087,21 @@ class TestEarlyExit:
         monkeypatch.setattr(estimators, "_words", read)
         assert bootstrap_se(s1, s2, kind, 999, 8) == full
         full_reads, reads[:] = list(reads), []
+        if cold:
+            monkeypatch.setattr(estimators._slot, "first", None)
         with head_rows(499):
             assert bootstrap_se(s1, s2, kind, 999, 8, 0.99 * full) == full
-        assert len(reads) > len(full_reads)  # the head and the rest
-        assert [start for start, _ in reads] == \
-            [full_reads[0][0]] + [stop for _, stop in reads[:-1]]
         assert reads[-1][1] == full_reads[-1][1]
+        end = full_reads[0][0]  # where the second side starts
+        second = [read for read in reads if read[0] >= end]
+        assert len(second) > len(full_reads)  # the head and the rest
+        assert [start for start, _ in second] == [end] + [stop for _, stop in second[:-1]]
+        first = [read for read in reads if read[0] < end]
+        assert len(first) == (3 if cold else 0)  # the head, the scan, the rest
+        times = np.zeros(end, int)
+        for start, stop in first:
+            times[start:stop] += 1
+        assert not cold or times.min() >= 1 and times.max() == 2
 
     def test_an_overflowing_parametric_guess_changes_nothing(self):
         # a mean gap near 1e-157: the parametric percent SE overflows and

@@ -121,3 +121,16 @@ def test_one_spread_and_one_scale_rule():
                 defined.append(f"{path.stem}.{node.name}")
     assert stray == []
     assert sorted(defined) == ["estimators._mean_spread", "hypotests._scaled"]
+
+
+def test_one_rejection_rule():
+    # Lemire's rejection test, against 2**32 mod n, is taken in one place,
+    # which the index kernel and the scan for the first side's end share
+    homes = []
+    for path, tree in package_trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                homes += [f"{path.stem}.{func.name}" for node in ast.walk(func)
+                          if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                          and ast.unparse(node.left) == "1 << 32"]
+    assert homes == ["estimators._kept_words"]
