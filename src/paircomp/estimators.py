@@ -26,14 +26,18 @@ thread samples one instance at a time, so each thread keeps one
 ``_Slot``, allocated once: the first 2**19 words (2 MiB) of the last
 seed it read, the kernel's index and gather buffers (16 bytes per index
 of a block of max(2**17, n), 2 MiB), and the last first side the SE
-read (8 bytes per resample).  The first side is kept as far as it has
-been read: its resampled means, the word position after them and, once
-found, the position where its R rows end; a later evaluation with the
-same seed, R and first-side runs reads on from there, so no row is read
-twice, and an allocation step that adds a run to the second algorithm
-reads no first-side row at all.  A block without a rejected word
-allocates nothing.  Results are bit-identical to drawing them afresh
-from a new generator.
+read (8 bytes per resample).  The first side is one object, a
+``_FirstSide``: its seed, R and runs, its resampled means as far as
+they have been read, the word position after them and, once found, the
+position where its R rows end.  Its means depend on nothing else, so
+reading another seed's words (``bootstrap_sdm``, say) replaces the kept
+words but not the first side; only an SE with another first side
+replaces it.  A later evaluation with the same seed, R and first-side
+runs reads on from where the last stopped, so no row is read twice, and
+an allocation step that adds a run to the second algorithm reads no
+first-side row at all.  A block without a rejected word allocates
+nothing.  Results are bit-identical to drawing them afresh from a new
+generator.
 
 An SE evaluation that only has to decide "is the SE above se_max?" may
 stop early (``bootstrap_se``'s ``stop_above``).  For any k of the R
@@ -329,7 +333,7 @@ class _Slot(threading.local):
     ``seed`` last read and its ``key``; ``filled`` words of its stream in
     ``store``, read through the read-only view ``words``; the kernel's
     ``indices`` and ``gather`` buffers; and ``first``, the last first
-    side's ``_FirstSide``."""
+    side the SE read (a ``_FirstSide``, which holds its own seed)."""
 
     def __init__(self):
         self.seed = self.key = self.first = None
@@ -345,12 +349,12 @@ _slot = _Slot()
 
 def _words(seed: int, start: int, stop: int) -> np.ndarray:
     """Words [start, stop) of ``make_generator(seed)``'s 32-bit stream;
-    read-only.  A new seed empties the thread's slot; a read past its kept
-    words fills them to ``stop``, by at least ``_MIN_FILL`` and at most to
+    read-only.  A new seed empties the thread's kept words; a read past
+    them fills them to ``stop``, by at least ``_MIN_FILL`` and at most to
     the slot's size; words past that are generated afresh."""
     slot = _slot
     if seed != slot.seed:
-        slot.seed, slot.key, slot.filled, slot.first = seed, generator_key(seed), 0, None
+        slot.seed, slot.key, slot.filled = seed, generator_key(seed), 0
     filled = slot.filled
     if stop > filled < slot.store.size:
         end = min(max(stop, filled + _MIN_FILL), slot.store.size)
@@ -415,18 +419,6 @@ def _word_indices(seed: int, pos: int, n: int, count: int,
     return indices.view(np.int64), pos
 
 
-def _position_after(seed: int, pos: int, n: int, count: int, low: np.ndarray) -> int:
-    """The word position ``_word_indices(seed, pos, n, count, ...)`` gives,
-    found without the indices: each read of at most ``low.size`` words
-    only counts the words ``_kept_words`` keeps, and the next read draws
-    just the words still lacking, so no word past the position is read."""
-    while count:
-        need = min(count, low.size)
-        count -= _kept_words(seed, pos, n, need, low[:need]).size
-        pos += need
-    return pos
-
-
 def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndarray, int]:
     """Means of ``count`` with-replacement resamples of ``x``, read from
     word ``pos`` on of the seed's word stream a block of rows at a time,
@@ -464,57 +456,60 @@ def _word_means(seed: int, x: np.ndarray, count: int, pos: int) -> tuple[np.ndar
 class _FirstSide:
     """The first side's resampled means for one seed, R and x1, as far as
     they have been read: the first ``rows`` of the R entries of
-    ``means``, the word position ``pos`` after them, and ``end``, the
-    position after all R rows, where the second side starts, once found
-    (None before)."""
+    ``means``, and the word position ``pos`` after them.  They depend on
+    nothing else, so the thread's slot keeps the last one whatever seed
+    it reads in between."""
 
-    __slots__ = ("resamples", "x1", "x1_bytes", "means", "rows", "pos", "end")
+    __slots__ = ("seed", "resamples", "x1", "x1_bytes", "means", "rows", "pos", "_end")
 
-    def __init__(self, resamples: int, x1: np.ndarray, x1_bytes: bytes):
-        self.resamples, self.x1, self.x1_bytes = resamples, x1, x1_bytes
+    def __init__(self, seed: int, resamples: int, x1: np.ndarray, x1_bytes: bytes):
+        self.seed, self.resamples, self.x1, self.x1_bytes = seed, resamples, x1, x1_bytes
         self.means = np.empty(resamples)
         self.rows = self.pos = 0
-        self.end = None
+        self._end = None
+
+    def read(self, rows: int) -> np.ndarray:
+        """The first ``rows`` resampled means, read-only.  Only the rows
+        not read before are drawn, from the word where the last read
+        stopped, so no row is read twice."""
+        if self.rows < rows:
+            self.means[self.rows:rows], self.pos = _word_means(
+                self.seed, self.x1, rows - self.rows, self.pos)
+            self.rows = rows
+        means = self.means[:rows]
+        means.flags.writeable = False
+        return means
+
+    def end(self) -> int:
+        """The word position after all R rows, where the second side goes
+        on.  Where fewer rows have been read, it is found once, by
+        counting the words Lemire's rule keeps (``_kept_words``) from where
+        they stop, without their indices, gather or sums: one multiply and
+        one minimum a word, about a tenth of what a row costs.  Each count
+        reads at most a buffer of words, and the next just the words still
+        lacking, so no word past the end is read."""
+        if self._end is None:
+            n = self.x1.size
+            pos, count = self.pos, (self.resamples - self.rows) * n
+            low = _slot.indices.view(np.uint32)
+            while count:
+                need = min(count, low.size)
+                count -= _kept_words(self.seed, pos, n, need, low[:need]).size
+                pos += need
+            self._end = pos
+        return self._end
 
 
 def _first_side(seed: int, resamples: int, x1: np.ndarray) -> _FirstSide:
     """The thread's first side for the seed, ``resamples`` and the bytes
     of ``x1``: the last one while they repeat, else a new one with no row
-    read.  ``_first_rows`` keeps a new one in the slot once it has read
-    words of the seed, as a new seed's first read empties the slot."""
+    read, which the slot keeps from now on."""
     slot, x1_bytes = _slot, x1.tobytes()
     first = slot.first
-    if (seed == slot.seed and first is not None and first.resamples == resamples
-            and first.x1_bytes == x1_bytes):
-        return first
-    return _FirstSide(resamples, x1, x1_bytes)
-
-
-def _first_rows(seed: int, first: _FirstSide, rows: int) -> np.ndarray:
-    """The first side's first ``rows`` resampled means, read-only.  Only
-    the rows not read before are drawn, from the word where the last read
-    stopped, so no row is read twice."""
-    if first.rows < rows:
-        first.means[first.rows:rows], first.pos = _word_means(
-            seed, first.x1, rows - first.rows, first.pos)
-        first.rows = rows
-        _slot.first = first
-    means = first.means[:rows]
-    means.flags.writeable = False
-    return means
-
-
-def _first_end(seed: int, first: _FirstSide) -> int:
-    """The word position after all R rows of the first side, where the
-    second side goes on.  Where fewer rows have been read, it is found
-    once, by counting the words Lemire's rule keeps from where they stop:
-    one multiply and one minimum a word, about a tenth of what a row's
-    indices, gather and sums cost."""
-    if first.end is None:
-        n = first.x1.size
-        first.end = _position_after(seed, first.pos, n, (first.resamples - first.rows) * n,
-                                    _slot.indices.view(np.uint32))
-    return first.end
+    if first is None or (first.seed, first.resamples, first.x1_bytes) != (
+            seed, resamples, x1_bytes):
+        slot.first = first = _FirstSide(seed, resamples, x1, x1_bytes)
+    return first
 
 
 def bootstrap_se(s1, s2, diff_kind: DiffKind, resamples: int, seed: int,
@@ -654,18 +649,17 @@ def _bootstrap_se(x1, x2, diff_kind: DiffKind, R: int, seed: int,
                   head: int, se_max: float | None) -> float:
     percent = diff_kind is DiffKind.PERCENT
     first = _first_side(seed, R, x1)
-    if head and _phi_bounded(x1, x2, percent):
-        m1 = _first_rows(seed, first, head)
-        m2, pos = _word_means(seed, x2, head, _first_end(seed, first))
+    if not (head and _phi_bounded(x1, x2, percent)):
+        head = R
+    m1 = first.read(head)
+    m2, pos = _word_means(seed, x2, head, first.end())
+    if head < R:
         bound = _certified_sd(_diffs(m1, m2, percent), R, se_max)
         if bound is not None:
             return bound
-        m1 = _first_rows(seed, first, R)
+        m1 = first.read(R)
         rest, pos = _word_means(seed, x2, R - head, pos)
         m2 = np.concatenate((m2, rest))
-    else:
-        m1 = _first_rows(seed, first, R)
-        m2, pos = _word_means(seed, x2, R, _first_end(seed, first))
     if percent:
         m1 = m1.copy()  # the rejection loop redraws entries in place
         rejected = 0

@@ -116,7 +116,10 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
     # the settings, read once: the loop below runs once per run
     n0, n_max, se_max = cfg.n0, cfg.n_max, cfg.se_max
     diff_kind, resamples, force_balance = cfg.diff_kind, cfg.resamples, cfg.force_balance
-    simple = diff_kind is DiffKind.SIMPLE
+    # the kind's estimate, parametric SE and allocation ratio
+    phi_of, se_of, ratio_of = (
+        (phi_simple, se_simple, optimal_ratio_simple) if diff_kind is DiffKind.SIMPLE
+        else (phi_percent, se_percent, optimal_ratio_percent))
     bootstrap = cfg.se_method is SEMethod.BOOTSTRAP
     boot_seed = derive_seed(seed, BOOTSTRAP_STREAM) if bootstrap else None
     seeds, keys = first if first is not None else next(first_stages([seed], n0))
@@ -143,10 +146,8 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
             # se_max", so the evaluation may stop at a bound above se_max
             se = bootstrap_se(s1, s2, diff_kind, resamples, boot_seed,
                               se_max if s1.n + s2.n < n_max else None)
-        elif simple:
-            se = se_simple(s1, s2)
         else:
-            se = se_percent(s1, s2)
+            se = se_of(s1, s2)
         if not math.isfinite(se):
             # no number of runs could meet the budget
             raise AssumptionViolationError(
@@ -166,13 +167,13 @@ def calc_nreps(run1, run2, instance, cfg: SamplingConfig, seed: int,
         if force_balance:
             chosen = 0 if s1.n <= s2.n else 1
         else:
-            ratio = optimal_ratio_simple(s1, s2) if simple else optimal_ratio_percent(s1, s2)
+            ratio = ratio_of(s1, s2)
             # tie goes to the second algorithm
             chosen = 0 if s1.n / s2.n < ratio else 1
         do_run(chosen)
         se = current_se()
 
-    phi = phi_simple(s1, s2) if simple else phi_percent(s1, s2)
+    phi = phi_of(s1, s2)
     if not math.isfinite(phi):
         raise AssumptionViolationError(
             f"the estimate of the difference is {phi} after {s1.n} + {s2.n} "

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -1559,6 +1560,80 @@ class TestJournalTruncation:
         header_end = finished_run[1].index(b"\n") + 1
         for cut in (0, header_end - 1, header_end, header_end + 1):
             resume_after_cut(finished_run, cut)
+
+
+# long enough that seeded kills land before the journal exists, among its
+# rows, and while the result files are written (about 0.4 s, 0.25 s and
+# 0.05 s on a 2-core VM)
+KILL_CONFIG = """\
+design: {alpha: 0.05, power: 0.85, d: 0.5, test: t_test}
+sampling: {se_max: 0.05, n0: 4, n_max: 60}
+instances:
+  synthetic_pool: {count: 600, delta: 0.3, sigma_phi: 1.0, noise_sd: 0.5}
+use_all_instances: true
+master_seed: 99
+workers: 1
+"""
+
+
+def watched_run(cfg, out, kill=None):
+    """``run`` of ``cfg`` into ``out`` in a fresh interpreter, watched every
+    2 ms: the times from its start at which the journal and the results
+    table were first seen and at which it ended, and its exit code.  With
+    ``kill = (event, delay)`` it gets SIGKILL ``delay`` seconds after the
+    event ("start", "journal" or "results") was seen."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(paircomp.__file__).parent.parent), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "paircomp", "run", "--config", str(cfg),
+                             "--output-dir", str(out)],
+                            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    start = time.monotonic()
+    seen = {"start": 0.0}
+    try:
+        while proc.poll() is None:
+            now = time.monotonic() - start
+            for event, name in (("journal", "checkpoint.jsonl"), ("results", "results.csv")):
+                if event not in seen and (out / name).exists():
+                    seen[event] = now
+            if kill and kill[0] in seen and now >= seen[kill[0]] + kill[1]:
+                proc.kill()
+                break
+            time.sleep(0.002)
+        err = proc.communicate(timeout=60)[1]
+    finally:
+        proc.kill()
+        proc.wait()
+    seen["end"] = time.monotonic() - start
+    return seen, proc.returncode, err
+
+
+def test_a_run_killed_anywhere_resumes_to_the_same_files(capsys, tmp_path):
+    # SIGKILL at four seeded instants of a run: before the journal exists,
+    # in each half of its rows, and while the result files are written.
+    # `resume` then either refuses (no journal) or ends with every file,
+    # the journal included, byte-identical to the uninterrupted run's
+    cfg = write_config(tmp_path, KILL_CONFIG)
+    times, code, err = watched_run(cfg, tmp_path / "whole")
+    assert code == 0, err
+    expected = {path.name: path.read_bytes() for path in (tmp_path / "whole").iterdir()}
+    rng = random.Random(36)
+    rows = times["results"] - times["journal"]
+    kills = [("start", rng.uniform(0.0, times["journal"])),
+             ("journal", rng.uniform(0.0, rows / 2)),
+             ("journal", rng.uniform(rows / 2, rows)),
+             ("results", rng.uniform(0.0, times["end"] - times["results"]))]
+    codes = []
+    for i, kill in enumerate(kills):
+        out = tmp_path / f"killed-{i}"
+        codes.append(watched_run(cfg, out, kill)[1])
+        code, _, err = run_cli(capsys, "resume", "--config", str(cfg), "--output-dir", str(out))
+        if code == 2:
+            assert "nothing to resume" in err, kill
+        else:
+            assert code == 0, (kill, err)
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == expected, kill
+    assert -signal.SIGKILL in codes
 
 
 def magnitudes():

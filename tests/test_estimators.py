@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 
 from paircomp import estimators
 from paircomp.errors import AssumptionViolationError
-from paircomp.estimators import (DiffKind, InstanceSample,
-                                 _first_end, _first_rows, _first_side,
-                                 _position_after, _word_indices, _word_means,
+from paircomp.estimators import (DiffKind, InstanceSample, _FirstSide,
+                                 _first_side, _word_indices, _word_means,
                                  bootstrap_sdm, bootstrap_se,
                                  optimal_ratio_percent, optimal_ratio_simple,
                                  phi_percent, phi_simple, se_percent,
@@ -511,8 +510,7 @@ class TestBootstrapMemo:
     def test_percent_rejection_loop_matches_unmemoised(self):
         base = [-1.0, -1.0, 3.5, 0.1, 0.2]
         resamples, seed = 300, 9
-        m1 = _first_rows(seed, _first_side(seed, resamples, np.asarray(base, dtype=float)),
-                         resamples)
+        m1 = _first_side(seed, resamples, np.asarray(base, dtype=float)).read(resamples)
         assert (m1 <= 0.0).any()  # so the rejection loop runs
         assert not m1.flags.writeable
         for s1, s2 in grow_one_side(4, 30, base1=base):
@@ -540,6 +538,32 @@ class TestBootstrapMemo:
             assert rows[1:] == [64]
             assert bootstrap_se(s1, s2, kind, 999, 10) == full
         assert rows[1:] == [64, 999 - 64]
+
+    @pytest.mark.parametrize("kind", list(DiffKind))
+    def test_the_first_side_outlives_another_seed(self, kind):
+        # a resampled distribution at another seed in between, on the same
+        # thread, leaves the first side in the slot: the next evaluation
+        # reads no first-side row, and gives a fresh thread's result
+        rng = np.random.default_rng(34)
+        x1, x2 = list(rng.lognormal(0.0, 0.5, 8)), list(rng.lognormal(0.4, 0.9, 8))
+        s1 = oracles.instance_sample(x1)
+        later = oracles.instance_sample(x2 + [float(rng.lognormal(0.4, 0.9))])
+
+        def evaluations():
+            bootstrap_se(s1, oracles.instance_sample(x2), kind, 999, 10)
+            bootstrap_sdm(x2, 500, 11)
+            rows = [np.asarray(x1).tobytes()]
+            with first_side_draws(rows):
+                got = bootstrap_se(s1, later, kind, 999, 10)
+            return got, rows[1:]
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            got, rows = pool.submit(evaluations).result(timeout=60)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            fresh = pool.submit(bootstrap_se, s1, later, kind, 999, 10).result(timeout=60)
+        assert rows == []
+        assert np.float64(got).tobytes() == np.float64(fresh).tobytes()
+        assert got == unmemoised(s1, later, kind, 999, 10)
 
     def test_interleaved_seeds_and_threads(self):
         pairs = list(grow_one_side(5, 30))
@@ -666,6 +690,22 @@ def word_indices(seed, pos, n, count):
     return _word_indices(seed, pos, n, count, np.empty(count, np.uint64))
 
 
+def scan_end(seed, pos, n, rows, size=None):
+    """``_FirstSide.end()`` of a first side of ``rows`` resamples of n runs,
+    none read, from word ``pos``: the scan alone, reading at most ``size``
+    words at a time when given."""
+    first = _FirstSide(seed, rows, np.zeros(n), b"")
+    first.pos = pos
+    slot = estimators._slot
+    kept = slot.indices
+    if size is not None:
+        slot.indices = np.empty(size, np.uint32)
+    try:
+        return first.end()
+    finally:
+        slot.indices = kept
+
+
 class TestWordIndices:
     """The word stream's indices are ``Generator.integers(0, n, count)``'s,
     and the position after them is where that generator stands."""
@@ -684,16 +724,19 @@ class TestWordIndices:
         assert word_indices(5, 0, 3 * 2 ** 30, 4000)[1] > 4900
         assert word_indices(5, 0, 2 ** 32 - 1, 4000)[1] == 4000
 
-    @pytest.mark.parametrize("n", BOUNDS)
+    @pytest.mark.parametrize("n", [2, 3, 7, 80])
     def test_the_scan_ends_where_the_indices_do(self, n):
-        # the position after count indices, counted without them, with
-        # reads of any size
-        for seed in (3, 2 ** 64 - 1):
-            for start, count in [(0, 3000), (6, 1), (65535, 2999)]:
-                want = word_indices(seed, start, n, count)[1]
-                for size in (count, 7, 1):
-                    assert _position_after(seed, start, n, count,
-                                           np.empty(size, np.uint32)) == want
+        # the position after the first side's indices, counted without
+        # them, with reads of any size; planted zeros reject a thousandth
+        # or a third of the words for any n but 2
+        for words in (estimators._words, planted_rejections(1000), planted_rejections(3)):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(estimators, "_words", words)
+                for seed in (3, 2 ** 64 - 1):
+                    for start, rows in [(0, 3000 // n), (6, 1), (65535, 2999 // n)]:
+                        want = word_indices(seed, start, n, rows * n)[1]
+                        for size in (rows * n, 7, 1):
+                            assert scan_end(seed, start, n, rows, size) == want
 
     @pytest.mark.parametrize("n1", [2, 3, 7, 80])
     def test_the_first_side_ends_after_its_resamples(self, n1):
@@ -702,11 +745,10 @@ class TestWordIndices:
         x1 = np.random.default_rng(n1).lognormal(0.0, 1.0, n1)
         want = word_indices(12, 0, n1, 999 * n1)[1]
         for rows in (1, 32, 998, 999):
-            first = _first_side(12, 999, x1.copy())
-            _first_rows(12, first, rows)
-            assert _first_end(12, first) == want
-            assert _first_rows(12, first, 999).tobytes() == \
-                _word_means(12, x1, 999, 0)[0].tobytes()
+            first = _FirstSide(12, 999, x1.copy(), x1.tobytes())
+            first.read(rows)
+            assert first.end() == want
+            assert first.read(999).tobytes() == _word_means(12, x1, 999, 0)[0].tobytes()
             assert first.pos == want
 
     @pytest.mark.parametrize("kept", [8, 24])
@@ -730,9 +772,17 @@ class TestWordIndices:
                     indices, pos = word_indices(seed, start, n, 5 * kept + 1)
                     assert indices.tolist() == ref.integers(0, n, 5 * kept + 1).tolist()
                     assert word_at(seed, pos) == ref.integers(0, 2 ** 32)
-                    for size in (kept - 1, 5 * kept + 1):
-                        assert _position_after(seed, start, n, 5 * kept + 1,
-                                               np.empty(size, np.uint32)) == pos
+            # the first side's scan, with a third of the words rejected
+            # too, reading fewer or more words at a time than are kept
+            for words in (estimators._words, planted_rejections(3)):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(estimators, "_words", words)
+                    for n in (2, 3, 80):
+                        rows = 5 * kept // n + 1
+                        for start in (0, kept - 1, kept, kept + 3):
+                            want = word_indices(seed, start, n, rows * n)[1]
+                            for size in (kept - 1, rows * n):
+                                assert scan_end(seed, start, n, rows, size) == want
             x = np.random.default_rng(2).lognormal(0.0, 1.0, 13)
             means, _ = _word_means(seed, x, 101, 3)
             assert means.tobytes() == oracles.resample_means(
@@ -828,7 +878,7 @@ class TestBlockBuffers:
     def test_memoised_first_side_outlives_later_draws(self):
         x1 = np.random.default_rng(3).lognormal(0.0, 1.0, 7)
         first = _first_side(31, 500, x1)
-        m1 = _first_rows(31, first, 500)
+        m1 = first.read(500)
         sdm = bootstrap_sdm(x1, 300, 31)
         kept = m1.tobytes(), sdm.tobytes()
         # other n on the same thread and seed, the last larger than a
@@ -839,7 +889,7 @@ class TestBlockBuffers:
         assert not m1.flags.writeable
         with first_side_draws() as draws:
             assert _first_side(31, 500, x1) is first
-            again = _first_rows(31, first, 500)
+            again = first.read(500)
         assert draws == []
         assert np.shares_memory(again, m1) and again.tobytes() == m1.tobytes()
 
